@@ -29,8 +29,10 @@ def _setup_logging():
 
 
 def _emit(payload: dict, indent):
-    json.dump(payload, sys.stdout, indent=indent, sort_keys=True)
-    sys.stdout.write("\n")
+    # serialise before writing: a NaN or infinity raises ValueError here and
+    # leaves stdout empty instead of printing invalid JSON
+    text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _complex_json(value: complex) -> dict:
@@ -41,6 +43,16 @@ def _load_json(text: str):
     if text == "-":
         return json.load(sys.stdin)
     return json.loads(text)
+
+
+def _load_point(text: str) -> CSPoint:
+    """Parse a JSON point through the validated constructor ``cs_point``."""
+    d = _load_json(text)
+    try:
+        z = [complex(re, im) for re, im in d["z"]]
+    except TypeError as exc:
+        raise ValueError(f"z must be a list of [re, im] pairs: {exc}") from exc
+    return jacobi.cs_point(z, matfun.mat_from_json(d["W"]))
 
 
 def cmd_verify(args) -> int:
@@ -73,8 +85,8 @@ def cmd_eval(args) -> int:
         )
         return 0
     if what == "kernel":
-        x = CSPoint.from_json(_load_json(args.x))
-        y = CSPoint.from_json(_load_json(args.y))
+        x = _load_point(args.x)
+        y = _load_point(args.y)
         val = jacobi.kernel(x, y, args.k)
         _emit(
             {
@@ -86,7 +98,7 @@ def cmd_eval(args) -> int:
             args.json_indent,
         )
         return 0
-    x = CSPoint.from_json(_load_json(args.point))
+    x = _load_point(args.point)
     if what == "potential":
         payload = {"value": jacobi.kahler_potential(x, args.k), "k": args.k,
                    "anchor": "log-diagonal-kernel"}

@@ -86,9 +86,14 @@ class CSPoint:
 
 
 def cs_point(z, W, tol: float = DEFAULT_TOL) -> CSPoint:
-    """Validated constructor: ``W`` must be an interior domain point."""
+    """Validated constructor: ``z`` must be finite and ``W`` an interior
+    domain point of matching dimension."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z has non-finite entries")
     W = as_cmat(W)
+    if W.shape != (len(z), len(z)):
+        raise ValueError(f"W has shape {W.shape}, expected {(len(z), len(z))}")
     if not matfun.is_siegel(W, tol=tol):
         raise OutOfDomain("W is not an interior point of the domain")
     return CSPoint(z=z, W=W)
@@ -460,22 +465,14 @@ def measure_constants(n: int, k: float, rtol: float = 1e-12) -> MeasureConstants
 _CHUNK = 1 << 15  # fixed substream size; estimates are worker-count invariant
 
 
-def sample_arrays_n1(k: float, count: int, seed: int):
-    """Vectorized weighted sampler for the n = 1 base measure.
-
-    Returns ``(w, z, weight)`` arrays of length ``count``.  ``w`` is uniform
-    on the box [-1, 1]^2 (weight 0 outside the disk), ``z | w`` is drawn from
-    the exact Gaussian with the diagonal-kernel exponent, and the weight
-    carries the closed-form Gaussian normalizer ``pi sqrt(1 - |w|^2)`` so that
-    ``mean(weight * f)`` estimates ``Lambda * integral(f Q K^-1)``.
-
-    Counter-based substreams of fixed size make the result deterministic in
-    ``(seed, count)`` and independent of any worker partitioning.
-    """
+def _sample_chunks_n1(k: float, count: int, seed: int):
+    """Yield the ``(w, z, weight)`` arrays of :func:`sample_arrays_n1` one
+    substream chunk (at most ``_CHUNK`` samples) at a time."""
+    if count < 1:
+        raise ValueError(f"need a positive sample count, got {count}")
     consts = measure_constants(1, k)
     p = consts.p
     nchunks = (count + _CHUNK - 1) // _CHUNK
-    ws, zs, wts = [], [], []
     for ci in range(nchunks):
         mcount = min(_CHUNK, count - ci * _CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
@@ -498,10 +495,40 @@ def sample_arrays_n1(k: float, count: int, seed: int):
         x2 = xi[1] / l22
         x1 = (xi[0] - l21 * x2) / l11
         z = np.where(inside, x1 + 1j * x2, 0.0)
-        ws.append(wre + 1j * wim)
-        zs.append(z)
-        wts.append(weight)
+        yield wre + 1j * wim, z, weight
+
+
+def sample_arrays_n1(k: float, count: int, seed: int):
+    """Vectorized weighted sampler for the n = 1 base measure.
+
+    Returns ``(w, z, weight)`` arrays of length ``count``.  ``w`` is uniform
+    on the box [-1, 1]^2 (weight 0 outside the disk), ``z | w`` is drawn from
+    the exact Gaussian with the diagonal-kernel exponent, and the weight
+    carries the closed-form Gaussian normalizer ``pi sqrt(1 - |w|^2)`` so that
+    ``mean(weight * f)`` estimates ``Lambda * integral(f Q K^-1)``.
+
+    Counter-based substreams of fixed size make the result deterministic in
+    ``(seed, count)`` and independent of any worker partitioning.
+    """
+    ws, zs, wts = zip(*_sample_chunks_n1(k, count, seed))
     return np.concatenate(ws), np.concatenate(zs), np.concatenate(wts)
+
+
+def _uniform_chunks(seed: int, count: int, streams: int):
+    """Yield ``streams`` arrays of at most ``_CHUNK`` uniform draws on [-1, 1].
+
+    Concatenated over the chunks, stream ``j`` is bit-identical to the
+    ``j``-th of ``streams`` successive ``default_rng(seed).uniform(-1, 1,
+    count)`` calls: each double consumes exactly one 64-bit PCG64 output, so
+    stream ``j`` starts from the seeded state advanced by ``j * count``.
+    """
+    gens = [
+        np.random.Generator(np.random.PCG64(seed).advance(j * count))
+        for j in range(streams)
+    ]
+    for start in range(0, count, _CHUNK):
+        mcount = min(_CHUNK, count - start)
+        yield [g.uniform(-1.0, 1.0, mcount) for g in gens]
 
 
 def sample_base_measure(n: int, k: float, count: int, seed: int):
@@ -575,6 +602,17 @@ def mc_inner_product_n1(f, g, k: float, count: int, seed: int):
     return est, se
 
 
+def _kernel_n1(z, w, z0: complex, w0: complex, k: float):
+    """:func:`kernel` ``K(y, x0)`` at n = 1 for arrays of points ``y = (z, w)``."""
+    u = 1.0 / (1.0 - w0 * np.conj(w))
+    expo = (
+        2.0 * np.conj(z) * u * z0
+        + np.conj(w * np.conj(z0)) * u * z0
+        + np.conj(z) * u * w0 * np.conj(z)
+    )
+    return u ** (k / 2) * np.exp(0.5 * expo)
+
+
 def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     """Monte-Carlo test of the reproducing property at n = 1.
 
@@ -593,14 +631,7 @@ def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     w, z, wt = sample_arrays_n1(k, samples, seed)
     z0 = complex(x0.z[0])
     w0 = complex(x0.W[0, 0])
-    u = 1.0 / (1.0 - w0 * np.conj(w))
-    expo = (
-        2.0 * np.conj(z) * u * z0
-        + np.conj(w * np.conj(z0)) * u * z0
-        + np.conj(z) * u * w0 * np.conj(z)
-    )
-    kv = u ** (k / 2) * np.exp(0.5 * expo)
-    rhs = complex(np.mean(wt * kv * f(z, w)))
+    rhs = complex(np.mean(wt * _kernel_n1(z, w, z0, w0, k) * f(z, w)))
     lhs = complex(f(np.array([z0]), np.array([w0]))[0])
     relerr = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return lhs, rhs, relerr

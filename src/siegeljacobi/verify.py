@@ -15,6 +15,7 @@ field is a stable identifier naming the identity a record exercises.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ import numpy as np
 from . import diffops, fockoracle, gj1, jacobi, matfun, numdiff, symplectic
 from .errors import FormMismatch
 from .jacobi import CSPoint, JacobiElement
+
+log = logging.getLogger("siegeljacobi")
 
 SUITES = ("algebra", "symplectic", "jacobi", "oracle", "gj1", "measure", "all")
 
@@ -569,40 +572,73 @@ def suite_measure(n=1, k=6.0, seed=7, samples=200_000, cutoff=None) -> list:
          abs(consts.Lambda - alt) / consts.Lambda, 1e-12, n=n, k=k)
 
     if n == 1:
-        _, _, wt = jacobi.sample_arrays_n1(k, samples, seed)
+        # one streaming pass: each chunk of the n = 1 sampler is drawn once
+        # and feeds the total mass and all three reproducing estimates, so
+        # memory stays at one chunk however large ``samples`` is
+        targets = (
+            ("one", lambda z, w: np.ones_like(z), 0j, 0j),
+            ("z", lambda z, w: z, 0.2 + 0j, 0.1 + 0j),
+            ("w", lambda z, w: w, 0j, 0.3 + 0j),
+        )
+        mass = 0.0
+        sums = [0j] * len(targets)
+        inside = chunks = 0
+        for w, z, wt in jacobi._sample_chunks_n1(k, samples, seed):
+            mass += wt.sum()
+            inside += np.count_nonzero(wt)  # the weight is 0 exactly outside the disk
+            chunks += 1
+            for i, (_, f, z0, w0) in enumerate(targets):
+                sums[i] += np.sum(wt * jacobi._kernel_n1(z, w, z0, w0, k) * f(z, w))
+        log.debug("measure sampler n=1: %d samples in %d chunks, inside-domain "
+                  "fraction %.6f", samples, chunks, inside / samples)
         _rec(checks, "normalization-mc", "unit-total-mass",
-             abs(wt.mean() - 1.0), 0.01, n=1, k=k, samples=samples)
-        for f, x0, name in (
-            (lambda z, w: np.ones_like(z), (0.0, 0.0), "one"),
-            (lambda z, w: z, (0.2, 0.1), "z"),
-            (lambda z, w: w, (0.0, 0.3), "w"),
-        ):
-            pt = CSPoint(z=np.array([x0[0]], dtype=complex),
-                         W=np.array([[x0[1]]], dtype=complex))
-            lhs, rhs, relerr = jacobi.reproduce_check(f, pt, k, samples, seed=seed)
+             abs(mass / samples - 1.0), 0.01, n=1, k=k, samples=samples)
+        for (name, f, z0, w0), total in zip(targets, sums):
+            lhs = complex(f(np.array([z0]), np.array([w0]))[0])
             _rec(checks, f"reproducing-{name}", "kernel-reproducing-property",
-                 relerr, 0.03, n=1, k=k, samples=samples)
+                 abs(lhs - total / samples) / max(abs(lhs), 1e-300), 0.03, n=1,
+                 k=k, samples=samples)
 
     # cross-check the closed-form volume constant by direct Monte Carlo at
     # n = 2; the per-sample relative sigma is about 4.6, so the fixed count
     # below puts the 1% tolerance at six standard errors
-    rng = np.random.default_rng(seed)
     count = 8_000_000
     p = 1.0
-    w11 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
-    w12 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
-    w22 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
-    # 1 - W W* for symmetric 2x2 W: positive definite iff trace and det > 0
-    s11 = 1.0 - (np.abs(w11) ** 2 + np.abs(w12) ** 2)
-    s22 = 1.0 - (np.abs(w22) ** 2 + np.abs(w12) ** 2)
-    s12 = -(w11 * np.conj(w12) + w12 * np.conj(w22))
-    det = (s11 * s22 - np.abs(s12) ** 2).real
-    inside = (det > 0) & (s11 + s22 > 0)
-    est = 64.0 * np.mean(np.where(inside, det**p, 0.0))
+    est = _jn_mc_n2(p, count, seed)
     _rec(checks, "jn-mc", "weighted-volume-vs-direct-mc",
          abs(est - symplectic.jn(p, 2)) / symplectic.jn(p, 2), 0.01, n=2,
          samples=count)
     return checks
+
+
+def _jn_mc_n2(p: float, count: int, seed: int) -> float:
+    """Box Monte-Carlo estimate of ``J_2(p)``, the integral of
+    ``det(1 - W Wbar)^p`` over the symmetric 2x2 domain.
+
+    The box [-1, 1]^6 holds the real and imaginary parts of ``w11, w12,
+    w22``; they are the six streams of :func:`jacobi._uniform_chunks`, so the
+    draws equal six successive ``default_rng(seed).uniform(-1, 1, count)``
+    calls while only one chunk of each is held at a time.
+    """
+    total = 0.0
+    inside_count = chunks = 0
+    for a, b, c, d, e, f in jacobi._uniform_chunks(seed, count, 6):
+        # w11 = a + ib, w12 = c + id, w22 = e + if; 1 - W W* for symmetric
+        # 2x2 W is positive definite iff its trace and determinant are > 0
+        m12 = c * c + d * d
+        s11 = 1.0 - (a * a + b * b + m12)
+        s22 = 1.0 - (e * e + f * f + m12)
+        # s12 = -(w11 conj(w12) + w12 conj(w22))
+        s12_re = a * c + b * d + c * e + d * f
+        s12_im = b * c - a * d + d * e - c * f
+        det = s11 * s22 - (s12_re * s12_re + s12_im * s12_im)
+        inside = (det > 0) & (s11 + s22 > 0)
+        total += np.where(inside, det**p, 0.0).sum()
+        inside_count += np.count_nonzero(inside)
+        chunks += 1
+    log.debug("measure sampler jn-mc n=2: %d samples in %d chunks, inside-domain "
+              "fraction %.6f", count, chunks, inside_count / count)
+    return 64.0 * total / count
 
 
 _SUITE_FNS = {

@@ -128,3 +128,43 @@ def test_bad_suite_name_exits_two():
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "bogus"])
     assert err.value.code == 2
+
+
+def _point_json(z, w):
+    return json.dumps(
+        {"z": [[z, 0.0]], "W": {"rows": 1, "cols": 1, "re": [w], "im": [0.0]}}
+    )
+
+
+def test_eval_rejects_point_outside_domain(capsys):
+    code, out = run_cli(
+        capsys, "eval", "density", "--point", _point_json(0.0, 1.5), "--n", "1"
+    )
+    assert code == 2 and out == ""
+
+
+def test_eval_rejects_non_finite_input(capsys):
+    x = _point_json(0.0, 0.0).replace("[[0.0, 0.0]]", "[[NaN, 0.0]]")
+    code, out = run_cli(
+        capsys, "eval", "kernel", "--x", x, "--y", _point_json(0.0, 0.0), "--k", "4"
+    )
+    assert code == 2 and out == ""
+
+
+def test_eval_non_finite_result_exits_two_without_output(capsys):
+    x = _point_json(1e3, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(capsys, "eval", "kernel", "--x", x, "--y", x, "--k", "4")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        '{"z": [0.5], "W": {"rows": 1, "cols": 1, "re": [0.1], "im": [0.0]}}',
+        '{"z": [[0.5, 0.0], [0.5, 0.0]], "W": {"rows": 1, "cols": 1, "re": [0.1], "im": [0.0]}}',
+    ],
+)
+def test_eval_rejects_malformed_point(capsys, point):
+    code, out = run_cli(capsys, "eval", "potential", "--point", point, "--k", "4")
+    assert code == 2 and out == ""

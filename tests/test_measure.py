@@ -1,9 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from siegeljacobi import jacobi
+from siegeljacobi import jacobi, verify
 from siegeljacobi.errors import OutOfDomain
 from siegeljacobi.jacobi import CSPoint
 
@@ -90,3 +91,87 @@ def test_reproduce_check_domain_errors():
     x2 = CSPoint(z=np.zeros(2, dtype=complex), W=np.zeros((2, 2), dtype=complex))
     with pytest.raises(OutOfDomain):
         jacobi.reproduce_check(lambda z, w: z, x2, 6.0, 100)
+
+
+def test_sampler_chunks_concatenate_to_arrays():
+    count = 2 * jacobi._CHUNK + 5
+    chunks = list(jacobi._sample_chunks_n1(6.0, count, seed=23))
+    assert [len(w) for w, _, _ in chunks] == [jacobi._CHUNK, jacobi._CHUNK, 5]
+    for part, whole in zip(zip(*chunks), jacobi.sample_arrays_n1(6.0, count, seed=23)):
+        assert np.array_equal(np.concatenate(part), whole)
+
+
+def test_uniform_chunks_equal_one_shot_draws():
+    count = 3 * jacobi._CHUNK + 17
+    chunks = list(jacobi._uniform_chunks(29, count, 6))
+    assert all(len(c) == 6 and len(c[0]) <= jacobi._CHUNK for c in chunks)
+    rng = np.random.default_rng(29)
+    for j in range(6):
+        stream = np.concatenate([c[j] for c in chunks])
+        assert np.array_equal(stream, rng.uniform(-1, 1, count))
+
+
+def _jn_mc_one_shot(p, count, seed):
+    # the unchunked complex-arithmetic estimator the streamed one replaces
+    rng = np.random.default_rng(seed)
+    w11 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
+    w12 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
+    w22 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
+    s11 = 1.0 - (np.abs(w11) ** 2 + np.abs(w12) ** 2)
+    s22 = 1.0 - (np.abs(w22) ** 2 + np.abs(w12) ** 2)
+    s12 = -(w11 * np.conj(w12) + w12 * np.conj(w22))
+    det = (s11 * s22 - np.abs(s12) ** 2).real
+    inside = (det > 0) & (s11 + s22 > 0)
+    return 64.0 * np.mean(np.where(inside, det**p, 0.0))
+
+
+def test_chunked_jn_mc_matches_one_shot():
+    count = 3 * jacobi._CHUNK + 17
+    ref = _jn_mc_one_shot(1.0, count, seed=31)
+    assert abs(verify._jn_mc_n2(1.0, count, seed=31) - ref) <= 1e-15 * ref
+
+
+# (check, anchor, n, k, samples, tolerance, pass, residual) of the one-shot
+# suite, before sampling was streamed, at samples=200_000
+_ONE_SHOT_MEASURE = {
+    7: [
+        ("normalization-routes", "resolution-of-unity-constant", 1, 6.0, None, 1e-12, True, 5.478731025015591e-16),
+        ("normalization-mc", "unit-total-mass", 1, 6.0, 200000, 0.01, True, 0.0007511471750691889),
+        ("reproducing-one", "kernel-reproducing-property", 1, 6.0, 200000, 0.03, True, 0.0007511471750689669),
+        ("reproducing-z", "kernel-reproducing-property", 1, 6.0, 200000, 0.03, True, 0.027483234325602526),
+        ("reproducing-w", "kernel-reproducing-property", 1, 6.0, 200000, 0.03, True, 0.0010804430454209408),
+        ("jn-mc", "weighted-volume-vs-direct-mc", 2, None, 8000000, 0.01, True, 0.002164460684019624),
+    ],
+    11: [
+        ("normalization-routes", "resolution-of-unity-constant", 1, 6.0, None, 1e-12, True, 5.478731025015591e-16),
+        ("normalization-mc", "unit-total-mass", 1, 6.0, 200000, 0.01, True, 9.503018397549745e-05),
+        ("reproducing-one", "kernel-reproducing-property", 1, 6.0, 200000, 0.03, True, 9.503018397549745e-05),
+        ("reproducing-z", "kernel-reproducing-property", 1, 6.0, 200000, 0.03, True, 0.014541353238829652),
+        ("reproducing-w", "kernel-reproducing-property", 1, 6.0, 200000, 0.03, True, 0.0028987773286560116),
+        ("jn-mc", "weighted-volume-vs-direct-mc", 2, None, 8000000, 0.01, True, 0.00026232168187353337),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_ONE_SHOT_MEASURE))
+def test_streamed_measure_suite_keeps_one_shot_residuals(seed):
+    checks = verify.suite_measure(seed=seed, samples=200_000)
+    fields = ("check", "anchor", "n", "k", "samples", "tolerance", "pass")
+    assert [tuple(c[f] for f in fields) for c in checks] == [
+        row[:-1] for row in _ONE_SHOT_MEASURE[seed]
+    ]
+    for c, row in zip(checks, _ONE_SHOT_MEASURE[seed]):
+        assert abs(c["residual"] - row[-1]) <= 1e-14, c["check"]
+
+
+def test_measure_suite_logs_each_sampler(caplog):
+    with caplog.at_level(logging.DEBUG, logger="siegeljacobi"):
+        verify.suite_measure(seed=7, samples=3 * jacobi._CHUNK + 17)
+    lines = [r.getMessage() for r in caplog.records if "measure sampler" in r.getMessage()]
+    assert len(lines) == 2
+    assert lines[0].startswith("measure sampler n=1: 98321 samples in 4 chunks")
+    assert lines[1].startswith("measure sampler jn-mc n=2: 8000000 samples in 245 chunks")
+    fractions = [float(line.rsplit(" ", 1)[1]) for line in lines]
+    # inside-domain share of the box: pi/4 for the disk, about 0.081 at n = 2
+    assert abs(fractions[0] - math.pi / 4) < 0.01
+    assert 0.07 < fractions[1] < 0.09
