@@ -4,12 +4,12 @@ translations with the real symplectic group, realized on C^n x D_n.
 Subpackage map:
 
 * ``matfun``      -- Hermitian spectral calculus, principal log-determinant
-* ``symplectic``  -- the group, its decompositions, kernel, form, constants
+* ``symplectic``  -- the group, its decompositions, kernel, volume, constants
 * ``jacobi``      -- the semidirect product: action, cocycle, kernel, measure
 * ``diffops``     -- exact first-order operator realization and table checks
 * ``fockoracle``  -- truncated single-mode ground truth for every identity
 * ``gj1``         -- one-variable section: polynomial basis, half-plane maps
-* ``verify``      -- machine-readable verification suites (also via the CLI)
+* ``verify``      -- verification suites and the independent routes they run
 """
 
 from . import diffops, fockoracle, gj1, jacobi, matfun, numdiff, symplectic, verify

@@ -154,18 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None, help="matrix dimension")
-        p.add_argument("--k", type=float, default=None, help="representation index")
-        p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--cutoff", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--json-indent", type=int, default=None)
-
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=verify.SUITES)
-    common(pv)
+    pv.add_argument("--seed", type=int, default=1234)
+    pv.add_argument("--samples", type=int, default=None)
+    pv.add_argument("--cutoff", type=int, default=None)
     pv.set_defaults(fn=cmd_verify)
 
     pe = sub.add_parser("eval", help="evaluate a quantity at given points")
@@ -173,14 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--x", help="JSON point (kernel first slot), or - for stdin")
     pe.add_argument("--y", help="JSON point (kernel second slot)")
     pe.add_argument("--point", help="JSON point for potential/form/density")
-    common(pe)
     pe.set_defaults(fn=cmd_eval)
 
     pd = sub.add_parser("decompose", help="factor a group element")
     pd.add_argument("--g", required=True, help="JSON element {a: ..., b: ...}, or -")
     pd.add_argument("--which", choices=("gauss", "cartan"), required=True)
-    common(pd)
+    pd.add_argument("--tol", type=float, default=1e-9)
     pd.set_defaults(fn=cmd_decompose)
+
+    # each subcommand takes only the flags it reads
+    for p in (pv, pe):
+        p.add_argument("--n", type=int, default=None, help="matrix dimension")
+        p.add_argument("--k", type=float, default=None, help="representation index")
+    for p in (pv, pe, pd):
+        p.add_argument("--json-indent", type=int, default=None)
     return parser
 
 

@@ -33,10 +33,6 @@ class OutOfDomain(SiegelJacobiError):
     """A scalar parameter is outside the allowed range."""
 
 
-class FormMismatch(SiegelJacobiError):
-    """Two closed forms that must agree evaluated to different values."""
-
-
 class VariableMismatch(SiegelJacobiError):
     """Symbolic operands are defined over different variable sets."""
 

@@ -11,6 +11,10 @@ Each suite runs a battery of identity checks and returns a report dict:
 
 Reports are deterministic given the same arguments and seed.  The "anchor"
 field is a stable identifier naming the identity a record exercises.
+
+The primitives in ``symplectic`` and ``jacobi`` evaluate one closed form
+each; the independent routes that cross-check them live here and run once
+per suite.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 import numpy as np
 
 from . import diffops, fockoracle, gj1, jacobi, matfun, numdiff, symplectic
-from .errors import FormMismatch
 from .jacobi import CSPoint, JacobiElement
 
 log = logging.getLogger("siegeljacobi")
@@ -81,6 +84,59 @@ def _bounded_element(n, rng, cap, phase_cap=None) -> JacobiElement:
     return JacobiElement(
         g=symplectic.cartan_synthesize(zgen, v), alpha=alpha, t=float(rng.normal())
     )
+
+
+# ----------------------------------------------------------------------
+# independent routes
+# ----------------------------------------------------------------------
+
+def _moebius_residual(g, w, out) -> float:
+    """Distance of ``out = symplectic.moebius(g, w)`` from the transposed
+    closed form ``(w b* + a*)^-1 (b^T + w a^T)``, relative to
+    ``max(1, |out|)``.  For symmetric ``w`` that form is the transpose of
+    the unsymmetrized action, so this is half its asymmetry: a symmetry
+    residual, not an independent second route."""
+    alt = np.linalg.inv(w @ g.b.conj().T + g.a.conj().T) @ (g.b.T + w @ g.a.T)
+    return np.linalg.norm(out - alt) / max(1.0, np.linalg.norm(out))
+
+
+def _jn_forms_residual(p: float, n: int) -> float:
+    """Relative distance of :func:`symplectic.jn` from its second closed form
+    ``2^n pi^{n(n+1)/2} prod_i Gamma(2p+2i) / Gamma(2p+n+i+1)``."""
+    log_val = n * math.log(2.0) + n * (n + 1) / 2 * math.log(math.pi)
+    for i in range(1, n + 1):
+        log_val += math.lgamma(2 * p + 2 * i) - math.lgamma(2 * p + n + i + 1)
+    val = symplectic.jn(p, n)
+    return abs(val - math.exp(log_val)) / abs(val)
+
+
+def _lambda_product_form(n: int, k: float) -> float:
+    """Product form of the normalization constant of
+    :func:`jacobi.measure_constants`.
+
+    Equivalent to ``pi^-n / J_n((k-3)/2 - n)``; reduces to
+    ``(k-3) / (2 pi^2)`` at n = 1.
+    """
+    log_val = -n * math.log(2.0) - n * (n + 3) / 2 * math.log(math.pi)
+    for i in range(1, n + 1):
+        log_val += math.lgamma(k + i - n - 2) - math.lgamma(k - 3 - 2 * (n - i))
+    return math.exp(log_val)
+
+
+def _cocycle_literal_residual(h, x, k, lam):
+    """Distance of ``lam = jacobi.lambda_cocycle_ez(h, x, k)`` from the
+    literal ``T = conj(b)^-1 conj(a)`` form in its docstring, relative to
+    ``max(1, |lam|)``.  The form is undefined where ``|det conj(b)| <=
+    1e-12``; there nothing is compared and the residual is 0."""
+    bb = h.g.b.conj()
+    if abs(np.linalg.det(bb)) <= 1e-12:
+        return 0.0
+    t = np.linalg.solve(bb, h.g.a.conj())
+    inv_wt = np.linalg.inv(x.W + t)
+    rhs = 2 * x.z + h.alpha - x.W @ h.alpha.conj()
+    two_alt = x.z @ inv_wt @ x.z + (h.alpha + t.T @ h.alpha.conj()) @ inv_wt @ rhs
+    alt = matfun.detpow(x.W @ h.g.b.conj().T + h.g.a.conj().T, -k / 2) * np.exp(-0.5 * two_alt)
+    return abs(alt - lam) / max(1.0, abs(lam))
 
 
 # ----------------------------------------------------------------------
@@ -235,14 +291,22 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
     _rec(checks, "generator-domain-roundtrip", "tanh-coordinate-map", worst_zw, 1e-11,
          n=n, samples=samples)
 
-    worst_act = worst_ball = worst_detv = 0.0
+    worst_act = worst_ball = worst_detv = worst_forms = worst_closure = 0.0
     for _ in range(samples):
         g1 = symplectic.sp_random(n, 0.4, rng)
         g2 = symplectic.sp_random(n, 0.4, rng)
         w = symplectic.random_siegel_point(n, 0.4, rng)
-        lhs = symplectic.moebius(g1, symplectic.moebius(g2, w))
-        rhs = symplectic.moebius(symplectic.sp_compose(g1, g2), w)
+        g2w = symplectic.moebius(g2, w)
+        g12 = symplectic.sp_compose(g1, g2)
+        lhs = symplectic.moebius(g1, g2w)
+        rhs = symplectic.moebius(g12, w)
         worst_act = max(worst_act, np.linalg.norm(lhs - rhs))
+        worst_forms = max(
+            worst_forms,
+            _moebius_residual(g2, w, g2w),
+            _moebius_residual(g1, g2w, lhs),
+            _moebius_residual(g12, w, rhs),
+        )
         w1 = symplectic.random_siegel_point(n, 0.35, rng)
         w2 = symplectic.random_siegel_point(n, 0.35, rng)
         w3, v, detv = symplectic.ball_compose(w1, w2)
@@ -252,12 +316,22 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
         worst_detv = max(
             worst_detv, abs(abs(detv) - 1.0), abs(np.linalg.det(v) - detv)
         )
+        worst_closure = max(
+            worst_closure,
+            symplectic.membership_residual(g12.a, g12.b),
+            symplectic.membership_residual(prod.a, prod.b),
+        )
     _rec(checks, "moebius-left-action", "linear-fractional-action", worst_act, 1e-10,
          n=n, samples=samples)
     _rec(checks, "ball-composition", "two-point-composition-law", worst_ball, 1e-9,
          n=n, samples=samples)
     _rec(checks, "ball-composition-unitary", "unimodular-correction", worst_detv, 1e-9,
          n=n, samples=samples)
+    # half the in-call bound of 1e-8 on the unsymmetrized action
+    _rec(checks, "moebius-closed-forms", "action-closed-forms", worst_forms, 5e-9,
+         n=n, samples=samples)
+    _rec(checks, "compose-closure", "product-membership", worst_closure,
+         10 * matfun.DEFAULT_TOL, n=n, samples=samples)
 
     placement = resolve_kernel_transform(seed)
     worst_tr = 0.0
@@ -278,11 +352,7 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
     jn_failures = 0
     for nn in (1, 2, 3, 4):
         for _ in range(50):
-            p = rng.uniform(-0.9, 6.0)
-            try:
-                symplectic.jn(p, nn)
-            except FormMismatch:
-                jn_failures += 1
+            jn_failures += _jn_forms_residual(rng.uniform(-0.9, 6.0), nn) > 1e-12
     _rec(checks, "jn-closed-forms", "weighted-volume-constant", jn_failures, 0,
          samples=200)
     worst_l1 = abs(
@@ -292,12 +362,14 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
          n=2, k=8.0)
 
     w = symplectic.random_siegel_point(n, 0.4, rng)
-    closed = symplectic.sp_two_form(w, k)
+    # the invariant form of the domain is the W block of the Kahler form at z = 0
+    x0 = CSPoint(z=np.zeros(n, dtype=complex), W=w)
+    closed = jacobi.kahler_form(x0, k)[n:, n:]
     fd = numdiff.wirtinger_hessian(
         lambda pt: -0.5
         * k
         * matfun.principal_logdet(np.eye(n) - pt.W @ pt.W.conj()).real,
-        CSPoint(z=np.zeros(n, dtype=complex), W=w),
+        x0,
     )[n:, n:]
     _rec(checks, "two-form-hessian", "invariant-form-vs-finite-differences",
          np.abs(closed - fd).max(), 1e-5, n=n, k=k)
@@ -306,7 +378,7 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
          0.0 if evmin > 0 else 1.0, 0.5, n=n, k=k)
 
     g = symplectic.sp_random(n, 0.3, rng)
-    jac = numdiff.w_jacobian(lambda ww: symplectic.moebius(g, ww, check=False), w)
+    jac = numdiff.w_jacobian(lambda ww: symplectic.moebius(g, ww), w)
     q_inv = symplectic.sp_density(symplectic.moebius(g, w)) * abs(
         np.linalg.det(jac)
     ) ** 2
@@ -337,7 +409,7 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
          max(0.0, -evmin / np.linalg.norm(gram)), 1e-9, n=n, k=k,
          samples=len(pts))
 
-    worst_uni = worst_mult = worst_routes = 0.0
+    worst_uni = worst_mult = worst_routes = worst_literal = 0.0
     c = resolve_central_phase(seed)
     for _ in range(samples):
         h = _bounded_element(n, rng, 0.35)
@@ -357,6 +429,7 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
         if n == 1:
             ez = jacobi.lambda_cocycle_ez(h, x, int(k))
             worst_routes = max(worst_routes, abs(ez - data.lam) / abs(data.lam))
+            worst_literal = max(worst_literal, _cocycle_literal_residual(h, x, int(k), ez))
     _rec(checks, "cocycle-unitarity", "multiplier-norm-consistency", worst_uni,
          1e-9, n=n, k=k, samples=samples)
     _rec(checks, "cocycle-multiplicative", "multiplier-composition", worst_mult,
@@ -364,6 +437,8 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
     if n == 1:
         _rec(checks, "cocycle-route-agreement", "multiplier-closed-forms",
              worst_routes, 1e-9, n=n, k=k, samples=samples)
+        _rec(checks, "cocycle-literal-route", "multiplier-literal-route",
+             worst_literal, 1e-9, n=n, k=k, samples=samples)
 
     x = _random_point(n, rng)
     pot = jacobi.kahler_potential(x, k)
@@ -567,7 +642,7 @@ def _cs_from_halfplane(v: complex, u: complex) -> CSPoint:
 def suite_measure(n=1, k=6.0, seed=7, samples=200_000, cutoff=None) -> list:
     checks = []
     consts = jacobi.measure_constants(n, k)
-    alt = jacobi._lambda_product_form(n, k)
+    alt = _lambda_product_form(n, k)
     _rec(checks, "normalization-routes", "resolution-of-unity-constant",
          abs(consts.Lambda - alt) / consts.Lambda, 1e-12, n=n, k=k)
 

@@ -10,39 +10,16 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from siegeljacobi import diffops, fockoracle as fo, gj1, jacobi, numdiff, symplectic as sp
+from siegeljacobi import diffops, fockoracle as fo, gj1, jacobi, numdiff, symplectic as sp, verify
 from siegeljacobi.jacobi import CSPoint, JacobiElement
+from siegeljacobi.verify import _bounded_element as bounded_element
+from siegeljacobi.verify import _random_point as bounded_point
 
 
 def report(num, name, ok, detail):
     line = f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}"
     print(line)
     assert ok, line
-
-
-def bounded_point(n, rng, z_cap, w_cap):
-    phases = np.exp(2j * np.pi * rng.uniform(size=n))
-    z = z_cap * np.sqrt(rng.uniform(size=n)) * phases
-    w = sp.random_siegel_point(n, 0.5, rng)
-    w = w * (w_cap * math.sqrt(rng.uniform()) / max(np.linalg.norm(w, 2), 1e-12))
-    return CSPoint(z=z, W=w)
-
-
-def bounded_element(n, rng, cap, phase_cap=None):
-    phases = np.exp(2j * np.pi * rng.uniform(size=n))
-    alpha = cap * np.sqrt(rng.uniform(size=n)) * phases
-    zgen = sp.random_symmetric(n, 0.5, rng)
-    zgen = zgen * (cap * math.sqrt(rng.uniform()) / max(np.linalg.norm(zgen, 2), 1e-12))
-    if phase_cap is None:
-        q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        v, r = np.linalg.qr(q)
-        v = v * (np.diag(r) / np.abs(np.diag(r)))
-    else:
-        # odd-index multiplier checks stay off the half-turn branch cut
-        v = np.diag(np.exp(1j * rng.uniform(-phase_cap, phase_cap, size=n)))
-    return JacobiElement(
-        g=sp.cartan_synthesize(zgen, v), alpha=alpha, t=float(rng.normal())
-    )
 
 
 def test_criterion_01_structure_constants():
@@ -143,7 +120,7 @@ def test_criterion_04_kernel_oracle():
 
 def test_criterion_05_orbit_map():
     rng = np.random.default_rng(205)
-    worst = worst_alt = 0.0
+    worst = worst_alt = worst_literal = 0.0
     for _ in range(50):
         h = bounded_element(1, rng, 0.35, phase_cap=math.pi / 2)
         x = bounded_point(1, rng, 0.35, 0.35)
@@ -151,16 +128,17 @@ def test_criterion_05_orbit_map():
             h.g, complex(h.alpha[0]), complex(x.z[0]), complex(x.W[0, 0]), 100
         )
         worst = max(worst, res)
-        lam_alt = jacobi.lambda_cocycle_ez(
-            JacobiElement(g=h.g, alpha=h.alpha, t=0.0), x, 1, unchecked_branch=True
-        )
+        h0 = JacobiElement(g=h.g, alpha=h.alpha, t=0.0)
+        lam_alt = jacobi.lambda_cocycle_ez(h0, x, 1, unchecked_branch=True)
         worst_alt = max(worst_alt, abs(lam_alt - data.lam))
-    ok = worst <= 1e-6 and worst_alt <= 1e-9
+        worst_literal = max(worst_literal, verify._cocycle_literal_residual(h0, x, 1, lam_alt))
+    ok = worst <= 1e-6 and worst_alt <= 1e-9 and worst_literal <= 1e-9
     report(
         5,
         "operator orbit end-to-end",
         ok,
-        f"residual {worst:.2e} (tol 1e-6), alternate multiplier {worst_alt:.2e} (tol 1e-9)",
+        f"residual {worst:.2e} (tol 1e-6), alternate multiplier {worst_alt:.2e}, "
+        f"literal route {worst_literal:.2e} (tol 1e-9)",
     )
 
 
@@ -257,13 +235,11 @@ def test_criterion_08_measure_normalization():
 
 def test_criterion_09_constants():
     rng = np.random.default_rng(209)
-    ok_forms = True
-    for n in (1, 2, 3, 4):
-        for _ in range(50):
-            try:
-                sp.jn(rng.uniform(-0.9, 8.0), n)  # internal 1e-12 cross-check
-            except Exception:
-                ok_forms = False
+    worst_forms = max(
+        verify._jn_forms_residual(rng.uniform(-0.9, 8.0), n)
+        for n in (1, 2, 3, 4)
+        for _ in range(50)
+    )
     worst_l1 = 0.0
     for n, k in ((1, 4.0), (1, 6.0), (2, 8.0), (3, 10.0)):
         val = sp.lambda1(k, n)
@@ -277,12 +253,12 @@ def test_criterion_09_constants():
     err_lam = abs(jacobi.measure_constants(1, k).Lambda - lam_quad)
     closed = (k - 3) / (2 * math.pi**2)
     err_closed = abs(jacobi.measure_constants(1, k).Lambda - closed)
-    ok = ok_forms and worst_l1 <= 1e-12 and err_j <= 1e-6 and err_lam <= 1e-6 and err_closed <= 1e-14
+    ok = worst_forms <= 1e-12 and worst_l1 <= 1e-12 and err_j <= 1e-6 and err_lam <= 1e-6 and err_closed <= 1e-14
     report(
         9,
         "normalization constants",
         ok,
-        f"closed forms agree (1e-12), group constant {worst_l1:.1e}, disk volume "
+        f"closed forms {worst_forms:.1e} (tol 1e-12), group constant {worst_l1:.1e}, disk volume "
         f"vs quadrature {err_j:.1e}, resolution constant vs quadrature {err_lam:.1e}",
     )
 

@@ -168,3 +168,18 @@ def test_eval_non_finite_result_exits_two_without_output(capsys):
 def test_eval_rejects_malformed_point(capsys, point):
     code, out = run_cli(capsys, "eval", "potential", "--point", point, "--k", "4")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--which", "gauss", "--seed", "3", "--g",
+         '{"a": {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]},'
+         ' "b": {"rows": 1, "cols": 1, "re": [0.0], "im": [0.0]}}'],
+        ["verify", "algebra", "--tol", "1e-3"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_two(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2

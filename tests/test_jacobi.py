@@ -3,24 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from siegeljacobi import jacobi, numdiff, symplectic as sp
+from siegeljacobi import jacobi, numdiff, symplectic as sp, verify
 from siegeljacobi.errors import OutOfDomain
 from siegeljacobi.jacobi import CSPoint, JacobiElement
-
-
-def random_point(n, rng, z_scale=0.4, w_scale=0.4):
-    phases = np.exp(2j * np.pi * rng.uniform(size=n))
-    z = z_scale * np.sqrt(rng.uniform(size=n)) * phases
-    w = sp.random_siegel_point(n, 0.5, rng)
-    w = w * (w_scale * math.sqrt(rng.uniform()) / max(np.linalg.norm(w, 2), 1e-12))
-    return CSPoint(z=z, W=w)
-
-
-def random_element(n, rng, scale=0.4):
-    alpha = scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) / math.sqrt(2)
-    return JacobiElement(
-        g=sp.sp_random(n, scale, rng), alpha=alpha, t=float(rng.normal())
-    )
+from siegeljacobi.verify import _random_element as random_element
+from siegeljacobi.verify import _random_point as random_point
 
 
 def test_compose_with_identity():
@@ -154,8 +141,9 @@ def test_lambda_cocycle_ez_routes():
         h = random_element(1, rng, 0.4)
         x = random_point(1, rng)
         lam = jacobi.lambda_cocycle(h, x, 2).lam
-        lam_ez = jacobi.lambda_cocycle_ez(h, x, 2)  # checks (W+T)-route inside
+        lam_ez = jacobi.lambda_cocycle_ez(h, x, 2)
         assert abs(lam - lam_ez) < 1e-10 * abs(lam)
+        assert verify._cocycle_literal_residual(h, x, 2, lam_ez) <= 1e-9
 
 
 def test_kernel_two_point_transformation():
@@ -278,6 +266,7 @@ def test_measure_constants():
     assert abs(jacobi.measure_constants(1, 5.0).Lambda - 1 / math.pi**2) < 1e-14
     c2 = jacobi.measure_constants(2, 9.0)
     assert abs(c2.Lambda - math.pi ** (-2) / sp.jn(c2.p, 2)) < 1e-12 * c2.Lambda
+    assert abs(c2.Lambda - verify._lambda_product_form(2, 9.0)) < 1e-12 * c2.Lambda
     assert abs(c2.p - 1.0) < 1e-14
     with pytest.raises(OutOfDomain):
         jacobi.measure_constants(1, 3.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from siegeljacobi import matfun, numdiff, symplectic as sp
+from siegeljacobi import jacobi, matfun, numdiff, symplectic as sp, verify
 from siegeljacobi.errors import NotSymplectic, OutOfDomain
 from siegeljacobi.jacobi import CSPoint
 
@@ -130,7 +130,8 @@ def test_moebius_two_forms_and_action():
         g1 = sp.sp_random(2, 0.5, rng)
         g2 = sp.sp_random(2, 0.5, rng)
         w = sp.random_siegel_point(2, 0.5, rng)
-        out = sp.moebius(g1, w)  # internal agreement check of both closed forms
+        out = sp.moebius(g1, w)
+        assert verify._moebius_residual(g1, w, out) <= 5e-9
         assert matfun.is_siegel(out, tol=1e-12)
         lhs = sp.moebius(g1, sp.moebius(g2, w))
         rhs = sp.moebius(sp.sp_compose(g1, g2), w)
@@ -195,14 +196,20 @@ def test_kernel_transformation_law():
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
-def test_sp_two_form_scalar_and_fd():
+def domain_form(w, k):
+    """Invariant two-form of the domain: the W block of the Kahler form at z = 0."""
+    n = w.shape[0]
+    return jacobi.kahler_form(CSPoint(z=np.zeros(n, dtype=complex), W=w), k)[n:, n:]
+
+
+def test_domain_form_scalar_and_fd():
     # scalar coefficient is the Hessian of -(k/2) log(1 - |w|^2): k/2 at w = 0
     k = 4.0
-    h = sp.sp_two_form(np.zeros((1, 1), dtype=complex), k)
+    h = domain_form(np.zeros((1, 1), dtype=complex), k)
     assert abs(h[0, 0] - k / 2) < 1e-14
     rng = np.random.default_rng(13)
     w = sp.random_siegel_point(2, 0.5, rng)
-    closed = sp.sp_two_form(w, k)
+    closed = domain_form(w, k)
     fd = numdiff.wirtinger_hessian(
         lambda pt: -0.5 * k * matfun.principal_logdet(
             np.eye(2) - pt.W @ pt.W.conj()
@@ -212,11 +219,11 @@ def test_sp_two_form_scalar_and_fd():
     assert np.abs(closed - fd).max() < 1e-6
 
 
-def test_sp_two_form_positive_definite():
+def test_domain_form_positive_definite():
     rng = np.random.default_rng(14)
     for _ in range(100):
         w = sp.random_siegel_point(2, 0.6, rng)
-        h = sp.sp_two_form(w, 4.0)
+        h = domain_form(w, 4.0)
         assert np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() > 0
 
 
@@ -227,7 +234,7 @@ def test_sp_density_values_and_invariance():
     rng = np.random.default_rng(15)
     g = sp.sp_random(2, 0.4, rng)
     w = sp.random_siegel_point(2, 0.4, rng)
-    jac = numdiff.w_jacobian(lambda ww: sp.moebius(g, ww, check=False), w)
+    jac = numdiff.w_jacobian(lambda ww: sp.moebius(g, ww), w)
     lhs = sp.sp_density(sp.moebius(g, w)) * abs(np.linalg.det(jac)) ** 2
     assert abs(lhs - sp.sp_density(w)) < 1e-6 * sp.sp_density(w)
 
@@ -244,7 +251,7 @@ def test_jn_values_and_forms():
     rng = np.random.default_rng(16)
     for n in (1, 2, 3, 4):
         for _ in range(50):
-            sp.jn(rng.uniform(-0.9, 8.0), n)  # FormMismatch would raise
+            assert verify._jn_forms_residual(rng.uniform(-0.9, 8.0), n) <= 1e-12
     with pytest.raises(OutOfDomain):
         sp.jn(-1.0, 2)
 

@@ -1,0 +1,112 @@
+"""The verification suites: pinned records, and the cross-checks that run
+only here (not inside the primitives) must fail when their route is off."""
+
+import dataclasses
+
+import pytest
+
+from siegeljacobi import jacobi, symplectic, verify
+
+# (check, anchor, n, k, samples, tolerance, residual) of every record the
+# suites produced before the moved cross-checks were added; all passed
+PINNED = {
+    "symplectic": [
+        ("gauss-roundtrip", "triangular-factorization", 2, None, 50, 1e-09, 3.3946514284745463e-15),
+        ("cartan-roundtrip", "polar-factorization", 2, None, 50, 1e-09, 6.0995459728315454e-15),
+        ("generator-domain-roundtrip", "tanh-coordinate-map", 2, None, 50, 1e-11, 2.8634352711803666e-15),
+        ("moebius-left-action", "linear-fractional-action", 2, None, 50, 1e-10, 6.353541660708338e-16),
+        ("ball-composition", "two-point-composition-law", 2, None, 50, 1e-09, 1.153381099566346e-15),
+        ("ball-composition-unitary", "unimodular-correction", 2, None, 50, 1e-09, 1.1157603309187458e-15),
+        ("kernel-transformation", "multiplier-placement", 2, 4.0, 50, 1e-09, 9.154763804969693e-15),
+        ("jn-closed-forms", "weighted-volume-constant", None, None, 200, 0.0, 0.0),
+        ("lambda1-routes", "group-normalization-constant", 2, 8.0, None, 1e-12, 1.0327164683510074e-15),
+        ("two-form-hessian", "invariant-form-vs-finite-differences", 2, 4.0, None, 1e-05, 1.1788834164887317e-07),
+        ("two-form-positive", "invariant-form-positivity", 2, 4.0, None, 0.5, 0.0),
+        ("volume-invariance", "group-invariant-volume", 2, None, None, 1e-06, 2.764876146944587e-10),
+    ],
+    "jacobi": [
+        ("kernel-hermitian", "overlap-symmetry", 2, 4.0, 400, 1e-12, 2.2591401799415137e-16),
+        ("kernel-positive", "overlap-positivity", 2, 4.0, 20, 1e-09, 0.0),
+        ("cocycle-unitarity", "multiplier-norm-consistency", 2, 4.0, 100, 1e-09, 5.7867099250484484e-15),
+        ("cocycle-multiplicative", "multiplier-composition", 2, 4.0, 100, 1e-09, 1.9613309815320855e-15),
+        ("potential-log-kernel", "potential-diagonal-consistency", 2, 4.0, None, 1e-11, 2.4070557770636683e-16),
+        ("kahler-hessian-fd", "form-vs-finite-differences", 2, 4.0, None, 1e-05, 4.477894029840088e-10),
+        ("kahler-positive", "form-positivity", 2, 4.0, None, 0.5, 0.0),
+        ("form-invariance", "group-invariant-form", 2, 4.0, None, 1e-05, 4.693236910213827e-10),
+        ("density-invariance", "group-invariant-volume", 2, None, None, 1e-05, 4.240891043588252e-10),
+        ("action-order", "left-action-convention", 1, None, None, 0.5, 0.0),
+        ("central-phase", "central-charge-resolution", 1, None, None, 1e-12, 0.0),
+    ],
+    "jacobi-n1": [
+        ("kernel-hermitian", "overlap-symmetry", 1, 4.0, 400, 1e-12, 2.227212004505268e-16),
+        ("kernel-positive", "overlap-positivity", 1, 4.0, 20, 1e-09, 0.0),
+        ("cocycle-unitarity", "multiplier-norm-consistency", 1, 4.0, 100, 1e-09, 2.3200454394600755e-15),
+        ("cocycle-multiplicative", "multiplier-composition", 1, 4.0, 100, 1e-09, 1.1667522359910967e-15),
+        ("cocycle-route-agreement", "multiplier-closed-forms", 1, 4.0, 100, 1e-09, 4.1998790131842775e-16),
+        ("potential-log-kernel", "potential-diagonal-consistency", 1, 4.0, None, 1e-11, 1.577514160966409e-17),
+        ("kahler-hessian-fd", "form-vs-finite-differences", 1, 4.0, None, 1e-05, 9.951646006223263e-11),
+        ("kahler-positive", "form-positivity", 1, 4.0, None, 0.5, 0.0),
+        ("form-invariance", "group-invariant-form", 1, 4.0, None, 1e-05, 5.456923801716731e-11),
+        ("density-invariance", "group-invariant-volume", 1, None, None, 1e-05, 2.931599389145234e-11),
+        ("action-order", "left-action-convention", 1, None, None, 0.5, 0.0),
+        ("central-phase", "central-charge-resolution", 1, None, None, 1e-12, 0.0),
+    ],
+}
+
+RUNS = {
+    "symplectic": (lambda: verify.suite_symplectic(seed=7), {"moebius-closed-forms", "compose-closure"}),
+    "jacobi": (lambda: verify.suite_jacobi(seed=7), set()),
+    "jacobi-n1": (lambda: verify.suite_jacobi(n=1, seed=7), {"cocycle-literal-route"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_suite_records_are_pinned(name):
+    run, added = RUNS[name]
+    checks = run()
+    assert {c["check"] for c in checks if c["check"] in added} == added
+    assert all(c["pass"] for c in checks if c["check"] in added)
+    kept = [c for c in checks if c["check"] not in added]
+    assert len(kept) == len(PINNED[name])
+    for rec, (*fields, residual) in zip(kept, PINNED[name]):
+        got = [rec[f] for f in ("check", "anchor", "n", "k", "samples", "tolerance")]
+        assert got == fields and rec["pass"] is True
+        assert abs(rec["residual"] - residual) <= 1e-14, rec["check"]
+
+
+def _scaled(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * (1 + 1e-6)
+
+
+def _scaled_compose(fn):
+    def compose(g1, g2):
+        out = fn(g1, g2)
+        return dataclasses.replace(out, a=out.a * (1 + 1e-6))
+
+    return compose
+
+
+# check -> (module, primitive, perturbation, suite run that records the check)
+BITES = {
+    "moebius-closed-forms": (symplectic, "moebius", _scaled,
+                             lambda: verify.suite_symplectic(samples=3)),
+    "compose-closure": (symplectic, "sp_compose", _scaled_compose,
+                        lambda: verify.suite_symplectic(samples=3)),
+    "jn-closed-forms": (symplectic, "jn", _scaled, lambda: verify.suite_symplectic(samples=3)),
+    "cocycle-literal-route": (jacobi, "lambda_cocycle_ez", _scaled,
+                              lambda: verify.suite_jacobi(n=1, samples=3)),
+    "normalization-routes": (symplectic, "jn", _scaled,
+                             lambda: verify.suite_measure(samples=1000)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BITES))
+def test_moved_cross_check_fails_when_the_route_is_off(monkeypatch, check):
+    module, name, perturb, run = BITES[check]
+
+    def record():
+        return next(c for c in run() if c["check"] == check)
+
+    assert record()["pass"]
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    assert not record()["pass"]
