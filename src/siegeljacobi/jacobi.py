@@ -18,6 +18,7 @@ implemented, and the central parameter enters the full cocycle as the phase
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,14 +67,20 @@ CENTRAL_CHARGE = 1.0
 
 @dataclass(frozen=True)
 class CSPoint:
-    """Point ``(z, W)`` of the coherent-state manifold C^n x D_n."""
+    """Point ``(z, W)`` of the coherent-state manifold C^n x D_n.
+
+    ``z`` has shape ``(..., n)`` and ``W`` shape ``(..., n, n)``: the leading
+    axes, if any, index a stack of points, which :func:`kahler_potential`,
+    :func:`cs_coords` and :func:`cs_from_coords` accept.  The other
+    functions of this module and the JSON form take a single point.
+    """
 
     z: np.ndarray
     W: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.z)
+        return self.z.shape[-1]
 
     def to_json(self) -> dict:
         return {
@@ -153,24 +160,36 @@ def jacobi_identity_element(n: int) -> JacobiElement:
     return JacobiElement(g=sp_identity(n), alpha=np.zeros(n, dtype=complex), t=0.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _sym_index_arrays(n: int):
+    """Read-only row and column index arrays of :func:`sym_index_pairs`.
+
+    Cached because building them costs more than the indexing itself in the
+    per-point calls of :func:`siegeljacobi.numdiff.holomorphic_jacobian`.
+    """
+    ij = np.array(sym_index_pairs(n)).T
+    ij.flags.writeable = False
+    return ij[0], ij[1]
+
+
 def cs_coords(x: CSPoint) -> np.ndarray:
-    """Flatten a point to its independent holomorphic coordinates.
+    """Flatten a point, or a stack of points, to its independent holomorphic
+    coordinates, of shape ``(..., n + n(n+1)/2)``.
 
     Ordering matches :func:`kahler_form`: ``z_1..z_n`` then ``w_ij`` (i<=j).
     """
-    return np.concatenate(
-        [x.z, np.array([x.W[i, j] for i, j in sym_index_pairs(x.n)])]
-    )
+    i, j = _sym_index_arrays(x.n)
+    return np.concatenate([x.z, x.W[..., i, j]], axis=-1)
 
 
 def cs_from_coords(coords: np.ndarray, n: int) -> CSPoint:
-    """Inverse of :func:`cs_coords`."""
-    z = np.asarray(coords[:n], dtype=complex)
-    w = np.zeros((n, n), dtype=complex)
-    for c, (i, j) in enumerate(sym_index_pairs(n)):
-        w[i, j] = coords[n + c]
-        w[j, i] = coords[n + c]
-    return CSPoint(z=z, W=w)
+    """Inverse of :func:`cs_coords`; leading axes of ``coords`` give a stack."""
+    coords = np.asarray(coords, dtype=complex)
+    i, j = _sym_index_arrays(n)
+    w = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
+    w[..., i, j] = coords[..., n:]
+    w[..., j, i] = coords[..., n:]
+    return CSPoint(z=coords[..., :n], W=w)
 
 
 def alpha_action(g: SpElement, alpha: np.ndarray) -> np.ndarray:
@@ -212,19 +231,23 @@ def jacobi_inverse(h: JacobiElement) -> JacobiElement:
     )
 
 
-def act(h: JacobiElement, x: CSPoint) -> CSPoint:
-    """Holomorphic action on the manifold.
-
-    ``z1 = (W b* + a*)^-1 (z + alpha - W conj(alpha))`` and ``W1 = g . W``.
-    """
+def _act_with_den(h: JacobiElement, x: CSPoint):
+    """The image point of :func:`act` and its denominator ``W b* + a*``."""
     g = h.g
     den = x.W @ g.b.conj().T + g.a.conj().T
     try:
         z1 = np.linalg.solve(den, x.z + h.alpha - x.W @ h.alpha.conj())
     except np.linalg.LinAlgError as exc:
         raise Singular("W b* + a* is singular") from exc
-    w1 = symplectic.moebius(g, x.W)
-    return CSPoint(z=z1, W=w1)
+    return CSPoint(z=z1, W=symplectic.moebius(g, x.W)), den
+
+
+def act(h: JacobiElement, x: CSPoint) -> CSPoint:
+    """Holomorphic action on the manifold.
+
+    ``z1 = (W b* + a*)^-1 (z + alpha - W conj(alpha))`` and ``W1 = g . W``.
+    """
+    return _act_with_den(h, x)[0]
 
 
 def lambda_cocycle(
@@ -251,8 +274,7 @@ def lambda_cocycle(
     m = np.linalg.inv(np.eye(n) - w @ w.conj().T)
     xv = m @ (x.z + w @ x.z.conj())
     yv = g.a @ (h.alpha + xv) + g.b @ (h.alpha.conj() + xv.conj())
-    den = w @ g.b.conj().T + g.a.conj().T
-    image = act(h, x)
+    image, den = _act_with_den(h, x)
     lam = (
         detpow(den, -k / 2)
         * np.exp(0.5 * np.sum(xv.conj() * x.z) - 0.5 * np.sum(yv.conj() * image.z))
@@ -339,19 +361,21 @@ def kernel(x: CSPoint, y: CSPoint, k: float) -> complex:
     return complex(detpow(u, k / 2) * np.exp(0.5 * expo))
 
 
-def kahler_potential(x: CSPoint, k: float) -> float:
+def kahler_potential(x: CSPoint, k: float):
     """Logarithm of the diagonal kernel.
 
     ``f = -(k/2) log det(1 - W Wbar) + <z, M z> + Re(z^T Wbar M z)`` with
-    ``M = (1 - W Wbar)^-1``; real by construction.
+    ``M = (1 - W Wbar)^-1``; real by construction.  A single point gives a
+    ``float``; a stack of points gives a float array of its leading shape,
+    equal to the per-point values bit for bit.
     """
-    n = x.n
-    eye = np.eye(n)
-    m = np.linalg.inv(eye - x.W @ x.W.conj())
-    val = -0.5 * k * matfun.principal_logdet(eye - x.W @ x.W.conj()).real
-    val += float(np.real(np.sum(x.z.conj() * (m @ x.z))))
-    val += float(np.real(x.z @ x.W.conj() @ m @ x.z))
-    return float(val)
+    z = x.z[..., None]
+    gram = np.eye(x.n) - x.W @ x.W.conj()
+    val = -0.5 * k * matfun.principal_logdet(gram).real
+    m = np.linalg.inv(gram)
+    val = val + np.sum(z.conj() * (m @ z), axis=(-2, -1)).real
+    val = val + (x.z[..., None, :] @ x.W.conj() @ m @ z)[..., 0, 0].real
+    return float(val) if x.W.ndim == 2 else val
 
 
 def _kahler_blocks(x: CSPoint, k: float):

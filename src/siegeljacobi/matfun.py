@@ -14,11 +14,10 @@ kernel evaluations satisfy.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DomainViolation, NonHermitian, NoConvergence, NotSymmetric, Singular
 
@@ -204,32 +203,52 @@ def cartan_blocks(z: np.ndarray, tol: float = DEFAULT_TOL):
     return m, n
 
 
-def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13) -> complex:
+def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
     """Principal log-determinant via LU with pivot-phase accumulation.
 
+    ``m`` is one square matrix ``(n, n)`` or a stack ``(..., n, n)``.
     ``exp(result) == det(m)``; the imaginary part is the sum of the principal
-    logarithms of the diagonal of the U factor plus the permutation phase.
+    logarithms of the diagonal of the U factor plus ``i pi`` for an odd
+    number of row swaps.  Returns a ``complex`` for one matrix and a complex
+    array of the leading shape for a stack.  Each matrix is factorized by
+    LAPACK ``zgetrf`` on its own, so a stacked call equals the per-matrix
+    calls bit for bit.
 
     Raises
     ------
+    ValueError
+        If an entry is not finite or the matrices are not square.
     Singular
-        If any pivot falls below ``singular_rtol`` times the matrix scale.
+        If a pivot magnitude is at most ``singular_rtol * max(|m|, 1)`` of its
+        matrix; for a stack the message names the first such matrix.
     """
-    m = as_cmat(m)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    diag = np.diag(lu)
-    scale = max(np.abs(m).max(), 1.0)
-    if np.any(np.abs(diag) <= singular_rtol * scale):
-        raise Singular(f"pivot magnitude {np.abs(diag).min():.3e} below threshold")
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    out = complex(np.sum(np.log(diag.astype(complex))))
-    if swaps % 2:
-        out += 1j * np.pi
-    return out
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    lead, n = m.shape[:-2], m.shape[-1]
+    flat = m.reshape(-1, n, n)
+    lus = np.empty_like(flat)
+    pivs = np.empty((len(flat), n), dtype=np.int32)
+    for i, mat in enumerate(flat):
+        lus[i], pivs[i], _ = lapack.zgetrf(mat)
+    diag = lus.diagonal(axis1=-2, axis2=-1)
+    odd = np.count_nonzero(pivs != np.arange(n), axis=-1) % 2 == 1
+    mag = np.abs(diag)
+    bound = singular_rtol * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
+    bad = (mag <= bound[:, None]).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"stack index {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
+        raise Singular(
+            f"{where}pivot magnitude {mag[i].min():.3e} below threshold {bound[i]:.3e}"
+        )
+    out = np.log(diag).sum(axis=-1)
+    out[odd] += 1j * np.pi
+    return out.reshape(lead) if lead else complex(out[0])
 
 
 def detpow(m: np.ndarray, s: float) -> complex:

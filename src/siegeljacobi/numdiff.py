@@ -4,6 +4,11 @@ Mixed Wirtinger Hessians and holomorphic Jacobians in the independent
 coordinates of C^n x D_n.  These are deliberately independent of the closed
 forms they validate: plain central differences on the real and imaginary
 parts of each coordinate.
+
+:func:`wirtinger_hessian` evaluates its whole stencil in one call: the
+function it differentiates receives a stacked :class:`CSPoint` and returns an
+array of the stack's leading shape, as :func:`jacobi.kahler_potential` and
+:func:`matfun.principal_logdet` do.  The Jacobians map one point at a time.
 """
 
 from __future__ import annotations
@@ -27,30 +32,34 @@ def _wirtinger_steps(h: float, conjugate: bool):
 def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
     """Mixed Hessian ``H_ab = d^2 f / dxi_a dxibar_b`` of a real function.
 
-    ``fun`` maps a :class:`CSPoint` to a real number.  Both Wirtinger
-    derivatives use fourth-order central stencils in the real and imaginary
-    directions (64 evaluations per entry), so the truncation error is
-    O(h^4) and stays far below the closed forms it validates.
+    Both Wirtinger derivatives use fourth-order central stencils in the real
+    and imaginary directions (64 evaluations per entry), so the truncation
+    error is O(h^4) and stays far below the closed forms it validates.
+
+    ``fun`` is called once, on the stacked :class:`CSPoint` of all
+    ``64 dim^2`` stencil points (leading shape ``(dim, dim, 8, 8)``: entry
+    ``(a, b)``, then the steps in coordinates ``a`` and ``b``), and returns
+    the real values as an array of that leading shape.
     """
     base = cs_coords(x)
-    n = x.n
     dim = len(base)
-
-    def f_at(vec):
-        return fun(cs_from_coords(vec, n))
-
     steps_a = _wirtinger_steps(h, conjugate=False)
     steps_b = _wirtinger_steps(h, conjugate=True)
+    lead = (dim, dim, len(steps_a), len(steps_b))
+    stack = np.broadcast_to(base, lead + (dim,)).copy()
+    diag = np.arange(dim)
+    stack[diag, :, :, :, diag] += np.array([da for da, _ in steps_a])[:, None]
+    stack[:, diag, :, :, diag] += np.array([db for db, _ in steps_b])
+    vals = np.asarray(fun(cs_from_coords(stack, x.n)))
+    if vals.shape != lead:
+        raise ValueError(f"fun returned shape {vals.shape}, expected {lead}")
     out = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
+    for a, row in enumerate(vals.tolist()):
+        for b, block in enumerate(row):
             acc = 0j
-            for da, wa in steps_a:
-                for db, wb in steps_b:
-                    vec = base.copy()
-                    vec[a] += da
-                    vec[b] += db
-                    acc += wa * wb * f_at(vec)
+            for (_, wa), fs in zip(steps_a, block):
+                for (_, wb), f in zip(steps_b, fs):
+                    acc += wa * wb * f
             out[a, b] = acc
     return out
 

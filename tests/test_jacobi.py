@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import jacobi, numdiff, symplectic as sp, verify
-from siegeljacobi.errors import OutOfDomain
+from siegeljacobi.errors import OutOfDomain, Singular
 from siegeljacobi.jacobi import CSPoint, JacobiElement
 from siegeljacobi.verify import _random_element as random_element
 from siegeljacobi.verify import _random_point as random_point
@@ -132,6 +132,26 @@ def test_lambda_cocycle_image_consistency():
     assert np.linalg.norm(alt_z1 - data.z1) < 1e-11
 
 
+def test_lambda_cocycle_shares_the_action():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        h = random_element(n, rng, 0.4)
+        x = random_point(n, rng)
+        data = jacobi.lambda_cocycle(h, x, 4)
+        image = jacobi.act(h, x)
+        assert data.z1.tobytes() == image.z.tobytes()
+        assert data.W1.tobytes() == image.W.tobytes()
+    # W b* + a* = (-5/3)(3/4) + 5/4 = 0 exactly, at a point outside the domain
+    h = JacobiElement(
+        g=sp.SpElement(a=np.array([[1.25 + 0j]]), b=np.array([[0.75 + 0j]])),
+        alpha=np.zeros(1, dtype=complex),
+    )
+    x = CSPoint(z=np.array([0.1 + 0j]), W=np.array([[-5 / 3 + 0j]]))
+    for call in (lambda: jacobi.act(h, x), lambda: jacobi.lambda_cocycle(h, x, 4)):
+        with pytest.raises(Singular):
+            call()
+
+
 def test_lambda_cocycle_ez_routes():
     rng = np.random.default_rng(9)
     e = jacobi.jacobi_identity_element(1)
@@ -199,6 +219,33 @@ def test_kahler_potential():
     logk = np.log(jacobi.kernel(x, x, 4.0))
     assert abs(jacobi.kahler_potential(x, 4.0) - logk.real) < 1e-11
     assert abs(logk.imag) < 1e-11
+
+
+def _near_boundary_stack(n, rng, count):
+    """Points with ``||W||`` in (0.9, 0.999), stacked along one axis."""
+    ws = []
+    for _ in range(count):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = a + a.T
+        ws.append(a * rng.uniform(0.9, 0.999) / np.linalg.norm(a, 2))
+    z = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    return CSPoint(z=z, W=np.array(ws))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 5])
+def test_kahler_potential_stack_matches_single_calls(n, k):
+    stack = _near_boundary_stack(n, np.random.default_rng(30 + n), 24)
+    assert stack.n == n
+    values = jacobi.kahler_potential(stack, k)
+    assert values.shape == (24,)
+    singles = [
+        jacobi.kahler_potential(CSPoint(z=z, W=w), k) for z, w in zip(stack.z, stack.W)
+    ]
+    assert all(type(v) is float for v in singles)
+    assert values.tobytes() == np.array(singles).tobytes()
+    grid = CSPoint(z=stack.z.reshape(2, 3, 4, n), W=stack.W.reshape(2, 3, 4, n, n))
+    assert jacobi.kahler_potential(grid, k).tobytes() == values.tobytes()
 
 
 def test_kahler_form_origin_blocks():
@@ -310,6 +357,18 @@ def test_coords_roundtrip():
     x = random_point(3, rng)
     back = jacobi.cs_from_coords(jacobi.cs_coords(x), 3)
     assert np.allclose(back.z, x.z) and np.allclose(back.W, x.W)
+    # a stack of points, shape (2, 3), round-trips exactly
+    for n in (1, 2, 3):
+        pts = [random_point(n, rng) for _ in range(6)]
+        stack = CSPoint(
+            z=np.array([p.z for p in pts]).reshape(2, 3, n),
+            W=np.array([p.W for p in pts]).reshape(2, 3, n, n),
+        )
+        coords = jacobi.cs_coords(stack)
+        assert coords.shape == (2, 3, n + n * (n + 1) // 2)
+        assert np.array_equal(coords[1, 2], jacobi.cs_coords(pts[5]))
+        back = jacobi.cs_from_coords(coords, n)
+        assert np.array_equal(back.z, stack.z) and np.array_equal(back.W, stack.W)
 
 
 def test_cs_point_validation():

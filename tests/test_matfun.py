@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from siegeljacobi import matfun
 from siegeljacobi.errors import DomainViolation, NonHermitian, NotSymmetric, Singular
@@ -130,6 +131,50 @@ def test_principal_logdet_matches_det():
 def test_principal_logdet_singular():
     with pytest.raises(Singular):
         matfun.principal_logdet(np.zeros((2, 2), dtype=complex))
+
+
+def _lu_factor_logdet(m):
+    """The log-det as ``scipy.linalg.lu_factor`` gives it, one matrix at a time."""
+    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    out = complex(np.sum(np.log(np.diag(lu))))
+    if np.sum(piv != np.arange(len(piv))) % 2:
+        out += 1j * np.pi
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_principal_logdet_stack_matches_single_calls(n):
+    rng = np.random.default_rng(20 + n)
+    stack = np.eye(n) + (rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n)))
+    # the reversed identity needs one row swap: an odd permutation phase
+    stack[1, 2] = np.eye(n)[::-1] + 0.1 * rng.normal(size=(n, n))
+    if n > 1:
+        assert np.sum(scipy.linalg.lu_factor(stack[1, 2])[1] != np.arange(n)) % 2 == 1
+    stacked = matfun.principal_logdet(stack)
+    assert stacked.shape == (3, 4) and stacked.dtype == complex
+    singles = [matfun.principal_logdet(m) for m in stack.reshape(-1, n, n)]
+    assert all(type(v) is complex for v in singles)
+    assert stacked.tobytes() == np.array(singles).reshape(3, 4).tobytes()
+    reference = [_lu_factor_logdet(m) for m in stack.reshape(-1, n, n)]
+    assert np.array(singles).tobytes() == np.array(reference).tobytes()
+
+
+def test_principal_logdet_stack_rejects_non_finite():
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        matfun.principal_logdet(stack)
+    with pytest.raises(ValueError, match="square"):
+        matfun.principal_logdet(np.ones((3, 2, 3)))
+
+
+def test_principal_logdet_stack_names_the_singular_matrix():
+    rng = np.random.default_rng(24)
+    stack = np.eye(2) + 0.2 * rng.normal(size=(5, 2, 2))
+    stack[2] = [[1.0, 2.0], [2.0, 4.0 + 1e-14]]
+    pivot = np.abs(np.diag(scipy.linalg.lu_factor(stack[2])[0])).min()
+    with pytest.raises(Singular, match=rf"stack index \(2,\): pivot magnitude {pivot:.3e}"):
+        matfun.principal_logdet(stack)
 
 
 def test_detpow_identity():
