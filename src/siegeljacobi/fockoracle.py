@@ -7,6 +7,9 @@ dense matrices on the span of the number states |0>..|N>.  The single-mode
 realization ``Kp = a+ a+ / 2``, ``Km = a a / 2``, ``K0 = (a+ a + a a+) / 4``
 has vacuum weight 1/4, so the oracle pins the representation index to k = 1.
 
+Operators are plain ``ndarray``s built by one route each; their second routes
+are records of :func:`siegeljacobi.verify.suite_oracle`.
+
 Accuracy is certified by cutoff doubling rather than a priori bounds: all
 checks report a residual that must shrink when N grows.
 """
@@ -23,7 +26,6 @@ from .jacobi import CSPoint, JacobiElement, lambda_cocycle
 from .symplectic import SpElement, cartan_decompose
 
 __all__ = [
-    "FockOp",
     "FockVec",
     "ladder",
     "number_ops",
@@ -44,21 +46,7 @@ __all__ = [
 
 TAIL_FRACTION = 0.9
 TAIL_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class FockOp:
-    """Dense operator on the truncated number basis."""
-
-    cutoff: int
-    matrix: np.ndarray
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOp):
-            return FockOp(self.cutoff, self.matrix @ other.matrix)
-        if isinstance(other, FockVec):
-            return FockVec(self.cutoff, self.matrix @ other.amps)
-        return NotImplemented
+SERIES_TERMS = 400  # cap on the orbit-vector series; it converges far sooner
 
 
 @dataclass(frozen=True)
@@ -86,16 +74,16 @@ def ladder(cutoff: int):
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     for m in range(1, cutoff + 1):
         a[m - 1, m] = np.sqrt(m)
-    return FockOp(cutoff, a), FockOp(cutoff, a.conj().T)
+    return a, a.conj().T
 
 
 def number_ops(cutoff: int):
     """The quadratic generators ``(Kp, Km, K0)`` in the truncated basis."""
     a, ad = ladder(cutoff)
-    kp = 0.5 * ad.matrix @ ad.matrix
-    km = 0.5 * a.matrix @ a.matrix
-    k0 = 0.25 * (ad.matrix @ a.matrix + a.matrix @ ad.matrix)
-    return FockOp(cutoff, kp), FockOp(cutoff, km), FockOp(cutoff, k0)
+    kp = 0.5 * ad @ ad
+    km = 0.5 * a @ a
+    k0 = 0.25 * (ad @ a + a @ ad)
+    return kp, km, k0
 
 
 def vacuum(cutoff: int) -> FockVec:
@@ -104,65 +92,51 @@ def vacuum(cutoff: int) -> FockVec:
     return FockVec(cutoff, v)
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    return scipy.linalg.expm(m)
+def _tail_guarded(op: np.ndarray, cutoff: int, what: str) -> np.ndarray:
+    """``op``; raises :class:`CutoffTooSmall` if its image of the vacuum
+    (column 0) has more than ``TAIL_THRESHOLD`` absolute tail mass."""
+    tail = FockVec(cutoff, op[:, 0]).tail_mass
+    if tail > TAIL_THRESHOLD:
+        raise CutoffTooSmall(f"{what} tail mass {tail:.2e} at cutoff {cutoff}")
+    return op
 
 
-def displacement(alpha: complex, cutoff: int, route_tol: float = 1e-8) -> FockOp:
+def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """Displacement operator ``exp(alpha a+ - conj(alpha) a)``.
-
-    Both the direct exponential and the normal-ordered product
-    ``exp(-|alpha|^2/2) exp(alpha a+) exp(-conj(alpha) a)`` are formed and
-    compared on the lower half of the basis.
 
     Raises
     ------
     CutoffTooSmall
-        If the routes disagree beyond ``route_tol`` there, or the displaced
-        vacuum leaks too much mass into the tail.
+        If the displaced vacuum leaks too much mass into the tail.
     """
     a, ad = ladder(cutoff)
-    direct = _expm(alpha * ad.matrix - np.conj(alpha) * a.matrix)
-    ordered = (
-        np.exp(-0.5 * abs(alpha) ** 2)
-        * _expm(alpha * ad.matrix)
-        @ _expm(-np.conj(alpha) * a.matrix)
-    )
-    half = cutoff // 2
-    if np.abs(direct[:half, :half] - ordered[:half, :half]).max() > route_tol:
-        raise CutoffTooSmall(f"displacement routes disagree at cutoff {cutoff}")
-    if FockVec(cutoff, direct[:, 0]).tail_mass > TAIL_THRESHOLD:
-        raise CutoffTooSmall(f"displacement tail mass too large for |alpha|={abs(alpha)}")
-    return FockOp(cutoff, direct)
+    d = scipy.linalg.expm(alpha * ad - np.conj(alpha) * a)
+    return _tail_guarded(d, cutoff, f"displacement by |alpha|={abs(alpha)}")
 
 
-def squeeze(w: complex, cutoff: int, route_tol: float = 1e-8) -> FockOp:
+def squeeze(w: complex, cutoff: int) -> np.ndarray:
     """Bogoliubov operator for a domain point ``|w| < 1``.
 
     Built as ``exp(w Kp) exp(eta K0) exp(-conj(w) Km)`` with
-    ``eta = log(1 - |w|^2)``; the reverse-ordered form
-    ``exp(-conj(w) Km) exp(-eta K0) exp(w Kp)`` must agree.
+    ``eta = log(1 - |w|^2)``; raises :class:`CutoffTooSmall` if the
+    squeezed vacuum leaks too much mass into the tail.
     """
     if abs(w) >= 1:
         raise ValueError("need |w| < 1")
     kp, km, k0 = number_ops(cutoff)
     eta = np.log(1 - abs(w) ** 2)
-    s1 = _expm(w * kp.matrix) @ _expm(eta * k0.matrix) @ _expm(-np.conj(w) * km.matrix)
-    s2 = _expm(-np.conj(w) * km.matrix) @ _expm(-eta * k0.matrix) @ _expm(w * kp.matrix)
-    # the reverse ordering amplifies corner truncation, so compare deep inside
-    deep = cutoff // 8
-    if np.abs(s1[:deep, :deep] - s2[:deep, :deep]).max() > route_tol:
-        raise CutoffTooSmall(f"squeeze orderings disagree at cutoff {cutoff}")
-    return FockOp(cutoff, s1)
+    s = scipy.linalg.expm(w * kp) @ scipy.linalg.expm(eta * k0)
+    s = s @ scipy.linalg.expm(-np.conj(w) * km)
+    return _tail_guarded(s, cutoff, f"squeeze by |w|={abs(w)}")
 
 
-def squeeze_from_generator(zeta: complex, cutoff: int) -> FockOp:
+def squeeze_from_generator(zeta: complex, cutoff: int) -> np.ndarray:
     """One-parameter form ``exp(zeta Kp - conj(zeta) Km)``."""
     kp, km, _ = number_ops(cutoff)
-    return FockOp(cutoff, _expm(zeta * kp.matrix - np.conj(zeta) * km.matrix))
+    return scipy.linalg.expm(zeta * kp - np.conj(zeta) * km)
 
 
-def cs_vector(z: complex, w: complex, cutoff: int, max_terms: int = 400) -> FockVec:
+def cs_vector(z: complex, w: complex, cutoff: int) -> FockVec:
     """Un-normalized orbit vector ``exp(z a+ + w Kp)|0>`` by series summation.
 
     Raises
@@ -172,13 +146,13 @@ def cs_vector(z: complex, w: complex, cutoff: int, max_terms: int = 400) -> Fock
     """
     if abs(w) >= 1:
         raise ValueError("need |w| < 1")
-    a, ad = ladder(cutoff)
+    _, ad = ladder(cutoff)
     kp, _, _ = number_ops(cutoff)
-    x = z * ad.matrix + w * kp.matrix
+    x = z * ad + w * kp
     vec = vacuum(cutoff).amps
     out = vec.copy()
     term = vec.copy()
-    for kterm in range(1, max_terms):
+    for kterm in range(1, SERIES_TERMS):
         term = x @ term / kterm
         out += term
         if np.linalg.norm(term) < 1e-18:
@@ -191,7 +165,7 @@ def cs_vector(z: complex, w: complex, cutoff: int, max_terms: int = 400) -> Fock
     return result
 
 
-def s_of_g(g: SpElement, cutoff: int) -> FockOp:
+def s_of_g(g: SpElement, cutoff: int) -> np.ndarray:
     """Metaplectic-type lift of a 1x1 group element.
 
     The Cartan factors ``(zeta, v)`` give
@@ -205,10 +179,7 @@ def s_of_g(g: SpElement, cutoff: int) -> FockOp:
     zeta = complex(fac.z[0, 0])
     v = complex(fac.v[0, 0])
     _, _, k0 = number_ops(cutoff)
-    return FockOp(
-        cutoff,
-        squeeze_from_generator(zeta, cutoff).matrix @ _expm(2 * np.log(v) * k0.matrix),
-    )
+    return squeeze_from_generator(zeta, cutoff) @ scipy.linalg.expm(2 * np.log(v) * k0)
 
 
 def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
@@ -218,7 +189,7 @@ def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
     ``(1 - w wbar)^{1/4} exp(-conj(alpha) z / 2) e_{z,w}`` with
     ``z = alpha - w conj(alpha)`` (single mode, k = 1).
     """
-    lhs = displacement(alpha, cutoff).matrix @ (squeeze(w, cutoff).matrix @ vacuum(cutoff).amps)
+    lhs = displacement(alpha, cutoff) @ (squeeze(w, cutoff) @ vacuum(cutoff).amps)
     z = alpha - w * np.conj(alpha)
     rhs = (
         (1 - w * np.conj(w)) ** 0.25
@@ -228,19 +199,22 @@ def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
+def _hyperbolic_blocks(zeta: complex):
+    """Blocks ``(m, n) = (cosh|zeta|, zeta sinh|zeta| / |zeta|)`` of the
+    hyperbolic element ``exp([[0, zeta], [conj zeta, 0]])``."""
+    r = abs(zeta)
+    return np.cosh(r), (zeta * np.sinh(r) / r if r > 0 else 0.0)
+
+
 def beta_of_alpha(alpha: complex, zeta: complex) -> complex:
     """Pull a displacement through a squeeze: ``beta = m alpha - n conj(alpha)``."""
-    r = abs(zeta)
-    m = np.cosh(r)
-    n = zeta * np.sinh(r) / r if r > 0 else 0.0
+    m, n = _hyperbolic_blocks(zeta)
     return m * alpha - n * np.conj(alpha)
 
 
 def alpha_of_beta(beta: complex, zeta: complex) -> complex:
     """Inverse of :func:`beta_of_alpha`: ``alpha = m beta + n conj(beta)``."""
-    r = abs(zeta)
-    m = np.cosh(r)
-    n = zeta * np.sinh(r) / r if r > 0 else 0.0
+    m, n = _hyperbolic_blocks(zeta)
     return m * beta + n * np.conj(beta)
 
 
@@ -255,28 +229,24 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
       hyperbolic element with generator ``zeta``.
     """
     a, ad = ladder(cutoff)
-    s = squeeze_from_generator(zeta, cutoff).matrix
-    sinv = squeeze_from_generator(-zeta, cutoff).matrix
-    r = abs(zeta)
-    m = np.cosh(r)
-    n = zeta * np.sinh(r) / r if r > 0 else 0.0
+    s = squeeze_from_generator(zeta, cutoff)
+    sinv = squeeze_from_generator(-zeta, cutoff)
+    m, n = _hyperbolic_blocks(zeta)
     deep = cutoff // 4  # conjugation products touch the corner above this
 
-    lhs = sinv @ a.matrix @ s
-    rhs = m * a.matrix + n * ad.matrix
+    lhs = sinv @ a @ s
+    rhs = m * a + n * ad
     res = np.abs(lhs[:deep, :deep] - rhs[:deep, :deep]).max()
 
-    d_alpha = displacement(alpha, cutoff).matrix
+    d_alpha = displacement(alpha, cutoff)
     beta = beta_of_alpha(alpha, zeta)
-    d_beta = displacement(beta, cutoff).matrix
+    d_beta = displacement(beta, cutoff)
     res = max(res, np.abs((d_alpha @ s - s @ d_beta)[:deep, :deep]).max())
 
     # matrix blocks of the hyperbolic element exp([[0, zeta], [conj zeta, 0]])
-    ag = complex(m)
-    bg = complex(n)
-    alpha_g = ag * alpha + bg * np.conj(alpha)
+    alpha_g = complex(m) * alpha + complex(n) * np.conj(alpha)
     lhs2 = s @ d_alpha @ sinv
-    rhs2 = displacement(alpha_g, cutoff).matrix
+    rhs2 = displacement(alpha_g, cutoff)
     res = max(res, np.abs((lhs2 - rhs2)[:deep, :deep]).max())
     return float(res)
 
@@ -300,9 +270,7 @@ def mm1_residual(g: SpElement, alpha: complex, z: complex, w: complex, cutoff: i
     x = CSPoint(z=np.array([z]), W=np.array([[w]]))
     h = JacobiElement(g=g, alpha=np.array([alpha]), t=0.0)
     data = lambda_cocycle(h, x, 1, unchecked_branch=True)
-    lhs = s_of_g(g, cutoff).matrix @ (
-        displacement(alpha, cutoff).matrix @ cs_vector(z, w, cutoff).amps
-    )
+    lhs = s_of_g(g, cutoff) @ (displacement(alpha, cutoff) @ cs_vector(z, w, cutoff).amps)
     rhs = data.lam * cs_vector(complex(data.z1[0]), complex(data.W1[0, 0]), cutoff).amps
     return float(np.linalg.norm(lhs - rhs)), data
 
@@ -314,7 +282,7 @@ def squeezed_vacuum_convention(w: complex, cutoff: int):
     ``(1-|w|^2)^{1/4} exp(w Kp)|0>`` versus the same with ``w/i`` in the
     exponent.  The plain reading is the one used throughout the package.
     """
-    lhs = squeeze(w, cutoff).matrix @ vacuum(cutoff).amps
+    lhs = squeeze(w, cutoff) @ vacuum(cutoff).amps
     pref = (1 - abs(w) ** 2) ** 0.25
     plain = pref * cs_vector(0.0, w, cutoff).amps
     rotated = pref * cs_vector(0.0, w / 1j, cutoff).amps

@@ -456,7 +456,6 @@ def measure_constants(n: int, k: float) -> MeasureConstants:
     p = (k - 3) / 2 - n
     if p <= -1:
         raise OutOfDomain(f"need k > 2n + 1 = {2 * n + 1}, got {k}")
-    assert abs((p - (k / 2 - n - 1)) + 0.5) < 1e-14
     lam = math.pi ** (-n) / symplectic.jn(p, n)
     return MeasureConstants(n=n, k=float(k), p=p, Lambda=lam)
 
@@ -582,10 +581,6 @@ def sample_base_measure(n: int, k: float, count: int, seed: int):
         xi = rng.standard_normal(dim)
         zeta = np.linalg.solve(lmat.T, xi)
         z = zeta[:n] + 1j * zeta[n:]
-        # weight uses the closed normalizer; assert it matches the factorization
-        norm_closed = math.pi**n * math.sqrt(det)
-        norm_chol = (2 * math.pi) ** n / math.sqrt(np.linalg.det(amat))
-        assert abs(norm_closed - norm_chol) < 1e-8 * norm_closed
         yield CSPoint(z=z, W=w), float(weight)
 
 

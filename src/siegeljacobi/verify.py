@@ -13,8 +13,8 @@ Reports are deterministic given the same arguments and seed.  The "anchor"
 field is a stable identifier naming the identity a record exercises.
 
 The primitives in ``symplectic`` and ``jacobi`` evaluate one closed form
-each; the independent routes that cross-check them live here and run once
-per suite.
+each, and the ``fockoracle`` operators one exponential route each; the
+independent routes that cross-check them live here and run once per suite.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import logging
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import diffops, fockoracle, gj1, jacobi, matfun, numdiff, symplectic
 from .jacobi import CSPoint, JacobiElement
@@ -98,6 +99,29 @@ def _moebius_residual(g, w, out) -> float:
     residual, not an independent second route."""
     alt = np.linalg.inv(w @ g.b.conj().T + g.a.conj().T) @ (g.b.T + w @ g.a.T)
     return np.linalg.norm(out - alt) / max(1.0, np.linalg.norm(out))
+
+
+def _normal_order_residual(alpha, cutoff, d) -> float:
+    """Distance of ``d = fockoracle.displacement(alpha, cutoff)`` from the
+    normal-ordered product ``exp(-|alpha|^2/2) e^{alpha a+} e^{-conj(alpha) a}``
+    on the lower half of the basis."""
+    a, ad = fockoracle.ladder(cutoff)
+    ordered = np.exp(-0.5 * abs(alpha) ** 2) * scipy.linalg.expm(alpha * ad)
+    ordered = ordered @ scipy.linalg.expm(-np.conj(alpha) * a)
+    half = cutoff // 2
+    return float(np.abs(d[:half, :half] - ordered[:half, :half]).max())
+
+
+def _reverse_order_residual(w, cutoff, s) -> float:
+    """Distance of ``s = fockoracle.squeeze(w, cutoff)`` from the reverse
+    ordering ``e^{-conj(w) Km} e^{-eta K0} e^{w Kp}``, ``eta = log(1 - |w|^2)``,
+    on the ``cutoff // 8`` block: that ordering amplifies corner truncation."""
+    kp, km, k0 = fockoracle.number_ops(cutoff)
+    eta = np.log(1 - abs(w) ** 2)
+    reverse = scipy.linalg.expm(-np.conj(w) * km) @ scipy.linalg.expm(-eta * k0)
+    reverse = reverse @ scipy.linalg.expm(w * kp)
+    deep = cutoff // 8
+    return float(np.abs(s[:deep, :deep] - reverse[:deep, :deep]).max())
 
 
 def _jn_forms_residual(p: float, n: int) -> float:
@@ -478,21 +502,27 @@ def suite_oracle(n=1, k=1.0, seed=1234, samples=20, cutoff=60) -> list:
 
     a2 = 0.3 + 0.2j
     a1 = -0.1 + 0.25j
-    d2 = fockoracle.displacement(a2, cutoff).matrix
-    d1 = fockoracle.displacement(a1, cutoff).matrix
-    d12 = fockoracle.displacement(a2 + a1, cutoff).matrix
+    d2 = fockoracle.displacement(a2, cutoff)
+    d1 = fockoracle.displacement(a1, cutoff)
+    d12 = fockoracle.displacement(a2 + a1, cutoff)
     phase = np.exp(1j * np.imag(a2 * np.conj(a1)))
     half = cutoff // 2
     _rec(checks, "displacement-composition", "translation-phase-law",
          np.abs((d2 @ d1 - phase * d12)[:half, :half]).max(), 1e-9,
          samples=1)
+    worst_order = max(_normal_order_residual(al, cutoff, d)
+                      for al, d in ((a2, d2), (a1, d1), (a2 + a1, d12)))
+    _rec(checks, "displacement-normal-order", "normal-ordered-displacement",
+         worst_order, 1e-8, samples=3)
 
     w = 0.3
-    sq = fockoracle.squeeze(w, cutoff).matrix
+    sq = fockoracle.squeeze(w, cutoff)
     zeta = float(np.arctanh(w))
-    sg = fockoracle.squeeze_from_generator(zeta, cutoff).matrix
+    sg = fockoracle.squeeze_from_generator(zeta, cutoff)
     _rec(checks, "squeeze-disentangling", "ordered-exponential-forms",
          np.abs((sq - sg)[:half, :half]).max(), 1e-8, samples=1)
+    _rec(checks, "squeeze-reverse-order", "reverse-ordered-squeeze",
+         _reverse_order_residual(w, cutoff, sq), 1e-8, samples=1)
 
     _rec(checks, "squeezed-vector-relation", "displaced-squeezed-vacuum",
          fockoracle.check_lemma6(0.4, 0.3, max(cutoff, 80)), 1e-7, samples=1)
@@ -529,13 +559,13 @@ def suite_oracle(n=1, k=1.0, seed=1234, samples=20, cutoff=60) -> list:
 
     w1, w2 = 0.25 + 0.1j, -0.15 + 0.3j
     big = max(cutoff, 120)
-    s1 = fockoracle.squeeze(w1, big).matrix
-    s2 = fockoracle.squeeze(w2, big).matrix
+    s1 = fockoracle.squeeze(w1, big)
+    s2 = fockoracle.squeeze(w2, big)
     w3, v, detv = symplectic.ball_compose(
         np.array([[w2]]), np.array([[w1]])
     )
     lhs = s2 @ (s1 @ fockoracle.vacuum(big).amps)
-    rhs = detv**0.5 * fockoracle.squeeze(complex(w3[0, 0]), big).matrix @ fockoracle.vacuum(big).amps
+    rhs = detv**0.5 * fockoracle.squeeze(complex(w3[0, 0]), big) @ fockoracle.vacuum(big).amps
     _rec(checks, "composition-operator-order", "two-point-law-operator-check",
          float(np.linalg.norm(lhs - rhs)), 1e-8, n=1, k=1.0, samples=1)
     return checks

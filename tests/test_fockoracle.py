@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from siegeljacobi import fockoracle as fo, jacobi, symplectic as sp
+from siegeljacobi import fockoracle as fo, jacobi, symplectic as sp, verify
 from siegeljacobi.errors import CutoffTooSmall
 from siegeljacobi.jacobi import CSPoint
 
@@ -11,9 +11,9 @@ from siegeljacobi.jacobi import CSPoint
 def test_ladder_basics():
     a, ad = fo.ladder(10)
     vac = fo.vacuum(10).amps
-    assert np.linalg.norm(a.matrix @ vac) == 0.0
-    assert abs((ad.matrix @ vac)[1] - 1.0) < 1e-15
-    comm = a.matrix @ ad.matrix - ad.matrix @ a.matrix
+    assert np.linalg.norm(a @ vac) == 0.0
+    assert abs((ad @ vac)[1] - 1.0) < 1e-15
+    comm = a @ ad - ad @ a
     dev = comm - np.eye(11)
     dev[10, 10] = 0.0  # truncation artifact lives in the corner entry only
     assert np.abs(dev).max() < 1e-13
@@ -22,16 +22,16 @@ def test_ladder_basics():
 def test_vacuum_weight_fixes_index():
     _, _, k0 = fo.number_ops(8)
     vac = fo.vacuum(8).amps
-    assert np.allclose(k0.matrix @ vac, 0.25 * vac)  # k/4 with k = 1
+    assert np.allclose(k0 @ vac, 0.25 * vac)  # k/4 with k = 1
 
 
 def test_quadratic_brackets_hold_away_from_corner():
     n = 30
     kp, km, k0 = fo.number_ops(n)
     pairs = [
-        (km.matrix @ kp.matrix - kp.matrix @ km.matrix, 2 * k0.matrix),
-        (k0.matrix @ kp.matrix - kp.matrix @ k0.matrix, kp.matrix),
-        (k0.matrix @ km.matrix - km.matrix @ k0.matrix, -km.matrix),
+        (km @ kp - kp @ km, 2 * k0),
+        (k0 @ kp - kp @ k0, kp),
+        (k0 @ km - km @ k0, -km),
     ]
     for comm, expected in pairs:
         dev = comm - expected
@@ -42,11 +42,11 @@ def test_quadratic_brackets_hold_away_from_corner():
 def test_displacement_identity_and_vacuum_overlap():
     n = 40
     d0 = fo.displacement(0.0, n)
-    assert np.abs(d0.matrix - np.eye(n + 1)).max() < 1e-14
+    assert np.abs(d0 - np.eye(n + 1)).max() < 1e-14
     d = fo.displacement(0.5, n)
-    assert abs(d.matrix[0, 0] - math.exp(-0.125)) < 1e-10
+    assert abs(d[0, 0] - math.exp(-0.125)) < 1e-10
     # unitary below the corner
-    gram = d.matrix.conj().T @ d.matrix
+    gram = d.conj().T @ d
     q = n // 2
     assert np.abs(gram[:q, :q] - np.eye(q)).max() < 1e-10
 
@@ -54,27 +54,34 @@ def test_displacement_identity_and_vacuum_overlap():
 def test_displacement_composition_phase():
     n = 60
     a2, a1 = 0.4 + 0.2j, -0.3 + 0.1j
-    lhs = fo.displacement(a2, n).matrix @ fo.displacement(a1, n).matrix
+    lhs = fo.displacement(a2, n) @ fo.displacement(a1, n)
     phase = np.exp(1j * np.imag(a2 * np.conj(a1)))
-    rhs = phase * fo.displacement(a2 + a1, n).matrix
+    rhs = phase * fo.displacement(a2 + a1, n)
     q = n // 2
     assert np.abs((lhs - rhs)[:q, :q]).max() < 1e-9
 
 
 def test_displacement_cutoff_guard():
-    with pytest.raises(CutoffTooSmall):
-        fo.displacement(4.0, 12)
+    # the same absolute tail-mass guard on the displaced and squeezed vacuum
+    for op, arg, cutoff in [
+        (fo.displacement, 4.0, 12),
+        (fo.squeeze, 0.3, 12),
+        (fo.squeeze, 0.9, 40),
+    ]:
+        with pytest.raises(CutoffTooSmall):
+            op(arg, cutoff)
 
 
 def test_squeeze_identity_orderings_and_generator_form():
     n = 60
     s0 = fo.squeeze(0.0, n)
-    assert np.abs(s0.matrix - np.eye(n + 1)).max() < 1e-14
-    s = fo.squeeze(0.3, n, route_tol=1e-9)  # both orderings agree to 1e-9
+    assert np.abs(s0 - np.eye(n + 1)).max() < 1e-14
+    s = fo.squeeze(0.3, n)
+    assert verify._reverse_order_residual(0.3, n, s) <= 1e-9
     zeta = math.atanh(0.3)
     sg = fo.squeeze_from_generator(zeta, n)
     q = n // 4
-    assert np.abs((s.matrix - sg.matrix)[:q, :q]).max() < 1e-8
+    assert np.abs((s - sg)[:q, :q]).max() < 1e-8
 
 
 def test_cs_vector_series():
@@ -155,7 +162,7 @@ def test_group_orbit_of_vacuum():
         v = np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2))
         g = sp.cartan_synthesize(np.array([[zeta]]), np.array([[v]]))
         y = complex(sp.gauss_decompose(g).y[0, 0])
-        lhs = fo.s_of_g(g, n).matrix @ fo.vacuum(n).amps
+        lhs = fo.s_of_g(g, n) @ fo.vacuum(n).amps
         rhs = complex(g.a.conj()[0, 0]) ** -0.5 * fo.cs_vector(0.0, y, n).amps
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
@@ -166,8 +173,8 @@ def test_composition_operator_order():
     n = 120
     w1, w2 = 0.25 + 0.1j, -0.15 + 0.3j
     w3, v, detv = sp.ball_compose(np.array([[w2]]), np.array([[w1]]))
-    lhs = fo.squeeze(w2, n).matrix @ (fo.squeeze(w1, n).matrix @ fo.vacuum(n).amps)
+    lhs = fo.squeeze(w2, n) @ (fo.squeeze(w1, n) @ fo.vacuum(n).amps)
     rhs = detv**0.5 * (
-        fo.squeeze(complex(w3[0, 0]), n).matrix @ fo.vacuum(n).amps
+        fo.squeeze(complex(w3[0, 0]), n) @ fo.vacuum(n).amps
     )
     assert np.linalg.norm(lhs - rhs) < 1e-8

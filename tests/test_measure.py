@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from siegeljacobi import jacobi, verify
+from siegeljacobi import jacobi, symplectic, verify
 from siegeljacobi.errors import OutOfDomain
 from siegeljacobi.jacobi import CSPoint
 
@@ -82,6 +82,30 @@ def test_general_dimension_normalization():
         assert np.isfinite(weight)
         total += weight
     assert abs(total / count - 1.0) < 0.5
+
+
+def _real_form(w):
+    """Real 2n x 2n matrix ``A`` with ``[x; y]^T A [x; y] / 2`` equal to the
+    sampler's exponent ``F(z) = Re(zbar^T M z + z^T Wbar M z)``,
+    ``M = (1 - W Wbar)^-1``, ``z = x + i y``."""
+    n = w.shape[0]
+    m = np.linalg.inv(np.eye(n) - w @ w.conj())
+    q = w.conj() @ m  # symmetric, so Re(z^T q z) needs no symmetrization
+    herm = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    bilin = np.block([[q.real, -q.imag], [-q.imag, -q.real]])
+    return 2.0 * (herm + bilin)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_general_dimension_gaussian_normalizer(n):
+    # the closed normalizer the general-n sampler folds into its weights
+    rng = np.random.default_rng(40 + n)
+    for scale in (0.2, 0.5, 0.8):
+        w = symplectic.random_siegel_point(n, scale, rng)
+        det = np.linalg.det(np.eye(n) - w @ w.conj()).real
+        closed = math.pi**n * math.sqrt(det)
+        factored = (2 * math.pi) ** n / math.sqrt(np.linalg.det(_real_form(w)))
+        assert abs(closed - factored) < 1e-8 * closed
 
 
 def test_reproduce_check_domain_errors():

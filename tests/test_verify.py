@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from siegeljacobi import jacobi, symplectic, verify
+from siegeljacobi import fockoracle, jacobi, symplectic, verify
 
 # (check, anchor, n, k, samples, tolerance, residual) of every record the
 # suites produced before the moved cross-checks were added; all passed
@@ -51,12 +51,24 @@ PINNED = {
         ("action-order", "left-action-convention", 1, None, None, 0.5, 0.0),
         ("central-phase", "central-charge-resolution", 1, None, None, 1e-12, 0.0),
     ],
+    "oracle": [
+        ("displacement-composition", "translation-phase-law", None, None, 1, 1e-09, 5.904586930367774e-16),
+        ("squeeze-disentangling", "ordered-exponential-forms", None, None, 1, 1e-08, 5.531275437675731e-10),
+        ("squeezed-vector-relation", "displaced-squeezed-vacuum", None, None, 1, 1e-07, 3.5368970166278e-16),
+        ("conjugation-equations", "ladder-conjugation", None, None, 1, 1e-07, 3.552713678800501e-15),
+        ("vacuum-orbit-convention", "orbit-argument-convention", None, None, 1, 1e-08, 3.136305940344811e-17),
+        ("kernel-oracle", "overlap-vs-closed-form", 1, 1.0, 20, 1e-07, 4.449557262054371e-16),
+        ("orbit-map-end-to-end", "operator-orbit-vs-closed-form", 1, 1.0, 20, 1e-06, 6.010888066437883e-15),
+        ("composition-operator-order", "two-point-law-operator-check", 1, 1.0, 1, 1e-08, 1.350368408273399e-16),
+    ],
 }
 
 RUNS = {
     "symplectic": (lambda: verify.suite_symplectic(seed=7), {"moebius-closed-forms", "compose-closure"}),
     "jacobi": (lambda: verify.suite_jacobi(seed=7), set()),
     "jacobi-n1": (lambda: verify.suite_jacobi(n=1, seed=7), {"cocycle-literal-route"}),
+    "oracle": (lambda: verify.suite_oracle(seed=7),
+               {"displacement-normal-order", "squeeze-reverse-order"}),
 }
 
 
@@ -97,6 +109,10 @@ BITES = {
                               lambda: verify.suite_jacobi(n=1, samples=3)),
     "normalization-routes": (symplectic, "jn", _scaled,
                              lambda: verify.suite_measure(samples=1000)),
+    "displacement-normal-order": (fockoracle, "displacement", _scaled,
+                                  lambda: verify.suite_oracle(samples=1)),
+    "squeeze-reverse-order": (fockoracle, "squeeze", _scaled,
+                              lambda: verify.suite_oracle(samples=1)),
 }
 
 
