@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +126,21 @@ def test_decompose_random_element(capsys):
     )
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-9
+
+
+def test_module_entry_point_runs_verify():
+    import siegeljacobi
+
+    src = str(Path(siegeljacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "siegeljacobi", "verify", "algebra", "--n", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["suite"] == "algebra" and report["pass"] is True
 
 
 def test_bad_suite_name_exits_two():

@@ -197,6 +197,20 @@ def test_kernel_values_and_symmetry():
     assert abs(jacobi.kernel(x0, y0, 4.0) - sp.sp_kernel(x.W, y.W, 4.0)) < 1e-13
 
 
+@pytest.mark.parametrize("k", [3, 4, 5.5, 6])
+def test_array_kernel_n1_matches_kernel(k):
+    rng = np.random.default_rng(16)
+    z = 0.5 * (rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2)))
+    w = (rng.uniform(0.0, 0.999, size=(200, 2))
+         * np.exp(2j * np.pi * rng.uniform(size=(200, 2))))
+    for (zy, z0), (wy, w0) in zip(z, w):
+        y = CSPoint(z=np.array([zy]), W=np.array([[wy]]))
+        x0 = CSPoint(z=np.array([z0]), W=np.array([[w0]]))
+        closed = jacobi.kernel(y, x0, k)
+        arr = jacobi._kernel_n1(np.array([zy]), np.array([wy]), complex(z0), complex(w0), k)
+        assert abs(arr[0] - closed) <= 1e-13 * abs(closed)
+
+
 @pytest.mark.parametrize("n,k", [(1, 2), (1, 4), (2, 2), (2, 4)])
 def test_kernel_gram_positive(n, k):
     rng = np.random.default_rng(11)
@@ -246,6 +260,55 @@ def test_kahler_potential_stack_matches_single_calls(n, k):
     assert values.tobytes() == np.array(singles).tobytes()
     grid = CSPoint(z=stack.z.reshape(2, 3, 4, n), W=stack.W.reshape(2, 3, 4, n, n))
     assert jacobi.kahler_potential(grid, k).tobytes() == values.tobytes()
+
+
+def _kahler_form_numpy_scalars(x, k):
+    """The form assembled entry by entry in numpy complex128 scalars."""
+    n = x.n
+    m, mb, xv, q, s, r, p = jacobi._kahler_blocks(x, k)
+    pairs = sp.sym_index_pairs(n)
+    dim = n + len(pairs)
+    h = np.zeros((dim, dim), dtype=complex)
+    h[:n, :n] = m.T
+    xbar = xv.conj()
+    for c, (kk, ll) in enumerate(pairs):
+        for i in range(n):
+            fzw = m[i, kk] * xbar[ll]
+            if kk != ll:
+                fzw += m[i, ll] * xbar[kk]
+            h[i, n + c] = np.conj(fzw)
+            h[n + c, i] = fzw
+
+    def full(a, b, c, d):
+        t = 0.5 * k * mb[b, c] * m[d, a]
+        t += mb[a, c] * (p[d] * (s[b] + 0.5 * r[b]) + 0.5 * q[d] * s[b])
+        t += mb[b, c] * (q[d] * (r[a] + 0.5 * s[a]) + 0.5 * p[d] * r[a])
+        return t
+
+    for c1, (a, b) in enumerate(pairs):
+        for c2, (cc, d) in enumerate(pairs):
+            tot = full(a, b, cc, d)
+            if a != b:
+                tot += full(b, a, cc, d)
+            if cc != d:
+                tot += full(a, b, d, cc)
+                if a != b:
+                    tot += full(b, a, d, cc)
+            h[n + c1, n + c2] = tot
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4.5, 6])
+def test_kahler_form_equals_numpy_scalar_assembly(n, k):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(12):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = a + a.T
+        w = a * rng.uniform(0.0, 0.999) / np.linalg.norm(a, 2)
+        x = CSPoint(z=rng.normal(size=n) + 1j * rng.normal(size=n), W=w)
+        form = jacobi.kahler_form(x, k)
+        assert form.tobytes() == _kahler_form_numpy_scalars(x, k).tobytes()
 
 
 def test_kahler_form_origin_blocks():

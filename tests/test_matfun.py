@@ -142,12 +142,15 @@ def _lu_factor_logdet(m):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_principal_logdet_stack_matches_single_calls(n):
     rng = np.random.default_rng(20 + n)
     stack = np.eye(n) + (rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n)))
-    # the reversed identity needs one row swap: an odd permutation phase
-    stack[1, 2] = np.eye(n)[::-1] + 0.1 * rng.normal(size=(n, n))
+    # swapping the first and last rows of the identity needs one row swap:
+    # an odd permutation phase (at n = 2, 3 it is the reversed identity)
+    swap = np.eye(n)
+    swap[[0, -1]] = swap[[-1, 0]]
+    stack[1, 2] = swap + 0.1 * rng.normal(size=(n, n))
     if n > 1:
         assert np.sum(scipy.linalg.lu_factor(stack[1, 2])[1] != np.arange(n)) % 2 == 1
     stacked = matfun.principal_logdet(stack)
@@ -175,6 +178,24 @@ def test_principal_logdet_stack_names_the_singular_matrix():
     pivot = np.abs(np.diag(scipy.linalg.lu_factor(stack[2])[0])).min()
     with pytest.raises(Singular, match=rf"stack index \(2,\): pivot magnitude {pivot:.3e}"):
         matfun.principal_logdet(stack)
+
+
+def test_principal_logdet_single_rejects_non_finite():
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        matfun.principal_logdet(m)
+
+
+def test_principal_logdet_single_singular_names_its_pivot():
+    # entries below 1 keep the threshold at 1e-13 * max(|m|, 1) = 1e-13,
+    # above the last pivot of about 7e-14
+    m = np.array([[0.5, 0.25], [0.25, 0.125 + 7e-14]])
+    pivot = np.abs(np.diag(scipy.linalg.lu_factor(m)[0])).min()
+    with pytest.raises(Singular) as err:
+        matfun.principal_logdet(m)
+    # and no stack index for one matrix
+    assert str(err.value) == f"pivot magnitude {pivot:.3e} below threshold {1e-13:.3e}"
 
 
 def test_detpow_identity():

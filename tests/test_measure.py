@@ -62,6 +62,17 @@ def test_monomial_norm_against_quadrature():
     assert abs(est.imag) < 0.02
 
 
+def test_mc_standard_error_is_the_rms_deviation():
+    # for f = g = 1 the weighted samples are the weights themselves, so the
+    # standard error is their standard deviation over sqrt(N)
+    one = lambda z, w: np.ones_like(z)  # noqa: E731
+    est, se = jacobi.mc_inner_product_n1(one, one, 6.0, 100_000, seed=13)
+    _, _, wt = jacobi.sample_arrays_n1(6.0, 100_000, seed=13)
+    assert abs(est - wt.mean()) <= 1e-14  # two summation orders of the same weights
+    ref = wt.std() / math.sqrt(len(wt))
+    assert abs(se - ref) <= 1e-12 * ref
+
+
 def test_stream_interface_matches_arrays():
     pairs = list(jacobi.sample_base_measure(1, 6.0, 100, seed=17))
     w, z, wt = jacobi.sample_arrays_n1(6.0, 100, seed=17)
