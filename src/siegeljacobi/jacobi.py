@@ -370,24 +370,25 @@ def kahler_potential(x: CSPoint, k: float):
     equal to the per-point values bit for bit.
     """
     z = x.z[..., None]
-    gram = np.eye(x.n) - x.W @ x.W.conj()
+    wbar = x.W.conj()
+    gram = np.eye(x.n) - x.W @ wbar
     val = -0.5 * k * matfun.principal_logdet(gram).real
     m = np.linalg.inv(gram)
     val = val + np.sum(z.conj() * (m @ z), axis=(-2, -1)).real
-    val = val + (x.z[..., None, :] @ x.W.conj() @ m @ z)[..., 0, 0].real
+    val = val + (x.z[..., None, :] @ wbar @ m @ z)[..., 0, 0].real
     return float(val) if x.W.ndim == 2 else val
 
 
 def _kahler_blocks(x: CSPoint, k: float):
     """Closed-form pieces shared by the Hessian assembly."""
-    n = x.n
-    eye = np.eye(n)
-    m = np.linalg.inv(eye - x.W @ x.W.conj())
+    wbar = x.W.conj()
+    zbar = x.z.conj()
+    m = np.linalg.inv(np.eye(x.n) - x.W @ wbar)
     mb = m.conj()
-    xv = m @ (x.z + x.W @ x.z.conj())
+    xv = m @ (x.z + x.W @ zbar)
     q = m @ x.z
-    s = x.W.conj() @ q
-    r = mb @ x.z.conj()
+    s = wbar @ q
+    r = mb @ zbar
     p = x.W @ r
     return m, mb, xv, q, s, r, p
 
@@ -631,9 +632,13 @@ def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     if k <= 3:
         raise OutOfDomain("need k > 3")
     w, z, wt = sample_arrays_n1(k, samples, seed)
+    # the weight is 0 exactly outside the disk, so the estimate needs only
+    # the samples inside it; the sum is still divided by all of them
+    keep = np.flatnonzero(wt)
+    w, z, wt = w[keep], z[keep], wt[keep]
     z0 = complex(x0.z[0])
     w0 = complex(x0.W[0, 0])
-    rhs = complex(np.mean(wt * _kernel_n1(z, w, z0, w0, k) * f(z, w)))
+    rhs = complex(np.sum(wt * _kernel_n1(z, w, z0, w0, k) * f(z, w)) / samples)
     lhs = complex(f(np.array([z0]), np.array([w0]))[0])
     relerr = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return lhs, rhs, relerr

@@ -213,7 +213,9 @@ def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
     array of the leading shape for a stack.  Each matrix is factorized by
     LAPACK ``zgetrf`` on its own, so a stacked call equals the per-matrix
     calls bit for bit; a single matrix is one ``zgetrf`` call with its
-    bookkeeping done on that matrix directly.
+    bookkeeping done on that matrix directly.  A ``0 x 0`` matrix has
+    determinant 1 (the empty product) and log-determinant 0, as in
+    ``np.linalg.slogdet``; LAPACK is not called for it.
 
     Raises
     ------
@@ -230,10 +232,12 @@ def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
         raise ValueError("matrix must be square")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    if m.ndim == 2 and m.size:
+    if m.shape[-1] == 0:
+        # the determinant of a 0x0 matrix is the empty product 1
+        return 0j if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=complex)
+    if m.ndim == 2:
         # one matrix: the same factorization and sums as one stack entry,
-        # without the stack bookkeeping that dominates a single call (an
-        # empty matrix takes the stack path, which rejects it)
+        # without the stack bookkeeping that dominates a single call
         lu, piv, _ = lapack.zgetrf(m)
         diag = lu.diagonal()
         mag = np.abs(diag).min()

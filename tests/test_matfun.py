@@ -198,6 +198,19 @@ def test_principal_logdet_single_singular_names_its_pivot():
     assert str(err.value) == f"pivot magnitude {pivot:.3e} below threshold {1e-13:.3e}"
 
 
+def test_principal_logdet_of_empty_matrices_is_zero(monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on an empty matrix")
+
+    monkeypatch.setattr(matfun.lapack, "zgetrf", no_lapack)
+    # det of a 0x0 matrix is the empty product 1, as np.linalg.slogdet says
+    assert np.linalg.slogdet(np.zeros((0, 0))) == (1.0, 0.0)
+    val = matfun.principal_logdet(np.zeros((0, 0)))
+    assert type(val) is complex and val == 0
+    vals = matfun.principal_logdet(np.zeros((3, 2, 0, 0), dtype=complex))
+    assert vals.shape == (3, 2) and vals.dtype == complex and not vals.any()
+
+
 def test_detpow_identity():
     assert matfun.detpow(np.eye(3, dtype=complex), -7.3) == 1
 

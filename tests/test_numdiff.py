@@ -37,12 +37,58 @@ def domain_potential(k):
     ).real
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("make_fun", [potential, domain_potential])
-def test_stacked_hessian_matches_per_point_loop(n, make_fun):
-    rng = np.random.default_rng(40 + n)
+def asymmetric(k):
+    """``k Re(z_0 conj(w_01)^2) + |z_1|^2 Im(w_00)``: no symmetry between its
+    coordinates, so a stencil that paired the points of ``(a, b)`` and
+    ``(b, a)`` wrongly would show.  Written in real arithmetic, which rounds
+    the same on a stack as on one point (numpy's complex products do not)."""
+
+    def fun(pt):
+        z0, w01 = pt.z[..., 0], pt.W[..., 0, 1]
+        a, b, c, d = z0.real, z0.imag, w01.real, w01.imag
+        z1 = pt.z[..., 1]
+        re = a * (c * c - d * d) + 2.0 * b * c * d
+        return k * re + (z1.real * z1.real + z1.imag * z1.imag) * pt.W[..., 0, 0].imag
+
+    return fun
+
+
+def near_boundary_point(n, rng):
     x = verify._random_point(n, rng, 0.5, 0.6)
-    fun = make_fun(4.0)
+    w_norm = rng.uniform(0.9, 0.999)
+    return CSPoint(z=x.z, W=x.W * (w_norm / np.linalg.norm(x.W, 2)))
+
+
+POINTS = {
+    "interior": lambda n, rng: verify._random_point(n, rng, 0.5, 0.6),
+    "near-boundary": near_boundary_point,
+}
+
+
+def _hessian_case(make_fun, n, k, where):
+    # the interior points at k = 4 keep their ids of "<fun>-<n>"
+    tail = "" if (k, where) == (4.0, "interior") else f"-k{k:g}-{where}"
+    return pytest.param(make_fun, n, k, where, id=f"{make_fun.__name__}-{n}{tail}")
+
+
+@pytest.mark.parametrize(
+    "make_fun, n, k, where",
+    [
+        _hessian_case(make_fun, n, k, where)
+        for make_fun, dims in (
+            (potential, (1, 2, 3)),
+            (domain_potential, (1, 2, 3)),
+            (asymmetric, (2, 3)),
+        )
+        for n in dims
+        for k in (4.0, 3.0)
+        for where in POINTS
+    ],
+)
+def test_stacked_hessian_matches_per_point_loop(make_fun, n, k, where):
+    rng = np.random.default_rng(40 + n)
+    x = POINTS[where](n, rng)
+    fun = make_fun(k)
     fast = numdiff.wirtinger_hessian(fun, x)
     assert fast.tobytes() == per_point_hessian(fun, x).tobytes()
 
@@ -56,7 +102,8 @@ def test_hessian_calls_fun_once_on_the_stencil_stack():
         return jacobi.kahler_potential(pt, 4.0)
 
     numdiff.wirtinger_hessian(fun, x)
-    assert shapes == [((5, 5, 8, 8, 2), (5, 5, 8, 8, 2, 2))]
+    # dim = 5 coordinates give 15 pairs a <= b of 64 points each
+    assert shapes == [((15, 8, 8, 2), (15, 8, 8, 2, 2))]
 
 
 def test_hessian_rejects_a_scalar_valued_fun():
