@@ -365,14 +365,16 @@ def kahler_potential(x: CSPoint, k: float):
     """Logarithm of the diagonal kernel.
 
     ``f = -(k/2) log det(1 - W Wbar) + <z, M z> + Re(z^T Wbar M z)`` with
-    ``M = (1 - W Wbar)^-1``; real by construction.  A single point gives a
-    ``float``; a stack of points gives a float array of its leading shape,
-    equal to the per-point values bit for bit.
+    ``M = (1 - W Wbar)^-1``; real by construction.  The log-determinant is
+    :func:`matfun.logdet_hpd`, so a ``W`` outside the domain raises
+    :class:`DomainViolation`.  A single point gives a ``float``; a stack of
+    points gives a float array of its leading shape, equal to the per-point
+    values bit for bit.
     """
     z = x.z[..., None]
     wbar = x.W.conj()
     gram = np.eye(x.n) - x.W @ wbar
-    val = -0.5 * k * matfun.principal_logdet(gram).real
+    val = -0.5 * k * matfun.logdet_hpd(gram)
     m = np.linalg.inv(gram)
     val = val + np.sum(z.conj() * (m @ z), axis=(-2, -1)).real
     val = val + (x.z[..., None, :] @ wbar @ m @ z)[..., 0, 0].real
@@ -445,8 +447,12 @@ def kahler_form(x: CSPoint, k: float) -> np.ndarray:
 
 
 def density(x: CSPoint) -> float:
-    """Volume density ``det(1 - W Wbar)^{-(n+2)}``; depends on ``W`` only."""
-    return float(detpow(np.eye(x.n) - x.W @ x.W.conj(), -(x.n + 2)).real)
+    """Volume density ``det(1 - W Wbar)^{-(n+2)}``; depends on ``W`` only.
+
+    The determinant is :func:`matfun.logdet_hpd`'s, so a ``W`` outside the
+    domain raises :class:`DomainViolation` rather than giving a value.
+    """
+    return float(np.exp(-(x.n + 2) * matfun.logdet_hpd(np.eye(x.n) - x.W @ x.W.conj())))
 
 
 def measure_constants(n: int, k: float) -> MeasureConstants:

@@ -1,19 +1,23 @@
 """Dense complex matrix primitives.
 
 Everything downstream (group decompositions, kernels, measures) is built on a
-small set of spectral operations for Hermitian matrices plus a principal
-log-determinant.  Matrices are plain ``numpy`` arrays of ``complex``; the
-shared JSON wire format is ``{"rows": n, "cols": m, "re": [...], "im": [...]}``
-with row-major entry order.
+small set of spectral operations for Hermitian matrices plus two
+log-determinants: a principal one by LU for general matrices, and a real one
+by Cholesky for the Hermitian positive-definite ``1 - W Wbar``.  Matrices are
+plain ``numpy`` arrays of ``complex``; the shared JSON wire format is
+``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with row-major entry
+order.
 
-Branch convention: every fractional determinant power goes through the
-principal log-determinant.  Continuity is only guaranteed while the spectrum
-of the argument stays off the negative real axis, which all interior-point
-kernel evaluations satisfy.
+Branch convention: every fractional power of a general determinant goes
+through the principal log-determinant.  Continuity is only guaranteed while
+the spectrum of the argument stays off the negative real axis, which all
+interior-point kernel evaluations satisfy.  Powers of ``det(1 - W Wbar)`` are
+real and need no branch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +272,72 @@ def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
     out = np.log(diag).sum(axis=-1)
     out[odd] += 1j * np.pi
     return out.reshape(lead) if lead else complex(out[0])
+
+
+def logdet_hpd(m: np.ndarray):
+    """Real log-determinant of Hermitian positive-definite matrices by Cholesky.
+
+    ``m`` is one square matrix ``(n, n)`` or a stack ``(..., n, n)``, such as
+    ``1 - W Wbar`` for ``W`` in the domain; only its lower triangle is read.
+    One ``np.linalg.cholesky`` call factors the whole stack and the result is
+    ``2 sum_i log L_ii``: a ``float`` for one matrix and a float array of the
+    leading shape for a stack.  The gufunc factors each matrix on its own, so
+    a stacked call equals the per-matrix calls bit for bit.  A ``0 x 0``
+    matrix has log-determinant 0.
+
+    Raises
+    ------
+    ValueError
+        If an entry is not finite or the matrices are not square.
+    DomainViolation
+        If a matrix is not positive definite (for ``1 - W Wbar``: ``W`` is
+        outside the domain); the message names the first such matrix of a
+        stack and its smallest eigenvalue.
+    Singular
+        If a pivot ``L_ii^2`` is at most ``1e-13 * max(|m|, 1)`` of its
+        matrix; for a stack the message names the first such matrix.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError("matrix must be square")
+    # max(|m|, 1) over the whole stack; NaN or inf if an entry is not finite
+    scale = np.abs(m).max(initial=1.0)
+    if not math.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    lead, n = m.shape[:-2], m.shape[-1]
+
+    def where(i):
+        return f"stack index {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
+
+    flat = m.reshape(math.prod(lead), n, n)
+    try:
+        diag = np.linalg.cholesky(flat).diagonal(axis1=-2, axis2=-1).real
+    except np.linalg.LinAlgError:
+        # the failure path only: find the first matrix that does not factor
+        for i, mat in enumerate(flat):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                evmin = np.linalg.eigvalsh(mat).min()
+                raise DomainViolation(
+                    f"{where(i)}matrix is not positive definite, "
+                    f"smallest eigenvalue {evmin:.3e}"
+                ) from None
+        raise  # pragma: no cover - every matrix factored on its own
+    # a pivot at or below its own matrix's bound is at or below the largest one
+    if diag.size and diag.min() ** 2 <= 1e-13 * scale:
+        pivots = diag * diag
+        bound = 1e-13 * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
+        bad = (pivots <= bound[:, None]).any(axis=-1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise Singular(
+                f"{where(i)}pivot magnitude {pivots[i].min():.3e} below threshold {bound[i]:.3e}"
+            )
+    out = 2.0 * np.log(diag).sum(axis=-1)
+    return out.reshape(lead) if lead else float(out[0])
 
 
 def detpow(m: np.ndarray, s: float) -> complex:

@@ -8,7 +8,7 @@ parts of each coordinate.
 :func:`wirtinger_hessian` evaluates its whole stencil in one call: the
 function it differentiates receives a stacked :class:`CSPoint` and returns an
 array of the stack's leading shape, as :func:`jacobi.kahler_potential` and
-:func:`matfun.principal_logdet` do.  The stack holds the 64 points of each
+:func:`matfun.logdet_hpd` do.  The stack holds the 64 points of each
 coordinate pair ``a <= b`` once (192 / 960 / 2880 points at n = 1 / 2 / 3):
 both Wirtinger derivatives step by the same offsets, so the points of entry
 ``(b, a)`` are those of ``(a, b)`` with the two steps swapped, bit for bit.

@@ -322,11 +322,14 @@ def sym_index_pairs(n: int):
 
 
 def sp_density(w: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Density ``det(1 - w wbar)^{-(n+1)}`` of the invariant volume."""
+    """Density ``det(1 - w wbar)^{-(n+1)}`` of the invariant volume.
+
+    The determinant is :func:`matfun.logdet_hpd`'s, so a ``w`` outside the
+    domain raises :class:`DomainViolation` rather than giving a value.
+    """
     w = matfun.check_symmetric(w, tol=tol)
     n = w.shape[0]
-    val = detpow(np.eye(n) - w @ w.conj().T, -(n + 1))
-    return float(val.real)
+    return float(np.exp(-(n + 1) * matfun.logdet_hpd(np.eye(n) - w @ w.conj().T)))
 
 
 def jn(p: float, n: int) -> float:

@@ -390,9 +390,7 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
     x0 = CSPoint(z=np.zeros(n, dtype=complex), W=w)
     closed = jacobi.kahler_form(x0, k)[n:, n:]
     fd = numdiff.wirtinger_hessian(
-        lambda pt: -0.5
-        * k
-        * matfun.principal_logdet(np.eye(n) - pt.W @ pt.W.conj()).real,
+        lambda pt: -0.5 * k * matfun.logdet_hpd(np.eye(n) - pt.W @ pt.W.conj()),
         x0,
     )[n:, n:]
     _rec(checks, "two-form-hessian", "invariant-form-vs-finite-differences",

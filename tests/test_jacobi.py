@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import jacobi, numdiff, symplectic as sp, verify
-from siegeljacobi.errors import OutOfDomain, Singular
+from siegeljacobi.errors import DomainViolation, OutOfDomain, Singular
 from siegeljacobi.jacobi import CSPoint, JacobiElement
 from siegeljacobi.verify import _random_element as random_element
 from siegeljacobi.verify import _random_point as random_point
@@ -368,6 +368,21 @@ def test_density_values_and_invariance():
     jac = numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
     lhs = jacobi.density(jacobi.act(h, x)) * abs(np.linalg.det(jac)) ** 2
     assert abs(lhs - jacobi.density(x)) < 1e-6 * jacobi.density(x)
+
+
+# W outside the domain: 1 - W Wbar has a negative eigenvalue, although at
+# diag(1.2, 1.1) its determinant is positive
+OUTSIDE = {"w1.5": [[1.5]], "diag(1.2,1.1)": [[1.2, 0.0], [0.0, 1.1]]}
+
+
+@pytest.mark.parametrize("where", sorted(OUTSIDE))
+def test_density_and_potential_reject_w_outside_the_domain(where):
+    w = np.array(OUTSIDE[where], dtype=complex)
+    x = CSPoint(z=np.full(len(w), 0.1 + 0j), W=w)
+    with pytest.raises(DomainViolation, match="not positive definite"):
+        jacobi.density(x)
+    with pytest.raises(DomainViolation, match="not positive definite"):
+        jacobi.kahler_potential(x, 4.0)
 
 
 def test_measure_constants():

@@ -211,6 +211,95 @@ def test_principal_logdet_of_empty_matrices_is_zero(monkeypatch):
     assert vals.shape == (3, 2) and vals.dtype == complex and not vals.any()
 
 
+def _hpd_stack(n, rng, lead, lo=0.3, hi=0.9):
+    """``1 - W Wbar`` for symmetric ``W`` with ``||W||`` drawn in ``(lo, hi)``."""
+    a = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    norms = np.linalg.norm(a, 2, axis=(-2, -1))[..., None, None]
+    w = a * rng.uniform(lo, hi, size=lead)[..., None, None] / norms
+    return w, np.eye(n) - w @ w.conj()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_logdet_hpd_stack_matches_single_calls(n):
+    _, stack = _hpd_stack(n, np.random.default_rng(50 + n), (3, 4))
+    stacked = matfun.logdet_hpd(stack)
+    assert stacked.shape == (3, 4) and stacked.dtype == float
+    singles = [matfun.logdet_hpd(m) for m in stack.reshape(-1, n, n)]
+    assert all(type(v) is float for v in singles)
+    assert stacked.tobytes() == np.array(singles).reshape(3, 4).tobytes()
+    lu = matfun.principal_logdet(stack).real
+    assert np.abs(stacked - lu).max() <= 1e-13 * max(np.abs(lu).max(), 1.0)
+
+
+def test_logdet_hpd_factors_a_stack_in_one_call(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(matfun.np.linalg, "cholesky", counted)
+    _, stack = _hpd_stack(3, np.random.default_rng(56), (2, 5))
+    matfun.logdet_hpd(stack)
+    assert calls == [(10, 3, 3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_logdet_hpd_near_the_boundary_matches_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    ws, stack = _hpd_stack(n, np.random.default_rng(60 + n), (8,), 0.9, 0.999)
+    vals = matfun.logdet_hpd(stack)
+    with mpmath.workdps(50):
+        for w, val in zip(ws, vals):
+            mw = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in w])
+            wbar = mpmath.matrix([[mpmath.conj(v) for v in row] for row in mw.tolist()])
+            ref = mpmath.log(mpmath.re(mpmath.det(mpmath.eye(n) - mw * wbar)))
+            assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+def test_logdet_hpd_rejects_non_finite_and_non_square():
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        matfun.logdet_hpd(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        matfun.logdet_hpd(np.stack([np.eye(2), m]))
+    # the factorization reads only the lower triangle; the check reads all
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        matfun.logdet_hpd(m)
+    with pytest.raises(ValueError, match="square"):
+        matfun.logdet_hpd(np.ones((3, 2, 3)))
+
+
+def test_logdet_hpd_names_the_matrix_that_is_not_positive_definite():
+    _, stack = _hpd_stack(2, np.random.default_rng(57), (5,))
+    stack[2] = np.eye(2) - np.diag([1.2, 0.5]) ** 2
+    with pytest.raises(DomainViolation, match=r"stack index \(2,\): .*smallest eigenvalue -4.400e-01"):
+        matfun.logdet_hpd(stack)
+    with pytest.raises(DomainViolation, match=r"^matrix is not positive definite"):
+        matfun.logdet_hpd(stack[2])
+
+
+def test_logdet_hpd_singular_names_its_pivot():
+    m = np.diag([1.0, 5e-14]).astype(complex)
+    with pytest.raises(Singular) as err:
+        matfun.logdet_hpd(m)
+    assert str(err.value) == f"pivot magnitude {5e-14:.3e} below threshold {1e-13:.3e}"
+    with pytest.raises(Singular, match=r"stack index \(1, 0\): pivot magnitude"):
+        matfun.logdet_hpd(np.stack([np.eye(2), m]).reshape(2, 1, 2, 2))
+
+
+def test_logdet_hpd_of_empty_matrices_is_zero():
+    val = matfun.logdet_hpd(np.zeros((0, 0)))
+    assert type(val) is float and val == 0.0
+    vals = matfun.logdet_hpd(np.zeros((3, 2, 0, 0), dtype=complex))
+    assert vals.shape == (3, 2) and vals.dtype == float and not vals.any()
+
+
 def test_detpow_identity():
     assert matfun.detpow(np.eye(3, dtype=complex), -7.3) == 1
 

@@ -32,9 +32,7 @@ def potential(k):
 
 def domain_potential(k):
     # the log-det lambda of the two-form-hessian check in verify.suite_symplectic
-    return lambda pt: -0.5 * k * matfun.principal_logdet(
-        np.eye(pt.n) - pt.W @ pt.W.conj()
-    ).real
+    return lambda pt: -0.5 * k * matfun.logdet_hpd(np.eye(pt.n) - pt.W @ pt.W.conj())
 
 
 def asymmetric(k):

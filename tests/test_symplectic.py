@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siegeljacobi import jacobi, matfun, numdiff, symplectic as sp, verify
-from siegeljacobi.errors import NotSymplectic, OutOfDomain
+from siegeljacobi.errors import DomainViolation, NotSymplectic, OutOfDomain
 from siegeljacobi.jacobi import CSPoint
 
 
@@ -237,6 +237,12 @@ def test_sp_density_values_and_invariance():
     jac = numdiff.w_jacobian(lambda ww: sp.moebius(g, ww), w)
     lhs = sp.sp_density(sp.moebius(g, w)) * abs(np.linalg.det(jac)) ** 2
     assert abs(lhs - sp.sp_density(w)) < 1e-6 * sp.sp_density(w)
+
+
+@pytest.mark.parametrize("w", [[[1.5]], [[1.2, 0.0], [0.0, 1.1]]])
+def test_sp_density_rejects_w_outside_the_domain(w):
+    with pytest.raises(DomainViolation, match="not positive definite"):
+        sp.sp_density(np.array(w, dtype=complex))
 
 
 def test_jn_values_and_forms():
