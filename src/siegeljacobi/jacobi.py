@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,40 +477,79 @@ def measure_constants(n: int, k: float) -> MeasureConstants:
     return MeasureConstants(n=n, k=float(k), p=p, Lambda=lam)
 
 
-_CHUNK = 1 << 15  # fixed substream size; estimates are worker-count invariant
+#: Fixed substream size of the Monte-Carlo samplers.  Each chunk draws from
+#: its own counter-based stream, so the chunks run on a pool of worker
+#: threads and their results are folded in chunk order: every estimate is
+#: bit-identical whatever the number of workers.
+_CHUNK = 1 << 15
+
+#: A freed block of this size lets each sampler worker keep its heap; see
+#: :func:`_ordered_map`.
+_RETAINED_HEAP_BYTES = 8 << 20
 
 
-def _sample_chunks_n1(k: float, count: int, seed: int):
-    """Yield the ``(w, z, weight)`` arrays of :func:`sample_arrays_n1` one
-    substream chunk (at most ``_CHUNK`` samples) at a time."""
+def _worker_count() -> int:
+    """Number of CPUs this process may run on: one sampler worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ordered_map(tasks):
+    """Run the zero-argument callables ``tasks`` on a pool of one worker
+    thread per CPU and yield their results in task order.
+
+    The tasks are numpy chunk work, which releases the GIL.  They must call
+    only private helpers: the traced benchmark wraps the public functions in
+    a span recorder that is not thread-safe.
+    """
+    # Each worker thread allocates from a malloc arena of its own, which
+    # holds one chunk's arrays (a few MB) and nothing else.  glibc returns
+    # the free top of an arena to the OS once it exceeds twice the mmap
+    # threshold, so such an arena is trimmed after almost every chunk and
+    # faults its pages back in: about 4e5 minor faults and 0.9 s of system
+    # time per default measure suite, two workers on a 2-CPU Linux VM.
+    # Freeing one mapped block larger than a chunk's arrays raises both
+    # thresholds above them (glibc's dynamic threshold); with another
+    # allocator this is one idle allocation.
+    np.empty(_RETAINED_HEAP_BYTES, dtype=np.uint8)
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        yield from pool.map(lambda task: task(), tasks)
+
+
+def _chunk_count(count: int) -> int:
+    """Number of ``_CHUNK``-sized substreams holding ``count`` samples."""
     if count < 1:
         raise ValueError(f"need a positive sample count, got {count}")
-    consts = measure_constants(1, k)
+    return (count + _CHUNK - 1) // _CHUNK
+
+
+def _sample_chunk_n1(consts: MeasureConstants, count: int, seed: int, ci: int):
+    """The ``(w, z, weight)`` arrays of chunk ``ci`` of
+    :func:`sample_arrays_n1` (at most ``_CHUNK`` of its ``count`` samples)."""
     p = consts.p
-    nchunks = (count + _CHUNK - 1) // _CHUNK
-    for ci in range(nchunks):
-        mcount = min(_CHUNK, count - ci * _CHUNK)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-        # always draw full chunks so shorter runs are prefixes of longer ones
-        wre = rng.uniform(-1.0, 1.0, _CHUNK)[:mcount]
-        wim = rng.uniform(-1.0, 1.0, _CHUNK)[:mcount]
-        r2 = wre**2 + wim**2
-        inside = r2 < 1.0
-        det = np.where(inside, 1.0 - r2, 1.0)
-        weight = np.where(inside, 4.0 * consts.Lambda * math.pi * det**p, 0.0)
-        # z | w: exponent F = m[(1+u) x1^2 + (1-u) x2^2 + 2 v x1 x2], m = 1/det
-        mm = 1.0 / det
-        a11 = 2 * mm * (1 + wre)
-        a22 = 2 * mm * (1 - wre)
-        a12 = 2 * mm * wim
-        l11 = np.sqrt(a11)
-        l21 = a12 / l11
-        l22 = np.sqrt(np.maximum(a22 - l21**2, 1e-300))
-        xi = rng.standard_normal((2, _CHUNK))[:, :mcount]
-        x2 = xi[1] / l22
-        x1 = (xi[0] - l21 * x2) / l11
-        z = np.where(inside, x1 + 1j * x2, 0.0)
-        yield wre + 1j * wim, z, weight
+    mcount = min(_CHUNK, count - ci * _CHUNK)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+    # always draw full chunks so shorter runs are prefixes of longer ones
+    wre = rng.uniform(-1.0, 1.0, _CHUNK)[:mcount]
+    wim = rng.uniform(-1.0, 1.0, _CHUNK)[:mcount]
+    r2 = wre**2 + wim**2
+    inside = r2 < 1.0
+    det = np.where(inside, 1.0 - r2, 1.0)
+    weight = np.where(inside, 4.0 * consts.Lambda * math.pi * det**p, 0.0)
+    # z | w: exponent F = m[(1+u) x1^2 + (1-u) x2^2 + 2 v x1 x2], m = 1/det;
+    # the entries 2m(1+u), 2m v, 2m(1-u) of its matrix are used once each,
+    # so they are not kept beside the chunk's other arrays
+    two_m = 2 * (1.0 / det)
+    l11 = np.sqrt(two_m * (1 + wre))
+    l21 = two_m * wim / l11
+    l22 = np.sqrt(np.maximum(two_m * (1 - wre) - l21**2, 1e-300))
+    xi = rng.standard_normal((2, _CHUNK))[:, :mcount]
+    x2 = xi[1] / l22
+    x1 = (xi[0] - l21 * x2) / l11
+    z = np.where(inside, x1 + 1j * x2, 0.0)
+    return wre + 1j * wim, z, weight
 
 
 def sample_arrays_n1(k: float, count: int, seed: int):
@@ -520,28 +561,30 @@ def sample_arrays_n1(k: float, count: int, seed: int):
     carries the closed-form Gaussian normalizer ``pi sqrt(1 - |w|^2)`` so that
     ``mean(weight * f)`` estimates ``Lambda * integral(f Q K^-1)``.
 
-    Counter-based substreams of fixed size make the result deterministic in
-    ``(seed, count)`` and independent of any worker partitioning.
+    The samples come from counter-based substreams of a fixed size, drawn
+    on a pool of one worker thread per CPU and concatenated in chunk order,
+    so the result is deterministic in ``(seed, count)`` and independent of
+    the number of workers.
     """
-    ws, zs, wts = zip(*_sample_chunks_n1(k, count, seed))
+    nchunks = _chunk_count(count)
+    consts = measure_constants(1, k)
+    tasks = [functools.partial(_sample_chunk_n1, consts, count, seed, ci) for ci in range(nchunks)]
+    ws, zs, wts = zip(*_ordered_map(tasks))
     return np.concatenate(ws), np.concatenate(zs), np.concatenate(wts)
 
 
-def _uniform_chunks(seed: int, count: int, streams: int):
-    """Yield ``streams`` arrays of at most ``_CHUNK`` uniform draws on [-1, 1].
+def _uniform_chunk(seed: int, count: int, streams: int, start: int):
+    """Draws ``start`` to ``start + _CHUNK`` (at most ``count``) of each of
+    ``streams`` uniform streams on [-1, 1].
 
-    Concatenated over the chunks, stream ``j`` is bit-identical to the
-    ``j``-th of ``streams`` successive ``default_rng(seed).uniform(-1, 1,
-    count)`` calls: each double consumes exactly one 64-bit PCG64 output, so
-    stream ``j`` starts from the seeded state advanced by ``j * count``.
+    Stream ``j`` is the ``j``-th of ``streams`` successive
+    ``default_rng(seed).uniform(-1, 1, count)`` calls: each double consumes
+    exactly one 64-bit PCG64 output, so the chunk starts from the seeded
+    state advanced by ``j * count + start``.
     """
-    gens = [
-        np.random.Generator(np.random.PCG64(seed).advance(j * count))
-        for j in range(streams)
-    ]
-    for start in range(0, count, _CHUNK):
-        mcount = min(_CHUNK, count - start)
-        yield [g.uniform(-1.0, 1.0, mcount) for g in gens]
+    mcount = min(_CHUNK, count - start)
+    bitgens = (np.random.PCG64(seed).advance(j * count + start) for j in range(streams))
+    return [np.random.Generator(b).uniform(-1.0, 1.0, mcount) for b in bitgens]
 
 
 def sample_base_measure(n: int, k: float, count: int, seed: int):
@@ -617,8 +660,9 @@ def _kernel_n1(z, w, z0: complex, w0: complex, k: float):
     ``u^{k/2} exp(u (zbar z0 + z0^2 wbar / 2 + w0 zbar^2 / 2))`` with
     ``u = 1 / (1 - w0 wbar)``."""
     zb = np.conj(z)
-    u = 1.0 / (1.0 - w0 * np.conj(w))
-    expo = zb * z0 + (0.5 * z0 * z0) * np.conj(w) + (0.5 * w0) * (zb * zb)
+    wb = np.conj(w)
+    u = 1.0 / (1.0 - w0 * wb)
+    expo = zb * z0 + (0.5 * z0 * z0) * wb + (0.5 * w0) * (zb * zb)
     return u ** (k / 2) * np.exp(u * expo)
 
 

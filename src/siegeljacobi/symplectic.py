@@ -51,7 +51,6 @@ __all__ = [
     "jn",
     "lambda1",
     "wallach_admissible",
-    "sp_rep_apply",
     "sp_random",
     "random_siegel_point",
     "sym_index_pairs",
@@ -401,22 +400,6 @@ def _require_even_int(k, unchecked_branch: bool):
             "k must be an even integer (pass unchecked_branch=True to override)"
         )
     return float(ki)
-
-
-def sp_rep_apply(
-    g: SpElement, k, f, w: np.ndarray, unchecked_branch: bool = False
-) -> complex:
-    """Multiplier representation ``det(a - w conj(b))^{-k/2} f(g^-1 . w)``.
-
-    ``k`` must be an even integer unless ``unchecked_branch`` is set, in which
-    case the principal branch of the determinant power is used without any
-    single-valuedness guarantee.
-    """
-    k = _require_even_int(k, unchecked_branch)
-    w = as_cmat(w)
-    den = g.a - w @ g.b.conj()
-    arg = _inv(den, "a - w conj(b)") @ (-g.b + w @ g.a)
-    return detpow(den, -k / 2) * f(0.5 * (arg + arg.T))
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -19,6 +19,8 @@ independent routes that cross-check them live here and run once per suite.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 
@@ -667,55 +669,115 @@ def _cs_from_halfplane(v: complex, u: complex) -> CSPoint:
     return CSPoint(z=np.array([z]), W=np.array([[w]]))
 
 
+#: The n = 1 test functions of the reproducing checks, ``(name, f, z0, w0)``.
+_REPRODUCING_TARGETS = (
+    ("one", lambda z, w: np.ones_like(z), 0j, 0j),
+    ("z", lambda z, w: z, 0.2 + 0j, 0.1 + 0j),
+    ("w", lambda z, w: w, 0j, 0.3 + 0j),
+)
+
+
 def suite_measure(n=1, k=6.0, seed=7, samples=200_000, cutoff=None) -> list:
+    """Normalization, reproducing and volume checks by Monte Carlo.
+
+    At n = 1 each chunk of the sampler is drawn once and feeds the total
+    mass and all three reproducing estimates; the ``jn-mc`` volume estimate
+    streams its own box draws.  Both sets of chunks run on one pool of
+    worker threads (:func:`jacobi._ordered_map`), each task returning only
+    its partial sums, which are added here in chunk order as a serial loop
+    would: the records do not depend on the number of workers, and memory
+    stays at one chunk per worker however large ``samples`` is.
+    """
     checks = []
     consts = jacobi.measure_constants(n, k)
     alt = _lambda_product_form(n, k)
     _rec(checks, "normalization-routes", "resolution-of-unity-constant",
          abs(consts.Lambda - alt) / consts.Lambda, 1e-12, n=n, k=k)
 
-    if n == 1:
-        # one streaming pass: each chunk of the n = 1 sampler is drawn once
-        # and feeds the total mass and all three reproducing estimates, so
-        # memory stays at one chunk however large ``samples`` is
-        targets = (
-            ("one", lambda z, w: np.ones_like(z), 0j, 0j),
-            ("z", lambda z, w: z, 0.2 + 0j, 0.1 + 0j),
-            ("w", lambda z, w: w, 0j, 0.3 + 0j),
-        )
-        mass = 0.0
-        sums = [0j] * len(targets)
-        inside = chunks = 0
-        for w, z, wt in jacobi._sample_chunks_n1(k, samples, seed):
-            mass += wt.sum()
-            # the weight is 0 exactly outside the disk, so the kernel
-            # estimates need only the samples inside it
-            keep = np.flatnonzero(wt)
-            inside += len(keep)
-            chunks += 1
-            w, z, wt = w[keep], z[keep], wt[keep]
-            for i, (_, f, z0, w0) in enumerate(targets):
-                sums[i] += np.sum(wt * jacobi._kernel_n1(z, w, z0, w0, k) * f(z, w))
-        log.debug("measure sampler n=1: %d samples in %d chunks, inside-domain "
-                  "fraction %.6f", samples, chunks, inside / samples)
-        _rec(checks, "normalization-mc", "unit-total-mass",
-             abs(mass / samples - 1.0), 0.01, n=1, k=k, samples=samples)
-        for (name, f, z0, w0), total in zip(targets, sums):
-            lhs = complex(f(np.array([z0]), np.array([w0]))[0])
-            _rec(checks, f"reproducing-{name}", "kernel-reproducing-property",
-                 abs(lhs - total / samples) / max(abs(lhs), 1e-300), 0.03, n=1,
-                 k=k, samples=samples)
-
     # cross-check the closed-form volume constant by direct Monte Carlo at
     # n = 2; the per-sample relative sigma is about 4.6, so the fixed count
     # below puts the 1% tolerance at six standard errors
     count = 8_000_000
     p = 1.0
-    est = _jn_mc_n2(p, count, seed)
+    n1_tasks = []
+    if n == 1:
+        n1_tasks = [functools.partial(_measure_chunk_n1, consts, samples, seed, ci)
+                    for ci in range(jacobi._chunk_count(samples))]
+    results = jacobi._ordered_map(n1_tasks + _jn_mc_tasks(p, count, seed))
+
+    if n == 1:
+        mass = 0.0
+        sums = [0j] * len(_REPRODUCING_TARGETS)
+        inside = 0
+        for chunk_mass, chunk_inside, chunk_sums in itertools.islice(results, len(n1_tasks)):
+            mass += chunk_mass
+            inside += chunk_inside
+            for i, part in enumerate(chunk_sums):
+                sums[i] += part
+        log.debug("measure sampler n=1: %d samples in %d chunks, inside-domain "
+                  "fraction %.6f", samples, len(n1_tasks), inside / samples)
+        _rec(checks, "normalization-mc", "unit-total-mass",
+             abs(mass / samples - 1.0), 0.01, n=1, k=k, samples=samples)
+        for (name, f, z0, w0), total in zip(_REPRODUCING_TARGETS, sums):
+            lhs = complex(f(np.array([z0]), np.array([w0]))[0])
+            _rec(checks, f"reproducing-{name}", "kernel-reproducing-property",
+                 abs(lhs - total / samples) / max(abs(lhs), 1e-300), 0.03, n=1,
+                 k=k, samples=samples)
+
+    est = _jn_mc_fold(results, count)
     _rec(checks, "jn-mc", "weighted-volume-vs-direct-mc",
          abs(est - symplectic.jn(p, 2)) / symplectic.jn(p, 2), 0.01, n=2,
          samples=count)
     return checks
+
+
+def _measure_chunk_n1(consts, samples: int, seed: int, ci: int):
+    """Total weight, inside-disk count and the reproducing sums of
+    :data:`_REPRODUCING_TARGETS` over chunk ``ci`` of the n = 1 sampler."""
+    w, z, wt = jacobi._sample_chunk_n1(consts, samples, seed, ci)
+    mass = wt.sum()
+    # the weight is 0 exactly outside the disk, so the kernel estimates need
+    # only the samples inside it
+    keep = np.flatnonzero(wt)
+    w, z, wt = w[keep], z[keep], wt[keep]
+    sums = [np.sum(wt * jacobi._kernel_n1(z, w, z0, w0, consts.k) * f(z, w))
+            for _, f, z0, w0 in _REPRODUCING_TARGETS]
+    return mass, len(keep), sums
+
+
+def _jn_mc_tasks(p: float, count: int, seed: int) -> list:
+    """One task per chunk of :func:`_jn_mc_n2`, each returning the chunk's
+    sum of ``det(1 - W Wbar)^p`` over the domain and its inside count."""
+    return [functools.partial(_jn_mc_chunk, p, count, seed, start)
+            for start in range(0, count, jacobi._CHUNK)]
+
+
+def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
+    # w11 = a + ib, w12 = c + id, w22 = e + if; 1 - W W* for symmetric
+    # 2x2 W is positive definite iff its trace and determinant are > 0
+    a, b, c, d, e, f = jacobi._uniform_chunk(seed, count, 6, start)
+    m12 = c * c + d * d
+    s11 = 1.0 - (a * a + b * b + m12)
+    s22 = 1.0 - (e * e + f * f + m12)
+    # s12 = -(w11 conj(w12) + w12 conj(w22))
+    s12_re = a * c + b * d + c * e + d * f
+    s12_im = b * c - a * d + d * e - c * f
+    det = s11 * s22 - (s12_re * s12_re + s12_im * s12_im)
+    inside = (det > 0) & (s11 + s22 > 0)
+    return np.where(inside, det**p, 0.0).sum(), np.count_nonzero(inside)
+
+
+def _jn_mc_fold(results, count: int) -> float:
+    """Add the chunk results of :func:`_jn_mc_tasks` in chunk order."""
+    total = 0.0
+    inside_count = chunks = 0
+    for chunk_total, chunk_inside in results:
+        total += chunk_total
+        inside_count += chunk_inside
+        chunks += 1
+    log.debug("measure sampler jn-mc n=2: %d samples in %d chunks, inside-domain "
+              "fraction %.6f", count, chunks, inside_count / count)
+    return 64.0 * total / count
 
 
 def _jn_mc_n2(p: float, count: int, seed: int) -> float:
@@ -723,29 +785,11 @@ def _jn_mc_n2(p: float, count: int, seed: int) -> float:
     ``det(1 - W Wbar)^p`` over the symmetric 2x2 domain.
 
     The box [-1, 1]^6 holds the real and imaginary parts of ``w11, w12,
-    w22``; they are the six streams of :func:`jacobi._uniform_chunks`, so the
+    w22``; they are the six streams of :func:`jacobi._uniform_chunk`, so the
     draws equal six successive ``default_rng(seed).uniform(-1, 1, count)``
-    calls while only one chunk of each is held at a time.
+    calls while each worker holds only one chunk of them at a time.
     """
-    total = 0.0
-    inside_count = chunks = 0
-    for a, b, c, d, e, f in jacobi._uniform_chunks(seed, count, 6):
-        # w11 = a + ib, w12 = c + id, w22 = e + if; 1 - W W* for symmetric
-        # 2x2 W is positive definite iff its trace and determinant are > 0
-        m12 = c * c + d * d
-        s11 = 1.0 - (a * a + b * b + m12)
-        s22 = 1.0 - (e * e + f * f + m12)
-        # s12 = -(w11 conj(w12) + w12 conj(w22))
-        s12_re = a * c + b * d + c * e + d * f
-        s12_im = b * c - a * d + d * e - c * f
-        det = s11 * s22 - (s12_re * s12_re + s12_im * s12_im)
-        inside = (det > 0) & (s11 + s22 > 0)
-        total += np.where(inside, det**p, 0.0).sum()
-        inside_count += np.count_nonzero(inside)
-        chunks += 1
-    log.debug("measure sampler jn-mc n=2: %d samples in %d chunks, inside-domain "
-              "fraction %.6f", count, chunks, inside_count / count)
-    return 64.0 * total / count
+    return _jn_mc_fold(jacobi._ordered_map(_jn_mc_tasks(p, count, seed)), count)
 
 
 _SUITE_FNS = {

@@ -1,5 +1,10 @@
+import functools
+import importlib
+import inspect
 import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -130,7 +135,8 @@ def test_reproduce_check_domain_errors():
 
 def test_sampler_chunks_concatenate_to_arrays():
     count = 2 * jacobi._CHUNK + 5
-    chunks = list(jacobi._sample_chunks_n1(6.0, count, seed=23))
+    consts = jacobi.measure_constants(1, 6.0)
+    chunks = [jacobi._sample_chunk_n1(consts, count, 23, ci) for ci in range(3)]
     assert [len(w) for w, _, _ in chunks] == [jacobi._CHUNK, jacobi._CHUNK, 5]
     for part, whole in zip(zip(*chunks), jacobi.sample_arrays_n1(6.0, count, seed=23)):
         assert np.array_equal(np.concatenate(part), whole)
@@ -138,7 +144,8 @@ def test_sampler_chunks_concatenate_to_arrays():
 
 def test_uniform_chunks_equal_one_shot_draws():
     count = 3 * jacobi._CHUNK + 17
-    chunks = list(jacobi._uniform_chunks(29, count, 6))
+    chunks = [jacobi._uniform_chunk(29, count, 6, start)
+              for start in range(0, count, jacobi._CHUNK)]
     assert all(len(c) == 6 and len(c[0]) <= jacobi._CHUNK for c in chunks)
     rng = np.random.default_rng(29)
     for j in range(6):
@@ -210,3 +217,59 @@ def test_measure_suite_logs_each_sampler(caplog):
     # inside-domain share of the box: pi/4 for the disk, about 0.081 at n = 2
     assert abs(fractions[0] - math.pi / 4) < 0.01
     assert 0.07 < fractions[1] < 0.09
+
+
+def _measure_outputs():
+    small = verify.suite_measure(seed=7, samples=3 * jacobi._CHUNK + 17)
+    pinned = [verify.suite_measure(seed=seed, samples=200_000) for seed in sorted(_ONE_SHOT_MEASURE)]
+    return small, pinned, jacobi.sample_arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
+
+
+def test_measure_outputs_do_not_depend_on_worker_count(monkeypatch):
+    # records are compared with ==, so the residuals must agree bit for bit;
+    # three workers on fewer CPUs with a short switch interval interleave the
+    # chunks as much as the pool allows
+    reference = _measure_outputs()
+    interval = sys.getswitchinterval()
+    for workers in (1, 3):
+        monkeypatch.setattr(jacobi, "_worker_count", lambda: workers)
+        sys.setswitchinterval(1e-5)
+        try:
+            small, pinned, arrays = _measure_outputs()
+        finally:
+            sys.setswitchinterval(interval)
+        assert small == reference[0]
+        assert pinned == reference[1]
+        for got, want in zip(arrays, reference[2]):
+            assert np.array_equal(got, want)
+
+
+def test_sampler_workers_call_no_public_function(monkeypatch):
+    # the traced benchmark records a span around every public function of
+    # the layer modules on one span stack, so none may run on a pool worker
+    modules = [importlib.import_module(f"siegeljacobi.{name}") for name in (
+        "matfun", "symplectic", "jacobi", "numdiff", "fockoracle", "diffops",
+        "gj1", "verify", "cli")]
+    off_main = []
+
+    def guard(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrapped = {}
+    for mod in modules:
+        for attr, obj in vars(mod).items():
+            if inspect.isfunction(obj) and obj.__module__ == mod.__name__ and not attr.startswith("_"):
+                wrapped[id(obj)] = (obj, guard(obj, f"{mod.__name__}.{attr}"))
+    for mod in modules:
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in wrapped and wrapped[id(obj)][0] is obj:
+                monkeypatch.setattr(mod, attr, wrapped[id(obj)][1])
+    assert len(wrapped) > 100
+    verify.suite_measure(seed=7, samples=3 * jacobi._CHUNK + 17)
+    jacobi.sample_arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
+    assert off_main == []

@@ -296,18 +296,30 @@ def test_wallach_admissible():
     assert not sp.wallach_admissible(1.5, 3)
 
 
-def test_sp_rep_apply():
-    rng = np.random.default_rng(18)
-    w = sp.random_siegel_point(2, 0.4, rng)
-    f = lambda m: complex(np.trace(m)) + 1.0
-    assert abs(sp.sp_rep_apply(sp.sp_identity(2), 4, f, w) - f(w)) < 1e-14
-    # b = 0, W = 0, constant function: det(a)^{-k/2}
-    g0 = sp.sp_random(2, 0.0, rng)
-    val = sp.sp_rep_apply(g0, 4, lambda m: 1.0, np.zeros((2, 2), dtype=complex))
-    assert abs(val - matfun.detpow(g0.a, -2.0)) < 1e-12
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sp_representation_is_pik_apply_at_zero_translation(n):
+    # the Sp(n, R) representation on functions of W is the alpha = 0,
+    # t = 0 face of jacobi.pik_apply; it composes along sp_compose
+    rng = np.random.default_rng(18 + n)
+    zero = np.zeros(n, dtype=complex)
+
+    def f(pt):
+        return complex(pt.W.sum() + pt.W[0, 0] ** 2) + 1.0
+
+    def rep(g, fun):
+        return lambda pt: jacobi.pik_apply(jacobi.JacobiElement(g=g, alpha=zero), 4, fun, pt)
+
+    x = CSPoint(z=zero, W=sp.random_siegel_point(n, 0.4, rng))
+    assert abs(rep(sp.sp_identity(n), f)(x) - f(x)) < 1e-14
+    for _ in range(20):
+        g1 = sp.sp_random(n, 0.4, rng)
+        g2 = sp.sp_random(n, 0.4, rng)
+        x = CSPoint(z=zero, W=sp.random_siegel_point(n, 0.4, rng))
+        lhs = rep(g1, rep(g2, f))(x)
+        rhs = rep(sp.sp_compose(g1, g2), f)(x)
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
     with pytest.raises(ValueError):
-        sp.sp_rep_apply(g0, 3, f, w)
-    sp.sp_rep_apply(g0, 3, f, w, unchecked_branch=True)
+        jacobi.pik_apply(jacobi.JacobiElement(g=g1, alpha=zero), 3, f, x)
 
 
 def test_multiplier_cocycle():
