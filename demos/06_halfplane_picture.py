@@ -9,7 +9,7 @@ series expansion.
 
 import numpy as np
 
-from siegeljacobi import gj1
+from siegeljacobi import gj1, jacobi
 
 print("== the polynomial basis ==")
 for n in range(6):
@@ -18,7 +18,10 @@ print("closed Hermite form exact for n <= 8:",
       all(gj1.hermite_exact_equal(n) for n in range(9)))
 
 print("\n== kernel series vs closed form (kappa = 1) ==")
-closed = gj1.kernel_closed(0.1, 0.2, 0.2, 0.1, 1.0)
+# the closed kernel is the general one at k = 4 kappa, second point conjugated
+closed = jacobi.kernel(
+    jacobi.cs_point([0.2], [[0.1]]), jacobi.cs_point([0.1], [[0.2]]), gj1.weight_from_kappa(1.0)
+)
 for order in (5, 10, 20, 40):
     series = gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 1.0, order)
     print(f"order {order:2d}: relative error {abs(series - closed) / abs(closed):.2e}")

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CutoffTooSmall
-from .jacobi import CSPoint, JacobiElement, lambda_cocycle
-from .symplectic import SpElement, cartan_decompose
+from .jacobi import CSPoint, JacobiElement, alpha_action, alpha_action_inv, lambda_cocycle
+from .symplectic import SpElement, cartan_decompose, cartan_synthesize
 
 __all__ = [
     "FockVec",
@@ -37,8 +37,6 @@ __all__ = [
     "s_of_g",
     "check_lemma6",
     "check_hpb",
-    "beta_of_alpha",
-    "alpha_of_beta",
     "oracle_kernel",
     "mm1_residual",
     "squeezed_vacuum_convention",
@@ -199,39 +197,25 @@ def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def _hyperbolic_blocks(zeta: complex):
-    """Blocks ``(m, n) = (cosh|zeta|, zeta sinh|zeta| / |zeta|)`` of the
-    hyperbolic element ``exp([[0, zeta], [conj zeta, 0]])``."""
-    r = abs(zeta)
-    return np.cosh(r), (zeta * np.sinh(r) / r if r > 0 else 0.0)
-
-
-def beta_of_alpha(alpha: complex, zeta: complex) -> complex:
-    """Pull a displacement through a squeeze: ``beta = m alpha - n conj(alpha)``."""
-    m, n = _hyperbolic_blocks(zeta)
-    return m * alpha - n * np.conj(alpha)
-
-
-def alpha_of_beta(beta: complex, zeta: complex) -> complex:
-    """Inverse of :func:`beta_of_alpha`: ``alpha = m beta + n conj(beta)``."""
-    m, n = _hyperbolic_blocks(zeta)
-    return m * beta + n * np.conj(beta)
-
-
 def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     """Max residual of the conjugation equations at one parameter point.
 
-    Checks, on the lower half of the truncated basis:
+    For the hyperbolic element ``g = cartan_synthesize([[zeta]], 1)`` with
+    blocks ``(m, n) = (cosh|zeta|, zeta sinh|zeta| / |zeta|)``, checks on the
+    lower half of the truncated basis:
 
-    * ``S^-1 a S = cosh|zeta| a + sinhc|zeta| zeta a+``
-    * ``D(alpha) S = S D(beta)`` with ``beta`` from :func:`beta_of_alpha`
-    * ``S(g) D(alpha) S(g)^-1 = D(a alpha + b conj(alpha))`` for the
-      hyperbolic element with generator ``zeta``.
+    * ``S^-1 a S = m a + n a+``
+    * ``D(alpha) S = S D(beta)`` with ``beta = g^-1 . alpha``
+      (:func:`siegeljacobi.jacobi.alpha_action_inv`)
+    * ``S D(alpha) S^-1 = D(g . alpha)``
+      (:func:`siegeljacobi.jacobi.alpha_action`).
     """
     a, ad = ladder(cutoff)
     s = squeeze_from_generator(zeta, cutoff)
     sinv = squeeze_from_generator(-zeta, cutoff)
-    m, n = _hyperbolic_blocks(zeta)
+    g = cartan_synthesize(np.array([[zeta]]), np.eye(1))
+    m, n = complex(g.a[0, 0]), complex(g.b[0, 0])
+    alpha_v = np.array([alpha], dtype=complex)
     deep = cutoff // 4  # conjugation products touch the corner above this
 
     lhs = sinv @ a @ s
@@ -239,14 +223,11 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     res = np.abs(lhs[:deep, :deep] - rhs[:deep, :deep]).max()
 
     d_alpha = displacement(alpha, cutoff)
-    beta = beta_of_alpha(alpha, zeta)
-    d_beta = displacement(beta, cutoff)
+    d_beta = displacement(complex(alpha_action_inv(g, alpha_v)[0]), cutoff)
     res = max(res, np.abs((d_alpha @ s - s @ d_beta)[:deep, :deep]).max())
 
-    # matrix blocks of the hyperbolic element exp([[0, zeta], [conj zeta, 0]])
-    alpha_g = complex(m) * alpha + complex(n) * np.conj(alpha)
     lhs2 = s @ d_alpha @ sinv
-    rhs2 = displacement(alpha_g, cutoff)
+    rhs2 = displacement(complex(alpha_action(g, alpha_v)[0]), cutoff)
     res = max(res, np.abs((lhs2 - rhs2)[:deep, :deep]).max())
     return float(res)
 

@@ -4,12 +4,14 @@ This module collects everything special to one degree of freedom: the
 Hermite-type polynomial basis P_n(z, w) with its closed Hermite form, the
 orthonormal basis functions and the kernel series they resum, the Cayley map
 between the unit-disk picture (z, w) and the upper-half-plane picture (u, v),
-the two matching presentations of the invariant two-form, the real
+the half-plane presentation of the invariant two-form, the real
 four-coordinate metric, and the classical affine action on the half-plane.
+The closed kernel and the disk-picture two-form are the n = 1 cases of
+:func:`siegeljacobi.jacobi.kernel` and :func:`siegeljacobi.jacobi.kahler_form`.
 
-The disk-picture index ``kappa`` here follows the half-plane normalization:
-the closed kernel is ``(1 - w conj(w'))^{-2 kappa} exp(...)``, which matches
-the general-n module at ``k = 4 kappa``.
+The index ``kappa`` here follows the half-plane normalization: the n = 1
+kernel is ``(1 - w conj(w'))^{-2 kappa} exp(...)``, the general-n module's
+at ``k = 4 kappa`` (:func:`weight_from_kappa`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import jacobi
 from .diffops import MPoly
 from .errors import BranchViolation, DomainViolation, Singular
 
@@ -31,11 +34,9 @@ __all__ = [
     "hermite_check",
     "hermite_exact_equal",
     "basis_fn",
-    "kernel_closed",
     "kernel_series",
     "cayley",
     "cayley_inverse",
-    "disk_form",
     "halfplane_form",
     "kb_form_check",
     "ez_metric",
@@ -173,16 +174,10 @@ def basis_fn(nidx: int, midx: int, kappa: float, z: complex, w: complex) -> comp
     )
 
 
-def kernel_closed(z, w, zp, wp, kappa: float) -> complex:
-    """Closed kernel ``(1 - w conj(wp))^{-2 kappa} exp(...)`` (second point
-    conjugated)."""
-    u = 1 - w * np.conj(wp)
-    num = 2 * np.conj(zp) * z + z * z * np.conj(wp) + np.conj(zp) ** 2 * w
-    return u ** (-2 * kappa) * np.exp(num / (2 * u))
-
-
 def kernel_series(z, w, zp, wp, kappa: float, order: int) -> complex:
-    """Partial sum of the basis expansion of :func:`kernel_closed`.
+    """Partial sum of the basis expansion of the closed n = 1 kernel
+    ``jacobi.kernel(y, x, weight_from_kappa(kappa))`` with ``x = (z, w)`` and
+    ``y = (zp, wp)`` (second point conjugated).
 
     The polynomial factor resums (via the Hermite bilinear identity) to a
     ``(1 - w conj(wp))^{-1/2}`` times the exponential, so the disk weight in
@@ -226,24 +221,6 @@ def cayley_inverse(w: complex, z: complex):
     return 1j * (1 + w) / (1 - w), z / (1 - w)
 
 
-def disk_form(z: complex, w: complex, kappa: float) -> np.ndarray:
-    """Hermitian coefficient matrix of the two-form in coordinates (z, w).
-
-    ``2 kappa/(1-w wbar)^2 dw ^ dwbar + A ^ Abar / (1 - w wbar)`` with
-    ``A = dz + conj(alpha0) dw`` and ``alpha0 = (z + zbar w)/(1 - w wbar)``.
-    """
-    m = 1.0 / (1 - w * np.conj(w))
-    alpha0 = (z + np.conj(z) * w) * m
-    a0c = np.conj(alpha0)
-    return np.array(
-        [
-            [m, m * alpha0],
-            [m * a0c, 2 * kappa * m**2 + m * abs(alpha0) ** 2],
-        ],
-        dtype=complex,
-    )
-
-
 def halfplane_form(v: complex, u: complex, kappa: float) -> np.ndarray:
     """Hermitian coefficient matrix in coordinates (v, u).
 
@@ -265,12 +242,15 @@ def halfplane_form(v: complex, u: complex, kappa: float) -> np.ndarray:
 def kb_form_check(v: complex, u: complex, kappa: float) -> float:
     """Pull the disk form back through the Cayley map and compare.
 
-    Returns the max entrywise difference between the pullback and the
-    half-plane form at the point.
+    The disk form is :func:`siegeljacobi.jacobi.kahler_form` at
+    ``k = weight_from_kappa(kappa)``, in coordinates ``(z, w)``.  Returns the
+    max entrywise difference between the pullback and the half-plane form at
+    the point.
     """
     w, z = cayley(v, u)
-    hd = disk_form(z, w, kappa)
-    # holomorphic Jacobian of (v, u) -> (z, w), rows ordered like disk_form
+    x = jacobi.CSPoint(z=np.array([z]), W=np.array([[w]]))
+    hd = jacobi.kahler_form(x, weight_from_kappa(kappa))
+    # holomorphic Jacobian of (v, u) -> (z, w), rows ordered like the form
     dz_dv = -2j * u / (v + 1j) ** 2
     dz_du = 2j / (v + 1j)
     dw_dv = 2j / (v + 1j) ** 2

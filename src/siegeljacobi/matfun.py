@@ -27,6 +27,10 @@ from .errors import DomainViolation, NonHermitian, NoConvergence, NotSymmetric, 
 
 DEFAULT_TOL = 1e-10
 
+#: A log-determinant raises :class:`Singular` when a pivot magnitude is at
+#: most this fraction of ``max(|m|, 1)`` over its matrix.
+SINGULAR_RTOL = 1e-13
+
 
 def as_cmat(entries) -> np.ndarray:
     """Coerce input to a 2-d complex array and check finiteness."""
@@ -207,7 +211,7 @@ def cartan_blocks(z: np.ndarray, tol: float = DEFAULT_TOL):
     return m, n
 
 
-def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
+def principal_logdet(m: np.ndarray):
     """Principal log-determinant via LU with pivot-phase accumulation.
 
     ``m`` is one square matrix ``(n, n)`` or a stack ``(..., n, n)``.
@@ -226,7 +230,7 @@ def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
     ValueError
         If an entry is not finite or the matrices are not square.
     Singular
-        If a pivot magnitude is at most ``singular_rtol * max(|m|, 1)`` of its
+        If a pivot magnitude is at most ``SINGULAR_RTOL * max(|m|, 1)`` of its
         matrix; for a stack the message names the first such matrix.
     """
     m = np.asarray(m, dtype=complex)
@@ -245,7 +249,7 @@ def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
         lu, piv, _ = lapack.zgetrf(m)
         diag = lu.diagonal()
         mag = np.abs(diag).min()
-        bound = singular_rtol * max(np.abs(m).max(), 1.0)
+        bound = SINGULAR_RTOL * max(np.abs(m).max(), 1.0)
         if mag <= bound:
             raise Singular(f"pivot magnitude {mag:.3e} below threshold {bound:.3e}")
         val = np.log(diag).sum()
@@ -261,7 +265,7 @@ def principal_logdet(m: np.ndarray, singular_rtol: float = 1e-13):
     diag = lus.diagonal(axis1=-2, axis2=-1)
     odd = np.count_nonzero(pivs != np.arange(n), axis=-1) % 2 == 1
     mag = np.abs(diag)
-    bound = singular_rtol * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
+    bound = SINGULAR_RTOL * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
     bad = (mag <= bound[:, None]).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -294,7 +298,7 @@ def logdet_hpd(m: np.ndarray):
         outside the domain); the message names the first such matrix of a
         stack and its smallest eigenvalue.
     Singular
-        If a pivot ``L_ii^2`` is at most ``1e-13 * max(|m|, 1)`` of its
+        If a pivot ``L_ii^2`` is at most ``SINGULAR_RTOL * max(|m|, 1)`` of its
         matrix; for a stack the message names the first such matrix.
     """
     m = np.asarray(m, dtype=complex)
@@ -327,9 +331,9 @@ def logdet_hpd(m: np.ndarray):
                 ) from None
         raise  # pragma: no cover - every matrix factored on its own
     # a pivot at or below its own matrix's bound is at or below the largest one
-    if diag.size and diag.min() ** 2 <= 1e-13 * scale:
+    if diag.size and diag.min() ** 2 <= SINGULAR_RTOL * scale:
         pivots = diag * diag
-        bound = 1e-13 * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
+        bound = SINGULAR_RTOL * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
         bad = (pivots <= bound[:, None]).any(axis=-1)
         if bad.any():
             i = int(np.argmax(bad))

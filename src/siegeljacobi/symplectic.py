@@ -6,10 +6,11 @@ domain D_n of symmetric complex matrices with ``1 - W W* > 0``.  The module
 provides membership checks, the inverse and block product, Gauss and Cartan
 factorizations, the coordinate maps between the off-diagonal generator Z and
 the domain point W, the linear-fractional action, the two-point composition
-law on the domain, the coherent-state kernel ``det(1 - W' W*)^{-k/2}`` with
-its multiplier, the invariant volume density, and the normalization
-constants of the weighted Bergman inner product.  The invariant two-form is
-the ``W`` block of :func:`siegeljacobi.jacobi.kahler_form` at ``z = 0``.
+law on the domain, the automorphy factor of the coherent-state kernel, the
+invariant volume density, and the normalization constants of the weighted
+Bergman inner product.  The kernel ``det(1 - W' W*)^{-k/2}`` itself is
+:func:`siegeljacobi.jacobi.kernel` at ``z = 0``, and the invariant two-form
+is the ``W`` block of :func:`siegeljacobi.jacobi.kahler_form` there.
 
 Each formula is evaluated by one closed form; the independent routes that
 cross-check them (second closed forms, group closure) run in
@@ -45,7 +46,6 @@ __all__ = [
     "siegel_eta",
     "moebius",
     "ball_compose",
-    "sp_kernel",
     "multiplier",
     "sp_density",
     "jn",
@@ -299,19 +299,12 @@ def ball_compose(w1: np.ndarray, w2: np.ndarray, tol: float = DEFAULT_TOL):
     return w3, v, detv
 
 
-def sp_kernel(z: np.ndarray, zp: np.ndarray, k: float) -> complex:
-    """Coherent-state overlap ``det(1 - zp z*)^{-k/2}`` on the domain.
-
-    Conjugate-linear in the first argument: swapping the points conjugates
-    the value.
-    """
-    z = as_cmat(z)
-    zp = as_cmat(zp)
-    return detpow(np.eye(z.shape[0]) - zp @ z.conj().T, -k / 2)
-
-
 def multiplier(g: SpElement, w: np.ndarray, k: float) -> complex:
-    """Automorphy factor ``det(a* + w b*)^{k/2}`` of the kernel."""
+    """Automorphy factor ``det(a* + w b*)^{k/2}`` of the kernel.
+
+    It equals ``1 / jacobi.lambda_cocycle`` at ``alpha = 0`` and ``z = 0``:
+    the determinant alone, without the cocycle's image point and exponent.
+    """
     return detpow(g.a.conj().T + as_cmat(w) @ g.b.conj().T, k / 2)
 
 

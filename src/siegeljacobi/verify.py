@@ -210,6 +210,12 @@ def resolve_central_phase(seed=7, trials=20, k=2) -> float:
     return best_c
 
 
+def _domain_kernel(x, y, k) -> complex:
+    """:func:`jacobi.kernel` at ``z = 0``: ``det(1 - y x*)^{-k/2}`` on D_n."""
+    zero = np.zeros(x.shape[0])
+    return jacobi.kernel(CSPoint(z=zero, W=x), CSPoint(z=zero, W=y), k)
+
+
 def resolve_kernel_transform(seed=7, n=1, k=4, trials=20) -> str:
     """Pick the multiplier placement in the kernel transformation law."""
     rng = np.random.default_rng(seed)
@@ -223,10 +229,8 @@ def resolve_kernel_transform(seed=7, n=1, k=4, trials=20) -> str:
         g = symplectic.sp_random(n, 0.4, rng)
         x = symplectic.random_siegel_point(n, 0.4, rng)
         y = symplectic.random_siegel_point(n, 0.4, rng)
-        kxy = symplectic.sp_kernel(x, y, k)
-        kg = symplectic.sp_kernel(
-            symplectic.moebius(g, x), symplectic.moebius(g, y), k
-        )
+        kxy = _domain_kernel(x, y, k)
+        kg = _domain_kernel(symplectic.moebius(g, x), symplectic.moebius(g, y), k)
         jx = symplectic.multiplier(g, x, k)
         jy = symplectic.multiplier(g, y, k)
         for name, form in placements.items():
@@ -365,10 +369,10 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
         g = symplectic.sp_random(n, 0.4, rng)
         x = symplectic.random_siegel_point(n, 0.4, rng)
         y = symplectic.random_siegel_point(n, 0.4, rng)
-        kg = symplectic.sp_kernel(symplectic.moebius(g, x), symplectic.moebius(g, y), k)
+        kg = _domain_kernel(symplectic.moebius(g, x), symplectic.moebius(g, y), k)
         pred = (
             symplectic.multiplier(g, y, k)
-            * symplectic.sp_kernel(x, y, k)
+            * _domain_kernel(x, y, k)
             * np.conj(symplectic.multiplier(g, x, k))
         )
         worst_tr = max(worst_tr, abs(kg - pred) / max(abs(kg), 1.0))
@@ -571,9 +575,12 @@ def suite_oracle(n=1, k=1.0, seed=1234, samples=20, cutoff=60) -> list:
     return checks
 
 
-def suite_gj1(n=1, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
+def suite_gj1(n=1, k=16.0, seed=1234, samples=100, cutoff=None) -> list:
+    """The n = 1 picture.  ``k`` is the general-module index, as in the other
+    suites; the half-plane formulas take ``kappa = gj1.kappa_from_weight(k)``."""
     rng = np.random.default_rng(seed)
     checks = []
+    kappa = gj1.kappa_from_weight(k)
 
     expected = {
         0: "1",
@@ -590,10 +597,13 @@ def suite_gj1(n=1, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
     _rec(checks, "hermite-closed-form", "hermite-identity-exact", bad_h, 0,
          samples=9)
 
-    ck = gj1.kernel_closed(0.1, 0.2, 0.2, 0.1, 1.0)
+    # the basis series at kappa = 1 against the closed kernel at k = 4
+    k_series = gj1.weight_from_kappa(1.0)
+    ck = jacobi.kernel(CSPoint(z=np.array([0.2 + 0j]), W=np.array([[0.1 + 0j]])),
+                       CSPoint(z=np.array([0.1 + 0j]), W=np.array([[0.2 + 0j]])), k_series)
     sk = gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 1.0, 40)
     _rec(checks, "kernel-series", "basis-resummation", abs(sk - ck) / abs(ck),
-         1e-6, n=1, k=1.0, samples=41)
+         1e-6, n=1, k=k_series, samples=41)
 
     worst_rt = worst_kb = worst_ez = 0.0
     for _ in range(samples):
@@ -602,13 +612,14 @@ def suite_gj1(n=1, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
         w, z = gj1.cayley(v, u)
         v2, u2 = gj1.cayley_inverse(w, z)
         worst_rt = max(worst_rt, abs(v - v2) + abs(u - u2))
-        worst_kb = max(worst_kb, gj1.kb_form_check(v, u, k))
+        worst_kb = max(worst_kb, gj1.kb_form_check(v, u, kappa))
         x, y = v.real, v.imag
         p, q = rng.normal(), rng.normal()
         worst_ez = max(
             worst_ez,
             np.abs(
-                gj1.ez_metric(x, y, p, q, k) - gj1.halfplane_metric_real(x, y, p, q, k)
+                gj1.ez_metric(x, y, p, q, kappa)
+                - gj1.halfplane_metric_real(x, y, p, q, kappa)
             ).max(),
         )
     _rec(checks, "cayley-roundtrip", "halfplane-disk-biholomorphism", worst_rt,
@@ -806,7 +817,7 @@ _DEFAULTS = {
     "symplectic": dict(n=2, k=4.0, samples=50),
     "jacobi": dict(n=2, k=4.0, samples=100),
     "oracle": dict(n=1, k=1.0, samples=20, cutoff=60),
-    "gj1": dict(n=1, k=4.0, samples=100),
+    "gj1": dict(n=1, k=16.0, samples=100),
     # the reproducing-property estimator has ~1.1% relative sigma at 1e6
     # samples; this default puts the 3% tolerance beyond four sigma
     "measure": dict(n=1, k=6.0, samples=2_500_000),

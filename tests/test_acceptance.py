@@ -270,7 +270,11 @@ def test_criterion_10_one_variable_section():
     ] == ["1", "z", "z^2 + w", "z^3 + 3*z*w", "z^4 + 6*z^2*w + 3*w^2",
           "z^5 + 10*z^3*w + 15*z*w^2"]
     hermite_ok = all(gj1.hermite_exact_equal(i) for i in range(9))
-    closed = gj1.kernel_closed(0.1, 0.2, 0.2, 0.1, 1.0)
+    closed = jacobi.kernel(
+        CSPoint(z=np.array([0.2 + 0j]), W=np.array([[0.1 + 0j]])),
+        CSPoint(z=np.array([0.1 + 0j]), W=np.array([[0.2 + 0j]])),
+        gj1.weight_from_kappa(1.0),
+    )
     series_err = abs(gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 1.0, 40) - closed) / abs(
         closed
     )

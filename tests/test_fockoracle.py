@@ -110,8 +110,9 @@ def test_check_hpb():
     assert fo.check_hpb(0.3, 0.2, 80) < 1e-7
     alpha = 0.3 - 0.2j
     zeta = 0.25 + 0.1j
-    beta = fo.beta_of_alpha(alpha, zeta)
-    assert abs(fo.alpha_of_beta(beta, zeta) - alpha) < 1e-10
+    g = sp.cartan_synthesize(np.array([[zeta]]), np.eye(1))
+    beta = jacobi.alpha_action_inv(g, np.array([alpha]))
+    assert abs(jacobi.alpha_action(g, beta)[0] - alpha) < 1e-10
 
 
 def test_oracle_kernel_matches_closed_form():

@@ -56,7 +56,10 @@ def test_basis_fn_weights():
 
 def test_kernel_series_converges():
     z, w, zp, wp = 0.1, 0.2, 0.2, 0.1
-    closed = gj1.kernel_closed(z, w, zp, wp, 1.0)
+    # the closed kernel at kappa = 1, second point conjugated
+    x = CSPoint(z=np.array([z + 0j]), W=np.array([[w + 0j]]))
+    y = CSPoint(z=np.array([zp + 0j]), W=np.array([[wp + 0j]]))
+    closed = jacobi.kernel(y, x, gj1.weight_from_kappa(1.0))
     series = gj1.kernel_series(z, w, zp, wp, 1.0, 40)
     assert abs(series - closed) / abs(closed) < 1e-6
     # truncation error is monotone in the order
@@ -77,9 +80,12 @@ def test_kernel_matches_general_module():
     kappa = 0.75
     x = CSPoint(z=np.array([0.2 + 0.1j]), W=np.array([[0.3 - 0.2j]]))
     y = CSPoint(z=np.array([0.1 - 0.3j]), W=np.array([[0.1 + 0.2j]]))
-    lhs = gj1.kernel_closed(
-        complex(y.z[0]), complex(y.W[0, 0]), complex(x.z[0]), complex(x.W[0, 0]), kappa
-    )
+    # (1 - w conj(w'))^{-2 kappa} exp(...) at (z, w) = y, (z', w') = x
+    z, w = complex(y.z[0]), complex(y.W[0, 0])
+    zp, wp = complex(x.z[0]), complex(x.W[0, 0])
+    u = 1 - w * np.conj(wp)
+    num = 2 * np.conj(zp) * z + z * z * np.conj(wp) + np.conj(zp) ** 2 * w
+    lhs = u ** (-2 * kappa) * np.exp(num / (2 * u))
     rhs = jacobi.kernel(x, y, gj1.weight_from_kappa(kappa))
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
@@ -106,7 +112,14 @@ def test_disk_form_matches_general_module():
     z = complex(0.3 * rng.normal(), 0.3 * rng.normal())
     w = 0.4 * math.tanh(rng.normal()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     x = CSPoint(z=np.array([z]), W=np.array([[w]]))
-    assert np.abs(gj1.disk_form(z, complex(w), kappa) - jacobi.kahler_form(x, 4 * kappa)).max() < 1e-10
+    # 2 kappa/(1-w wbar)^2 dw ^ dwbar + A ^ Abar / (1 - w wbar) with
+    # A = dz + conj(alpha0) dw and alpha0 = (z + zbar w)/(1 - w wbar)
+    m = 1.0 / (1 - w * np.conj(w))
+    alpha0 = (z + np.conj(z) * w) * m
+    disk = np.array(
+        [[m, m * alpha0], [m * np.conj(alpha0), 2 * kappa * m**2 + m * abs(alpha0) ** 2]]
+    )
+    assert np.abs(disk - jacobi.kahler_form(x, 4 * kappa)).max() < 1e-10
 
 
 def test_kb_form_pullback():

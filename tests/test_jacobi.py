@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from siegeljacobi import jacobi, numdiff, symplectic as sp, verify
+from siegeljacobi import jacobi, matfun, numdiff, symplectic as sp, verify
 from siegeljacobi.errors import DomainViolation, OutOfDomain, Singular
 from siegeljacobi.jacobi import CSPoint, JacobiElement
 from siegeljacobi.verify import _random_element as random_element
@@ -191,10 +191,11 @@ def test_kernel_values_and_symmetry():
     x = random_point(2, rng)
     y = random_point(2, rng)
     assert abs(jacobi.kernel(x, y, 4.0) - np.conj(jacobi.kernel(y, x, 4.0))) < 1e-12
-    # z components zero: reduces to the group-only kernel of the W parts
+    # z components zero: reduces to det(1 - W_y conj(W_x))^{-k/2}
     x0 = CSPoint(z=np.zeros(2, dtype=complex), W=x.W)
     y0 = CSPoint(z=np.zeros(2, dtype=complex), W=y.W)
-    assert abs(jacobi.kernel(x0, y0, 4.0) - sp.sp_kernel(x.W, y.W, 4.0)) < 1e-13
+    domain = matfun.detpow(np.eye(2) - y.W @ x.W.conj(), -4.0 / 2)
+    assert abs(jacobi.kernel(x0, y0, 4.0) - domain) < 1e-13
 
 
 @pytest.mark.parametrize("k", [3, 4, 5.5, 6])

@@ -195,9 +195,16 @@ _ONE_SHOT_MEASURE = {
 }
 
 
+@functools.cache
+def _pinned_suite(seed):
+    # at the default worker count; run once per module and shared by the
+    # pinned-residual test and the worker-count reference
+    return verify.suite_measure(seed=seed, samples=200_000)
+
+
 @pytest.mark.parametrize("seed", sorted(_ONE_SHOT_MEASURE))
 def test_streamed_measure_suite_keeps_one_shot_residuals(seed):
-    checks = verify.suite_measure(seed=seed, samples=200_000)
+    checks = _pinned_suite(seed)
     fields = ("check", "anchor", "n", "k", "samples", "tolerance", "pass")
     assert [tuple(c[f] for f in fields) for c in checks] == [
         row[:-1] for row in _ONE_SHOT_MEASURE[seed]
@@ -219,9 +226,9 @@ def test_measure_suite_logs_each_sampler(caplog):
     assert 0.07 < fractions[1] < 0.09
 
 
-def _measure_outputs():
+def _measure_outputs(pinned_suite):
     small = verify.suite_measure(seed=7, samples=3 * jacobi._CHUNK + 17)
-    pinned = [verify.suite_measure(seed=seed, samples=200_000) for seed in sorted(_ONE_SHOT_MEASURE)]
+    pinned = [pinned_suite(seed) for seed in sorted(_ONE_SHOT_MEASURE)]
     return small, pinned, jacobi.sample_arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
 
 
@@ -229,13 +236,14 @@ def test_measure_outputs_do_not_depend_on_worker_count(monkeypatch):
     # records are compared with ==, so the residuals must agree bit for bit;
     # three workers on fewer CPUs with a short switch interval interleave the
     # chunks as much as the pool allows
-    reference = _measure_outputs()
+    reference = _measure_outputs(_pinned_suite)
     interval = sys.getswitchinterval()
     for workers in (1, 3):
         monkeypatch.setattr(jacobi, "_worker_count", lambda: workers)
         sys.setswitchinterval(1e-5)
         try:
-            small, pinned, arrays = _measure_outputs()
+            # the uncached suite: these runs must not read the shared reference
+            small, pinned, arrays = _measure_outputs(_pinned_suite.__wrapped__)
         finally:
             sys.setswitchinterval(interval)
         assert small == reference[0]

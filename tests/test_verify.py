@@ -86,8 +86,13 @@ def test_suite_records_are_pinned(name):
         assert abs(rec["residual"] - residual) <= 1e-14, rec["check"]
 
 
-def _scaled(fn):
-    return lambda *args, **kwargs: fn(*args, **kwargs) * (1 + 1e-6)
+def _scaled(fn, factor=1 + 1e-6):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * factor
+
+
+def _scaled_index(fn):
+    # a uniform scale of the kernel cancels out of its transformation law
+    return lambda x, y, k: fn(x, y, k * (1 + 1e-6))
 
 
 def _scaled_compose(fn):
@@ -113,6 +118,12 @@ BITES = {
                                   lambda: verify.suite_oracle(samples=1)),
     "squeeze-reverse-order": (fockoracle, "squeeze", _scaled,
                               lambda: verify.suite_oracle(samples=1)),
+    "kernel-transformation": (jacobi, "kernel", _scaled_index,
+                              lambda: verify.suite_symplectic(samples=3)),
+    # at 1 + 1e-6 the relative residual is 9.99999e-7, under its 1e-6 bound
+    "kernel-series": (jacobi, "kernel", lambda fn: _scaled(fn, 1 + 1e-5),
+                      lambda: verify.suite_gj1(samples=4)),
+    "form-pullback": (jacobi, "kahler_form", _scaled, lambda: verify.suite_gj1(samples=4)),
 }
 
 
