@@ -119,31 +119,18 @@ def cmd_decompose(args) -> int:
     if args.which == "gauss":
         f = symplectic.gauss_decompose(g)
         re = symplectic.gauss_reassemble(f)
-        residual = float(
-            np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b)
-        )
-        payload = {
-            "which": "gauss",
-            "factors": {
-                "Y": matfun.mat_to_json(f.y),
-                "Yp": matfun.mat_to_json(f.yp),
-                "gamma": matfun.mat_to_json(f.gamma),
-                "delta": matfun.mat_to_json(f.delta),
-            },
-            "residual": residual,
+        factors = {
+            "Y": matfun.mat_to_json(f.y),
+            "Yp": matfun.mat_to_json(f.yp),
+            "gamma": matfun.mat_to_json(f.gamma),
+            "delta": matfun.mat_to_json(f.delta),
         }
     else:
         f = symplectic.cartan_decompose(g)
         re = symplectic.cartan_synthesize(f.z, f.v)
-        residual = float(
-            np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b)
-        )
-        payload = {
-            "which": "cartan",
-            "factors": {"Z": matfun.mat_to_json(f.z), "v": matfun.mat_to_json(f.v)},
-            "residual": residual,
-        }
-    _emit(payload, args.json_indent)
+        factors = {"Z": matfun.mat_to_json(f.z), "v": matfun.mat_to_json(f.v)}
+    residual = float(np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b))
+    _emit({"which": args.which, "factors": factors, "residual": residual}, args.json_indent)
     return 0 if residual <= args.tol else 1
 
 

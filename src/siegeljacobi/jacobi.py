@@ -587,6 +587,18 @@ def _uniform_chunk(seed: int, count: int, streams: int, start: int):
     return [np.random.Generator(b).uniform(-1.0, 1.0, mcount) for b in bitgens]
 
 
+def _real_form(w: np.ndarray) -> np.ndarray:
+    """Real 2n x 2n matrix ``A`` with ``[x; y]^T A [x; y] / 2`` equal to the
+    sampler's exponent ``F(z) = Re(zbar^T M z + z^T Wbar M z)``,
+    ``M = (1 - W Wbar)^-1``, ``z = x + i y``, for symmetric ``W``."""
+    n = w.shape[0]
+    m = np.linalg.inv(np.eye(n) - w @ w.conj())
+    q = w.conj() @ m  # symmetric, so Re(z^T q z) needs no symmetrization
+    herm = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    bilin = np.block([[q.real, -q.imag], [-q.imag, -q.real]])
+    return 2.0 * (herm + bilin)
+
+
 def sample_base_measure(n: int, k: float, count: int, seed: int):
     """Stream of ``(CSPoint, weight)`` samples of the base measure.
 
@@ -618,25 +630,8 @@ def sample_base_measure(n: int, k: float, count: int, seed: int):
         det = float(np.linalg.det(gram).real)
         # the Gaussian normalizer's det^(1/2) is already folded into p
         weight = vol_box * consts.Lambda * math.pi**n * det**consts.p
-        # assemble the real quadratic form of F by polarization and factorize
-        m = np.linalg.inv(gram)
-
-        def fval(zv):
-            t = np.sum(zv.conj() * (m @ zv)) + zv @ w.conj() @ m @ zv
-            return float(np.real(t))
-
-        dim = 2 * n
-        amat = np.zeros((dim, dim))
-        basis = [np.eye(n, dtype=complex)[i] * (1 if c == 0 else 1j)
-                 for c in range(2) for i in range(n)]
-        for i in range(dim):
-            for j in range(dim):
-                amat[i, j] = 0.5 * (
-                    fval(basis[i] + basis[j]) - fval(basis[i]) - fval(basis[j])
-                )
-        amat = amat + amat.T
-        lmat = np.linalg.cholesky(amat)
-        xi = rng.standard_normal(dim)
+        lmat = np.linalg.cholesky(_real_form(w))
+        xi = rng.standard_normal(2 * n)
         zeta = np.linalg.solve(lmat.T, xi)
         z = zeta[:n] + 1j * zeta[n:]
         yield CSPoint(z=z, W=w), float(weight)
@@ -666,11 +661,28 @@ def _kernel_n1(z, w, z0: complex, w0: complex, k: float):
     return u ** (k / 2) * np.exp(u * expo)
 
 
+def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, targets):
+    """Total weight, inside-disk count and, for each ``(f, z0, w0)`` of
+    ``targets``, the sum of ``weight * K(y, x0) * f(y)`` over chunk ``ci`` of
+    :func:`sample_arrays_n1`."""
+    w, z, wt = _sample_chunk_n1(consts, count, seed, ci)
+    mass = wt.sum()
+    # the weight is 0 exactly outside the disk, so the kernel sums need only
+    # the samples inside it
+    keep = np.flatnonzero(wt)
+    w, z, wt = w[keep], z[keep], wt[keep]
+    sums = [np.sum(wt * _kernel_n1(z, w, z0, w0, consts.k) * f(z, w))
+            for f, z0, w0 in targets]
+    return mass, len(keep), sums
+
+
 def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     """Monte-Carlo test of the reproducing property at n = 1.
 
     ``rhs = mean(weight * K(y, x0) * f(y))`` should reproduce
-    ``lhs = f(x0)``; returns ``(lhs, rhs, relerr)``.
+    ``lhs = f(x0)``; returns ``(lhs, rhs, relerr)``.  The samples stream
+    through :func:`_ordered_map` one chunk per worker at a time, and ``f``
+    runs on those workers.
 
     Raises
     ------
@@ -681,14 +693,16 @@ def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
         raise OutOfDomain("reproduce_check is implemented for n = 1 only")
     if k <= 3:
         raise OutOfDomain("need k > 3")
-    w, z, wt = sample_arrays_n1(k, samples, seed)
-    # the weight is 0 exactly outside the disk, so the estimate needs only
-    # the samples inside it; the sum is still divided by all of them
-    keep = np.flatnonzero(wt)
-    w, z, wt = w[keep], z[keep], wt[keep]
+    consts = measure_constants(1, k)
     z0 = complex(x0.z[0])
     w0 = complex(x0.W[0, 0])
-    rhs = complex(np.sum(wt * _kernel_n1(z, w, z0, w0, k) * f(z, w)) / samples)
+    tasks = [functools.partial(_reproduce_chunk, consts, samples, seed, ci, [(f, z0, w0)])
+             for ci in range(_chunk_count(samples))]
+    total = 0j
+    for _, _, (part,) in _ordered_map(tasks):
+        total += part
+    # the sum is over the samples inside the disk, the mean over all of them
+    rhs = complex(total / samples)
     lhs = complex(f(np.array([z0]), np.array([w0]))[0])
     relerr = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return lhs, rhs, relerr

@@ -20,6 +20,7 @@ independent routes that cross-check them live here and run once per suite.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import logging
 import math
@@ -166,6 +167,130 @@ def _cocycle_literal_residual(h, x, k, lam):
 
 
 # ----------------------------------------------------------------------
+# identity residuals, shared by the suites and the acceptance criteria:
+# each takes already-drawn inputs, so every caller keeps its own draws
+# ----------------------------------------------------------------------
+
+def _structure_reports(n: int):
+    """:func:`diffops.verify_structure_constants` reports of the full
+    algebra and of its quadratic sector at ``n``."""
+    return (
+        diffops.verify_structure_constants(
+            diffops.jacobi_generators_diff(n), diffops.jacobi_table(n)
+        ),
+        diffops.verify_structure_constants(
+            diffops.sp_generators_diff(n), diffops.sp_table(n)
+        ),
+    )
+
+
+def _roundtrip_residuals(g, zs):
+    """Frobenius residuals of the Gauss round trip of ``g`` (or the asymmetry
+    of its ``y`` factor, if larger), of its Cartan round trip, and of
+    ``z_of_w(w_of_z(zs))`` for symmetric ``zs``."""
+    f = symplectic.gauss_decompose(g)
+    re = symplectic.gauss_reassemble(f)
+    gauss = max(
+        np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b),
+        np.linalg.norm(f.y - f.y.T),
+    )
+    c = symplectic.cartan_decompose(g)
+    re = symplectic.cartan_synthesize(c.z, c.v)
+    cartan = np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b)
+    zw = np.linalg.norm(symplectic.z_of_w(symplectic.w_of_z(zs)) - zs)
+    return gauss, cartan, zw
+
+
+def _ball_composition_residuals(w1, w2):
+    """Residuals of ``(w3, v, detv) = symplectic.ball_compose(w1, w2)``:
+    ``w3`` against the Gauss ``y`` of the raw product ``sp_of(w1) sp_of(w2)``
+    (Frobenius), ``| |detv| - 1 |`` and ``|det v - detv|``; then that
+    product, whose group membership the symplectic suite also records."""
+    w3, v, detv = symplectic.ball_compose(w1, w2)
+    prod = symplectic.sp_compose(symplectic.sp_of(w1), symplectic.sp_of(w2))
+    y = symplectic.gauss_decompose(prod).y
+    return (np.linalg.norm(w3 - y), abs(abs(detv) - 1.0),
+            abs(np.linalg.det(v) - detv), prod)
+
+
+def _cocycle_residuals(h, h2, x, k):
+    """Relative residuals of the norm law ``|lambda(h, x)|^2 K(hx, hx) =
+    K(x, x)`` and of the multiplicativity ``lambda(h, h2 x) lambda(h2, x) =
+    lambda(h h2, x)`` of the full cocycle.  The cocycle takes ``int(k)``."""
+    data = jacobi.lambda_cocycle(h, x, int(k))
+    hx = CSPoint(z=data.z1, W=data.W1)
+    kxx = jacobi.kernel(x, x, k).real
+    uni = abs(abs(data.lam) ** 2 * jacobi.kernel(hx, hx, k).real - kxx) / kxx
+    lam1 = jacobi.lambda_full(h, jacobi.act(h2, x), int(k))
+    lam2 = jacobi.lambda_full(h2, x, int(k))
+    lam12 = jacobi.lambda_full(jacobi.jacobi_compose(h, h2), x, int(k))
+    return uni, abs(lam1 * lam2 - lam12) / abs(lam12)
+
+
+def _form_fd_residuals(x, k):
+    """Max-abs distance of :func:`jacobi.kahler_form` at ``x`` from the
+    finite-difference Hessian of :func:`jacobi.kahler_potential`, and
+    whether the form is positive definite."""
+    closed = jacobi.kahler_form(x, k)
+    fd = numdiff.wirtinger_hessian(lambda p: jacobi.kahler_potential(p, k), x)
+    evmin = np.linalg.eigvalsh(0.5 * (closed + closed.conj().T)).min()
+    return np.abs(closed - fd).max(), evmin > 0
+
+
+def _invariance_residuals(h, x, k):
+    """Distances of the form (max-abs) and of the density (relative) at
+    ``x`` from their pullbacks from ``h . x`` through the finite-difference
+    Jacobian of ``act(h, .)``."""
+    jac = numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
+    hx = jacobi.act(h, x)
+    pulled = jac.T @ jacobi.kahler_form(hx, k) @ jac.conj()
+    q_inv = jacobi.density(hx) * abs(np.linalg.det(jac)) ** 2
+    return (np.abs(pulled - jacobi.kahler_form(x, k)).max(),
+            abs(q_inv - jacobi.density(x)) / jacobi.density(x))
+
+
+def _lambda1_residual(k: float, n: int) -> float:
+    """Relative distance of :func:`symplectic.lambda1` from its second route
+    ``1 / jn(k/2 - n - 1, n)``."""
+    val = symplectic.lambda1(k, n)
+    return abs(val - 1.0 / symplectic.jn(k / 2 - n - 1, n)) / val
+
+
+def _real_metric_residual(x, y, p, q, kappa) -> float:
+    """Max-abs distance of :func:`gj1.ez_metric` from the real form of the
+    half-plane form, :func:`gj1.halfplane_metric_real`."""
+    return np.abs(
+        gj1.ez_metric(x, y, p, q, kappa) - gj1.halfplane_metric_real(x, y, p, q, kappa)
+    ).max()
+
+
+#: ``gj1.pn_poly(i).text()`` for i = 0..5, typed out.
+_PN_TABLE = (
+    "1",
+    "z",
+    "z^2 + w",
+    "z^3 + 3*z*w",
+    "z^4 + 6*z^2*w + 3*w^2",
+    # the quadratic coefficient carries the square of w
+    "z^5 + 10*z^3*w + 15*z*w^2",
+)
+
+
+def _one_variable_residuals():
+    """Mismatches of :func:`gj1.pn_poly` against :data:`_PN_TABLE`, failures
+    of the exact Hermite identity for n = 0..8, and the relative distance of
+    the order-40 basis series at kappa = 1 from :func:`jacobi.kernel` at
+    k = 4."""
+    bad_pn = sum(1 for i, text in enumerate(_PN_TABLE) if gj1.pn_poly(i).text() != text)
+    bad_h = sum(0 if gj1.hermite_exact_equal(i) else 1 for i in range(9))
+    ck = jacobi.kernel(CSPoint(z=np.array([0.2 + 0j]), W=np.array([[0.1 + 0j]])),
+                       CSPoint(z=np.array([0.1 + 0j]), W=np.array([[0.2 + 0j]])),
+                       gj1.weight_from_kappa(1.0))
+    sk = gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 1.0, 40)
+    return bad_pn, bad_h, abs(sk - ck) / abs(ck)
+
+
+# ----------------------------------------------------------------------
 # convention resolutions
 # ----------------------------------------------------------------------
 
@@ -216,6 +341,18 @@ def _domain_kernel(x, y, k) -> complex:
     return jacobi.kernel(CSPoint(z=zero, W=x), CSPoint(z=zero, W=y), k)
 
 
+def _kernel_transform_residual(g, x, y, k) -> float:
+    """Residual of the kernel transformation law ``K(gX, gY) = J(g, Y)
+    K(X, Y) conj(J(g, X))`` on the domain, relative to ``max(1, |K(gX, gY)|)``."""
+    kg = _domain_kernel(symplectic.moebius(g, x), symplectic.moebius(g, y), k)
+    pred = (
+        symplectic.multiplier(g, y, k)
+        * _domain_kernel(x, y, k)
+        * np.conj(symplectic.multiplier(g, x, k))
+    )
+    return abs(kg - pred) / max(abs(kg), 1.0)
+
+
 def resolve_kernel_transform(seed=7, n=1, k=4, trials=20) -> str:
     """Pick the multiplier placement in the kernel transformation law."""
     rng = np.random.default_rng(seed)
@@ -254,12 +391,10 @@ def resolved_conventions(seed=7) -> dict:
 # suites
 # ----------------------------------------------------------------------
 
-def suite_algebra(n=2, seed=0, k=None, samples=None, cutoff=None) -> list:
+def suite_algebra(n=2) -> list:
     checks = []
     for nn in range(1, n + 1):
-        rep = diffops.verify_structure_constants(
-            diffops.jacobi_generators_diff(nn), diffops.jacobi_table(nn)
-        )
+        rep, rep_sp = _structure_reports(nn)
         _rec(
             checks,
             f"jacobi-algebra-closure-n{nn}",
@@ -268,9 +403,6 @@ def suite_algebra(n=2, seed=0, k=None, samples=None, cutoff=None) -> list:
             0,
             n=nn,
             samples=rep["checked"],
-        )
-        rep_sp = diffops.verify_structure_constants(
-            diffops.sp_generators_diff(nn), diffops.sp_table(nn)
         )
         _rec(
             checks,
@@ -292,28 +424,17 @@ def suite_algebra(n=2, seed=0, k=None, samples=None, cutoff=None) -> list:
     return checks
 
 
-def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
+def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
     rng = np.random.default_rng(seed)
     checks = []
     worst_gauss = worst_cartan = worst_zw = 0.0
     for _ in range(samples):
         g = symplectic.sp_random(n, 0.5, rng)
-        f = symplectic.gauss_decompose(g)
-        re = symplectic.gauss_reassemble(f)
-        worst_gauss = max(
-            worst_gauss,
-            np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b),
-            np.linalg.norm(f.y - f.y.T),
-        )
-        c = symplectic.cartan_decompose(g)
-        re2 = symplectic.cartan_synthesize(c.z, c.v)
-        worst_cartan = max(
-            worst_cartan, np.linalg.norm(re2.a - g.a) + np.linalg.norm(re2.b - g.b)
-        )
         zs = symplectic.random_symmetric(n, 0.5, rng)
-        worst_zw = max(
-            worst_zw, np.linalg.norm(symplectic.z_of_w(symplectic.w_of_z(zs)) - zs)
-        )
+        gauss, cartan, zw = _roundtrip_residuals(g, zs)
+        worst_gauss = max(worst_gauss, gauss)
+        worst_cartan = max(worst_cartan, cartan)
+        worst_zw = max(worst_zw, zw)
     _rec(checks, "gauss-roundtrip", "triangular-factorization", worst_gauss, 1e-9,
          n=n, samples=samples)
     _rec(checks, "cartan-roundtrip", "polar-factorization", worst_cartan, 1e-9,
@@ -339,13 +460,9 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
         )
         w1 = symplectic.random_siegel_point(n, 0.35, rng)
         w2 = symplectic.random_siegel_point(n, 0.35, rng)
-        w3, v, detv = symplectic.ball_compose(w1, w2)
-        prod = symplectic.sp_compose(symplectic.sp_of(w1), symplectic.sp_of(w2))
-        y = symplectic.gauss_decompose(prod).y
-        worst_ball = max(worst_ball, np.linalg.norm(w3 - y))
-        worst_detv = max(
-            worst_detv, abs(abs(detv) - 1.0), abs(np.linalg.det(v) - detv)
-        )
+        ball, unimodular, det_forms, prod = _ball_composition_residuals(w1, w2)
+        worst_ball = max(worst_ball, ball)
+        worst_detv = max(worst_detv, unimodular, det_forms)
         worst_closure = max(
             worst_closure,
             symplectic.membership_residual(g12.a, g12.b),
@@ -363,19 +480,12 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
     _rec(checks, "compose-closure", "product-membership", worst_closure,
          10 * matfun.DEFAULT_TOL, n=n, samples=samples)
 
-    placement = resolve_kernel_transform(seed)
     worst_tr = 0.0
     for _ in range(samples):
         g = symplectic.sp_random(n, 0.4, rng)
         x = symplectic.random_siegel_point(n, 0.4, rng)
         y = symplectic.random_siegel_point(n, 0.4, rng)
-        kg = _domain_kernel(symplectic.moebius(g, x), symplectic.moebius(g, y), k)
-        pred = (
-            symplectic.multiplier(g, y, k)
-            * _domain_kernel(x, y, k)
-            * np.conj(symplectic.multiplier(g, x, k))
-        )
-        worst_tr = max(worst_tr, abs(kg - pred) / max(abs(kg), 1.0))
+        worst_tr = max(worst_tr, _kernel_transform_residual(g, x, y, k))
     _rec(checks, "kernel-transformation", "multiplier-placement", worst_tr, 1e-9,
          n=n, k=k, samples=samples)
 
@@ -385,11 +495,8 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
             jn_failures += _jn_forms_residual(rng.uniform(-0.9, 6.0), nn) > 1e-12
     _rec(checks, "jn-closed-forms", "weighted-volume-constant", jn_failures, 0,
          samples=200)
-    worst_l1 = abs(
-        symplectic.lambda1(8.0, 2) - 1.0 / symplectic.jn(8.0 / 2 - 2 - 1, 2)
-    ) / symplectic.lambda1(8.0, 2)
-    _rec(checks, "lambda1-routes", "group-normalization-constant", worst_l1, 1e-12,
-         n=2, k=8.0)
+    _rec(checks, "lambda1-routes", "group-normalization-constant",
+         _lambda1_residual(8.0, 2), 1e-12, n=2, k=8.0)
 
     w = symplectic.random_siegel_point(n, 0.4, rng)
     # the invariant form of the domain is the W block of the Kahler form at z = 0
@@ -416,7 +523,7 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50, cutoff=None) -> list:
     return checks
 
 
-def suite_jacobi(n=2, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
+def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -443,20 +550,13 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
         h = _bounded_element(n, rng, 0.35)
         h2 = _bounded_element(n, rng, 0.35)
         x = _random_point(n, rng, 0.35, 0.35)
-        data = jacobi.lambda_cocycle(h, x, int(k))
-        hx = CSPoint(z=data.z1, W=data.W1)
-        kxx = jacobi.kernel(x, x, k).real
-        worst_uni = max(
-            worst_uni,
-            abs(abs(data.lam) ** 2 * jacobi.kernel(hx, hx, k).real - kxx) / kxx,
-        )
-        lam1 = jacobi.lambda_full(h, jacobi.act(h2, x), int(k))
-        lam2 = jacobi.lambda_full(h2, x, int(k))
-        lam12 = jacobi.lambda_full(jacobi.jacobi_compose(h, h2), x, int(k))
-        worst_mult = max(worst_mult, abs(lam1 * lam2 - lam12) / abs(lam12))
+        uni, mult = _cocycle_residuals(h, h2, x, k)
+        worst_uni = max(worst_uni, uni)
+        worst_mult = max(worst_mult, mult)
         if n == 1:
+            lam = jacobi.lambda_cocycle(h, x, int(k)).lam
             ez = jacobi.lambda_cocycle_ez(h, x, int(k))
-            worst_routes = max(worst_routes, abs(ez - data.lam) / abs(data.lam))
+            worst_routes = max(worst_routes, abs(ez - lam) / abs(lam))
             worst_literal = max(worst_literal, _cocycle_literal_residual(h, x, int(k), ez))
     _rec(checks, "cocycle-unitarity", "multiplier-norm-consistency", worst_uni,
          1e-9, n=n, k=k, samples=samples)
@@ -474,23 +574,14 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
     _rec(checks, "potential-log-kernel", "potential-diagonal-consistency",
          abs(pot - logk.real) + abs(logk.imag), 1e-11, n=n, k=k)
 
-    closed = jacobi.kahler_form(x, k)
-    fd = numdiff.wirtinger_hessian(lambda p: jacobi.kahler_potential(p, k), x)
-    _rec(checks, "kahler-hessian-fd", "form-vs-finite-differences",
-         np.abs(closed - fd).max(), 1e-5, n=n, k=k)
-    evmin = np.linalg.eigvalsh(0.5 * (closed + closed.conj().T)).min()
-    _rec(checks, "kahler-positive", "form-positivity", 0.0 if evmin > 0 else 1.0,
+    fd, positive = _form_fd_residuals(x, k)
+    _rec(checks, "kahler-hessian-fd", "form-vs-finite-differences", fd, 1e-5, n=n, k=k)
+    _rec(checks, "kahler-positive", "form-positivity", 0.0 if positive else 1.0,
          0.5, n=n, k=k)
 
-    h = _random_element(n, rng, 0.3)
-    jac_h = numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
-    hx = jacobi.act(h, x)
-    pulled = jac_h.T @ jacobi.kahler_form(hx, k) @ jac_h.conj()
-    _rec(checks, "form-invariance", "group-invariant-form",
-         np.abs(pulled - closed).max(), 1e-5, n=n, k=k)
-    q_inv = jacobi.density(hx) * abs(np.linalg.det(jac_h)) ** 2
-    _rec(checks, "density-invariance", "group-invariant-volume",
-         abs(q_inv - jacobi.density(x)) / jacobi.density(x), 1e-5, n=n)
+    form, volume = _invariance_residuals(_random_element(n, rng, 0.3), x, k)
+    _rec(checks, "form-invariance", "group-invariant-form", form, 1e-5, n=n, k=k)
+    _rec(checks, "density-invariance", "group-invariant-volume", volume, 1e-5, n=n)
 
     order = resolve_action_order(seed)
     _rec(checks, "action-order", "left-action-convention",
@@ -500,7 +591,7 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100, cutoff=None) -> list:
     return checks
 
 
-def suite_oracle(n=1, k=1.0, seed=1234, samples=20, cutoff=60) -> list:
+def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -575,35 +666,20 @@ def suite_oracle(n=1, k=1.0, seed=1234, samples=20, cutoff=60) -> list:
     return checks
 
 
-def suite_gj1(n=1, k=16.0, seed=1234, samples=100, cutoff=None) -> list:
+def suite_gj1(k=16.0, seed=1234, samples=100) -> list:
     """The n = 1 picture.  ``k`` is the general-module index, as in the other
     suites; the half-plane formulas take ``kappa = gj1.kappa_from_weight(k)``."""
     rng = np.random.default_rng(seed)
     checks = []
     kappa = gj1.kappa_from_weight(k)
 
-    expected = {
-        0: "1",
-        1: "z",
-        2: "z^2 + w",
-        3: "z^3 + 3*z*w",
-        4: "z^4 + 6*z^2*w + 3*w^2",
-        5: "z^5 + 10*z^3*w + 15*z*w^2",
-    }
-    bad = sum(1 for i, text in expected.items() if gj1.pn_poly(i).text() != text)
-    _rec(checks, "pn-golden-table", "heat-polynomial-table", bad, 0, samples=6)
-
-    bad_h = sum(0 if gj1.hermite_exact_equal(i) else 1 for i in range(9))
+    bad_pn, bad_h, series = _one_variable_residuals()
+    _rec(checks, "pn-golden-table", "heat-polynomial-table", bad_pn, 0,
+         samples=len(_PN_TABLE))
     _rec(checks, "hermite-closed-form", "hermite-identity-exact", bad_h, 0,
          samples=9)
-
-    # the basis series at kappa = 1 against the closed kernel at k = 4
-    k_series = gj1.weight_from_kappa(1.0)
-    ck = jacobi.kernel(CSPoint(z=np.array([0.2 + 0j]), W=np.array([[0.1 + 0j]])),
-                       CSPoint(z=np.array([0.1 + 0j]), W=np.array([[0.2 + 0j]])), k_series)
-    sk = gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 1.0, 40)
-    _rec(checks, "kernel-series", "basis-resummation", abs(sk - ck) / abs(ck),
-         1e-6, n=1, k=k_series, samples=41)
+    _rec(checks, "kernel-series", "basis-resummation", series, 1e-6, n=1,
+         k=gj1.weight_from_kappa(1.0), samples=41)
 
     worst_rt = worst_kb = worst_ez = 0.0
     for _ in range(samples):
@@ -615,13 +691,7 @@ def suite_gj1(n=1, k=16.0, seed=1234, samples=100, cutoff=None) -> list:
         worst_kb = max(worst_kb, gj1.kb_form_check(v, u, kappa))
         x, y = v.real, v.imag
         p, q = rng.normal(), rng.normal()
-        worst_ez = max(
-            worst_ez,
-            np.abs(
-                gj1.ez_metric(x, y, p, q, kappa)
-                - gj1.halfplane_metric_real(x, y, p, q, kappa)
-            ).max(),
-        )
+        worst_ez = max(worst_ez, _real_metric_residual(x, y, p, q, kappa))
     _rec(checks, "cayley-roundtrip", "halfplane-disk-biholomorphism", worst_rt,
          1e-12, samples=samples)
     _rec(checks, "form-pullback", "two-presentations-of-the-form", worst_kb,
@@ -688,8 +758,11 @@ _REPRODUCING_TARGETS = (
 )
 
 
-def suite_measure(n=1, k=6.0, seed=7, samples=200_000, cutoff=None) -> list:
+def suite_measure(n=1, k=6.0, seed=7, samples=2_500_000) -> list:
     """Normalization, reproducing and volume checks by Monte Carlo.
+
+    The reproducing-property estimator has ~1.1% relative sigma at 1e6
+    samples; the default ``samples`` puts the 3% tolerance beyond four sigma.
 
     At n = 1 each chunk of the sampler is drawn once and feeds the total
     mass and all three reproducing estimates; the ``jn-mc`` volume estimate
@@ -712,7 +785,8 @@ def suite_measure(n=1, k=6.0, seed=7, samples=200_000, cutoff=None) -> list:
     p = 1.0
     n1_tasks = []
     if n == 1:
-        n1_tasks = [functools.partial(_measure_chunk_n1, consts, samples, seed, ci)
+        targets = [(f, z0, w0) for _, f, z0, w0 in _REPRODUCING_TARGETS]
+        n1_tasks = [functools.partial(jacobi._reproduce_chunk, consts, samples, seed, ci, targets)
                     for ci in range(jacobi._chunk_count(samples))]
     results = jacobi._ordered_map(n1_tasks + _jn_mc_tasks(p, count, seed))
 
@@ -740,20 +814,6 @@ def suite_measure(n=1, k=6.0, seed=7, samples=200_000, cutoff=None) -> list:
          abs(est - symplectic.jn(p, 2)) / symplectic.jn(p, 2), 0.01, n=2,
          samples=count)
     return checks
-
-
-def _measure_chunk_n1(consts, samples: int, seed: int, ci: int):
-    """Total weight, inside-disk count and the reproducing sums of
-    :data:`_REPRODUCING_TARGETS` over chunk ``ci`` of the n = 1 sampler."""
-    w, z, wt = jacobi._sample_chunk_n1(consts, samples, seed, ci)
-    mass = wt.sum()
-    # the weight is 0 exactly outside the disk, so the kernel estimates need
-    # only the samples inside it
-    keep = np.flatnonzero(wt)
-    w, z, wt = w[keep], z[keep], wt[keep]
-    sums = [np.sum(wt * jacobi._kernel_n1(z, w, z0, w0, consts.k) * f(z, w))
-            for _, f, z0, w0 in _REPRODUCING_TARGETS]
-    return mass, len(keep), sums
 
 
 def _jn_mc_tasks(p: float, count: int, seed: int) -> list:
@@ -812,31 +872,28 @@ _SUITE_FNS = {
     "measure": suite_measure,
 }
 
-_DEFAULTS = {
-    "algebra": dict(n=2),
-    "symplectic": dict(n=2, k=4.0, samples=50),
-    "jacobi": dict(n=2, k=4.0, samples=100),
-    "oracle": dict(n=1, k=1.0, samples=20, cutoff=60),
-    "gj1": dict(n=1, k=16.0, samples=100),
-    # the reproducing-property estimator has ~1.1% relative sigma at 1e6
-    # samples; this default puts the 3% tolerance beyond four sigma
-    "measure": dict(n=1, k=6.0, samples=2_500_000),
-}
 
+def run_suite(suite: str, seed=1234, **flags) -> dict:
+    """Run one suite (or ``all``) and assemble the report.
 
-def run_suite(suite: str, seed=1234, **overrides) -> dict:
-    """Run one suite (or ``all``) and assemble the report."""
+    ``seed`` goes to every suite that draws; each other flag that is not
+    ``None`` goes to the suites whose signature has it, and is an error
+    (``ValueError``) when none of the suites run reads it.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
+    params = {name: inspect.signature(_SUITE_FNS[name]).parameters for name in names}
+    given = {key: val for key, val in flags.items() if val is not None}
+    for key in given:
+        if not any(key in p for p in params.values()):
+            raise ValueError(f"suite {suite!r} does not read {key!r}")
+    given["seed"] = seed
     checks = []
     for name in names:
-        kwargs = dict(_DEFAULTS[name])
-        for key, val in overrides.items():
-            if val is not None and key in ("n", "k", "samples", "cutoff"):
-                kwargs[key] = val
-        kwargs = {k_: v for k_, v in kwargs.items() if v is not None}
-        checks.extend(_SUITE_FNS[name](seed=seed, **kwargs))
+        checks.extend(_SUITE_FNS[name](
+            **{key: val for key, val in given.items() if key in params[name]}
+        ))
     ids = [c["check"] for c in checks]
     if len(set(ids)) != len(ids):
         raise AssertionError("duplicate check ids in report")

@@ -10,7 +10,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from siegeljacobi import diffops, fockoracle as fo, gj1, jacobi, numdiff, symplectic as sp, verify
+from siegeljacobi import fockoracle as fo, gj1, jacobi, symplectic as sp, verify
 from siegeljacobi.jacobi import CSPoint, JacobiElement
 from siegeljacobi.verify import _bounded_element as bounded_element
 from siegeljacobi.verify import _random_point as bounded_point
@@ -27,12 +27,7 @@ def test_criterion_01_structure_constants():
     sigmas = set()
     ok = True
     for n in (1, 2, 3):
-        rep = diffops.verify_structure_constants(
-            diffops.jacobi_generators_diff(n), diffops.jacobi_table(n)
-        )
-        rep_sp = diffops.verify_structure_constants(
-            diffops.sp_generators_diff(n), diffops.sp_table(n)
-        )
+        rep, rep_sp = verify._structure_reports(n)
         ok = ok and rep["pass"] and rep_sp["pass"]
         sigmas.update((rep["sigma"], rep_sp["sigma"]))
     elapsed = time.time() - start
@@ -52,18 +47,10 @@ def test_criterion_02_decomposition_roundtrips():
     for n in (1, 2, 3):
         for _ in range(200):
             g = sp.sp_random(n, 0.6, rng)
-            f = sp.gauss_decompose(g)
-            re = sp.gauss_reassemble(f)
-            worst_dec = max(
-                worst_dec, np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b)
-            )
-            c = sp.cartan_decompose(g)
-            re = sp.cartan_synthesize(c.z, c.v)
-            worst_dec = max(
-                worst_dec, np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b)
-            )
             z = sp.random_symmetric(n, 0.6, rng)
-            worst_zw = max(worst_zw, np.abs(sp.z_of_w(sp.w_of_z(z)) - z).max())
+            gauss, cartan, zw = verify._roundtrip_residuals(g, z)
+            worst_dec = max(worst_dec, gauss, cartan)
+            worst_zw = max(worst_zw, zw)
     ok = worst_dec <= 1e-9 and worst_zw <= 1e-11
     report(
         2,
@@ -80,13 +67,10 @@ def test_criterion_03_ball_composition():
         for _ in range(100):
             w1 = sp.random_siegel_point(n, 0.4, rng)
             w2 = sp.random_siegel_point(n, 0.4, rng)
-            w3, v, detv = sp.ball_compose(w1, w2)
-            prod = sp.sp_compose(sp.sp_of(w1), sp.sp_of(w2))
-            worst_w3 = max(
-                worst_w3, np.abs(w3 - sp.gauss_decompose(prod).y).max()
-            )
-            worst_uni = max(worst_uni, abs(abs(detv) - 1.0))
-            worst_det = max(worst_det, abs(np.linalg.det(v) - detv))
+            w3, uni, det, _ = verify._ball_composition_residuals(w1, w2)
+            worst_w3 = max(worst_w3, w3)
+            worst_uni = max(worst_uni, uni)
+            worst_det = max(worst_det, det)
     ok = worst_w3 <= 1e-9 and worst_uni <= 1e-10 and worst_det <= 1e-9
     report(
         3,
@@ -151,17 +135,9 @@ def test_criterion_06_cocycle_and_unitarity():
                 h1 = bounded_element(n, rng, 0.35)
                 h2 = bounded_element(n, rng, 0.35)
                 x = bounded_point(n, rng, 0.35, 0.35)
-                lam12 = jacobi.lambda_full(jacobi.jacobi_compose(h1, h2), x, k)
-                lam = jacobi.lambda_full(h1, jacobi.act(h2, x), k)
-                lam *= jacobi.lambda_full(h2, x, k)
-                worst_mult = max(worst_mult, abs(lam - lam12) / abs(lam12))
-                data = jacobi.lambda_cocycle(h1, x, k)
-                hx = CSPoint(z=data.z1, W=data.W1)
-                kxx = jacobi.kernel(x, x, k).real
-                worst_uni = max(
-                    worst_uni,
-                    abs(abs(data.lam) ** 2 * jacobi.kernel(hx, hx, k).real - kxx) / kxx,
-                )
+                uni, mult = verify._cocycle_residuals(h1, h2, x, k)
+                worst_mult = max(worst_mult, mult)
+                worst_uni = max(worst_uni, uni)
     ok = worst_mult <= 1e-9 and worst_uni <= 1e-9
     report(
         6,
@@ -179,22 +155,17 @@ def test_criterion_07_kahler_consistency():
     for n in (1, 2):
         for _ in range(50):
             x = bounded_point(n, rng, 0.5, 0.6)
-            closed = jacobi.kahler_form(x, k)
-            fd = numdiff.wirtinger_hessian(lambda p: jacobi.kahler_potential(p, k), x)
-            worst_fd = max(worst_fd, np.abs(closed - fd).max())
-            pd_ok = pd_ok and (
-                np.linalg.eigvalsh(0.5 * (closed + closed.conj().T)).min() > 0
-            )
+            fd, positive = verify._form_fd_residuals(x, k)
+            worst_fd = max(worst_fd, fd)
+            pd_ok = pd_ok and positive
     worst_form = worst_q = 0.0
     for _ in range(20):
         n = 2
         x = bounded_point(n, rng, 0.3, 0.3)
         h = bounded_element(n, rng, 0.3)
-        jac = numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
-        pulled = jac.T @ jacobi.kahler_form(jacobi.act(h, x), k) @ jac.conj()
-        worst_form = max(worst_form, np.abs(pulled - jacobi.kahler_form(x, k)).max())
-        q_inv = jacobi.density(jacobi.act(h, x)) * abs(np.linalg.det(jac)) ** 2
-        worst_q = max(worst_q, abs(q_inv - jacobi.density(x)) / jacobi.density(x))
+        form, q = verify._invariance_residuals(h, x, k)
+        worst_form = max(worst_form, form)
+        worst_q = max(worst_q, q)
     ok = worst_fd <= 1e-5 and pd_ok and worst_form <= 1e-5 and worst_q <= 1e-5
     report(
         7,
@@ -240,10 +211,10 @@ def test_criterion_09_constants():
         for n in (1, 2, 3, 4)
         for _ in range(50)
     )
-    worst_l1 = 0.0
-    for n, k in ((1, 4.0), (1, 6.0), (2, 8.0), (3, 10.0)):
-        val = sp.lambda1(k, n)
-        worst_l1 = max(worst_l1, abs(val - 1.0 / sp.jn(k / 2 - n - 1, n)) / val)
+    worst_l1 = max(
+        verify._lambda1_residual(k, n)
+        for n, k in ((1, 4.0), (1, 6.0), (2, 8.0), (3, 10.0))
+    )
     quad_j10 = 2 * math.pi * quad(lambda r: r, 0.0, 1.0)[0]
     err_j = abs(sp.jn(0.0, 1) - quad_j10)
     k = 6.0
@@ -264,20 +235,9 @@ def test_criterion_09_constants():
 
 
 def test_criterion_10_one_variable_section():
-    table_ok = [
-        gj1.pn_poly(i).text()
-        for i in range(6)
-    ] == ["1", "z", "z^2 + w", "z^3 + 3*z*w", "z^4 + 6*z^2*w + 3*w^2",
-          "z^5 + 10*z^3*w + 15*z*w^2"]
-    hermite_ok = all(gj1.hermite_exact_equal(i) for i in range(9))
-    closed = jacobi.kernel(
-        CSPoint(z=np.array([0.2 + 0j]), W=np.array([[0.1 + 0j]])),
-        CSPoint(z=np.array([0.1 + 0j]), W=np.array([[0.2 + 0j]])),
-        gj1.weight_from_kappa(1.0),
-    )
-    series_err = abs(gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 1.0, 40) - closed) / abs(
-        closed
-    )
+    bad_pn, bad_h, series_err = verify._one_variable_residuals()
+    table_ok = bad_pn == 0
+    hermite_ok = bad_h == 0
     rng = np.random.default_rng(210)
     worst_kb = worst_ez = 0.0
     for _ in range(100):
@@ -286,13 +246,7 @@ def test_criterion_10_one_variable_section():
         worst_kb = max(worst_kb, gj1.kb_form_check(v, u, 4.0))
         x, p, q = rng.normal(size=3)
         y = abs(rng.normal()) + 0.2
-        worst_ez = max(
-            worst_ez,
-            np.abs(
-                gj1.ez_metric(x, y, p, q, 4.0)
-                - gj1.halfplane_metric_real(x, y, p, q, 4.0)
-            ).max(),
-        )
+        worst_ez = max(worst_ez, verify._real_metric_residual(x, y, p, q, 4.0))
     ok = (
         table_ok
         and hermite_ok

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siegeljacobi import cli, matfun
+from siegeljacobi import cli, matfun, verify
 
 
 def run_cli(capsys, *argv):
@@ -202,3 +203,38 @@ def test_flag_the_subcommand_does_not_read_exits_two(argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "oracle", "--k", "4"],
+        ["verify", "oracle", "--k", "4", "--n", "2"],
+        ["verify", "algebra", "--samples", "5"],
+        ["verify", "algebra", "--samples", "5", "--k", "3", "--cutoff", "7"],
+        ["verify", "gj1", "--n", "2"],
+        ["verify", "measure", "--cutoff", "60"],
+    ],
+)
+def test_verify_flag_the_suite_does_not_read_exits_two(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_verify_all_passes_each_flag_to_the_suites_that_read_it(monkeypatch):
+    calls = {}
+
+    def recorder(name, fn):
+        @functools.wraps(fn)
+        def record(**kwargs):
+            calls[name] = kwargs
+            return []
+        return record
+
+    for name, fn in list(verify._SUITE_FNS.items()):
+        monkeypatch.setitem(verify._SUITE_FNS, name, recorder(name, fn))
+    monkeypatch.setattr(verify, "resolved_conventions", lambda seed: {})
+    verify.run_suite("all", seed=5, cutoff=70, k=None)
+    assert calls.pop("oracle") == {"seed": 5, "cutoff": 70}
+    assert calls.pop("algebra") == {}
+    assert calls == {name: {"seed": 5} for name in ("symplectic", "jacobi", "gj1", "measure")}

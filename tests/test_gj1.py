@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegeljacobi import gj1, jacobi
+from siegeljacobi import gj1, jacobi, verify
 from siegeljacobi.errors import BranchViolation, DomainViolation
 from siegeljacobi.jacobi import CSPoint, JacobiElement
 
 
 def test_pn_golden_table():
-    assert gj1.pn_poly(0).text() == "1"
-    assert gj1.pn_poly(1).text() == "z"
-    assert gj1.pn_poly(2).text() == "z^2 + w"
-    assert gj1.pn_poly(3).text() == "z^3 + 3*z*w"
-    assert gj1.pn_poly(4).text() == "z^4 + 6*z^2*w + 3*w^2"
-    # the quadratic coefficient carries the square of w
-    assert gj1.pn_poly(5).text() == "z^5 + 10*z^3*w + 15*z*w^2"
+    assert [gj1.pn_poly(i).text() for i in range(6)] == list(verify._PN_TABLE)
 
 
 def test_pn_generating_function():
@@ -153,9 +147,7 @@ def test_ez_metric_matches_complex_form():
     for _ in range(50):
         x, p, q = rng.normal(size=3)
         y = abs(rng.normal()) + 0.2
-        lhs = gj1.ez_metric(x, y, p, q, 4.0)
-        rhs = gj1.halfplane_metric_real(x, y, p, q, 4.0)
-        assert np.abs(lhs - rhs).max() < 1e-8
+        assert verify._real_metric_residual(x, y, p, q, 4.0) < 1e-8
 
 
 def random_sl2(rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from siegeljacobi import jacobi, matfun, numdiff, symplectic as sp, verify
+from siegeljacobi import jacobi, matfun, symplectic as sp, verify
 from siegeljacobi.errors import DomainViolation, OutOfDomain, Singular
 from siegeljacobi.jacobi import CSPoint, JacobiElement
 from siegeljacobi.verify import _random_element as random_element
@@ -108,18 +108,8 @@ def test_lambda_cocycle_multiplicative_and_unitary():
             h1 = random_element(n, rng, 0.35)
             h2 = random_element(n, rng, 0.35)
             x = random_point(n, rng, 0.35, 0.35)
-            lam12 = jacobi.lambda_full(jacobi.jacobi_compose(h1, h2), x, k)
-            lam = jacobi.lambda_full(h1, jacobi.act(h2, x), k) * jacobi.lambda_full(
-                h2, x, k
-            )
-            assert abs(lam - lam12) < 1e-9 * abs(lam12)
-            data = jacobi.lambda_cocycle(h1, x, k)
-            hx = CSPoint(z=data.z1, W=data.W1)
-            kxx = jacobi.kernel(x, x, k).real
-            assert (
-                abs(abs(data.lam) ** 2 * jacobi.kernel(hx, hx, k).real - kxx)
-                < 1e-9 * kxx
-            )
+            uni, mult = verify._cocycle_residuals(h1, h2, x, k)
+            assert mult < 1e-9 and uni < 1e-9
 
 
 def test_lambda_cocycle_image_consistency():
@@ -343,19 +333,15 @@ def test_kahler_form_matches_finite_differences():
     for n in (1, 2):
         for _ in range(3):
             x = random_point(n, rng, 0.4, 0.5)
-            closed = jacobi.kahler_form(x, 4.0)
-            fd = numdiff.wirtinger_hessian(lambda p: jacobi.kahler_potential(p, 4.0), x)
-            assert np.abs(closed - fd).max() < 1e-6
-            assert np.linalg.eigvalsh(0.5 * (closed + closed.conj().T)).min() > 0
+            fd, positive = verify._form_fd_residuals(x, 4.0)
+            assert fd < 1e-6 and positive
 
 
 def test_kahler_form_invariance():
     rng = np.random.default_rng(15)
     x = random_point(2, rng, 0.3, 0.3)
     h = random_element(2, rng, 0.3)
-    jac = numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
-    pulled = jac.T @ jacobi.kahler_form(jacobi.act(h, x), 4.0) @ jac.conj()
-    assert np.abs(pulled - jacobi.kahler_form(x, 4.0)).max() < 1e-6
+    assert verify._invariance_residuals(h, x, 4.0)[0] < 1e-6
 
 
 def test_density_values_and_invariance():
@@ -366,9 +352,7 @@ def test_density_values_and_invariance():
     rng = np.random.default_rng(16)
     x = random_point(2, rng, 0.3, 0.3)
     h = random_element(2, rng, 0.3)
-    jac = numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
-    lhs = jacobi.density(jacobi.act(h, x)) * abs(np.linalg.det(jac)) ** 2
-    assert abs(lhs - jacobi.density(x)) < 1e-6 * jacobi.density(x)
+    assert verify._invariance_residuals(h, x, 4.0)[1] < 1e-6
 
 
 # W outside the domain: 1 - W Wbar has a negative eigenvalue, although at

@@ -100,16 +100,29 @@ def test_general_dimension_normalization():
     assert abs(total / count - 1.0) < 0.5
 
 
-def _real_form(w):
-    """Real 2n x 2n matrix ``A`` with ``[x; y]^T A [x; y] / 2`` equal to the
-    sampler's exponent ``F(z) = Re(zbar^T M z + z^T Wbar M z)``,
-    ``M = (1 - W Wbar)^-1``, ``z = x + i y``."""
+def _polarized_form(w):
+    """The real matrix of :func:`jacobi._real_form` by polarization of the
+    exponent ``F`` over the real basis of C^n."""
     n = w.shape[0]
-    m = np.linalg.inv(np.eye(n) - w @ w.conj())
-    q = w.conj() @ m  # symmetric, so Re(z^T q z) needs no symmetrization
-    herm = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    bilin = np.block([[q.real, -q.imag], [-q.imag, -q.real]])
-    return 2.0 * (herm + bilin)
+    m = np.linalg.inv(np.eye(n) - w @ w.conj().T)
+
+    def fval(zv):
+        return float(np.real(np.sum(zv.conj() * (m @ zv)) + zv @ w.conj() @ m @ zv))
+
+    basis = [np.eye(n, dtype=complex)[i] * (1 if c == 0 else 1j)
+             for c in range(2) for i in range(n)]
+    half = np.array([[0.5 * (fval(bi + bj) - fval(bi) - fval(bj)) for bj in basis]
+                     for bi in basis])
+    return half + half.T
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_real_form_matches_polarization(n):
+    rng = np.random.default_rng(50 + n)
+    for scale in (0.2, 0.5, 0.8, 0.95):
+        w = symplectic.random_siegel_point(n, scale, rng)
+        ref = _polarized_form(w)
+        assert np.abs(jacobi._real_form(w) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -120,7 +133,7 @@ def test_general_dimension_gaussian_normalizer(n):
         w = symplectic.random_siegel_point(n, scale, rng)
         det = np.linalg.det(np.eye(n) - w @ w.conj()).real
         closed = math.pi**n * math.sqrt(det)
-        factored = (2 * math.pi) ** n / math.sqrt(np.linalg.det(_real_form(w)))
+        factored = (2 * math.pi) ** n / math.sqrt(np.linalg.det(jacobi._real_form(w)))
         assert abs(closed - factored) < 1e-8 * closed
 
 

@@ -6,6 +6,7 @@ import pytest
 from siegeljacobi import jacobi, matfun, numdiff, symplectic as sp, verify
 from siegeljacobi.errors import DomainViolation, NotSymplectic, OutOfDomain
 from siegeljacobi.jacobi import CSPoint
+from siegeljacobi.verify import _domain_kernel as domain_kernel
 
 
 def hyperbolic_element(r):
@@ -163,17 +164,8 @@ def test_ball_compose_matches_product_cartan():
     for _ in range(20):
         w1 = sp.random_siegel_point(2, 0.4, rng)
         w2 = sp.random_siegel_point(2, 0.4, rng)
-        w3, v, detv = sp.ball_compose(w1, w2)
-        prod = sp.sp_compose(sp.sp_of(w1), sp.sp_of(w2))
-        assert np.abs(w3 - sp.gauss_decompose(prod).y).max() < 1e-9
-        assert abs(abs(detv) - 1.0) < 1e-10
-        assert abs(np.linalg.det(v) - detv) < 1e-9
-
-
-def domain_kernel(x, y, k):
-    """The kernel ``det(1 - y x*)^{-k/2}`` on the domain: ``jacobi.kernel`` at z = 0."""
-    zero = np.zeros(x.shape[0])
-    return jacobi.kernel(CSPoint(z=zero, W=x), CSPoint(z=zero, W=y), k)
+        w3, unimodular, det_forms, _ = verify._ball_composition_residuals(w1, w2)
+        assert w3 < 1e-9 and unimodular < 1e-10 and det_forms < 1e-9
 
 
 def test_sp_kernel_values_and_symmetry():
@@ -193,13 +185,7 @@ def test_kernel_transformation_law():
         g = sp.sp_random(n, 0.4, rng)
         x = sp.random_siegel_point(n, 0.4, rng)
         y = sp.random_siegel_point(n, 0.4, rng)
-        lhs = domain_kernel(sp.moebius(g, x), sp.moebius(g, y), 4.0)
-        rhs = (
-            sp.multiplier(g, y, 4.0)
-            * domain_kernel(x, y, 4.0)
-            * np.conj(sp.multiplier(g, x, 4.0))
-        )
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+        assert verify._kernel_transform_residual(g, x, y, 4.0) < 1e-9
 
 
 def domain_form(w, k):
@@ -271,25 +257,14 @@ def test_jn_values_and_forms():
 def test_jn_monte_carlo_n2():
     # per-sample relative sigma is about 4.6; two million samples put the
     # 1% tolerance at three standard errors (and the seed is fixed)
-    rng = np.random.default_rng(17)
-    count = 2_000_000
-    w11 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
-    w12 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
-    w22 = rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
-    s11 = 1.0 - (np.abs(w11) ** 2 + np.abs(w12) ** 2)
-    s22 = 1.0 - (np.abs(w22) ** 2 + np.abs(w12) ** 2)
-    s12 = -(w11 * np.conj(w12) + w12 * np.conj(w22))
-    det = (s11 * s22 - np.abs(s12) ** 2).real
-    inside = (det > 0) & (s11 + s22 > 0)
-    est = 64.0 * np.where(inside, det, 0.0).mean()
+    est = verify._jn_mc_n2(1.0, 2_000_000, seed=17)
     assert abs(est - sp.jn(1.0, 2)) < 0.01 * sp.jn(1.0, 2)
 
 
 def test_lambda1_values():
     assert abs(sp.lambda1(4.0, 1) - 1 / math.pi) < 1e-14
     assert abs(sp.lambda1(6.0, 1) - 2 / math.pi) < 1e-14
-    val = sp.lambda1(8.0, 2)
-    assert abs(val - 1.0 / sp.jn(8.0 / 2 - 3, 2)) < 1e-12 * val
+    assert verify._lambda1_residual(8.0, 2) < 1e-12
     with pytest.raises(OutOfDomain):
         sp.lambda1(3.0, 2)
 

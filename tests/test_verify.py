@@ -2,14 +2,33 @@
 only here (not inside the primitives) must fail when their route is off."""
 
 import dataclasses
+import functools
 
 import pytest
 
-from siegeljacobi import fockoracle, jacobi, symplectic, verify
+from siegeljacobi import diffops, fockoracle, gj1, jacobi, numdiff, symplectic, verify
 
 # (check, anchor, n, k, samples, tolerance, residual) of every record the
-# suites produced before the moved cross-checks were added; all passed
+# suites produced before the moved cross-checks were added (gj1 and algebra:
+# before the acceptance criteria shared their residual functions); all passed
 PINNED = {
+    "algebra": [
+        ("jacobi-algebra-closure-n1", "generator-bracket-table", 1, None, 10, 0.0, 0.0),
+        ("sp-algebra-closure-n1", "quadratic-sector-bracket-table", 1, None, 3, 0.0, 0.0),
+        ("jacobi-algebra-closure-n2", "generator-bracket-table", 2, None, 91, 0.0, 0.0),
+        ("sp-algebra-closure-n2", "quadratic-sector-bracket-table", 2, None, 45, 0.0, 0.0),
+        ("table-jacobi-identity-n2", "structure-constant-consistency", 2, None, None, 0.0, 0.0),
+    ],
+    "gj1": [
+        ("pn-golden-table", "heat-polynomial-table", None, None, 6, 0.0, 0.0),
+        ("hermite-closed-form", "hermite-identity-exact", None, None, 9, 0.0, 0.0),
+        ("kernel-series", "basis-resummation", 1, 4.0, 41, 1e-06, 0.0),
+        ("cayley-roundtrip", "halfplane-disk-biholomorphism", None, None, 100, 1e-12, 9.930136612989092e-16),
+        ("form-pullback", "two-presentations-of-the-form", None, 16.0, 100, 1e-08, 2.8421739702845704e-13),
+        ("real-metric", "metric-vs-complex-form", None, 16.0, 100, 1e-08, 7.105427357601002e-15),
+        ("halfplane-action-property", "affine-action-composition", None, None, 25, 1e-08, 1.2270882403660136e-15),
+        ("cayley-intertwines-action", "picture-change-equivariance", None, None, 25, 1e-08, 1.0530777776727806e-15),
+    ],
     "symplectic": [
         ("gauss-roundtrip", "triangular-factorization", 2, None, 50, 1e-09, 3.3946514284745463e-15),
         ("cartan-roundtrip", "polar-factorization", 2, None, 50, 1e-09, 6.0995459728315454e-15),
@@ -64,6 +83,8 @@ PINNED = {
 }
 
 RUNS = {
+    "algebra": (verify.suite_algebra, set()),
+    "gj1": (lambda: verify.suite_gj1(seed=7), set()),
     "symplectic": (lambda: verify.suite_symplectic(seed=7), {"moebius-closed-forms", "compose-closure"}),
     "jacobi": (lambda: verify.suite_jacobi(seed=7), set()),
     "jacobi-n1": (lambda: verify.suite_jacobi(n=1, seed=7), {"cocycle-literal-route"}),
@@ -95,19 +116,35 @@ def _scaled_index(fn):
     return lambda x, y, k: fn(x, y, k * (1 + 1e-6))
 
 
-def _scaled_compose(fn):
-    def compose(g1, g2):
-        out = fn(g1, g2)
-        return dataclasses.replace(out, a=out.a * (1 + 1e-6))
+def _scaled_part(key):
+    # scale one field (a name) or one item (an index) of the result
+    def perturb(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(key, int):
+                return tuple(v * (1 + 1e-6) if i == key else v for i, v in enumerate(out))
+            return dataclasses.replace(out, **{key: getattr(out, key) * (1 + 1e-6)})
 
-    return compose
+        return wrapped
 
+    return perturb
+
+
+def _doubled_commutator(fn):
+    # twice every bracket: no global sign sigma = +-1 matches the table then
+    return lambda d1, d2: fn(d1, d2) + fn(d1, d2)
+
+
+_algebra_n1 = functools.partial(verify.suite_algebra, n=1)
+_symplectic = functools.partial(verify.suite_symplectic, samples=3)
+_jacobi = functools.partial(verify.suite_jacobi, samples=3)
+_gj1 = functools.partial(verify.suite_gj1, samples=4)
 
 # check -> (module, primitive, perturbation, suite run that records the check)
 BITES = {
     "moebius-closed-forms": (symplectic, "moebius", _scaled,
                              lambda: verify.suite_symplectic(samples=3)),
-    "compose-closure": (symplectic, "sp_compose", _scaled_compose,
+    "compose-closure": (symplectic, "sp_compose", _scaled_part("a"),
                         lambda: verify.suite_symplectic(samples=3)),
     "jn-closed-forms": (symplectic, "jn", _scaled, lambda: verify.suite_symplectic(samples=3)),
     "cocycle-literal-route": (jacobi, "lambda_cocycle_ez", _scaled,
@@ -124,6 +161,27 @@ BITES = {
     "kernel-series": (jacobi, "kernel", lambda fn: _scaled(fn, 1 + 1e-5),
                       lambda: verify.suite_gj1(samples=4)),
     "form-pullback": (jacobi, "kahler_form", _scaled, lambda: verify.suite_gj1(samples=4)),
+    # the records whose residual function the acceptance criteria share
+    "jacobi-algebra-closure-n1": (diffops, "op_commutator", _doubled_commutator, _algebra_n1),
+    "jacobi-algebra-closure-n2": (diffops, "op_commutator", _doubled_commutator, verify.suite_algebra),
+    "sp-algebra-closure-n1": (diffops, "op_commutator", _doubled_commutator, _algebra_n1),
+    "sp-algebra-closure-n2": (diffops, "op_commutator", _doubled_commutator, verify.suite_algebra),
+    "gauss-roundtrip": (symplectic, "gauss_reassemble", _scaled_part("a"), _symplectic),
+    "cartan-roundtrip": (symplectic, "cartan_synthesize", _scaled_part("a"), _symplectic),
+    "generator-domain-roundtrip": (symplectic, "z_of_w", _scaled, _symplectic),
+    "ball-composition": (symplectic, "ball_compose", _scaled_part(0), _symplectic),
+    "ball-composition-unitary": (symplectic, "ball_compose", _scaled_part(2), _symplectic),
+    "lambda1-routes": (symplectic, "lambda1", _scaled, _symplectic),
+    "cocycle-unitarity": (jacobi, "lambda_cocycle", _scaled_part("lam"), _jacobi),
+    "cocycle-multiplicative": (jacobi, "jacobi_compose", _scaled_part("alpha"), _jacobi),
+    # the form is about 4 in size, so 1 + 1e-6 would stay under the 1e-5 bound
+    "kahler-hessian-fd": (jacobi, "kahler_form", lambda fn: _scaled(fn, 1 + 1e-4), _jacobi),
+    "kahler-positive": (jacobi, "kahler_form", lambda fn: _scaled(fn, -1.0), _jacobi),
+    "form-invariance": (numdiff, "holomorphic_jacobian", lambda fn: _scaled(fn, 1 + 1e-4), _jacobi),
+    "density-invariance": (numdiff, "holomorphic_jacobian", lambda fn: _scaled(fn, 1 + 1e-4), _jacobi),
+    "real-metric": (gj1, "ez_metric", _scaled, _gj1),
+    "pn-golden-table": (gj1, "pn_poly", lambda fn: lambda i: fn(i + 1), _gj1),
+    "hermite-closed-form": (gj1, "_hermite_coeffs", lambda fn: lambda i: [2 * c for c in fn(i)], _gj1),
 }
 
 
@@ -137,3 +195,13 @@ def test_moved_cross_check_fails_when_the_route_is_off(monkeypatch, check):
     assert record()["pass"]
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     assert not record()["pass"]
+
+
+def test_resolved_conventions_are_pinned():
+    # kernel_transform is the placement the kernel-transformation record uses
+    assert verify.resolved_conventions(7) == {
+        "action_order": "left",
+        "sign_sigma": 1,
+        "central_phase_c": 1.0,
+        "kernel_transform": "J(g,Y) K(X,Y) conj(J(g,X))",
+    }
