@@ -16,13 +16,10 @@ print("\n[a, ap]  =", d.op_commutator(gens["a1"], gens["ap1"]).text())
 print("[Km, Kp] =", d.op_commutator(gens["Km[1,1]"], gens["Kp[1,1]"]).text())
 print("[a, Kp]  =", d.op_commutator(gens["a1"], gens["Kp[1,1]"]).text(), " (= ap)")
 
-print("\n== table verification ==")
+print("\n== table verification (brackets at the table's sign) ==")
 for n in (1, 2, 3):
     rep = d.verify_structure_constants(d.jacobi_generators_diff(n), d.jacobi_table(n))
-    print(
-        f"n={n}: {rep['checked']} brackets, sigma={rep['sigma']}, "
-        f"failures={len(rep['failures'])}"
-    )
+    print(f"n={n}: {rep['checked']} brackets, failures={len(rep['failures'])}")
 
 print("\n== the coordinate convention matters ==")
 rep = d.verify_structure_constants(

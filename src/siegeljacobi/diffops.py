@@ -687,12 +687,12 @@ def jacobi_table(n: int) -> AlgebraTable:
     return _table_from_rules(labels, _rule_dispatch)
 
 
-def verify_structure_constants(gens: dict, table: AlgebraTable, sigmas=(1, -1)) -> dict:
+def verify_structure_constants(gens: dict, table: AlgebraTable) -> dict:
     """Match every realized commutator against the abstract table.
 
-    One global sign ``sigma`` is fitted for the whole table: the first value
-    in ``sigmas`` under which all brackets close is reported.  The report
-    lists each mismatch with the residual operator in canonical text form.
+    The brackets are compared at the table's sign, so an anti-homomorphism
+    (every commutator reversed) fails.  The report lists each mismatch with
+    the residual operator in canonical text form.
     """
     some = next(iter(gens.values()))
     variables = some.variables
@@ -701,32 +701,15 @@ def verify_structure_constants(gens: dict, table: AlgebraTable, sigmas=(1, -1)) 
     def realized(label):
         return one if label == "1" else gens[label]
 
-    pairs = [p for p in table.brackets]
-    best = None
-    for sigma in sigmas:
-        failures = []
-        for (l1, l2) in pairs:
-            if l1 == "1" or l2 == "1":
-                continue
-            if l1 not in gens or l2 not in gens:
-                raise KeyError(f"generators missing for bracket ({l1}, {l2})")
-            comm = op_commutator(gens[l1], gens[l2])
-            expected = PolyDiffOp(variables)
-            for c, lab in table.bracket(l1, l2):
-                expected = expected + realized(lab).scale((Fraction(c), Fraction(0)))
-            residual = comm - expected.scale((Fraction(sigma), Fraction(0)))
-            if not residual.is_zero():
-                failures.append(
-                    {"pair": (l1, l2), "residual": residual.text()}
-                )
-        report = {
-            "sigma": sigma,
-            "checked": sum(1 for (l1, l2) in pairs if l1 != "1" and l2 != "1"),
-            "failures": failures,
-            "pass": not failures,
-        }
-        if report["pass"]:
-            return report
-        if best is None or len(failures) < len(best["failures"]):
-            best = report
-    return best
+    pairs = [(l1, l2) for (l1, l2) in table.brackets if l1 != "1" and l2 != "1"]
+    failures = []
+    for (l1, l2) in pairs:
+        if l1 not in gens or l2 not in gens:
+            raise KeyError(f"generators missing for bracket ({l1}, {l2})")
+        expected = PolyDiffOp(variables)
+        for c, lab in table.bracket(l1, l2):
+            expected = expected + realized(lab).scale((Fraction(c), Fraction(0)))
+        residual = op_commutator(gens[l1], gens[l2]) - expected
+        if not residual.is_zero():
+            failures.append({"pair": (l1, l2), "residual": residual.text()})
+    return {"checked": len(pairs), "failures": failures, "pass": not failures}

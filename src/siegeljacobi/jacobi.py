@@ -10,10 +10,10 @@ machinery for the weighted inner product all live here.  Each is evaluated
 by one route; the independent routes that cross-check them run in
 :mod:`siegeljacobi.verify`.
 
-Conventions resolved against the truncated Fock-space oracle (see
-``fockoracle``): the action is a left action for the composition law as
-implemented, and the central parameter enters the full cocycle as the phase
-``exp(i t)`` (unit central charge).
+Conventions, fixed here and each checked by a ``verify`` record: the action
+is a left action for the composition law as implemented (``action-order``),
+and the central parameter enters the full cocycle as the phase ``exp(i t)``,
+unit central charge (``cocycle-multiplicative``).
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ __all__ = [
     "pik_apply",
 ]
 
-#: Central charge fixing how the parameter t enters the cocycle phase.
-#: Scanned over {+-1, +-2} once against the Fock oracle; +1 is exactly
-#: multiplicative for the composition law below.
+#: Central charge fixing how the parameter t enters the cocycle phase.  +1
+#: is exactly multiplicative for the composition law below; -1 and +-2 fail
+#: the ``cocycle-multiplicative`` record.
 CENTRAL_CHARGE = 1.0
 
 

@@ -375,7 +375,12 @@ def lambda1(k: float, n: int) -> float:
 
 
 def wallach_admissible(k: float, n: int, eps: float = 1e-12) -> bool:
-    """Membership in the admissible set {0, 1, ..., n-1} union (n-1, inf)."""
+    """Membership in the Wallach set {0, 1, ..., n-1} union (n-1, inf) of
+    Sp(n, R): the ``k`` for which ``det(1 - y x*)^{-k/2}``, the kernel of the
+    domain, is positive semi-definite.  It is not the set of the Jacobi
+    kernel :func:`jacobi.kernel`: at n = 1 every ``k > 0`` is in this set,
+    but the Jacobi kernel's exact Taylor blocks have negative eigenvalues
+    for ``k`` in (0, 1)."""
     if k > n - 1 + eps:
         return True
     if k < -eps:

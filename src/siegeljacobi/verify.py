@@ -10,7 +10,9 @@ Each suite runs a battery of identity checks and returns a report dict:
      "pass": bool}
 
 Reports are deterministic given the same arguments and seed.  The "anchor"
-field is a stable identifier naming the identity a record exercises.
+field is a stable identifier naming the identity a record exercises.  The
+"conventions" block is the constant :data:`CONVENTIONS`: the library fixes
+one realization of the algebra, and records check each of its entries.
 
 The primitives in ``symplectic`` and ``jacobi`` evaluate one closed form
 each, and the ``fockoracle`` operators one exponential route each; the
@@ -34,6 +36,18 @@ from .jacobi import CSPoint, JacobiElement
 log = logging.getLogger("siegeljacobi")
 
 SUITES = ("algebra", "symplectic", "jacobi", "oracle", "gj1", "measure", "all")
+
+#: The one realization of the Jacobi algebra the library implements, printed
+#: in every report's header.  Each entry is a constant that a record checks:
+#: ``action-order``, the ``*-algebra-closure-*`` records (brackets compared at
+#: the table's sign), ``cocycle-multiplicative`` (``lambda_full`` carries
+#: ``exp(i c t)``) and ``kernel-transformation``.
+CONVENTIONS = {
+    "action_order": "left",
+    "sign_sigma": 1,
+    "central_phase_c": jacobi.CENTRAL_CHARGE,
+    "kernel_transform": "J(g,Y) K(X,Y) conj(J(g,X))",
+}
 
 
 def _rec(checks, check, anchor, residual, tolerance, n=None, k=None, samples=None):
@@ -227,6 +241,15 @@ def _cocycle_residuals(h, h2, x, k):
     return uni, abs(lam1 * lam2 - lam12) / abs(lam12)
 
 
+def _left_action_residual(h1, h2, x) -> float:
+    """Distance of ``act(h1, act(h2, x))`` from ``act(h1 h2, x)`` in the
+    coordinates of :func:`jacobi.cs_coords`, relative to ``max(1, |act(h1 h2,
+    x)|)``: zero for a left action of the composition law as implemented."""
+    two_step = jacobi.cs_coords(jacobi.act(h1, jacobi.act(h2, x)))
+    one_step = jacobi.cs_coords(jacobi.act(jacobi.jacobi_compose(h1, h2), x))
+    return np.linalg.norm(two_step - one_step) / max(1.0, np.linalg.norm(one_step))
+
+
 def _form_fd_residuals(x, k):
     """Max-abs distance of :func:`jacobi.kahler_form` at ``x`` from the
     finite-difference Hessian of :func:`jacobi.kahler_potential`, and
@@ -290,51 +313,6 @@ def _one_variable_residuals():
     return bad_pn, bad_h, abs(sk - ck) / abs(ck)
 
 
-# ----------------------------------------------------------------------
-# convention resolutions
-# ----------------------------------------------------------------------
-
-def resolve_action_order(seed=7, n=1, trials=20) -> str:
-    """Test which composition order the point action is a left action for."""
-    rng = np.random.default_rng(seed)
-    res_as_written = 0.0
-    res_flipped = 0.0
-    for _ in range(trials):
-        h1 = _random_element(n, rng, 0.3)
-        h2 = _random_element(n, rng, 0.3)
-        x = _random_point(n, rng, 0.3, 0.3)
-        two_step = jacobi.act(h1, jacobi.act(h2, x))
-        left = jacobi.act(jacobi.jacobi_compose(h1, h2), x)
-        right = jacobi.act(jacobi.jacobi_compose(h2, h1), x)
-        res_as_written += np.linalg.norm(jacobi.cs_coords(two_step) - jacobi.cs_coords(left))
-        res_flipped += np.linalg.norm(jacobi.cs_coords(two_step) - jacobi.cs_coords(right))
-    return "left" if res_as_written < res_flipped else "right"
-
-
-def resolve_central_phase(seed=7, trials=20, k=2) -> float:
-    """Scan the central charge candidates for exact cocycle multiplicativity."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(trials):
-        h1 = _random_element(1, rng, 0.3)
-        h2 = _random_element(1, rng, 0.3)
-        x = _random_point(1, rng, 0.3, 0.3)
-        lam1 = jacobi.lambda_cocycle(h1, jacobi.act(h2, x), k).lam
-        lam2 = jacobi.lambda_cocycle(h2, x, k).lam
-        h12 = jacobi.jacobi_compose(h1, h2)
-        lam12 = jacobi.lambda_cocycle(h12, x, k).lam
-        dt = h12.t - h1.t - h2.t
-        samples.append((lam1 * lam2, lam12, dt))
-    best_c, best_res = None, np.inf
-    for c in (1.0, -1.0, 2.0, -2.0):
-        res = max(
-            abs(prod - lam12 * np.exp(1j * c * dt)) for prod, lam12, dt in samples
-        )
-        if res < best_res:
-            best_c, best_res = c, res
-    return best_c
-
-
 def _domain_kernel(x, y, k) -> complex:
     """:func:`jacobi.kernel` at ``z = 0``: ``det(1 - y x*)^{-k/2}`` on D_n."""
     zero = np.zeros(x.shape[0])
@@ -351,40 +329,6 @@ def _kernel_transform_residual(g, x, y, k) -> float:
         * np.conj(symplectic.multiplier(g, x, k))
     )
     return abs(kg - pred) / max(abs(kg), 1.0)
-
-
-def resolve_kernel_transform(seed=7, n=1, k=4, trials=20) -> str:
-    """Pick the multiplier placement in the kernel transformation law."""
-    rng = np.random.default_rng(seed)
-    placements = {
-        "J(g,Y) K(X,Y) conj(J(g,X))": lambda jx, jy, kxy: jy * kxy * np.conj(jx),
-        "conj(J(g,Y)) K(X,Y) J(g,X)": lambda jx, jy, kxy: np.conj(jy) * kxy * jx,
-        "J(g,X) K(X,Y) conj(J(g,Y))": lambda jx, jy, kxy: jx * kxy * np.conj(jy),
-    }
-    residuals = {name: 0.0 for name in placements}
-    for _ in range(trials):
-        g = symplectic.sp_random(n, 0.4, rng)
-        x = symplectic.random_siegel_point(n, 0.4, rng)
-        y = symplectic.random_siegel_point(n, 0.4, rng)
-        kxy = _domain_kernel(x, y, k)
-        kg = _domain_kernel(symplectic.moebius(g, x), symplectic.moebius(g, y), k)
-        jx = symplectic.multiplier(g, x, k)
-        jy = symplectic.multiplier(g, y, k)
-        for name, form in placements.items():
-            residuals[name] += abs(kg - form(jx, jy, kxy))
-    return min(residuals, key=residuals.get)
-
-
-def resolved_conventions(seed=7) -> dict:
-    rep = diffops.verify_structure_constants(
-        diffops.jacobi_generators_diff(1), diffops.jacobi_table(1)
-    )
-    return {
-        "action_order": resolve_action_order(seed),
-        "sign_sigma": rep["sigma"],
-        "central_phase_c": resolve_central_phase(seed),
-        "kernel_transform": resolve_kernel_transform(seed),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -544,8 +488,7 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
          max(0.0, -evmin / np.linalg.norm(gram)), 1e-9, n=n, k=k,
          samples=len(pts))
 
-    worst_uni = worst_mult = worst_routes = worst_literal = 0.0
-    c = resolve_central_phase(seed)
+    worst_uni = worst_mult = worst_order = worst_routes = worst_literal = 0.0
     for _ in range(samples):
         h = _bounded_element(n, rng, 0.35)
         h2 = _bounded_element(n, rng, 0.35)
@@ -553,6 +496,7 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
         uni, mult = _cocycle_residuals(h, h2, x, k)
         worst_uni = max(worst_uni, uni)
         worst_mult = max(worst_mult, mult)
+        worst_order = max(worst_order, _left_action_residual(h, h2, x))
         if n == 1:
             lam = jacobi.lambda_cocycle(h, x, int(k)).lam
             ez = jacobi.lambda_cocycle_ez(h, x, int(k))
@@ -583,11 +527,10 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
     _rec(checks, "form-invariance", "group-invariant-form", form, 1e-5, n=n, k=k)
     _rec(checks, "density-invariance", "group-invariant-volume", volume, 1e-5, n=n)
 
-    order = resolve_action_order(seed)
-    _rec(checks, "action-order", "left-action-convention",
-         0.0 if order == "left" else 1.0, 0.5, n=1)
-    _rec(checks, "central-phase", "central-charge-resolution",
-         abs(c - jacobi.CENTRAL_CHARGE), 1e-12, n=1)
+    # the bound of moebius-left-action; with the composition reversed the
+    # record reads 1.2-1.7 at n = 1-3, seed 1234
+    _rec(checks, "action-order", "left-action-convention", worst_order, 1e-10,
+         n=n, samples=samples)
     return checks
 
 
@@ -901,6 +844,6 @@ def run_suite(suite: str, seed=1234, **flags) -> dict:
         "suite": suite,
         "seed": seed,
         "checks": checks,
-        "conventions": resolved_conventions(seed=7),
+        "conventions": dict(CONVENTIONS),
         "pass": all(c["pass"] for c in checks),
     }

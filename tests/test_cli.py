@@ -233,7 +233,6 @@ def test_verify_all_passes_each_flag_to_the_suites_that_read_it(monkeypatch):
 
     for name, fn in list(verify._SUITE_FNS.items()):
         monkeypatch.setitem(verify._SUITE_FNS, name, recorder(name, fn))
-    monkeypatch.setattr(verify, "resolved_conventions", lambda seed: {})
     verify.run_suite("all", seed=5, cutoff=70, k=None)
     assert calls.pop("oracle") == {"seed": 5, "cutoff": 70}
     assert calls.pop("algebra") == {}

@@ -10,7 +10,8 @@ from siegeljacobi import diffops, fockoracle, gj1, jacobi, numdiff, symplectic, 
 
 # (check, anchor, n, k, samples, tolerance, residual) of every record the
 # suites produced before the moved cross-checks were added (gj1 and algebra:
-# before the acceptance criteria shared their residual functions); all passed
+# before the acceptance criteria shared their residual functions; action-order:
+# since it became a residual of the left-action law); all passed
 PINNED = {
     "algebra": [
         ("jacobi-algebra-closure-n1", "generator-bracket-table", 1, None, 10, 0.0, 0.0),
@@ -53,8 +54,7 @@ PINNED = {
         ("kahler-positive", "form-positivity", 2, 4.0, None, 0.5, 0.0),
         ("form-invariance", "group-invariant-form", 2, 4.0, None, 1e-05, 4.693236910213827e-10),
         ("density-invariance", "group-invariant-volume", 2, None, None, 1e-05, 4.240891043588252e-10),
-        ("action-order", "left-action-convention", 1, None, None, 0.5, 0.0),
-        ("central-phase", "central-charge-resolution", 1, None, None, 1e-12, 0.0),
+        ("action-order", "left-action-convention", 2, None, 100, 1e-10, 4.1093545105807474e-16),
     ],
     "jacobi-n1": [
         ("kernel-hermitian", "overlap-symmetry", 1, 4.0, 400, 1e-12, 2.227212004505268e-16),
@@ -67,8 +67,7 @@ PINNED = {
         ("kahler-positive", "form-positivity", 1, 4.0, None, 0.5, 0.0),
         ("form-invariance", "group-invariant-form", 1, 4.0, None, 1e-05, 5.456923801716731e-11),
         ("density-invariance", "group-invariant-volume", 1, None, None, 1e-05, 2.931599389145234e-11),
-        ("action-order", "left-action-convention", 1, None, None, 0.5, 0.0),
-        ("central-phase", "central-charge-resolution", 1, None, None, 1e-12, 0.0),
+        ("action-order", "left-action-convention", 1, None, 100, 1e-10, 5.35510008047711e-16),
     ],
     "oracle": [
         ("displacement-composition", "translation-phase-law", None, None, 1, 1e-09, 5.904586930367774e-16),
@@ -131,39 +130,45 @@ def _scaled_part(key):
 
 
 def _doubled_commutator(fn):
-    # twice every bracket: no global sign sigma = +-1 matches the table then
     return lambda d1, d2: fn(d1, d2) + fn(d1, d2)
+
+
+def _swapped(fn):
+    # for op_commutator, [B, A]: an anti-homomorphism, which closes only at
+    # the opposite sign
+    return lambda a, b: fn(b, a)
 
 
 _algebra_n1 = functools.partial(verify.suite_algebra, n=1)
 _symplectic = functools.partial(verify.suite_symplectic, samples=3)
 _jacobi = functools.partial(verify.suite_jacobi, samples=3)
+_jacobi_n1 = functools.partial(verify.suite_jacobi, n=1, samples=3)
+_oracle = functools.partial(verify.suite_oracle, samples=1)
+_measure = functools.partial(verify.suite_measure, samples=1000)
 _gj1 = functools.partial(verify.suite_gj1, samples=4)
 
-# check -> (module, primitive, perturbation, suite run that records the check)
+# bite id -> (module, attribute, perturbation, suite run that records the
+# check); the id is the check, or "check:variant" where one check has more
+# than one bite
 BITES = {
-    "moebius-closed-forms": (symplectic, "moebius", _scaled,
-                             lambda: verify.suite_symplectic(samples=3)),
-    "compose-closure": (symplectic, "sp_compose", _scaled_part("a"),
-                        lambda: verify.suite_symplectic(samples=3)),
-    "jn-closed-forms": (symplectic, "jn", _scaled, lambda: verify.suite_symplectic(samples=3)),
-    "cocycle-literal-route": (jacobi, "lambda_cocycle_ez", _scaled,
-                              lambda: verify.suite_jacobi(n=1, samples=3)),
-    "normalization-routes": (symplectic, "jn", _scaled,
-                             lambda: verify.suite_measure(samples=1000)),
-    "displacement-normal-order": (fockoracle, "displacement", _scaled,
-                                  lambda: verify.suite_oracle(samples=1)),
-    "squeeze-reverse-order": (fockoracle, "squeeze", _scaled,
-                              lambda: verify.suite_oracle(samples=1)),
-    "kernel-transformation": (jacobi, "kernel", _scaled_index,
-                              lambda: verify.suite_symplectic(samples=3)),
+    "moebius-closed-forms": (symplectic, "moebius", _scaled, _symplectic),
+    "compose-closure": (symplectic, "sp_compose", _scaled_part("a"), _symplectic),
+    "jn-closed-forms": (symplectic, "jn", _scaled, _symplectic),
+    "cocycle-literal-route": (jacobi, "lambda_cocycle_ez", _scaled, _jacobi_n1),
+    "normalization-routes": (symplectic, "jn", _scaled, _measure),
+    "displacement-normal-order": (fockoracle, "displacement", _scaled, _oracle),
+    "squeeze-reverse-order": (fockoracle, "squeeze", _scaled, _oracle),
+    "kernel-transformation": (jacobi, "kernel", _scaled_index, _symplectic),
     # at 1 + 1e-6 the relative residual is 9.99999e-7, under its 1e-6 bound
-    "kernel-series": (jacobi, "kernel", lambda fn: _scaled(fn, 1 + 1e-5),
-                      lambda: verify.suite_gj1(samples=4)),
-    "form-pullback": (jacobi, "kahler_form", _scaled, lambda: verify.suite_gj1(samples=4)),
+    "kernel-series": (jacobi, "kernel", lambda fn: _scaled(fn, 1 + 1e-5), _gj1),
+    "form-pullback": (jacobi, "kahler_form", _scaled, _gj1),
     # the records whose residual function the acceptance criteria share
     "jacobi-algebra-closure-n1": (diffops, "op_commutator", _doubled_commutator, _algebra_n1),
     "jacobi-algebra-closure-n2": (diffops, "op_commutator", _doubled_commutator, verify.suite_algebra),
+    "jacobi-algebra-closure-n1:reversed": (diffops, "op_commutator", _swapped,
+                                           _algebra_n1),
+    "jacobi-algebra-closure-n2:reversed": (diffops, "op_commutator", _swapped,
+                                           verify.suite_algebra),
     "sp-algebra-closure-n1": (diffops, "op_commutator", _doubled_commutator, _algebra_n1),
     "sp-algebra-closure-n2": (diffops, "op_commutator", _doubled_commutator, verify.suite_algebra),
     "gauss-roundtrip": (symplectic, "gauss_reassemble", _scaled_part("a"), _symplectic),
@@ -174,6 +179,9 @@ BITES = {
     "lambda1-routes": (symplectic, "lambda1", _scaled, _symplectic),
     "cocycle-unitarity": (jacobi, "lambda_cocycle", _scaled_part("lam"), _jacobi),
     "cocycle-multiplicative": (jacobi, "jacobi_compose", _scaled_part("alpha"), _jacobi),
+    # lambda_full carries exp(i c t): the constant of the conventions block
+    "cocycle-multiplicative:central-charge": (jacobi, "CENTRAL_CHARGE", lambda c: -c, _jacobi),
+    "action-order": (jacobi, "jacobi_compose", _swapped, _jacobi),
     # the form is about 4 in size, so 1 + 1e-6 would stay under the 1e-5 bound
     "kahler-hessian-fd": (jacobi, "kahler_form", lambda fn: _scaled(fn, 1 + 1e-4), _jacobi),
     "kahler-positive": (jacobi, "kahler_form", lambda fn: _scaled(fn, -1.0), _jacobi),
@@ -185,23 +193,34 @@ BITES = {
 }
 
 
+@functools.cache
+def _clean_run(run):
+    """The records of ``run`` with nothing perturbed, once per run callable:
+    the suites are deterministic, so the bites that share a run share them."""
+    return run()
+
+
 @pytest.mark.parametrize("check", sorted(BITES))
 def test_moved_cross_check_fails_when_the_route_is_off(monkeypatch, check):
     module, name, perturb, run = BITES[check]
+    check = check.partition(":")[0]
 
-    def record():
-        return next(c for c in run() if c["check"] == check)
+    def record(checks):
+        return next(c for c in checks if c["check"] == check)
 
-    assert record()["pass"]
+    assert record(_clean_run(run))["pass"]
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
-    assert not record()["pass"]
+    assert not record(run())["pass"]
 
 
 def test_resolved_conventions_are_pinned():
-    # kernel_transform is the placement the kernel-transformation record uses
-    assert verify.resolved_conventions(7) == {
+    # every report prints the same constants; kernel_transform is the
+    # placement the kernel-transformation record tests
+    assert verify.run_suite("algebra")["conventions"] == {
         "action_order": "left",
         "sign_sigma": 1,
         "central_phase_c": 1.0,
         "kernel_transform": "J(g,Y) K(X,Y) conj(J(g,X))",
     }
+    record = next(c for c in _clean_run(_symplectic) if c["check"] == "kernel-transformation")
+    assert record["anchor"] == "multiplier-placement" and record["pass"]
