@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=verify.SUITES)
-    pv.add_argument("--seed", type=int, default=1234)
+    pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--samples", type=int, default=None)
     pv.add_argument("--cutoff", type=int, default=None)
     pv.set_defaults(fn=cmd_verify)

@@ -2,13 +2,25 @@
 
 Every analytic identity of the package (displacement composition, squeeze
 disentangling, the squeezed-vacuum relation, the conjugation equations, the
-orbit map and its multiplier, the reproducing kernel) can be checked against
-dense matrices on the span of the number states |0>..|N>.  The single-mode
-realization ``Kp = a+ a+ / 2``, ``Km = a a / 2``, ``K0 = (a+ a + a a+) / 4``
-has vacuum weight 1/4, so the oracle pins the representation index to k = 1.
+orbit map and its multiplier, the reproducing kernel) can be checked on the
+span of the number states |0>..|N>.  The single-mode realization
+``Kp = a+ a+ / 2``, ``Km = a a / 2``, ``K0 = (a+ a + a a+) / 4`` has vacuum
+weight 1/4, so the oracle pins the representation index to k = 1.
 
-Operators are plain ``ndarray``s built by one route each; their second routes
-are records of :func:`siegeljacobi.verify.suite_oracle`.
+Two kinds of result:
+
+* operators, as dense ``ndarray``s through ``scipy.linalg.expm``:
+  :func:`displacement`, :func:`squeeze`, :func:`squeeze_from_generator`,
+  :func:`s_of_g` and the entries :func:`check_hpb` compares;
+* states, built matrix-free: :func:`cs_vector`, :func:`squeezed_vacuum`,
+  :func:`check_lemma6`, :func:`mm1_residual`, :func:`oracle_kernel` and
+  :func:`squeezed_vacuum_convention` apply each exponential (``_expm_apply``)
+  or series term to a vector through the generators' few nonzero diagonals,
+  and form no ``(N+1)^2`` matrix.
+
+The ladder and quadratic generators are built once per cutoff and returned
+read-only.  Operators have one route each here; their second routes are
+records of :func:`siegeljacobi.verify.suite_oracle`.
 
 Accuracy is certified by cutoff doubling rather than a priori bounds: all
 checks report a residual that must shrink when N grows.
@@ -16,6 +28,8 @@ checks report a residual that must shrink when N grows.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +48,7 @@ __all__ = [
     "squeeze_from_generator",
     "cs_vector",
     "vacuum",
+    "squeezed_vacuum",
     "s_of_g",
     "check_lemma6",
     "check_hpb",
@@ -45,6 +60,7 @@ __all__ = [
 TAIL_FRACTION = 0.9
 TAIL_THRESHOLD = 1e-8
 SERIES_TERMS = 400  # cap on the orbit-vector series; it converges far sooner
+TAYLOR_DEGREE = 18  # 1/19! < 1e-17: one step's truncation at unit norm
 
 
 @dataclass(frozen=True)
@@ -65,23 +81,98 @@ class FockVec:
         return float(np.sum(np.abs(self.amps[start:]) ** 2))
 
 
-def ladder(cutoff: int):
-    """Annihilation and creation matrices: ``a |m> = sqrt(m) |m-1>``."""
+@functools.cache
+def _generators(cutoff: int) -> dict:
+    """``a, ad, kp, km, k0`` at one cutoff, read-only, with their diagonals.
+
+    Returns ``{name: (matrix, offset, diagonal)}``: each generator has one
+    nonzero diagonal, ``matrix[i, i + offset]``.
+    """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     for m in range(1, cutoff + 1):
         a[m - 1, m] = np.sqrt(m)
-    return a, a.conj().T
+    ad = a.conj().T
+    ops = {
+        "a": (a, 1),
+        "ad": (ad, -1),
+        "kp": (0.5 * ad @ ad, -2),
+        "km": (0.5 * a @ a, 2),
+        "k0": (0.25 * (ad @ a + a @ ad), 0),
+    }
+    out = {}
+    for name, (mat, offset) in ops.items():
+        diag = np.diagonal(mat, offset).copy()
+        mat.setflags(write=False)
+        diag.setflags(write=False)
+        out[name] = (mat, offset, diag)
+    return out
+
+
+def ladder(cutoff: int):
+    """Annihilation and creation matrices: ``a |m> = sqrt(m) |m-1>``.
+
+    Built once per cutoff; the arrays are read-only.
+    """
+    ops = _generators(cutoff)
+    return ops["a"][0], ops["ad"][0]
 
 
 def number_ops(cutoff: int):
-    """The quadratic generators ``(Kp, Km, K0)`` in the truncated basis."""
-    a, ad = ladder(cutoff)
-    kp = 0.5 * ad @ ad
-    km = 0.5 * a @ a
-    k0 = 0.25 * (ad @ a + a @ ad)
-    return kp, km, k0
+    """The quadratic generators ``(Kp, Km, K0)`` in the truncated basis.
+
+    Built once per cutoff; the arrays are read-only.
+    """
+    ops = _generators(cutoff)
+    return ops["kp"][0], ops["km"][0], ops["k0"][0]
+
+
+def _banded(cutoff: int, **coeffs) -> dict:
+    """``sum coeff * op`` over named generators as ``{offset: diagonal}``;
+    no two generators share an offset."""
+    ops = _generators(cutoff)
+    return {ops[name][1]: coeff * ops[name][2] for name, coeff in coeffs.items()}
+
+
+def _band_matvec(gen: dict, v: np.ndarray) -> np.ndarray:
+    """``G @ v`` for a banded ``G = {offset: diagonal}``."""
+    out = np.zeros(len(v), dtype=complex)
+    for offset, diag in gen.items():
+        if offset >= 0:
+            out[: len(v) - offset] += diag * v[offset:]
+        else:
+            out[-offset:] += diag * v[:offset]
+    return out
+
+
+def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
+    """``expm(G) @ v`` for a banded generator ``G = {offset: diagonal}``.
+
+    A diagonal ``G`` is an elementwise multiply.  Otherwise ``ceil(||G||_1)``
+    steps of the degree-``TAYLOR_DEGREE`` Taylor polynomial of ``G / steps``
+    (the exponential action of Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+    2011, at a fixed degree).
+    """
+    if gen.keys() == {0}:
+        return np.exp(gen[0]) * v
+    n = len(v)
+    colsum = np.zeros(n)
+    for offset, diag in gen.items():
+        if offset >= 0:
+            colsum[offset:] += np.abs(diag)
+        else:
+            colsum[: n + offset] += np.abs(diag)
+    steps = max(1, math.ceil(colsum.max()))
+    # the factor 1 / (steps * j) of Taylor term j rides on the diagonals
+    scaled = [{off: diag / (steps * j) for off, diag in gen.items()}
+              for j in range(1, TAYLOR_DEGREE + 1)]
+    for _ in range(steps):
+        term = v
+        for gen_j in scaled:
+            term = _band_matvec(gen_j, term)
+            v = v + term
+    return v
 
 
 def vacuum(cutoff: int) -> FockVec:
@@ -90,13 +181,12 @@ def vacuum(cutoff: int) -> FockVec:
     return FockVec(cutoff, v)
 
 
-def _tail_guarded(op: np.ndarray, cutoff: int, what: str) -> np.ndarray:
-    """``op``; raises :class:`CutoffTooSmall` if its image of the vacuum
-    (column 0) has more than ``TAIL_THRESHOLD`` absolute tail mass."""
-    tail = FockVec(cutoff, op[:, 0]).tail_mass
+def _guard_tail(image: np.ndarray, cutoff: int, what: str) -> None:
+    """Raise :class:`CutoffTooSmall` if ``image``, an operator's image of the
+    vacuum, has more than ``TAIL_THRESHOLD`` absolute tail mass."""
+    tail = FockVec(cutoff, image).tail_mass
     if tail > TAIL_THRESHOLD:
         raise CutoffTooSmall(f"{what} tail mass {tail:.2e} at cutoff {cutoff}")
-    return op
 
 
 def displacement(alpha: complex, cutoff: int) -> np.ndarray:
@@ -109,7 +199,16 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """
     a, ad = ladder(cutoff)
     d = scipy.linalg.expm(alpha * ad - np.conj(alpha) * a)
-    return _tail_guarded(d, cutoff, f"displacement by |alpha|={abs(alpha)}")
+    _guard_tail(d[:, 0], cutoff, f"displacement by |alpha|={abs(alpha)}")
+    return d
+
+
+def _displace(alpha: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
+    """``D(alpha) v`` as one vector action, with :func:`displacement`'s guard."""
+    gen = _banded(cutoff, ad=alpha, a=-np.conj(alpha))
+    _guard_tail(_expm_apply(gen, vacuum(cutoff).amps), cutoff,
+                f"displacement by |alpha|={abs(alpha)}")
+    return _expm_apply(gen, v)
 
 
 def squeeze(w: complex, cutoff: int) -> np.ndarray:
@@ -125,7 +224,38 @@ def squeeze(w: complex, cutoff: int) -> np.ndarray:
     eta = np.log(1 - abs(w) ** 2)
     s = scipy.linalg.expm(w * kp) @ scipy.linalg.expm(eta * k0)
     s = s @ scipy.linalg.expm(-np.conj(w) * km)
-    return _tail_guarded(s, cutoff, f"squeeze by |w|={abs(w)}")
+    _guard_tail(s[:, 0], cutoff, f"squeeze by |w|={abs(w)}")
+    return s
+
+
+def squeezed_vacuum(w: complex, cutoff: int) -> FockVec:
+    """``S(w)|0>``, the vacuum column of :func:`squeeze`, as one vector action.
+
+    ``Km|0> = 0``, so the factor ``exp(-conj(w) Km)`` fixes the vacuum and
+    ``S(w)|0> = exp(w Kp) exp(eta K0)|0>``.  Raises :class:`CutoffTooSmall`
+    where :func:`squeeze` does.
+    """
+    if abs(w) >= 1:
+        raise ValueError("need |w| < 1")
+    vec = vacuum(cutoff).amps
+    for gen in _squeeze_factors(w, cutoff)[1:]:
+        vec = _expm_apply(gen, vec)
+    _guard_tail(vec, cutoff, f"squeeze by |w|={abs(w)}")
+    return FockVec(cutoff, vec)
+
+
+def _squeeze_factors(w: complex, cutoff: int) -> list:
+    """The banded generators of :func:`squeeze`'s factors, rightmost first."""
+    eta = np.log(1 - abs(w) ** 2)
+    return [_banded(cutoff, km=-np.conj(w)), _banded(cutoff, k0=eta), _banded(cutoff, kp=w)]
+
+
+def _squeeze_apply(w: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
+    """``S(w) v`` as three vector actions, with :func:`squeeze`'s guard."""
+    squeezed_vacuum(w, cutoff)
+    for gen in _squeeze_factors(w, cutoff):
+        v = _expm_apply(gen, v)
+    return v
 
 
 def squeeze_from_generator(zeta: complex, cutoff: int) -> np.ndarray:
@@ -144,14 +274,12 @@ def cs_vector(z: complex, w: complex, cutoff: int) -> FockVec:
     """
     if abs(w) >= 1:
         raise ValueError("need |w| < 1")
-    _, ad = ladder(cutoff)
-    kp, _, _ = number_ops(cutoff)
-    x = z * ad + w * kp
+    x = _banded(cutoff, ad=z, kp=w)
     vec = vacuum(cutoff).amps
     out = vec.copy()
     term = vec.copy()
     for kterm in range(1, SERIES_TERMS):
-        term = x @ term / kterm
+        term = _band_matvec(x, term) / kterm
         out += term
         if np.linalg.norm(term) < 1e-18:
             break
@@ -171,13 +299,17 @@ def s_of_g(g: SpElement, cutoff: int) -> np.ndarray:
     logarithm fixes the lift, consistently with the closed-form multiplier
     for elements near the identity.
     """
+    zeta, v = _cartan_params(g)
+    _, _, k0 = number_ops(cutoff)
+    return squeeze_from_generator(zeta, cutoff) @ scipy.linalg.expm(2 * np.log(v) * k0)
+
+
+def _cartan_params(g: SpElement) -> tuple:
+    """The Cartan factors ``(zeta, v)`` of a 1x1 group element."""
     if g.n != 1:
         raise ValueError("the oracle is single mode (n = 1)")
     fac = cartan_decompose(g)
-    zeta = complex(fac.z[0, 0])
-    v = complex(fac.v[0, 0])
-    _, _, k0 = number_ops(cutoff)
-    return squeeze_from_generator(zeta, cutoff) @ scipy.linalg.expm(2 * np.log(v) * k0)
+    return complex(fac.z[0, 0]), complex(fac.v[0, 0])
 
 
 def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
@@ -187,7 +319,7 @@ def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
     ``(1 - w wbar)^{1/4} exp(-conj(alpha) z / 2) e_{z,w}`` with
     ``z = alpha - w conj(alpha)`` (single mode, k = 1).
     """
-    lhs = displacement(alpha, cutoff) @ (squeeze(w, cutoff) @ vacuum(cutoff).amps)
+    lhs = _displace(alpha, squeezed_vacuum(w, cutoff).amps, cutoff)
     z = alpha - w * np.conj(alpha)
     rhs = (
         (1 - w * np.conj(w)) ** 0.25
@@ -251,9 +383,19 @@ def mm1_residual(g: SpElement, alpha: complex, z: complex, w: complex, cutoff: i
     x = CSPoint(z=np.array([z]), W=np.array([[w]]))
     h = JacobiElement(g=g, alpha=np.array([alpha]), t=0.0)
     data = lambda_cocycle(h, x, 1, unchecked_branch=True)
-    lhs = s_of_g(g, cutoff) @ (displacement(alpha, cutoff) @ cs_vector(z, w, cutoff).amps)
+    lhs = _orbit_image(g, alpha, cs_vector(z, w, cutoff).amps, cutoff)
     rhs = data.lam * cs_vector(complex(data.z1[0]), complex(data.W1[0, 0]), cutoff).amps
     return float(np.linalg.norm(lhs - rhs)), data
+
+
+def _orbit_image(g: SpElement, alpha: complex, vec: np.ndarray, cutoff: int) -> np.ndarray:
+    """``S(g) D(alpha) vec`` as three vector actions: ``D(alpha)``, the diagonal
+    ``exp(2 log(v) K0)`` and the generator form of the squeeze (see
+    :func:`s_of_g`)."""
+    zeta, v = _cartan_params(g)
+    vec = _displace(alpha, vec, cutoff)
+    vec = _expm_apply(_banded(cutoff, k0=2 * np.log(v)), vec)
+    return _expm_apply(_banded(cutoff, kp=zeta, km=-np.conj(zeta)), vec)
 
 
 def squeezed_vacuum_convention(w: complex, cutoff: int):
@@ -263,7 +405,7 @@ def squeezed_vacuum_convention(w: complex, cutoff: int):
     ``(1-|w|^2)^{1/4} exp(w Kp)|0>`` versus the same with ``w/i`` in the
     exponent.  The plain reading is the one used throughout the package.
     """
-    lhs = squeeze(w, cutoff) @ vacuum(cutoff).amps
+    lhs = squeezed_vacuum(w, cutoff).amps
     pref = (1 - abs(w) ** 2) ** 0.25
     plain = pref * cs_vector(0.0, w, cutoff).amps
     rotated = pref * cs_vector(0.0, w / 1j, cutoff).amps

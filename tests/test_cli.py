@@ -221,6 +221,19 @@ def test_verify_flag_the_suite_does_not_read_exits_two(capsys, argv):
     assert code == 2 and out == ""
 
 
+def test_verify_seed_the_suite_does_not_read_is_logged(capsys, caplog):
+    code, out = run_cli(capsys, "verify", "algebra", "--n", "1", "--seed", "5")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    assert [r.getMessage() for r in caplog.records] == [
+        "suite 'algebra' draws nothing; seed 5 is not read"
+    ]
+    caplog.clear()
+    # without --seed the report records the default, and nothing is logged
+    code, out = run_cli(capsys, "verify", "algebra", "--n", "1")
+    assert code == 0 and json.loads(out)["seed"] == 1234
+    assert caplog.records == []
+
+
 def test_verify_all_passes_each_flag_to_the_suites_that_read_it(monkeypatch):
     calls = {}
 

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from siegeljacobi import fockoracle as fo, jacobi, symplectic as sp, verify
 from siegeljacobi.errors import CutoffTooSmall
@@ -179,3 +184,119 @@ def test_composition_operator_order():
         fo.squeeze(complex(w3[0, 0]), n) @ fo.vacuum(n).amps
     )
     assert np.linalg.norm(lhs - rhs) < 1e-8
+
+
+def _todays_generators(cutoff):
+    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for m in range(1, cutoff + 1):
+        a[m - 1, m] = np.sqrt(m)
+    ad = a.conj().T
+    return a, ad, 0.5 * ad @ ad, 0.5 * a @ a, 0.25 * (ad @ a + a @ ad)
+
+
+def test_generators_are_built_once_per_cutoff_and_read_only():
+    for n in (10, 100):
+        ops = (*fo.ladder(n), *fo.number_ops(n))
+        again = (*fo.ladder(n), *fo.number_ops(n))
+        assert all(x is y for x, y in zip(ops, again))
+        for op, fresh in zip(ops, _todays_generators(n)):
+            assert np.array_equal(op, fresh)
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+
+
+def _dense(cutoff, **coeffs):
+    mats = dict(zip(("a", "ad", "kp", "km", "k0"), _todays_generators(cutoff)))
+    return sum(c * mats[name] for name, c in coeffs.items())
+
+
+# displacement, the squeeze's three factors, and the generator of S(g)
+_GENERATORS = [
+    {"ad": 0.3 + 0.2j, "a": -(0.3 - 0.2j)},
+    {"kp": 0.3 + 0.1j},
+    {"km": -(0.3 - 0.1j)},
+    {"k0": math.log(1 - 0.1)},
+    {"kp": 0.35j, "km": 0.35j},
+]
+
+
+@pytest.mark.parametrize("cutoff", [60, 100, 120])
+@pytest.mark.parametrize("coeffs", _GENERATORS)
+def test_expm_apply_matches_dense_expm(cutoff, coeffs):
+    dense = scipy.linalg.expm(_dense(cutoff, **coeffs))
+    gen = fo._banded(cutoff, **coeffs)
+    for vec in (fo.vacuum(cutoff).amps, fo.cs_vector(0.3 + 0.1j, 0.2 - 0.1j, cutoff).amps):
+        want = dense @ vec
+        got = fo._expm_apply(gen, vec)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_mm1_state_route_matches_dense_operators():
+    # the draws of test_mm1_end_to_end
+    rng = np.random.default_rng(5)
+    n = 100
+    for _ in range(10):
+        zeta = 0.3 * np.tanh(rng.normal()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        v = np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2))
+        g = sp.cartan_synthesize(np.array([[zeta]]), np.array([[v]]))
+        alpha = 0.3 * complex(rng.normal(), rng.normal()) / math.sqrt(2)
+        z = 0.3 * complex(rng.normal(), rng.normal()) / math.sqrt(2)
+        w = complex(0.3 * np.tanh(rng.normal()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        e = fo.cs_vector(z, w, n).amps
+        want = fo.s_of_g(g, n) @ (fo.displacement(alpha, n) @ e)
+        got = fo._orbit_image(g, alpha, e, n)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_state_routes_build_no_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state route built an operator")
+
+    for name in ("displacement", "squeeze", "squeeze_from_generator", "s_of_g"):
+        monkeypatch.setattr(fo, name, refuse)
+    monkeypatch.setattr(fo.scipy.linalg, "expm", refuse)
+    g = sp.cartan_synthesize(np.array([[0.2 + 0.1j]]), np.array([[1j]]))
+    assert fo.mm1_residual(g, 0.2 - 0.1j, 0.1j, 0.2, 100)[0] < 1e-6
+    assert fo.check_lemma6(0.4, 0.3, 80) < 1e-7
+    assert fo.squeezed_vacuum_convention(0.3, 60)["plain"] < 1e-8
+    lhs = fo._squeeze_apply(-0.15 + 0.3j, fo.squeezed_vacuum(0.25 + 0.1j, 120).amps, 120)
+    assert np.isfinite(lhs).all()
+
+
+def test_state_route_squeeze_matches_dense_operator():
+    n = 120
+    w1, w2 = 0.25 + 0.1j, -0.15 + 0.3j
+    vec = fo.squeezed_vacuum(w1, n).amps
+    want = fo.squeeze(w1, n) @ fo.vacuum(n).amps
+    assert np.linalg.norm(vec - want) <= 1e-13
+    want = fo.squeeze(w2, n) @ vec
+    assert np.linalg.norm(fo._squeeze_apply(w2, vec, n) - want) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "state_route, arg, cutoff",
+    [
+        (lambda alpha, n: fo._displace(alpha, fo.vacuum(n).amps, n), 4.0, 12),
+        (lambda alpha, n: fo.check_lemma6(alpha, 0.0, n), 4.0, 12),
+        (lambda alpha, n: fo.mm1_residual(sp.cartan_synthesize(np.zeros((1, 1)), np.eye(1)),
+                                          alpha, 0.0, 0.0, n), 4.0, 12),
+        (fo.squeezed_vacuum, 0.3, 12),
+        (fo.squeezed_vacuum, 0.9, 40),
+        (lambda w, n: fo.check_lemma6(0.0, w, n), 0.3, 12),
+        (fo.squeezed_vacuum_convention, 0.9, 40),
+        (lambda w, n: fo._squeeze_apply(w, fo.vacuum(n).amps, n), 0.9, 40),
+    ],
+)
+def test_state_routes_keep_the_cutoff_guard(state_route, arg, cutoff):
+    # the inputs of test_displacement_cutoff_guard
+    with pytest.raises(CutoffTooSmall):
+        state_route(arg, cutoff)
+
+
+def test_import_loads_no_sparse_module():
+    # the package is imported by every caller: keep its import footprint
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, siegeljacobi; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -158,6 +158,8 @@ BITES = {
     "normalization-routes": (symplectic, "jn", _scaled, _measure),
     "displacement-normal-order": (fockoracle, "displacement", _scaled, _oracle),
     "squeeze-reverse-order": (fockoracle, "squeeze", _scaled, _oracle),
+    # the orbit record applies S(g) D(alpha) to a vector, one action each
+    "orbit-map-end-to-end": (fockoracle, "_expm_apply", _scaled, _oracle),
     "kernel-transformation": (jacobi, "kernel", _scaled_index, _symplectic),
     # at 1 + 1e-6 the relative residual is 9.99999e-7, under its 1e-6 bound
     "kernel-series": (jacobi, "kernel", lambda fn: _scaled(fn, 1 + 1e-5), _gj1),
