@@ -21,13 +21,18 @@ for n in (1, 2, 3):
     rep = d.verify_structure_constants(d.jacobi_generators_diff(n), d.jacobi_table(n))
     print(f"n={n}: {rep['checked']} brackets, failures={len(rep['failures'])}")
 
-print("\n== the coordinate convention matters ==")
-rep = d.verify_structure_constants(
-    d.jacobi_generators_diff(2, convention="single"), d.jacobi_table(2)
-)
+print("\n== a corrupted generator is pinpointed ==")
+gens = d.jacobi_generators_diff(2)
+table = d.jacobi_table(2)
+bad = dict(gens, **{"Kp[1,2]": gens["Kp[1,2]"].scale(2)})
+rep = d.verify_structure_constants(bad, table)
 print(
-    "bare independent partials close?", rep["pass"],
-    f"({len(rep['failures'])} brackets fail; the symmetric projector is required)",
+    "Kp[1,2] doubled: closes?", rep["pass"],
+    f"({len(rep['failures'])} of {rep['checked']} brackets fail)",
 )
+# each failing bracket has Kp[1,2] as an argument or in its table value
+for f in rep["failures"]:
+    value = " + ".join(f"{c}*{lab}" for c, lab in table.bracket(*f["pair"]))
+    print(f"  [{f['pair'][0]}, {f['pair'][1]}] = {value}")
 first_fail = rep["failures"][0]
-print("example failing bracket:", first_fail["pair"], "->", first_fail["residual"])
+print("example residual:", first_fail["pair"], "->", first_fail["residual"])

@@ -8,11 +8,11 @@ enters as an exact symbol ``kappa`` that appears linearly in scalar terms.
 This module realizes those generators and machine-verifies their commutator
 tables against the abstract structure constants, in exact arithmetic.
 
-Symmetric-coordinate convention: a matrix partial ``d/dw_{ij}`` means the
+Symmetric coordinates: a matrix partial ``d/dw_{ij}`` means the
 independent-coordinate partial for i = j and half of it for i != j (the
-symmetric projector).  The alternative reading (the bare independent partial
-everywhere) is kept selectable so the table verification can arbitrate; it
-fails closure at n >= 2.
+symmetric projector).  It is the one rule: the bare independent partial
+everywhere fails closure at n >= 2.  Commutators are taken in closed form
+(:func:`op_commutator`), so they are first order by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SecondOrderResidue, VariableMismatch
+from .errors import VariableMismatch
 
 __all__ = [
     "MPoly",
@@ -140,10 +140,11 @@ class MPoly:
                 f"{self.variables} vs {other.variables}"
             )
 
-    def __add__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
+    def _accumulate(self, pairs, out=None) -> "MPoly":
+        """Polynomial in these variables from ``(exponent, coefficient)``
+        pairs added onto the terms ``out``; zero sums are dropped."""
+        out = {} if out is None else out
+        for expo, c in pairs:
             s = _cadd(out.get(expo, _ZERO), c)
             if s == _ZERO:
                 out.pop(expo, None)
@@ -152,6 +153,10 @@ class MPoly:
         res = MPoly(self.variables)
         res.terms = out
         return res
+
+    def __add__(self, other: "MPoly") -> "MPoly":
+        self._check(other)
+        return self._accumulate(other.terms.items(), dict(self.terms))
 
     def __neg__(self) -> "MPoly":
         res = MPoly(self.variables)
@@ -163,18 +168,11 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = _cadd(out.get(expo, _ZERO), _cmul(c1, c2))
-                if s == _ZERO:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        res = MPoly(self.variables)
-        res.terms = out
-        return res
+        return self._accumulate(
+            (tuple(a + b for a, b in zip(e1, e2)), _cmul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
 
     def scale(self, c) -> "MPoly":
         c = _to_qqi(c)
@@ -187,22 +185,14 @@ class MPoly:
     def diff(self, name: str) -> "MPoly":
         """Partial derivative with respect to one independent variable."""
         idx = self.variables.index(name)
-        out = {}
-        for expo, c in self.terms.items():
-            if expo[idx] == 0:
-                continue
-            e = list(expo)
-            mult = e[idx]
-            e[idx] -= 1
-            key = tuple(e)
-            s = _cadd(out.get(key, _ZERO), _cmul(c, (Fraction(mult), Fraction(0))))
-            if s == _ZERO:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = MPoly(self.variables)
-        res.terms = out
-        return res
+        return self._accumulate(
+            (
+                expo[:idx] + (expo[idx] - 1,) + expo[idx + 1 :],
+                _cmul(c, (Fraction(expo[idx]), Fraction(0))),
+            )
+            for expo, c in self.terms.items()
+            if expo[idx]
+        )
 
     def eval(self, values: dict) -> complex:
         """Numeric evaluation; every variable must be given a value."""
@@ -304,65 +294,38 @@ class PolyDiffOp:
         return f"PolyDiffOp({self.text()})"
 
 
-def op_apply(d: PolyDiffOp, p: MPoly) -> MPoly:
-    """Apply the operator to a polynomial (exact)."""
-    if d.variables != p.variables:
-        raise VariableMismatch(f"{d.variables} vs {p.variables}")
-    out = d.scalar * p
+def _vector_apply(d: PolyDiffOp, p: MPoly) -> MPoly:
+    """The vector-field part ``sum_v c_v dp/dv`` of ``d`` applied to ``p``."""
+    out = MPoly.zero(p.variables)
     for v, coeff in d.first.items():
         out = out + coeff * p.diff(v)
     return out
 
 
+def op_apply(d: PolyDiffOp, p: MPoly) -> MPoly:
+    """Apply the operator to a polynomial (exact)."""
+    if d.variables != p.variables:
+        raise VariableMismatch(f"{d.variables} vs {p.variables}")
+    return d.scalar * p + _vector_apply(d, p)
+
+
 def op_commutator(d1: PolyDiffOp, d2: PolyDiffOp) -> PolyDiffOp:
-    """Exact commutator ``[d1, d2]``; the result is again first order.
+    """Exact commutator ``[d1, d2]`` in closed form.
 
-    The composition is expanded with explicit second-order bookkeeping and
-    the second-order part is asserted to cancel identically.
-
-    Raises
-    ------
-    SecondOrderResidue
-        If cancellation fails (an implementation bug, not a user error).
+    With ``d = s + X``, ``[d1, d2] = X1(s2) - X2(s1) + sum_v (X1(c2_v) -
+    X2(c1_v)) d/dv``: the second-order parts cancel because polynomial
+    coefficients commute, so the result is first order by construction.
     """
     d1._check(d2)
-    variables = d1.variables
-
-    def compose(a: PolyDiffOp, b: PolyDiffOp):
-        scalar = a.scalar * b.scalar
-        first: dict = {}
-        second: dict = {}
-
-        def add_first(v, p):
-            q = first.get(v)
-            first[v] = p if q is None else q + p
-
-        for v, p in b.first.items():
-            add_first(v, a.scalar * p)
-        for u, g in a.first.items():
-            scalar = scalar + g * b.scalar.diff(u)
-            add_first(u, g * b.scalar)
-            for v, p in b.first.items():
-                add_first(v, g * p.diff(u))
-                key = (u, v) if u <= v else (v, u)
-                q = second.get(key)
-                gp = g * p
-                second[key] = gp if q is None else q + gp
-        return scalar, first, second
-
-    s12, f12, q12 = compose(d1, d2)
-    s21, f21, q21 = compose(d2, d1)
-
-    for key in set(q12) | set(q21):
-        diff = q12.get(key, MPoly.zero(variables)) - q21.get(key, MPoly.zero(variables))
-        if not diff.is_zero():
-            raise SecondOrderResidue(f"second-order remainder at {key}: {diff.text()}")
-
-    first = dict(f12)
-    for v, p in f21.items():
-        q = first.get(v)
-        first[v] = -p if q is None else q - p
-    return PolyDiffOp(variables, s12 - s21, first)
+    zero = MPoly.zero(d1.variables)
+    first = {
+        v: _vector_apply(d1, d2.first.get(v, zero)) - _vector_apply(d2, d1.first.get(v, zero))
+        for v in d1.variables
+        if v in d1.first or v in d2.first
+    }
+    return PolyDiffOp(
+        d1.variables, _vector_apply(d1, d2.scalar) - _vector_apply(d2, d1.scalar), first
+    )
 
 
 # ----------------------------------------------------------------------
@@ -386,16 +349,16 @@ def jacobi_vars(n: int):
     )
 
 
-def _dw_terms(i: int, j: int, convention: str):
-    """Matrix partial d/dw_{ij} as weighted independent partials."""
-    if convention == "half" and i != j:
-        return [(Fraction(1, 2), _wname(i, j))]
-    return [(Fraction(1), _wname(i, j))]
+def _dw_terms(i: int, j: int):
+    """Matrix partial d/dw_{ij} as ``(weight, independent variable)``: the
+    symmetric projector, half the independent partial off the diagonal."""
+    return (Fraction(1) if i == j else Fraction(1, 2)), _wname(i, j)
 
 
-def _build_k_ops(variables, n: int, convention: str, with_z: bool):
+def _build_k_ops(variables, n: int, with_z: bool):
     """Shared constructor for the quadratic-sector generators."""
     gens: dict[str, PolyDiffOp] = {}
+    zero = MPoly.zero(variables)
 
     def mono(powers, c=1):
         return MPoly.monomial(variables, powers, c)
@@ -403,10 +366,8 @@ def _build_k_ops(variables, n: int, convention: str, with_z: bool):
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             # lowering: the matrix partial itself
-            first = {}
-            for c, v in _dw_terms(i, j, convention):
-                first[v] = MPoly.constant(variables, c)
-            gens[f"Km[{i},{j}]"] = PolyDiffOp(variables, first=first)
+            c, v = _dw_terms(i, j)
+            gens[f"Km[{i},{j}]"] = PolyDiffOp(variables, first={v: MPoly.constant(variables, c)})
 
             # raising: scalar kappa/2 w_ij (+ z z /2) + mixed + quadratic W part
             scalar = mono([(_wname(i, j), 1), ("kappa", 1)], Fraction(1, 2))
@@ -414,17 +375,13 @@ def _build_k_ops(variables, n: int, convention: str, with_z: bool):
             if with_z:
                 scalar = scalar + mono([(f"z_{i}", 1), (f"z_{j}", 1)], Fraction(1, 2))
                 for m in range(1, n + 1):
-                    coeff = mono(
+                    first[f"z_{m}"] = mono(
                         [(_wname(i, m), 1), (f"z_{j}", 1)], Fraction(1, 2)
                     ) + mono([(f"z_{i}", 1), (_wname(j, m), 1)], Fraction(1, 2))
-                    v = f"z_{m}"
-                    first[v] = first.get(v, MPoly.zero(variables)) + coeff
             for m in range(1, n + 1):
                 for s in range(1, n + 1):
-                    coeff = mono([(_wname(i, m), 1), (_wname(s, j), 1)])
-                    for c, v in _dw_terms(m, s, convention):
-                        add = coeff.scale(c)
-                        first[v] = first.get(v, MPoly.zero(variables)) + add
+                    c, v = _dw_terms(m, s)
+                    first[v] = first.get(v, zero) + mono([(_wname(i, m), 1), (_wname(s, j), 1)], c)
             gens[f"Kp[{i},{j}]"] = PolyDiffOp(variables, scalar, first)
 
     for i in range(1, n + 1):
@@ -436,25 +393,23 @@ def _build_k_ops(variables, n: int, convention: str, with_z: bool):
             if with_z:
                 first[f"z_{j}"] = mono({f"z_{i}": 1}, Fraction(1, 2))
             for m in range(1, n + 1):
-                coeff = mono({_wname(m, i): 1})
-                for c, v in _dw_terms(j, m, convention):
-                    add = coeff.scale(c)
-                    first[v] = first.get(v, MPoly.zero(variables)) + add
+                c, v = _dw_terms(j, m)
+                first[v] = first.get(v, zero) + mono({_wname(m, i): 1}, c)
             gens[f"K0[{i},{j}]"] = PolyDiffOp(variables, scalar, first)
     return gens
 
 
-def sp_generators_diff(n: int, convention: str = "half") -> dict:
+def sp_generators_diff(n: int) -> dict:
     """Differential realization of the quadratic-sector generators.
 
     ``Km = d/dW``, ``Kp = (kappa/2) W + W (d/dW) W``,
     ``K0 = (kappa/4) 1 + (d/dW) W`` over the independent ``w_ij``; the
     ``K0[i,j]`` label carries the orientation that closes the abstract table.
     """
-    return _build_k_ops(sp_vars(n), n, convention, with_z=False)
+    return _build_k_ops(sp_vars(n), n, with_z=False)
 
 
-def jacobi_generators_diff(n: int, convention: str = "half") -> dict:
+def jacobi_generators_diff(n: int) -> dict:
     """Differential realization of the full generator set.
 
     Adds the translation sector ``a = d/dz``, ``ap = z + W d/dz`` and the
@@ -462,7 +417,7 @@ def jacobi_generators_diff(n: int, convention: str = "half") -> dict:
     :func:`sp_generators_diff`.
     """
     variables = jacobi_vars(n)
-    gens = _build_k_ops(variables, n, convention, with_z=True)
+    gens = _build_k_ops(variables, n, with_z=True)
     for i in range(1, n + 1):
         gens[f"a{i}"] = PolyDiffOp(
             variables, first={f"z_{i}": MPoly.constant(variables, 1)}
@@ -566,11 +521,10 @@ def _parse(label: str):
 
 
 def _k_bracket(k1, a, b, k2, c, d):
-    """Brackets inside the quadratic sector, as (coeff, label) lists."""
+    """Brackets inside the quadratic sector, as (coeff, label) lists, with
+    ``k1`` the lower kind in the order Km < Kp < K0."""
     half = Fraction(1, 2)
-    if k1 == "Km" and k2 == "Km":
-        return []
-    if k1 == "Kp" and k2 == "Kp":
+    if k1 == k2 != "K0":
         return []
     if k1 == "Km" and k2 == "Kp":
         out = []
@@ -583,8 +537,6 @@ def _k_bracket(k1, a, b, k2, c, d):
         if c == b:
             out.append((half, f"K0[{d},{a}]"))
         return out
-    if k1 == "Kp" and k2 == "Km":
-        return [(-c0, lab) for c0, lab in _k_bracket("Km", c, d, "Kp", a, b)]
     if k1 == "Km" and k2 == "K0":
         out = []
         if c == b:
@@ -592,8 +544,6 @@ def _k_bracket(k1, a, b, k2, c, d):
         if c == a:
             out.append((half, "Km[%d,%d]" % _canon_pair(b, d)))
         return out
-    if k1 == "K0" and k2 == "Km":
-        return [(-c0, lab) for c0, lab in _k_bracket("Km", c, d, "K0", a, b)]
     if k1 == "Kp" and k2 == "K0":
         out = []
         if b == d:
@@ -601,8 +551,6 @@ def _k_bracket(k1, a, b, k2, c, d):
         if d == a:
             out.append((-half, "Kp[%d,%d]" % _canon_pair(b, c)))
         return out
-    if k1 == "K0" and k2 == "Kp":
-        return [(-c0, lab) for c0, lab in _k_bracket("Kp", c, d, "K0", a, b)]
     if k1 == "K0" and k2 == "K0":
         out = []
         if c == b:
@@ -640,51 +588,43 @@ def _trans_quad_bracket(t1, x, k2, c, d):
     return [(-half, f"ap{c}")] if x == d else []
 
 
+# generator kinds in bracket order: every rule is written for the lower kind
+# first, and the other order follows by antisymmetry
+_KINDS = ("a", "ap", "Km", "Kp", "K0")
+
+
 def _rule_dispatch(l1: str, l2: str):
     t1, a1, b1 = _parse(l1)
     t2, a2, b2 = _parse(l2)
     if t1 == "1" or t2 == "1":
         return []
-    quad1 = t1 in ("Kp", "Km", "K0")
-    quad2 = t2 in ("Kp", "Km", "K0")
-    if quad1 and quad2:
+    if _KINDS.index(t1) > _KINDS.index(t2):
+        return [(-c, lab) for c, lab in _rule_dispatch(l2, l1)]
+    if t1 in _KINDS[2:]:
         return _k_bracket(t1, a1, b1, t2, a2, b2)
-    if not quad1 and not quad2:
-        if t1 == "a" and t2 == "ap" and a1 == a2:
-            return [(Fraction(1), "1")]
-        if t1 == "ap" and t2 == "a" and a1 == a2:
-            return [(Fraction(-1), "1")]
-        return []
-    if not quad1:
+    if t2 in _KINDS[2:]:
         return _trans_quad_bracket(t1, a1, t2, a2, b2)
-    return [(-c, lab) for c, lab in _trans_quad_bracket(t2, a2, t1, a1, b1)]
+    return [(Fraction(1), "1")] if (t1, t2, a1) == ("a", "ap", a2) else []
 
 
-def sp_table(n: int) -> AlgebraTable:
-    """Abstract bracket table of the quadratic sector."""
+def _quadratic_labels(n: int) -> list:
+    """Labels of the quadratic sector in table order."""
     labels = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             labels += [f"Km[{i},{j}]", f"Kp[{i},{j}]"]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            labels.append(f"K0[{i},{j}]")
-    labels.append("1")
-    return _table_from_rules(labels, _rule_dispatch)
+    return labels + [f"K0[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def sp_table(n: int) -> AlgebraTable:
+    """Abstract bracket table of the quadratic sector."""
+    return _table_from_rules(_quadratic_labels(n) + ["1"], _rule_dispatch)
 
 
 def jacobi_table(n: int) -> AlgebraTable:
     """Abstract bracket table of the full algebra (translations included)."""
-    labels = [f"a{i}" for i in range(1, n + 1)]
-    labels += [f"ap{i}" for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            labels += [f"Km[{i},{j}]", f"Kp[{i},{j}]"]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            labels.append(f"K0[{i},{j}]")
-    labels.append("1")
-    return _table_from_rules(labels, _rule_dispatch)
+    labels = [f"a{i}" for i in range(1, n + 1)] + [f"ap{i}" for i in range(1, n + 1)]
+    return _table_from_rules(labels + _quadratic_labels(n) + ["1"], _rule_dispatch)
 
 
 def verify_structure_constants(gens: dict, table: AlgebraTable) -> dict:

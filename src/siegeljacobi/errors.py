@@ -37,10 +37,6 @@ class VariableMismatch(SiegelJacobiError):
     """Symbolic operands are defined over different variable sets."""
 
 
-class SecondOrderResidue(SiegelJacobiError):
-    """A commutator left a second-order remainder (implementation bug)."""
-
-
 class BranchViolation(SiegelJacobiError):
     """An argument sits on a branch cut of a multivalued function."""
 

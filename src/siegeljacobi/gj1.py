@@ -190,13 +190,13 @@ def kernel_series(z, w, zp, wp, kappa: float, order: int) -> complex:
     total = 0j
     pz = [pn_value(n, z, w) for n in range(order + 1)]
     pzp = [pn_value(n, zp, wp) for n in range(order + 1)]
+    inner = 0j
+    for n in range(order + 1):
+        inner += pz[n] * np.conj(pzp[n]) / float(math.factorial(n))
     for m in range(order + 1):
         wt = _disk_weight(m, kshift)
         fm = wt * w**m
         fmp = wt * wp**m
-        inner = 0j
-        for n in range(order + 1):
-            inner += pz[n] * np.conj(pzp[n]) / float(math.factorial(n))
         total += fm * np.conj(fmp) * inner
     return total
 

@@ -383,7 +383,7 @@ def kahler_potential(x: CSPoint, k: float):
     return float(val) if x.W.ndim == 2 else val
 
 
-def _kahler_blocks(x: CSPoint, k: float):
+def _kahler_blocks(x: CSPoint):
     """Closed-form pieces shared by the Hessian assembly."""
     wbar = x.W.conj()
     zbar = x.z.conj()
@@ -406,7 +406,7 @@ def kahler_form(x: CSPoint, k: float) -> np.ndarray:
     differences; positive definite for ``k > 0``.
     """
     n = x.n
-    blocks = _kahler_blocks(x, k)
+    blocks = _kahler_blocks(x)
     pairs = sym_index_pairs(n)
     dim = n + len(pairs)
     h = np.zeros((dim, dim), dtype=complex)

@@ -256,7 +256,7 @@ def test_kahler_potential_stack_matches_single_calls(n, k):
 def _kahler_form_numpy_scalars(x, k):
     """The form assembled entry by entry in numpy complex128 scalars."""
     n = x.n
-    m, mb, xv, q, s, r, p = jacobi._kahler_blocks(x, k)
+    m, mb, xv, q, s, r, p = jacobi._kahler_blocks(x)
     pairs = sp.sym_index_pairs(n)
     dim = n + len(pairs)
     h = np.zeros((dim, dim), dtype=complex)
