@@ -73,8 +73,8 @@ class CSPoint:
 
     ``z`` has shape ``(..., n)`` and ``W`` shape ``(..., n, n)``: the leading
     axes, if any, index a stack of points, which :func:`kahler_potential`,
-    :func:`cs_coords` and :func:`cs_from_coords` accept.  The other
-    functions of this module and the JSON form take a single point.
+    :func:`act`, :func:`cs_coords` and :func:`cs_from_coords` accept.  The
+    other functions of this module and the JSON form take a single point.
     """
 
     z: np.ndarray
@@ -166,8 +166,9 @@ def jacobi_identity_element(n: int) -> JacobiElement:
 def _sym_index_arrays(n: int):
     """Read-only row and column index arrays of :func:`sym_index_pairs`.
 
-    Cached because building them costs more than the indexing itself in the
-    per-point calls of :func:`siegeljacobi.numdiff.holomorphic_jacobian`.
+    Cached because building them costs about as much as the indexing itself
+    in a single-point :func:`cs_coords`, which the action-order residual of
+    :mod:`siegeljacobi.verify` calls twice per sample.
     """
     ij = np.array(sym_index_pairs(n)).T
     ij.flags.writeable = False
@@ -237,8 +238,10 @@ def _act_with_den(h: JacobiElement, x: CSPoint):
     """The image point of :func:`act` and its denominator ``W b* + a*``."""
     g = h.g
     den = x.W @ g.b.conj().T + g.a.conj().T
+    rhs = x.z + h.alpha - x.W @ h.alpha.conj()
     try:
-        z1 = np.linalg.solve(den, x.z + h.alpha - x.W @ h.alpha.conj())
+        # a column right-hand side, so a stack of points solves as one
+        z1 = np.linalg.solve(den, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise Singular("W b* + a* is singular") from exc
     return CSPoint(z=z1, W=symplectic.moebius(g, x.W)), den
@@ -248,6 +251,8 @@ def act(h: JacobiElement, x: CSPoint) -> CSPoint:
     """Holomorphic action on the manifold.
 
     ``z1 = (W b* + a*)^-1 (z + alpha - W conj(alpha))`` and ``W1 = g . W``.
+    ``x`` is one point or a stack of points; each point of a stack maps to
+    the same bits as on its own.
     """
     return _act_with_den(h, x)[0]
 
@@ -367,19 +372,20 @@ def kahler_potential(x: CSPoint, k: float):
     """Logarithm of the diagonal kernel.
 
     ``f = -(k/2) log det(1 - W Wbar) + <z, M z> + Re(z^T Wbar M z)`` with
-    ``M = (1 - W Wbar)^-1``; real by construction.  The log-determinant is
+    ``M = (1 - W Wbar)^-1``; real by construction.  For symmetric ``W`` the
+    two quadratic terms are ``Re <t, M z>`` with ``t = z + W zbar``, so one
+    linear solve for ``M z`` gives both.  The log-determinant is
     :func:`matfun.logdet_hpd`, so a ``W`` outside the domain raises
     :class:`DomainViolation`.  A single point gives a ``float``; a stack of
     points gives a float array of its leading shape, equal to the per-point
     values bit for bit.
     """
     z = x.z[..., None]
-    wbar = x.W.conj()
-    gram = np.eye(x.n) - x.W @ wbar
+    gram = np.eye(x.n) - x.W @ x.W.conj()
+    t = z + x.W @ z.conj()
+    mz = np.linalg.solve(gram, z)
     val = -0.5 * k * matfun.logdet_hpd(gram)
-    m = np.linalg.inv(gram)
-    val = val + np.sum(z.conj() * (m @ z), axis=(-2, -1)).real
-    val = val + (x.z[..., None, :] @ wbar @ m @ z)[..., 0, 0].real
+    val = val + np.sum(t.conj() * mz, axis=(-2, -1)).real
     return float(val) if x.W.ndim == 2 else val
 
 

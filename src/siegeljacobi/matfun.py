@@ -287,11 +287,13 @@ def logdet_hpd(m: np.ndarray):
 
     ``m`` is one square matrix ``(n, n)`` or a stack ``(..., n, n)``, such as
     ``1 - W Wbar`` for ``W`` in the domain; only its lower triangle is read.
-    One ``np.linalg.cholesky`` call factors the whole stack and the result is
-    ``2 sum_i log L_ii``: a ``float`` for one matrix and a float array of the
-    leading shape for a stack.  The gufunc factors each matrix on its own, so
-    a stacked call equals the per-matrix calls bit for bit.  A ``0 x 0``
-    matrix has log-determinant 0.
+    The result is ``2 sum_i log L_ii``: a ``float`` for one matrix and a
+    float array of the leading shape for a stack.  One matrix is one LAPACK
+    ``zpotrf`` call, without the per-call cost of ``np.linalg.cholesky``'s
+    wrapper; one ``np.linalg.cholesky`` call factors a whole stack.  The
+    gufunc calls the same ``zpotrf`` on each matrix, so a stacked call equals
+    the per-matrix calls bit for bit.  A ``0 x 0`` matrix has log-determinant
+    0.
 
     Raises
     ------
@@ -319,21 +321,27 @@ def logdet_hpd(m: np.ndarray):
     def where(i):
         return f"stack index {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
 
+    def not_positive_definite(i, mat):
+        evmin = np.linalg.eigvalsh(mat).min()
+        return DomainViolation(
+            f"{where(i)}matrix is not positive definite, smallest eigenvalue {evmin:.3e}"
+        )
+
     flat = m.reshape(math.prod(lead), n, n)
-    try:
-        diag = np.linalg.cholesky(flat).diagonal(axis1=-2, axis2=-1).real
-    except np.linalg.LinAlgError:
-        # the failure path only: find the first matrix that does not factor
-        for i, mat in enumerate(flat):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                evmin = np.linalg.eigvalsh(mat).min()
-                raise DomainViolation(
-                    f"{where(i)}matrix is not positive definite, "
-                    f"smallest eigenvalue {evmin:.3e}"
-                ) from None
-        raise  # pragma: no cover - every matrix factored on its own
+    if lead:
+        try:
+            diag = np.linalg.cholesky(flat).diagonal(axis1=-2, axis2=-1).real
+        except np.linalg.LinAlgError:
+            # the failure path only: find the first matrix that does not factor
+            for i, mat in enumerate(flat):
+                if lapack.zpotrf(mat, lower=1)[1] > 0:
+                    raise not_positive_definite(i, mat) from None
+            raise  # pragma: no cover - every matrix factored on its own
+    else:
+        factor, info = lapack.zpotrf(m, lower=1)
+        if info > 0:
+            raise not_positive_definite(0, m)
+        diag = factor.diagonal().real[None]
     # a pivot at or below its own matrix's bound is at or below the largest one
     if diag.size and diag.min() ** 2 <= SINGULAR_RTOL * scale:
         pivots = diag * diag

@@ -5,14 +5,15 @@ coordinates of C^n x D_n.  These are deliberately independent of the closed
 forms they validate: plain central differences on the real and imaginary
 parts of each coordinate.
 
-:func:`wirtinger_hessian` evaluates its whole stencil in one call: the
-function it differentiates receives a stacked :class:`CSPoint` and returns an
-array of the stack's leading shape, as :func:`jacobi.kahler_potential` and
-:func:`matfun.logdet_hpd` do.  The stack holds the 64 points of each
-coordinate pair ``a <= b`` once (192 / 960 / 2880 points at n = 1 / 2 / 3):
-both Wirtinger derivatives step by the same offsets, so the points of entry
-``(b, a)`` are those of ``(a, b)`` with the two steps swapped, bit for bit.
-The Jacobians map one point at a time.
+Each oracle evaluates its whole stencil in one call: the function it
+differentiates receives a stacked :class:`CSPoint` and returns results of
+the stack's leading shape, as :func:`jacobi.kahler_potential`,
+:func:`jacobi.act` and :func:`matfun.logdet_hpd` do.  The Hessian's stack
+holds the 64 points of each coordinate pair ``a <= b`` once (192 / 960 /
+2880 points at n = 1 / 2 / 3): both Wirtinger derivatives step by the same
+offsets, so the points of entry ``(b, a)`` are those of ``(a, b)`` with the
+two steps swapped, bit for bit.  A Jacobian's stack holds four points per
+coordinate (20 at n = 2).
 """
 
 from __future__ import annotations
@@ -33,13 +34,18 @@ def _wirtinger_steps(h: float, conjugate: bool):
     return steps
 
 
-def _contract(weights, block):
-    """``sum_i sum_j weights[i][j] * block[i][j]``, accumulated in that order."""
-    acc = 0j
-    for wrow, frow in zip(weights, block):
-        for w, f in zip(wrow, frow):
-            acc += w * f
-    return acc
+def _contract(weights, blocks):
+    """Real and imaginary parts, shape ``(2, len(blocks))``, of
+    ``sum_i sum_j weights[i, j] * f[i, j]`` for each real block ``f`` of
+    ``blocks``, accumulated in that order.
+
+    As ``f`` is real, both parts are sums of real products, and ``np.cumsum``
+    adds them one at a time: each gets the bits of the complex accumulation
+    ``acc += w * f``.
+    """
+    flat = blocks.reshape(len(blocks), -1)
+    terms = np.stack([flat * weights.real.ravel(), flat * weights.imag.ravel()])
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
@@ -70,7 +76,7 @@ def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
     steps_a = _wirtinger_steps(h, conjugate=False)
     steps_b = _wirtinger_steps(h, conjugate=True)
     offsets = np.array([off for off, _ in steps_a])  # also the offsets of steps_b
-    weights = [[wa * wb for _, wb in steps_b] for _, wa in steps_a]
+    weights = np.array([[wa * wb for _, wb in steps_b] for _, wa in steps_a])
     rows, cols = np.triu_indices(dim)
     lead = (len(rows), len(steps_a), len(steps_b))
     stack = np.broadcast_to(base, lead + (dim,)).copy()
@@ -80,11 +86,13 @@ def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
     vals = np.asarray(fun(cs_from_coords(stack, x.n)))
     if vals.shape != lead:
         raise ValueError(f"fun returned shape {vals.shape}, expected {lead}")
+    if np.iscomplexobj(vals):
+        raise ValueError("fun returned complex values, expected real ones")
+    off = rows != cols
+    blocks = np.concatenate([vals, vals[off].swapaxes(1, 2)])
+    entries = (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))
     out = np.empty((dim, dim), dtype=complex)
-    for a, b, block in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        out[a, b] = _contract(weights, block)
-        if a != b:
-            out[b, a] = _contract(weights, zip(*block))
+    out.real[entries], out.imag[entries] = _contract(weights, blocks)
     return out
 
 
@@ -93,30 +101,43 @@ def holomorphic_jacobian(mapping, x: CSPoint, h: float = 1e-6) -> np.ndarray:
 
     The mapping must be holomorphic; the anti-holomorphic part of the
     stencil is discarded (and is O(h) small for holomorphic maps).
+
+    ``mapping`` is called once, on the stacked :class:`CSPoint` of the
+    ``4 dim`` stencil points (leading shape ``(dim, 4)``: the coordinate
+    ``b``, then the steps ``h, -h, ih, -ih`` in it), and returns the stacked
+    image points, a :class:`CSPoint` of the same leading shape.  Each entry
+    is computed from the same values in the same arithmetic as with a call
+    of ``mapping`` per point.
     """
     base = cs_coords(x)
-    n = x.n
     dim = len(base)
-    out = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        cols = []
-        for step in (h, -h, 1j * h, -1j * h):
-            vec = base.copy()
-            vec[b] += step
-            cols.append(cs_coords(mapping(cs_from_coords(vec, n))))
-        d_re = (cols[0] - cols[1]) / (2 * h)
-        d_im = (cols[2] - cols[3]) / (2 * h)
-        out[:, b] = 0.5 * (d_re - 1j * d_im)
-    return out
+    steps = np.array([h, -h, 1j * h, -1j * h])
+    lead = (dim, len(steps))
+    stack = np.broadcast_to(base, lead + (dim,)).copy()
+    coord = np.arange(dim)
+    stack[coord, :, coord] += steps
+    cols = cs_coords(mapping(cs_from_coords(stack, x.n)))
+    if cols.shape[:-1] != lead:
+        raise ValueError(f"mapping returned leading shape {cols.shape[:-1]}, expected {lead}")
+    d_re = (cols[:, 0] - cols[:, 1]) / (2 * h)
+    d_im = (cols[:, 2] - cols[:, 3]) / (2 * h)
+    return (0.5 * (d_re - 1j * d_im)).T
 
 
 def w_jacobian(mapping, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Holomorphic Jacobian of a domain self-map in the ``w_ij`` coordinates."""
+    """Holomorphic Jacobian of a domain self-map in the ``w_ij`` coordinates.
+
+    ``mapping`` is called once, on the stack of the stencil's ``W`` matrices
+    (shape ``(dim, 4, n, n)``, as in :func:`holomorphic_jacobian`), and
+    returns their images as a stack of the same shape, as
+    :func:`symplectic.moebius` does.
+    """
     n = w.shape[0]
     x = CSPoint(z=np.zeros(n, dtype=complex), W=w)
 
     def lifted(pt: CSPoint) -> CSPoint:
-        return CSPoint(z=np.zeros(n, dtype=complex), W=mapping(pt.W))
+        image = np.asarray(mapping(pt.W))
+        return CSPoint(z=np.zeros(image.shape[:-1], dtype=complex), W=image)
 
     full = holomorphic_jacobian(lifted, x, h=h)
     return full[n:, n:]

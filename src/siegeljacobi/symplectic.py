@@ -245,13 +245,19 @@ def siegel_eta(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def moebius(g: SpElement, w: np.ndarray) -> np.ndarray:
     """Linear-fractional action ``g . w = (a w + b)(conj(b) w + conj(a))^-1``.
 
-    The result is symmetrized; the ``moebius-closed-forms`` check of
+    ``w`` is one matrix ``(n, n)`` or a stack ``(..., n, n)``; each matrix of
+    a stack maps to the same bits as on its own.  The result is symmetrized;
+    the ``moebius-closed-forms`` check of
     :func:`siegeljacobi.verify.suite_symplectic` bounds the asymmetry.
     """
-    w = as_cmat(w)
+    w = np.asarray(w, dtype=complex)
+    if w.ndim < 2:
+        raise ValueError(f"expected a matrix, got ndim={w.ndim}")
+    if not np.isfinite(w).all():
+        raise ValueError("matrix has non-finite entries")
     den = g.b.conj() @ w + g.a.conj()
     out = (g.a @ w + g.b) @ _inv(den, "conj(b) w + conj(a)")
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def _psd_power(h: np.ndarray, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -84,6 +84,31 @@ def test_act_is_left_action():
         assert np.abs(two_step.W - one_step.W).max() < 1e-10
 
 
+def _interior_stack(n, rng, count):
+    """Points drawn as in ``verify``, stacked along one axis."""
+    points = [random_point(n, rng, 0.5, 0.6) for _ in range(count)]
+    return CSPoint(z=np.array([p.z for p in points]), W=np.array([p.W for p in points]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("where", ["interior", "near-boundary"])
+def test_act_and_moebius_stack_match_single_calls(n, where):
+    rng = np.random.default_rng(70 + n)
+    make = _interior_stack if where == "interior" else _near_boundary_stack
+    stack = make(n, rng, 24)
+    h = random_element(n, rng, 0.4)
+    singles = [jacobi.act(h, CSPoint(z=z, W=w)) for z, w in zip(stack.z, stack.W)]
+    z1 = np.array([p.z for p in singles])
+    w1 = np.array([p.W for p in singles])
+    image = jacobi.act(h, stack)
+    assert image.z.shape == (24, n) and image.W.shape == (24, n, n)
+    grid = jacobi.act(h, CSPoint(z=stack.z.reshape(2, 3, 4, n), W=stack.W.reshape(2, 3, 4, n, n)))
+    for out in (image, grid):
+        assert out.z.tobytes() == z1.tobytes() and out.W.tobytes() == w1.tobytes()
+    moved = sp.moebius(h.g, stack.W)
+    assert moved.tobytes() == np.array([sp.moebius(h.g, w) for w in stack.W]).tobytes()
+
+
 def test_lambda_cocycle_identity_and_collapse():
     rng = np.random.default_rng(6)
     x = random_point(2, rng)
@@ -251,6 +276,34 @@ def test_kahler_potential_stack_matches_single_calls(n, k):
     assert values.tobytes() == np.array(singles).tobytes()
     grid = CSPoint(z=stack.z.reshape(2, 3, 4, n), W=stack.W.reshape(2, 3, 4, n, n))
     assert jacobi.kahler_potential(grid, k).tobytes() == values.tobytes()
+
+
+def _potential_mpmath(z, w, k):
+    """``kahler_potential`` of one point in 50-digit arithmetic, from the
+    defining formula ``-(k/2) log det G + Re(<z, M z> + z^T Wbar M z)``,
+    ``G = 1 - W Wbar``, ``M = G^-1``."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(z)
+    with mpmath.workdps(50):
+        mz = mpmath.matrix([[mpmath.mpc(complex(v))] for v in z])
+        mw = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in w])
+        wbar = mpmath.matrix([[mpmath.conj(mw[i, j]) for j in range(n)] for i in range(n)])
+        gram = mpmath.eye(n) - mw * wbar
+        m = gram**-1
+        quad = (mz.H * m * mz)[0] + (mz.T * wbar * m * mz)[0]
+        return -mpmath.mpf(k) / 2 * mpmath.log(mpmath.re(mpmath.det(gram))) + mpmath.re(quad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 4.5])
+def test_kahler_potential_near_the_boundary_matches_mpmath(n, k):
+    stack = _near_boundary_stack(n, np.random.default_rng(80 + n), 8)
+    values = jacobi.kahler_potential(stack, k)
+    for z, w, val in zip(stack.z, stack.W, values):
+        ref = _potential_mpmath(z, w, k)
+        single = jacobi.kahler_potential(CSPoint(z=z, W=w), k)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+        assert abs(single - ref) <= 1e-13 * abs(ref)
 
 
 def _kahler_form_numpy_scalars(x, k):

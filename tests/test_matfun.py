@@ -246,6 +246,22 @@ def test_logdet_hpd_factors_a_stack_in_one_call(monkeypatch):
     assert calls == [(10, 3, 3)]
 
 
+def test_logdet_hpd_factors_one_matrix_without_np_cholesky(monkeypatch):
+    _, stack = _hpd_stack(3, np.random.default_rng(58), (6,))
+    stacked = matfun.logdet_hpd(stack)
+
+    def refuse(a):
+        raise AssertionError("np.linalg.cholesky was called")
+
+    monkeypatch.setattr(matfun.np.linalg, "cholesky", refuse)
+    singles = [matfun.logdet_hpd(m) for m in stack]
+    assert np.array(singles).tobytes() == stacked.tobytes()
+    with pytest.raises(DomainViolation, match="smallest eigenvalue -4.400e-01"):
+        matfun.logdet_hpd(np.eye(2) - np.diag([1.2, 0.5]) ** 2)
+    with pytest.raises(Singular):
+        matfun.logdet_hpd(np.diag([1.0, 5e-14]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_logdet_hpd_near_the_boundary_matches_mpmath(n):
     mpmath = pytest.importorskip("mpmath")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from siegeljacobi import jacobi, matfun, numdiff, verify
+from siegeljacobi import jacobi, matfun, numdiff, symplectic, verify
 from siegeljacobi.jacobi import CSPoint, cs_coords, cs_from_coords
 
 
@@ -24,6 +24,36 @@ def per_point_hessian(fun, x, h=5e-4):
                     acc += wa * wb * fun(cs_from_coords(vec, x.n))
             out[a, b] = acc
     return out
+
+
+def per_point_jacobian(mapping, x, h=1e-6):
+    """The stencil of :func:`numdiff.holomorphic_jacobian`, one ``mapping``
+    call per point: the reference the stacked evaluation must reproduce bit
+    for bit."""
+    base = cs_coords(x)
+    dim = len(base)
+    out = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        cols = []
+        for step in (h, -h, 1j * h, -1j * h):
+            vec = base.copy()
+            vec[b] += step
+            cols.append(cs_coords(mapping(cs_from_coords(vec, x.n))))
+        d_re = (cols[0] - cols[1]) / (2 * h)
+        d_im = (cols[2] - cols[3]) / (2 * h)
+        out[:, b] = 0.5 * (d_re - 1j * d_im)
+    return out
+
+
+def per_point_w_jacobian(mapping, w, h=1e-6):
+    """:func:`numdiff.w_jacobian` through :func:`per_point_jacobian`."""
+    n = w.shape[0]
+    x = CSPoint(z=np.zeros(n, dtype=complex), W=w)
+
+    def lifted(pt):
+        return CSPoint(z=np.zeros(n, dtype=complex), W=mapping(pt.W))
+
+    return per_point_jacobian(lifted, x, h)[n:, n:]
 
 
 def potential(k):
@@ -108,3 +138,56 @@ def test_hessian_rejects_a_scalar_valued_fun():
     x = CSPoint(z=np.zeros(1, dtype=complex), W=np.zeros((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         numdiff.wirtinger_hessian(lambda pt: 1.0, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("where", sorted(POINTS))
+def test_stacked_jacobians_match_per_point_loops(n, where):
+    rng = np.random.default_rng(90 + n)
+    x = POINTS[where](n, rng)
+    h = verify._random_element(n, rng, 0.4)
+
+    def act(p):
+        return jacobi.act(h, p)
+
+    def moebius(w):
+        return symplectic.moebius(h.g, w)
+
+    assert numdiff.holomorphic_jacobian(act, x).tobytes() == per_point_jacobian(act, x).tobytes()
+    fast = numdiff.w_jacobian(moebius, x.W)
+    assert fast.tobytes() == per_point_w_jacobian(moebius, x.W).tobytes()
+
+
+def test_jacobians_call_mapping_once_on_the_stencil_stack():
+    x = verify._random_point(2, np.random.default_rng(45))
+    h = verify._random_element(2, np.random.default_rng(46), 0.4)
+    shapes = []
+
+    def mapping(pt):
+        shapes.append((pt.z.shape, pt.W.shape))
+        return jacobi.act(h, pt)
+
+    numdiff.holomorphic_jacobian(mapping, x)
+    # dim = 5 coordinates of four steps each
+    assert shapes == [((5, 4, 2), (5, 4, 2, 2))]
+
+    def w_mapping(w):
+        shapes.append(w.shape)
+        return symplectic.moebius(h.g, w)
+
+    numdiff.w_jacobian(w_mapping, x.W)
+    assert shapes[1:] == [(5, 4, 2, 2)]
+
+
+def test_jacobians_reject_a_mapping_of_the_wrong_shape():
+    x = verify._random_point(2, np.random.default_rng(47))
+    with pytest.raises(ValueError, match="shape"):
+        numdiff.holomorphic_jacobian(lambda pt: x, x)
+    with pytest.raises(ValueError, match="shape"):
+        numdiff.w_jacobian(lambda w: x.W, x.W)
+
+
+def test_hessian_rejects_a_complex_valued_fun():
+    x = verify._random_point(1, np.random.default_rng(48))
+    with pytest.raises(ValueError, match="complex"):
+        numdiff.wirtinger_hessian(lambda pt: pt.z[..., 0], x)

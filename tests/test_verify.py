@@ -51,7 +51,7 @@ PINNED = {
         ("cocycle-unitarity", "multiplier-norm-consistency", 2, 4.0, 100, 1e-09, 5.7867099250484484e-15),
         ("cocycle-multiplicative", "multiplier-composition", 2, 4.0, 100, 1e-09, 1.9613309815320855e-15),
         ("potential-log-kernel", "potential-diagonal-consistency", 2, 4.0, None, 1e-11, 2.4070557770636683e-16),
-        ("kahler-hessian-fd", "form-vs-finite-differences", 2, 4.0, None, 1e-05, 5.320660551697036e-10),
+        ("kahler-hessian-fd", "form-vs-finite-differences", 2, 4.0, None, 1e-05, 5.049177857695131e-10),
         ("kahler-positive", "form-positivity", 2, 4.0, None, 0.5, 0.0),
         ("form-invariance", "group-invariant-form", 2, 4.0, None, 1e-05, 4.693236910213827e-10),
         ("density-invariance", "group-invariant-volume", 2, None, None, 1e-05, 4.240891043588252e-10),
@@ -64,7 +64,7 @@ PINNED = {
         ("cocycle-multiplicative", "multiplier-composition", 1, 4.0, 100, 1e-09, 1.1667522359910967e-15),
         ("cocycle-route-agreement", "multiplier-closed-forms", 1, 4.0, 100, 1e-09, 4.1998790131842775e-16),
         ("potential-log-kernel", "potential-diagonal-consistency", 1, 4.0, None, 1e-11, 1.577514160966409e-17),
-        ("kahler-hessian-fd", "form-vs-finite-differences", 1, 4.0, None, 1e-05, 1.897172208415926e-10),
+        ("kahler-hessian-fd", "form-vs-finite-differences", 1, 4.0, None, 1e-05, 1.9517716647421688e-10),
         ("kahler-positive", "form-positivity", 1, 4.0, None, 0.5, 0.0),
         ("form-invariance", "group-invariant-form", 1, 4.0, None, 1e-05, 5.456923801716731e-11),
         ("density-invariance", "group-invariant-volume", 1, None, None, 1e-05, 2.931599389145234e-11),
