@@ -207,7 +207,7 @@ def alpha_action_inv(g: SpElement, alpha: np.ndarray) -> np.ndarray:
 
 def theta_hw(a2: np.ndarray, a1: np.ndarray) -> float:
     """Symplectic phase ``Im(a2 . conj(a1))`` of the translation sector."""
-    return float(np.imag(np.sum(a2 * a1.conj())))
+    return float((a2 * a1.conj()).sum().imag)
 
 
 def jacobi_compose(h1: JacobiElement, h2: JacobiElement) -> JacobiElement:
@@ -241,7 +241,7 @@ def _act_with_den(h: JacobiElement, x: CSPoint):
     rhs = x.z + h.alpha - x.W @ h.alpha.conj()
     try:
         # a column right-hand side, so a stack of points solves as one
-        z1 = np.linalg.solve(den, rhs[..., None])[..., 0]
+        z1 = matfun.solve(den, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise Singular("W b* + a* is singular") from exc
     return CSPoint(z=z1, W=symplectic.moebius(g, x.W)), den
@@ -278,13 +278,13 @@ def lambda_cocycle(
     g = h.g
     n = x.n
     w = x.W
-    m = np.linalg.inv(np.eye(n) - w @ w.conj().T)
+    m = matfun.inv(matfun.eye(n) - w @ w.conj().T)
     xv = m @ (x.z + w @ x.z.conj())
     yv = g.a @ (h.alpha + xv) + g.b @ (h.alpha.conj() + xv.conj())
     image, den = _act_with_den(h, x)
     lam = (
         detpow(den, -k / 2)
-        * np.exp(0.5 * np.sum(xv.conj() * x.z) - 0.5 * np.sum(yv.conj() * image.z))
+        * np.exp(0.5 * (xv.conj() * x.z).sum() - 0.5 * (yv.conj() * image.z).sum())
         * np.exp(1j * theta_hw(h.alpha, xv))
     )
     return CocycleData(z1=image.z, W1=image.W, x=xv, y=yv, lam=complex(lam))
@@ -337,8 +337,8 @@ def lambda_cocycle_ez(
     z0 = h.alpha - w @ h.alpha.conj()
     rhs = 2 * z + z0
     try:
-        core = np.linalg.solve(ab + bb @ w, bb)
-        tail = np.linalg.solve(np.eye(x.n) + w @ np.linalg.solve(ab, bb), rhs)
+        core = matfun.solve(ab + bb @ w, bb)
+        tail = matfun.solve(matfun.eye(x.n) + w @ matfun.solve(ab, bb), rhs)
     except np.linalg.LinAlgError as exc:
         raise Singular("b -> 0 safe route is not computable") from exc
     two_lam1 = (
@@ -359,11 +359,11 @@ def kernel(x: CSPoint, y: CSPoint, k: float) -> complex:
     Positive on the diagonal; ``K(x, y) = conj(K(y, x))``.
     """
     n = x.n
-    u = np.linalg.inv(np.eye(n) - y.W @ x.W.conj())
+    u = matfun.inv(matfun.eye(n) - y.W @ x.W.conj())
     expo = (
-        2.0 * np.sum(x.z.conj() * (u @ y.z))
-        + np.sum((x.W @ y.z.conj()).conj() * (u @ y.z))
-        + np.sum(x.z.conj() * (u @ y.W @ x.z.conj()))
+        2.0 * (x.z.conj() * (u @ y.z)).sum()
+        + ((x.W @ y.z.conj()).conj() * (u @ y.z)).sum()
+        + (x.z.conj() * (u @ y.W @ x.z.conj())).sum()
     )
     return complex(detpow(u, k / 2) * np.exp(0.5 * expo))
 
@@ -381,11 +381,11 @@ def kahler_potential(x: CSPoint, k: float):
     values bit for bit.
     """
     z = x.z[..., None]
-    gram = np.eye(x.n) - x.W @ x.W.conj()
+    gram = matfun.eye(x.n) - x.W @ x.W.conj()
     t = z + x.W @ z.conj()
-    mz = np.linalg.solve(gram, z)
+    mz = matfun.solve(gram, z)
     val = -0.5 * k * matfun.logdet_hpd(gram)
-    val = val + np.sum(t.conj() * mz, axis=(-2, -1)).real
+    val = val + (t.conj() * mz).sum(axis=(-2, -1)).real
     return float(val) if x.W.ndim == 2 else val
 
 
@@ -393,7 +393,7 @@ def _kahler_blocks(x: CSPoint):
     """Closed-form pieces shared by the Hessian assembly."""
     wbar = x.W.conj()
     zbar = x.z.conj()
-    m = np.linalg.inv(np.eye(x.n) - x.W @ wbar)
+    m = matfun.inv(matfun.eye(x.n) - x.W @ wbar)
     mb = m.conj()
     xv = m @ (x.z + x.W @ zbar)
     q = m @ x.z
@@ -460,7 +460,7 @@ def density(x: CSPoint) -> float:
     The determinant is :func:`matfun.logdet_hpd`'s, so a ``W`` outside the
     domain raises :class:`DomainViolation` rather than giving a value.
     """
-    return float(np.exp(-(x.n + 2) * matfun.logdet_hpd(np.eye(x.n) - x.W @ x.W.conj())))
+    return float(np.exp(-(x.n + 2) * matfun.logdet_hpd(matfun.eye(x.n) - x.W @ x.W.conj())))
 
 
 def measure_constants(n: int, k: float) -> MeasureConstants:
@@ -598,7 +598,7 @@ def _real_form(w: np.ndarray) -> np.ndarray:
     sampler's exponent ``F(z) = Re(zbar^T M z + z^T Wbar M z)``,
     ``M = (1 - W Wbar)^-1``, ``z = x + i y``, for symmetric ``W``."""
     n = w.shape[0]
-    m = np.linalg.inv(np.eye(n) - w @ w.conj())
+    m = matfun.inv(matfun.eye(n) - w @ w.conj())
     q = w.conj() @ m  # symmetric, so Re(z^T q z) needs no symmetrization
     herm = np.block([[m.real, -m.imag], [m.imag, m.real]])
     bilin = np.block([[q.real, -q.imag], [-q.imag, -q.real]])
@@ -622,7 +622,7 @@ def sample_base_measure(n: int, k: float, count: int, seed: int):
     pairs = sym_index_pairs(n)
     vol_box = 2.0 ** (2 * len(pairs))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    eye = np.eye(n)
+    eye = matfun.eye(n)
     for _ in range(count):
         w = np.zeros((n, n), dtype=complex)
         for (i, j) in pairs:
@@ -638,7 +638,7 @@ def sample_base_measure(n: int, k: float, count: int, seed: int):
         weight = vol_box * consts.Lambda * math.pi**n * det**consts.p
         lmat = np.linalg.cholesky(_real_form(w))
         xi = rng.standard_normal(2 * n)
-        zeta = np.linalg.solve(lmat.T, xi)
+        zeta = matfun.solve(lmat.T, xi)
         z = zeta[:n] + 1j * zeta[n:]
         yield CSPoint(z=z, W=w), float(weight)
 

@@ -1,12 +1,15 @@
 """Dense complex matrix primitives.
 
 Everything downstream (group decompositions, kernels, measures) is built on a
-small set of spectral operations for Hermitian matrices plus two
-log-determinants: a principal one by LU for general matrices, and a real one
-by Cholesky for the Hermitian positive-definite ``1 - W Wbar``.  Matrices are
-plain ``numpy`` arrays of ``complex``; the shared JSON wire format is
-``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with row-major entry
-order.
+small set of spectral operations for Hermitian matrices, two
+log-determinants (a principal one by LU for general matrices, and a real one
+by Cholesky for the Hermitian positive-definite ``1 - W Wbar``), and linear
+solves and inverses.  A single matrix goes to LAPACK directly: on the
+``n <= 3`` matrices of the closed forms, numpy's ``np.linalg`` wrappers cost
+several microseconds more than the LAPACK call, so they serve stacks only.
+Matrices are plain ``numpy`` arrays of ``complex``; the shared JSON wire
+format is ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with row-major
+entry order.
 
 Branch convention: every fractional power of a general determinant goes
 through the principal log-determinant, the sum of the principal logs of the
@@ -21,6 +24,7 @@ such as the kernel's at even ``k``, do not depend on the branch.  Powers of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +48,67 @@ def as_cmat(entries) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+@functools.cache
+def eye(n: int) -> np.ndarray:
+    """The ``n x n`` float identity, built once per ``n`` and read-only.
+
+    For identities used as operands, such as ``eye(n) - W Wbar``; it has the
+    dtype and bits of ``np.eye(n)``.
+    """
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
+#: LAPACK ``gesv`` by the dtype numpy's solve computes in
+_GESV = {np.dtype(float): lapack.dgesv, np.dtype(complex): lapack.zgesv}
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)``, bit for bit, without its wrapper on one matrix.
+
+    One square ``(n, n)`` matrix ``a`` with a right-hand side ``(n,)`` or
+    ``(n, k)`` whose dtypes promote to float64 or complex128 is one LAPACK
+    ``dgesv``/``zgesv`` call, the routine ``np.linalg.solve`` calls; the
+    result is C-ordered, as numpy's is.  Every other input (a stack, an empty
+    or non-square matrix, a mismatched right-hand side, another dtype) goes
+    to ``np.linalg.solve`` itself.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If ``a`` is singular, as ``np.linalg.solve`` raises it.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    gesv = _GESV.get(np.promote_types(a.dtype, b.dtype))
+    if (gesv is None or a.ndim != 2 or b.ndim not in (1, 2)
+            or not 0 < a.shape[0] == a.shape[1] == b.shape[0]):
+        return np.linalg.solve(a, b)
+    _, _, x, info = gesv(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    # gesv returns a Fortran-ordered x; the order can change the rounding of
+    # a product that follows
+    return np.ascontiguousarray(x)
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(a)``, bit for bit: :func:`solve` of ``a`` and the identity
+    on one matrix, which is the solve ``np.linalg.inv`` makes; a stack goes to
+    ``np.linalg.inv``.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If ``a`` is singular, as ``np.linalg.inv`` raises it.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2 and a.dtype in _GESV:
+        return solve(a, eye(len(a)))
+    return np.linalg.inv(a)
 
 
 def mat_to_json(m: np.ndarray) -> dict:
@@ -373,5 +438,5 @@ def is_siegel(w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     scale = max(np.linalg.norm(w), 1.0)
     if np.linalg.norm(w - w.T) > tol * scale:
         return False
-    g = np.eye(w.shape[0]) - w @ w.conj().T
+    g = eye(w.shape[0]) - w @ w.conj().T
     return bool(np.linalg.eigvalsh(g).min() > tol)

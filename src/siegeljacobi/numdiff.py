@@ -13,7 +13,8 @@ holds the 64 points of each coordinate pair ``a <= b`` once (192 / 960 /
 2880 points at n = 1 / 2 / 3): both Wirtinger derivatives step by the same
 offsets, so the points of entry ``(b, a)`` are those of ``(a, b)`` with the
 two steps swapped, bit for bit.  A Jacobian's stack holds four points per
-coordinate (20 at n = 2).
+stepped coordinate (20 at n = 2; 12 for :func:`w_jacobian`, which steps the
+``w_ij`` only).
 """
 
 from __future__ import annotations
@@ -96,6 +97,26 @@ def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
     return out
 
 
+def _stencil_jacobian(mapping, x: CSPoint, h: float, first: int) -> np.ndarray:
+    """Columns ``first, first + 1, ...`` of :func:`holomorphic_jacobian`.
+
+    Only coordinates from ``first`` on are stepped, so ``mapping`` is called
+    once on a stack of leading shape ``(dim - first, 4)``.
+    """
+    base = cs_coords(x)
+    steps = np.array([h, -h, 1j * h, -1j * h])
+    coord = np.arange(first, len(base))
+    lead = (len(coord), len(steps))
+    stack = np.broadcast_to(base, lead + base.shape).copy()
+    stack[coord - first, :, coord] += steps
+    cols = cs_coords(mapping(cs_from_coords(stack, x.n)))
+    if cols.shape[:-1] != lead:
+        raise ValueError(f"mapping returned leading shape {cols.shape[:-1]}, expected {lead}")
+    d_re = (cols[:, 0] - cols[:, 1]) / (2 * h)
+    d_im = (cols[:, 2] - cols[:, 3]) / (2 * h)
+    return (0.5 * (d_re - 1j * d_im)).T
+
+
 def holomorphic_jacobian(mapping, x: CSPoint, h: float = 1e-6) -> np.ndarray:
     """Jacobian ``J_ab = d (mapping coords)_a / d xi_b`` by complex stencils.
 
@@ -109,28 +130,19 @@ def holomorphic_jacobian(mapping, x: CSPoint, h: float = 1e-6) -> np.ndarray:
     is computed from the same values in the same arithmetic as with a call
     of ``mapping`` per point.
     """
-    base = cs_coords(x)
-    dim = len(base)
-    steps = np.array([h, -h, 1j * h, -1j * h])
-    lead = (dim, len(steps))
-    stack = np.broadcast_to(base, lead + (dim,)).copy()
-    coord = np.arange(dim)
-    stack[coord, :, coord] += steps
-    cols = cs_coords(mapping(cs_from_coords(stack, x.n)))
-    if cols.shape[:-1] != lead:
-        raise ValueError(f"mapping returned leading shape {cols.shape[:-1]}, expected {lead}")
-    d_re = (cols[:, 0] - cols[:, 1]) / (2 * h)
-    d_im = (cols[:, 2] - cols[:, 3]) / (2 * h)
-    return (0.5 * (d_re - 1j * d_im)).T
+    return _stencil_jacobian(mapping, x, h, first=0)
 
 
 def w_jacobian(mapping, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Holomorphic Jacobian of a domain self-map in the ``w_ij`` coordinates.
 
-    ``mapping`` is called once, on the stack of the stencil's ``W`` matrices
-    (shape ``(dim, 4, n, n)``, as in :func:`holomorphic_jacobian`), and
+    Only the ``n(n+1)/2`` coordinates ``w_ij`` are stepped: ``mapping`` is
+    called once, on the stack of the stencil's ``W`` matrices (shape
+    ``(n(n+1)/2, 4, n, n)``, steps as in :func:`holomorphic_jacobian`), and
     returns their images as a stack of the same shape, as
-    :func:`symplectic.moebius` does.
+    :func:`symplectic.moebius` does.  The result is the ``w`` block of
+    :func:`holomorphic_jacobian` of the map lifted with ``z = 0``, bit for
+    bit.
     """
     n = w.shape[0]
     x = CSPoint(z=np.zeros(n, dtype=complex), W=w)
@@ -139,5 +151,4 @@ def w_jacobian(mapping, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
         image = np.asarray(mapping(pt.W))
         return CSPoint(z=np.zeros(image.shape[:-1], dtype=complex), W=image)
 
-    full = holomorphic_jacobian(lifted, x, h=h)
-    return full[n:, n:]
+    return _stencil_jacobian(lifted, x, h, first=n)[n:]

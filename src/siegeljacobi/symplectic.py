@@ -104,8 +104,7 @@ class CartanFactors:
 
 def membership_residual(a: np.ndarray, b: np.ndarray) -> float:
     """Worst residual of the four block identities defining the group."""
-    n = a.shape[0]
-    eye = np.eye(n)
+    eye = matfun.eye(a.shape[0])
     return max(
         np.linalg.norm(a @ a.conj().T - b @ b.conj().T - eye),
         np.linalg.norm(a @ b.T - b @ a.T),
@@ -152,7 +151,7 @@ def sp_compose(g1: SpElement, g2: SpElement) -> SpElement:
 
 def _inv(m: np.ndarray, what: str) -> np.ndarray:
     try:
-        return np.linalg.inv(m)
+        return matfun.inv(m)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"{what} is singular") from exc
 
@@ -238,7 +237,7 @@ def z_of_w(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def siegel_eta(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Companion value ``eta = log(1 - w w*)`` of the coordinate maps."""
     w = matfun.check_symmetric(w, tol=tol)
-    g = np.eye(w.shape[0]) - w @ w.conj().T
+    g = matfun.eye(w.shape[0]) - w @ w.conj().T
     return matfun.herm_func(g, np.log, domain=lambda t: t > 0.0, tol=tol)
 
 
@@ -283,8 +282,7 @@ def ball_compose(w1: np.ndarray, w2: np.ndarray, tol: float = DEFAULT_TOL):
     """
     w1 = as_cmat(w1)
     w2 = as_cmat(w2)
-    n = w1.shape[0]
-    eye = np.eye(n)
+    eye = matfun.eye(w1.shape[0])
     s1 = eye - w1 @ w1.conj().T
     s1p = eye - w1.conj().T @ w1
     w3 = (
@@ -327,7 +325,7 @@ def sp_density(w: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """
     w = matfun.check_symmetric(w, tol=tol)
     n = w.shape[0]
-    return float(np.exp(-(n + 1) * matfun.logdet_hpd(np.eye(n) - w @ w.conj().T)))
+    return float(np.exp(-(n + 1) * matfun.logdet_hpd(matfun.eye(n) - w @ w.conj().T)))
 
 
 def jn(p: float, n: int) -> float:

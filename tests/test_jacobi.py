@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -491,3 +492,36 @@ def test_cs_point_validation():
     jacobi.cs_point([0.1 + 0.2j], [[0.3]])
     with pytest.raises(OutOfDomain):
         jacobi.cs_point([0.0], [[1.2]])
+
+
+def _flat(out):
+    """An output as a tuple of (type name, bytes) leaves, for exact comparison."""
+    if dataclasses.is_dataclass(out):
+        return tuple(_flat(getattr(out, f.name)) for f in dataclasses.fields(out))
+    return type(out).__name__, np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_single_point_primitives_take_the_lapack_route(n, monkeypatch):
+    rng = np.random.default_rng(70 + n)
+    x, y = random_point(n, rng, 0.5, 0.6), random_point(n, rng, 0.5, 0.6)
+    h, h2 = random_element(n, rng, 0.4), random_element(n, rng, 0.4)
+    calls = {
+        "kernel": (x, y, 3.0),
+        "kahler_potential": (x, 3.0),
+        "kahler_form": (x, 3.0),
+        "act": (h, x),
+        "lambda_cocycle": (h, x, 4),
+        "lambda_cocycle_ez": (h, x, 4),
+        "density": (x,),
+        "jacobi_compose": (h, h2),
+    }
+    want = {name: _flat(getattr(jacobi, name)(*args)) for name, args in calls.items()}
+
+    def refuse(*args):
+        raise AssertionError("np.linalg was called on a single point")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    got = {name: _flat(getattr(jacobi, name)(*args)) for name, args in calls.items()}
+    assert got == want

@@ -347,3 +347,88 @@ def test_json_roundtrip():
     m = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     back = matfun.mat_from_json(matfun.mat_to_json(m))
     assert np.array_equal(back, m)
+
+
+def _system(n, rng, lead, cols, complex_):
+    def draw(shape):
+        out = rng.normal(size=shape)
+        return out + 1j * rng.normal(size=shape) if complex_ else out
+
+    a = draw(lead + (n, n)) + 2 * np.eye(n)
+    b = draw(lead + (n,) if cols is None else lead + (n, cols))
+    return a, b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("cols", [None, 1, 3])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_solve_and_inv_equal_numpy_bit_for_bit(n, lead, cols, complex_):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(8):
+        a, b = _system(n, rng, lead, cols, complex_)
+        if lead and cols is None:
+            b = b[..., None]  # numpy solves a 1-d right-hand side against one matrix only
+        for got, want in ((matfun.solve(a, b), np.linalg.solve(a, b)),
+                          (matfun.inv(a), np.linalg.inv(a))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+def test_solve_mixes_real_and_complex_operands_as_numpy_does():
+    rng = np.random.default_rng(64)
+    a_re, b_re = _system(3, rng, (), 2, complex_=False)
+    a_c, b_c = _system(3, rng, (), 2, complex_=True)
+    for a, b in ((a_re, b_c), (a_c, b_re), (a_re.astype(np.float32), b_re),
+                 (a_re.astype(np.float32), b_re.astype(np.float32))):
+        got, want = matfun.solve(a, b), np.linalg.solve(a, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    f32 = a_re.astype(np.float32)
+    assert matfun.inv(f32).tobytes() == np.linalg.inv(f32).tobytes()
+
+
+def test_solve_and_inv_leave_read_only_inputs_untouched():
+    a, b = _system(3, np.random.default_rng(65), (), 2, complex_=True)
+    a0, b0 = a.copy(), b.copy()
+    a.flags.writeable = False
+    b.flags.writeable = False
+    matfun.solve(a, b)
+    matfun.solve(a, b[:, 0])
+    matfun.inv(a)
+    assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+
+def test_solve_and_inv_of_a_singular_matrix_raise_as_numpy_does():
+    for dtype in (float, complex):
+        sing = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=dtype)
+        rhs = np.ones(2, dtype=dtype)
+        for ours, theirs in ((lambda: matfun.solve(sing, rhs), lambda: np.linalg.solve(sing, rhs)),
+                             (lambda: matfun.inv(sing), lambda: np.linalg.inv(sing))):
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                theirs()
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                ours()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+
+def test_solve_and_inv_of_one_matrix_skip_np_linalg(monkeypatch):
+    a, b = _system(3, np.random.default_rng(66), (), 2, complex_=True)
+    want = (np.linalg.solve(a, b), np.linalg.solve(a, b[:, 0]), np.linalg.inv(a))
+
+    def refuse(*args):
+        raise AssertionError("np.linalg was called")
+
+    monkeypatch.setattr(matfun.np.linalg, "solve", refuse)
+    monkeypatch.setattr(matfun.np.linalg, "inv", refuse)
+    got = (matfun.solve(a, b), matfun.solve(a, b[:, 0]), matfun.inv(a))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_eye_is_a_shared_read_only_identity():
+    for n in (0, 1, 3):
+        eye = matfun.eye(n)
+        assert eye is matfun.eye(n)
+        assert not eye.flags.writeable
+        assert eye.dtype == np.eye(n).dtype and np.array_equal(eye, np.eye(n))
