@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -39,6 +40,20 @@ def _complex_json(value: complex) -> dict:
     return {"re": float(np.real(value)), "im": float(np.imag(value))}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _load_json(text: str):
     if text == "-":
         return json.load(sys.stdin)
@@ -46,13 +61,9 @@ def _load_json(text: str):
 
 
 def _load_point(text: str) -> CSPoint:
-    """Parse a JSON point through the validated constructor ``cs_point``."""
-    d = _load_json(text)
-    try:
-        z = [complex(re, im) for re, im in d["z"]]
-    except TypeError as exc:
-        raise ValueError(f"z must be a list of [re, im] pairs: {exc}") from exc
-    return jacobi.cs_point(z, matfun.mat_from_json(d["W"]))
+    """Parse a JSON point and validate it through ``cs_point``."""
+    x = CSPoint.from_json(_load_json(text))
+    return jacobi.cs_point(x.z, x.W)
 
 
 def cmd_verify(args) -> int:
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=verify.SUITES)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--samples", type=int, default=None)
+    pv.add_argument("--samples", type=_positive_int, default=None)
     pv.add_argument("--cutoff", type=int, default=None)
     pv.set_defaults(fn=cmd_verify)
 
@@ -163,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand takes only the flags it reads
     for p in (pv, pe):
-        p.add_argument("--n", type=int, default=None, help="matrix dimension")
-        p.add_argument("--k", type=float, default=None, help="representation index")
+        p.add_argument("--n", type=_positive_int, default=None, help="matrix dimension")
+        p.add_argument("--k", type=_finite_float, default=None, help="representation index")
     for p in (pv, pe, pd):
         p.add_argument("--json-indent", type=int, default=None)
     return parser

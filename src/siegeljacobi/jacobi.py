@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matfun, symplectic
 from .errors import OutOfDomain, Singular
-from .matfun import DEFAULT_TOL, as_cmat, detpow
+from .matfun import as_cmat, detpow
 from .symplectic import SpElement, sp_compose, sp_identity, sp_inverse, sym_index_pairs
 
 __all__ = [
@@ -92,11 +92,27 @@ class CSPoint:
 
     @staticmethod
     def from_json(d: dict) -> "CSPoint":
-        z = np.array([re + 1j * im for re, im in d["z"]], dtype=complex)
-        return CSPoint(z=z, W=matfun.mat_from_json(d["W"]))
+        """Inverse of :meth:`to_json`; it does not validate the point, which
+        :func:`cs_point` does.
+
+        Raises
+        ------
+        ValueError
+            If ``z`` is not a list of ``[re, im]`` pairs.
+        """
+        return CSPoint(z=_vector_from_json(d["z"], "z"), W=matfun.mat_from_json(d["W"]))
 
 
-def cs_point(z, W, tol: float = DEFAULT_TOL) -> CSPoint:
+def _vector_from_json(pairs, name: str) -> np.ndarray:
+    """Complex vector from a JSON list of ``[re, im]`` pairs; ``name`` names
+    the field in the error."""
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be a list of [re, im] pairs: {exc}") from exc
+
+
+def cs_point(z, W) -> CSPoint:
     """Validated constructor: ``z`` must be finite and ``W`` an interior
     domain point of matching dimension."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -105,7 +121,7 @@ def cs_point(z, W, tol: float = DEFAULT_TOL) -> CSPoint:
     W = as_cmat(W)
     if W.shape != (len(z), len(z)):
         raise ValueError(f"W has shape {W.shape}, expected {(len(z), len(z))}")
-    if not matfun.is_siegel(W, tol=tol):
+    if not matfun.is_siegel(W):
         raise OutOfDomain("W is not an interior point of the domain")
     return CSPoint(z=z, W=W)
 
@@ -131,9 +147,10 @@ class JacobiElement:
 
     @staticmethod
     def from_json(d: dict) -> "JacobiElement":
-        alpha = np.array([re + 1j * im for re, im in d["alpha"]], dtype=complex)
         return JacobiElement(
-            g=SpElement.from_json(d["g"]), alpha=alpha, t=float(d.get("t", 0.0))
+            g=SpElement.from_json(d["g"]),
+            alpha=_vector_from_json(d["alpha"], "alpha"),
+            t=float(d.get("t", 0.0)),
         )
 
 
@@ -290,15 +307,14 @@ def lambda_cocycle(
     return CocycleData(z1=image.z, W1=image.W, x=xv, y=yv, lam=complex(lam))
 
 
-def lambda_full(
-    h: JacobiElement, x: CSPoint, k, unchecked_branch: bool = False
-) -> complex:
+def lambda_full(h: JacobiElement, x: CSPoint, k) -> complex:
     """Cocycle including the central phase ``exp(i c t)``.
 
     Exactly multiplicative along :func:`jacobi_compose`:
     ``lambda_full(h1 o h2, x) = lambda_full(h1, h2.x) lambda_full(h2, x)``.
+    ``k`` must be an even integer.
     """
-    data = lambda_cocycle(h, x, k, unchecked_branch=unchecked_branch)
+    data = lambda_cocycle(h, x, k)
     return data.lam * complex(np.exp(1j * CENTRAL_CHARGE * h.t))
 
 
@@ -714,14 +730,13 @@ def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     return lhs, rhs, relerr
 
 
-def pik_apply(
-    h: JacobiElement, k, f, x: CSPoint, unchecked_branch: bool = False
-) -> complex:
+def pik_apply(h: JacobiElement, k, f, x: CSPoint) -> complex:
     """Representation on holomorphic functions.
 
     ``(pi(h) f)(x) = lambda(h^-1, x) f(h^-1 . x)`` with the full cocycle
     (central phase included); a homomorphism along :func:`jacobi_compose`.
+    ``k`` must be an even integer.
     """
     hinv = jacobi_inverse(h)
-    lam = lambda_full(hinv, x, k, unchecked_branch=unchecked_branch)
+    lam = lambda_full(hinv, x, k)
     return lam * f(act(hinv, x))

@@ -33,6 +33,8 @@ from scipy.linalg import lapack
 
 from .errors import DomainViolation, NonHermitian, NoConvergence, NotSymmetric, Singular
 
+#: Relative tolerance of the symmetry checks (against ``max(||m||, 1)``), and
+#: the default tolerance of :func:`is_siegel` and of the group membership check.
 DEFAULT_TOL = 1e-10
 
 #: A log-determinant raises :class:`Singular` when a pivot magnitude is at
@@ -146,15 +148,13 @@ class HermEig:
     evecs: np.ndarray
 
 
-def herm_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermEig:
+def herm_eig(h: np.ndarray) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with validation.
 
     Parameters
     ----------
     h : ndarray
-        Square matrix, Hermitian within ``tol * ||h||``.
-    tol : float
-        Relative symmetry and reconstruction tolerance.
+        Square matrix, Hermitian within ``DEFAULT_TOL * max(||h||, 1)``.
 
     Raises
     ------
@@ -167,7 +167,7 @@ def herm_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermEig:
     if h.shape[0] != h.shape[1]:
         raise NonHermitian("matrix is not square")
     scale = max(np.linalg.norm(h), 1.0)
-    if np.linalg.norm(h - h.conj().T) > tol * scale:
+    if np.linalg.norm(h - h.conj().T) > DEFAULT_TOL * scale:
         raise NonHermitian(
             f"symmetry residual {np.linalg.norm(h - h.conj().T):.3e} exceeds tol"
         )
@@ -178,13 +178,13 @@ def herm_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermEig:
     return HermEig(evals=evals, evecs=evecs)
 
 
-def herm_func(h: np.ndarray, f, domain=None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def herm_func(h: np.ndarray, f, domain=None) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix by spectral calculus.
 
     Parameters
     ----------
     h : ndarray
-        Hermitian matrix.
+        Hermitian matrix, validated by :func:`herm_eig`.
     f : callable
         Scalar function applied to the eigenvalues (vectorized).
     domain : callable, optional
@@ -196,7 +196,7 @@ def herm_func(h: np.ndarray, f, domain=None, tol: float = DEFAULT_TOL) -> np.nda
     ndarray
         ``V f(diag(evals)) V*``; Hermitian whenever ``f`` is real valued.
     """
-    dec = herm_eig(h, tol=tol)
+    dec = herm_eig(h)
     if domain is not None and not np.all(domain(dec.evals)):
         raise DomainViolation(
             f"eigenvalues {dec.evals} leave the domain of {getattr(f, '__name__', f)}"
@@ -252,16 +252,17 @@ def arctanhc_of_sqrt(t):
     )
 
 
-def check_symmetric(z: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate complex symmetry ``z == z^T`` and return ``z``."""
+def check_symmetric(z: np.ndarray) -> np.ndarray:
+    """Validate complex symmetry ``z == z^T``, within
+    ``DEFAULT_TOL * max(||z||, 1)``, and return ``z``."""
     z = as_cmat(z)
     scale = max(np.linalg.norm(z), 1.0)
-    if np.linalg.norm(z - z.T) > tol * scale:
+    if np.linalg.norm(z - z.T) > DEFAULT_TOL * scale:
         raise NotSymmetric(f"symmetry residual {np.linalg.norm(z - z.T):.3e}")
     return z
 
 
-def cartan_blocks(z: np.ndarray, tol: float = DEFAULT_TOL):
+def cartan_blocks(z: np.ndarray):
     """Hyperbolic blocks of the exponential of an off-diagonal generator.
 
     For symmetric ``z`` returns ``(m, n)`` with ``m = cosh(sqrt(z zbar))`` and
@@ -273,10 +274,10 @@ def cartan_blocks(z: np.ndarray, tol: float = DEFAULT_TOL):
     NotSymmetric
         If ``z`` is not complex-symmetric.
     """
-    z = check_symmetric(z, tol=tol)
+    z = check_symmetric(z)
     h = z @ z.conj().T
-    m = herm_func(h, cosh_of_sqrt, tol=tol)
-    n = herm_func(h, sinhc_of_sqrt, tol=tol) @ z
+    m = herm_func(h, cosh_of_sqrt)
+    n = herm_func(h, sinhc_of_sqrt) @ z
     return m, n
 
 

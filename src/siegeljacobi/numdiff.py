@@ -35,6 +35,25 @@ def _wirtinger_steps(h: float, conjugate: bool):
     return steps
 
 
+#: Step of the Hessian's stencils: the truncation error is O(h^4)
+_HESSIAN_STEP = 5e-4
+#: Step of the Jacobians' stencils
+_JACOBIAN_STEP = 1e-6
+
+_HESSIAN_STEPS_A = _wirtinger_steps(_HESSIAN_STEP, conjugate=False)
+_HESSIAN_STEPS_B = _wirtinger_steps(_HESSIAN_STEP, conjugate=True)
+#: The eight offsets of the Hessian stencil, the same for both derivatives
+_HESSIAN_OFFSETS = np.array([off for off, _ in _HESSIAN_STEPS_A])
+#: ``_HESSIAN_WEIGHTS[i, j]`` weighs step ``i`` in ``xi_a`` and ``j`` in ``xi_b``
+_HESSIAN_WEIGHTS = np.array(
+    [[wa * wb for _, wb in _HESSIAN_STEPS_B] for _, wa in _HESSIAN_STEPS_A]
+)
+#: The Jacobian stencil's steps ``h, -h, ih, -ih`` in one coordinate
+_JACOBIAN_STEPS = np.array(
+    [_JACOBIAN_STEP, -_JACOBIAN_STEP, 1j * _JACOBIAN_STEP, -1j * _JACOBIAN_STEP]
+)
+
+
 def _contract(weights, blocks):
     """Real and imaginary parts, shape ``(2, len(blocks))``, of
     ``sum_i sum_j weights[i, j] * f[i, j]`` for each real block ``f`` of
@@ -49,12 +68,13 @@ def _contract(weights, blocks):
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
+def wirtinger_hessian(fun, x: CSPoint) -> np.ndarray:
     """Mixed Hessian ``H_ab = d^2 f / dxi_a dxibar_b`` of a real function.
 
     Both Wirtinger derivatives use fourth-order central stencils in the real
-    and imaginary directions (64 evaluations per entry), so the truncation
-    error is O(h^4) and stays far below the closed forms it validates.
+    and imaginary directions (64 evaluations per entry) with the fixed step
+    ``h = 5e-4``, so the truncation error is O(h^4) and stays far below the
+    closed forms it validates.
 
     ``fun`` is called once, on the stacked :class:`CSPoint` of the
     ``64 dim (dim+1)/2`` stencil points of the pairs ``a <= b`` (leading shape
@@ -74,16 +94,12 @@ def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
     """
     base = cs_coords(x)
     dim = len(base)
-    steps_a = _wirtinger_steps(h, conjugate=False)
-    steps_b = _wirtinger_steps(h, conjugate=True)
-    offsets = np.array([off for off, _ in steps_a])  # also the offsets of steps_b
-    weights = np.array([[wa * wb for _, wb in steps_b] for _, wa in steps_a])
     rows, cols = np.triu_indices(dim)
-    lead = (len(rows), len(steps_a), len(steps_b))
+    lead = (len(rows),) + _HESSIAN_WEIGHTS.shape
     stack = np.broadcast_to(base, lead + (dim,)).copy()
     pair = np.arange(len(rows))
-    stack[pair, :, :, rows] += offsets[:, None]
-    stack[pair, :, :, cols] += offsets
+    stack[pair, :, :, rows] += _HESSIAN_OFFSETS[:, None]
+    stack[pair, :, :, cols] += _HESSIAN_OFFSETS
     vals = np.asarray(fun(cs_from_coords(stack, x.n)))
     if vals.shape != lead:
         raise ValueError(f"fun returned shape {vals.shape}, expected {lead}")
@@ -93,32 +109,32 @@ def wirtinger_hessian(fun, x: CSPoint, h: float = 5e-4) -> np.ndarray:
     blocks = np.concatenate([vals, vals[off].swapaxes(1, 2)])
     entries = (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))
     out = np.empty((dim, dim), dtype=complex)
-    out.real[entries], out.imag[entries] = _contract(weights, blocks)
+    out.real[entries], out.imag[entries] = _contract(_HESSIAN_WEIGHTS, blocks)
     return out
 
 
-def _stencil_jacobian(mapping, x: CSPoint, h: float, first: int) -> np.ndarray:
+def _stencil_jacobian(mapping, x: CSPoint, first: int) -> np.ndarray:
     """Columns ``first, first + 1, ...`` of :func:`holomorphic_jacobian`.
 
     Only coordinates from ``first`` on are stepped, so ``mapping`` is called
     once on a stack of leading shape ``(dim - first, 4)``.
     """
     base = cs_coords(x)
-    steps = np.array([h, -h, 1j * h, -1j * h])
     coord = np.arange(first, len(base))
-    lead = (len(coord), len(steps))
+    lead = (len(coord), len(_JACOBIAN_STEPS))
     stack = np.broadcast_to(base, lead + base.shape).copy()
-    stack[coord - first, :, coord] += steps
+    stack[coord - first, :, coord] += _JACOBIAN_STEPS
     cols = cs_coords(mapping(cs_from_coords(stack, x.n)))
     if cols.shape[:-1] != lead:
         raise ValueError(f"mapping returned leading shape {cols.shape[:-1]}, expected {lead}")
-    d_re = (cols[:, 0] - cols[:, 1]) / (2 * h)
-    d_im = (cols[:, 2] - cols[:, 3]) / (2 * h)
+    d_re = (cols[:, 0] - cols[:, 1]) / (2 * _JACOBIAN_STEP)
+    d_im = (cols[:, 2] - cols[:, 3]) / (2 * _JACOBIAN_STEP)
     return (0.5 * (d_re - 1j * d_im)).T
 
 
-def holomorphic_jacobian(mapping, x: CSPoint, h: float = 1e-6) -> np.ndarray:
-    """Jacobian ``J_ab = d (mapping coords)_a / d xi_b`` by complex stencils.
+def holomorphic_jacobian(mapping, x: CSPoint) -> np.ndarray:
+    """Jacobian ``J_ab = d (mapping coords)_a / d xi_b`` by complex stencils
+    with the fixed step ``h = 1e-6``.
 
     The mapping must be holomorphic; the anti-holomorphic part of the
     stencil is discarded (and is O(h) small for holomorphic maps).
@@ -130,10 +146,10 @@ def holomorphic_jacobian(mapping, x: CSPoint, h: float = 1e-6) -> np.ndarray:
     is computed from the same values in the same arithmetic as with a call
     of ``mapping`` per point.
     """
-    return _stencil_jacobian(mapping, x, h, first=0)
+    return _stencil_jacobian(mapping, x, first=0)
 
 
-def w_jacobian(mapping, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def w_jacobian(mapping, w: np.ndarray) -> np.ndarray:
     """Holomorphic Jacobian of a domain self-map in the ``w_ij`` coordinates.
 
     Only the ``n(n+1)/2`` coordinates ``w_ij`` are stepped: ``mapping`` is
@@ -151,4 +167,4 @@ def w_jacobian(mapping, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
         image = np.asarray(mapping(pt.W))
         return CSPoint(z=np.zeros(image.shape[:-1], dtype=complex), W=image)
 
-    return _stencil_jacobian(lifted, x, h, first=n)[n:]
+    return _stencil_jacobian(lifted, x, first=n)[n:]

@@ -57,6 +57,11 @@ __all__ = [
 ]
 
 
+#: How far a weight ``k`` may lie from an integer and still count as that
+#: integer, in :func:`wallach_admissible` and the even-``k`` branch check.
+_INT_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpElement:
     """Group element stored as the complex block pair ``(a, b)``."""
@@ -177,7 +182,7 @@ def gauss_reassemble(f: GaussFactors) -> SpElement:
     return SpElement(a=a, b=b)
 
 
-def cartan_decompose(g: SpElement, tol: float = DEFAULT_TOL) -> CartanFactors:
+def cartan_decompose(g: SpElement) -> CartanFactors:
     """Polar-type factorization ``g = exp([[0, z], [zbar, 0]]) diag(v, vbar)``.
 
     The symmetric generator is the inverse hyperbolic-tangent map of the
@@ -194,31 +199,31 @@ def cartan_decompose(g: SpElement, tol: float = DEFAULT_TOL) -> CartanFactors:
     h = y @ y.conj().T
     if np.linalg.eigvalsh(h).max() >= 1.0:
         raise DomainViolation("Gauss coordinate has norm >= 1")
-    z = matfun.herm_func(h, matfun.arctanhc_of_sqrt, tol=tol) @ y
-    v = matfun.herm_func(h, lambda t: np.sqrt(np.maximum(1.0 - t, 0.0)), tol=tol) @ g.a
+    z = matfun.herm_func(h, matfun.arctanhc_of_sqrt) @ y
+    v = matfun.herm_func(h, lambda t: np.sqrt(np.maximum(1.0 - t, 0.0))) @ g.a
     return CartanFactors(z=0.5 * (z + z.T), v=v)
 
 
-def cartan_synthesize(z: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> SpElement:
+def cartan_synthesize(z: np.ndarray, v: np.ndarray) -> SpElement:
     """Assemble an element from Cartan data: ``a = m v``, ``b = n conj(v)``."""
-    m, n = matfun.cartan_blocks(z, tol=tol)
+    m, n = matfun.cartan_blocks(z)
     return SpElement(a=m @ v, b=n @ v.conj())
 
 
-def sp_of(w: np.ndarray, tol: float = DEFAULT_TOL) -> SpElement:
+def sp_of(w: np.ndarray) -> SpElement:
     """The unitary-free element whose Cartan coordinate is the domain point ``w``."""
-    return cartan_synthesize(z_of_w(w, tol=tol), np.eye(w.shape[0], dtype=complex), tol=tol)
+    return cartan_synthesize(z_of_w(w), np.eye(w.shape[0], dtype=complex))
 
 
-def w_of_z(z: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def w_of_z(z: np.ndarray) -> np.ndarray:
     """Map a symmetric generator to its domain point: ``tanhc(sqrt(z z*)) z``."""
-    z = matfun.check_symmetric(z, tol=tol)
+    z = matfun.check_symmetric(z)
     h = z @ z.conj().T
-    w = matfun.herm_func(h, matfun.tanhc_of_sqrt, tol=tol) @ z
+    w = matfun.herm_func(h, matfun.tanhc_of_sqrt) @ z
     return 0.5 * (w + w.T)
 
 
-def z_of_w(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def z_of_w(w: np.ndarray) -> np.ndarray:
     """Inverse of :func:`w_of_z`: ``arctanhc(sqrt(w w*)) w``.
 
     Raises
@@ -226,19 +231,17 @@ def z_of_w(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     DomainViolation
         For boundary or exterior points (spectral radius of ``w w*`` >= 1).
     """
-    w = matfun.check_symmetric(w, tol=tol)
+    w = matfun.check_symmetric(w)
     h = w @ w.conj().T
-    z = matfun.herm_func(
-        h, matfun.arctanhc_of_sqrt, domain=lambda t: t < 1.0, tol=tol
-    ) @ w
+    z = matfun.herm_func(h, matfun.arctanhc_of_sqrt, domain=lambda t: t < 1.0) @ w
     return 0.5 * (z + z.T)
 
 
-def siegel_eta(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def siegel_eta(w: np.ndarray) -> np.ndarray:
     """Companion value ``eta = log(1 - w w*)`` of the coordinate maps."""
-    w = matfun.check_symmetric(w, tol=tol)
+    w = matfun.check_symmetric(w)
     g = matfun.eye(w.shape[0]) - w @ w.conj().T
-    return matfun.herm_func(g, np.log, domain=lambda t: t > 0.0, tol=tol)
+    return matfun.herm_func(g, np.log, domain=lambda t: t > 0.0)
 
 
 def moebius(g: SpElement, w: np.ndarray) -> np.ndarray:
@@ -259,11 +262,11 @@ def moebius(g: SpElement, w: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def _psd_power(h: np.ndarray, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    return matfun.herm_func(h, lambda t: np.maximum(t, 0.0) ** p, tol=tol)
+def _psd_power(h: np.ndarray, p: float) -> np.ndarray:
+    return matfun.herm_func(h, lambda t: np.maximum(t, 0.0) ** p)
 
 
-def ball_compose(w1: np.ndarray, w2: np.ndarray, tol: float = DEFAULT_TOL):
+def ball_compose(w1: np.ndarray, w2: np.ndarray):
     """Two-point composition law on the domain.
 
     Returns ``(w3, v, detv)`` where ``w3`` is the Cartan coordinate of the
@@ -286,18 +289,18 @@ def ball_compose(w1: np.ndarray, w2: np.ndarray, tol: float = DEFAULT_TOL):
     s1 = eye - w1 @ w1.conj().T
     s1p = eye - w1.conj().T @ w1
     w3 = (
-        _psd_power(s1, -0.5, tol)
+        _psd_power(s1, -0.5)
         @ (w1 + w2)
         @ _inv(eye + w1.conj().T @ w2, "1 + w1* w2")
-        @ _psd_power(s1p, 0.5, tol)
+        @ _psd_power(s1p, 0.5)
     )
     w3 = 0.5 * (w3 + w3.T)
     m = (
-        _psd_power(s1, -0.5, tol)
+        _psd_power(s1, -0.5)
         @ (eye + w1 @ w2.conj().T)
-        @ _psd_power(eye - w2 @ w2.conj().T, -0.5, tol)
+        @ _psd_power(eye - w2 @ w2.conj().T, -0.5)
     )
-    v = _psd_power(m @ m.conj().T, -0.5, tol) @ m
+    v = _psd_power(m @ m.conj().T, -0.5) @ m
     ld = matfun.principal_logdet(eye + w1 @ w2.conj().T)
     detv = complex(np.exp(1j * ld.imag))
     return w3, v, detv
@@ -317,13 +320,13 @@ def sym_index_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def sp_density(w: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def sp_density(w: np.ndarray) -> float:
     """Density ``det(1 - w wbar)^{-(n+1)}`` of the invariant volume.
 
     The determinant is :func:`matfun.logdet_hpd`'s, so a ``w`` outside the
     domain raises :class:`DomainViolation` rather than giving a value.
     """
-    w = matfun.check_symmetric(w, tol=tol)
+    w = matfun.check_symmetric(w)
     n = w.shape[0]
     return float(np.exp(-(n + 1) * matfun.logdet_hpd(matfun.eye(n) - w @ w.conj().T)))
 
@@ -378,28 +381,30 @@ def lambda1(k: float, n: int) -> float:
     return math.exp(log_val)
 
 
-def wallach_admissible(k: float, n: int, eps: float = 1e-12) -> bool:
+def wallach_admissible(k: float, n: int) -> bool:
     """Membership in the Wallach set {0, 1, ..., n-1} union (n-1, inf) of
     Sp(n, R): the ``k`` for which ``det(1 - y x*)^{-k/2}``, the kernel of the
     domain, is positive semi-definite.  It is not the set of the Jacobi
     kernel :func:`jacobi.kernel`: at n = 1 every ``k > 0`` is in this set,
     but the Jacobi kernel's exact Taylor blocks have negative eigenvalues
-    for ``k`` in (0, 1)."""
-    if k > n - 1 + eps:
+    for ``k`` in (0, 1).  A ``k`` within 1e-12 of an integer counts as
+    that integer."""
+    if k > n - 1 + _INT_TOL:
         return True
-    if k < -eps:
+    if k < -_INT_TOL:
         return False
     nearest = round(k)
-    return abs(k - nearest) <= eps and 0 <= nearest <= n - 1
+    return abs(k - nearest) <= _INT_TOL and 0 <= nearest <= n - 1
 
 
 def _require_even_int(k, unchecked_branch: bool):
     if unchecked_branch:
         return float(k)
     ki = int(round(float(k)))
-    if abs(k - ki) > 1e-12 or ki % 2 != 0:
+    if abs(k - ki) > _INT_TOL or ki % 2 != 0:
         raise ValueError(
-            "k must be an even integer (pass unchecked_branch=True to override)"
+            "k must be an even integer (lambda_cocycle and lambda_cocycle_ez"
+            " take unchecked_branch=True to override)"
         )
     return float(ki)
 

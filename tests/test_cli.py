@@ -208,6 +208,38 @@ def test_flag_the_subcommand_does_not_read_exits_two(argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "jacobi", "--n", "0"],
+        ["verify", "jacobi", "--samples", "-5"],
+        ["verify", "oracle", "--samples", "0"],
+        ["verify", "algebra", "--n", "0"],
+        ["eval", "lambda", "--n", "0", "--k", "5"],
+        ["eval", "lambda", "--n", "1", "--k", "nan"],
+        ["eval", "lambda", "--n", "1", "--k", "inf"],
+        ["verify", "gj1", "--k", "inf"],
+    ],
+)
+def test_out_of_range_numeric_flag_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("which", ["gauss", "cartan"])
+def test_decompose_tol_sets_the_membership_tolerance(capsys, which):
+    # membership residual 2.0e-6: outside the default --tol 1e-9, inside 1e-5
+    g = json.dumps({"a": {"rows": 1, "cols": 1, "re": [1.000001], "im": [0.0]},
+                    "b": {"rows": 1, "cols": 1, "re": [0.0], "im": [0.0]}})
+    code, out = run_cli(capsys, "decompose", "--g", g, "--which", which)
+    assert code == 2 and out == ""
+    code, out = run_cli(capsys, "decompose", "--g", g, "--which", which, "--tol", "1e-5")
+    assert code == 0 and json.loads(out)["residual"] <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "oracle", "--k", "4"],
         ["verify", "oracle", "--k", "4", "--n", "2"],
         ["verify", "algebra", "--samples", "5"],
