@@ -79,6 +79,17 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+#: The flags each ``eval`` quantity reads: each is required, and any other
+#: ``eval`` flag is an argument error.
+_EVAL_FLAGS = {
+    "kernel": ("x", "y", "k"),
+    "potential": ("point", "k"),
+    "form": ("point", "k"),
+    "density": ("point",),
+    "lambda": ("n", "k"),
+}
+
+
 def cmd_eval(args) -> int:
     what = args.what
     if what == "lambda":
@@ -160,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=cmd_verify)
 
     pe = sub.add_parser("eval", help="evaluate a quantity at given points")
-    pe.add_argument("what", choices=("kernel", "potential", "form", "density", "lambda"))
+    pe.add_argument("what", choices=tuple(_EVAL_FLAGS))
     pe.add_argument("--x", help="JSON point (kernel first slot), or - for stdin")
     pe.add_argument("--y", help="JSON point (kernel second slot)")
     pe.add_argument("--point", help="JSON point for potential/form/density")
@@ -186,14 +197,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.fn is cmd_eval:
-        if args.what == "kernel" and (args.x is None or args.y is None):
-            parser.error("eval kernel needs --x and --y")
-        if args.what in ("potential", "form", "density") and args.point is None:
-            parser.error(f"eval {args.what} needs --point")
-        if args.what == "lambda" and (args.n is None or args.k is None):
-            parser.error("eval lambda needs --n and --k")
-        if args.what in ("kernel", "potential", "form") and args.k is None:
-            parser.error(f"eval {args.what} needs --k")
+        reads = _EVAL_FLAGS[args.what]
+        for flag in ("x", "y", "point", "n", "k"):
+            if (getattr(args, flag) is None) == (flag in reads):
+                verb = "needs" if flag in reads else "does not read"
+                parser.error(f"eval {args.what} {verb} --{flag}")
     try:
         code = args.fn(args)
     except (SiegelJacobiError, ValueError, KeyError, json.JSONDecodeError) as exc:

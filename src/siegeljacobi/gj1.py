@@ -9,9 +9,9 @@ four-coordinate metric, and the classical affine action on the half-plane.
 The closed kernel and the disk-picture two-form are the n = 1 cases of
 :func:`siegeljacobi.jacobi.kernel` and :func:`siegeljacobi.jacobi.kahler_form`.
 
-The index ``kappa`` here follows the half-plane normalization: the n = 1
-kernel is ``(1 - w conj(w'))^{-2 kappa} exp(...)``, the general-n module's
-at ``k = 4 kappa`` (:func:`weight_from_kappa`).
+Every function takes the library's representation index ``k``: the n = 1
+kernel is ``(1 - w conj(w'))^{-k/2} exp(...)``, and the half-plane
+literature's ``kappa`` is ``k/4``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .diffops import MPoly
 from .errors import BranchViolation, DomainViolation, Singular
 
 __all__ = [
-    "kappa_from_weight",
-    "weight_from_kappa",
     "pn_poly",
     "pn_value",
     "hermite_value",
@@ -47,16 +45,6 @@ __all__ = [
 ]
 
 PN_VARS = ("z", "w")
-
-
-def kappa_from_weight(k: float) -> float:
-    """Convert the general-module index to this module's: ``kappa = k/4``."""
-    return k / 4
-
-
-def weight_from_kappa(kappa: float) -> float:
-    """Inverse of :func:`kappa_from_weight`."""
-    return 4 * kappa
 
 
 def pn_poly(n: int) -> MPoly:
@@ -155,38 +143,37 @@ def hermite_exact_equal(n: int) -> bool:
     return MPoly(PN_VARS, terms) == pn_poly(n)
 
 
-def _disk_weight(m: int, kappa: float) -> float:
-    """Orthonormal disk-basis weight ``sqrt(Gamma(m+2k)/(m! Gamma(2k)))``."""
+def _disk_weight(m: int, k: float) -> float:
+    """Orthonormal disk-basis weight ``sqrt(Gamma(m+k/2)/(m! Gamma(k/2)))``."""
     return math.exp(
-        0.5 * (math.lgamma(m + 2 * kappa) - math.lgamma(m + 1) - math.lgamma(2 * kappa))
+        0.5 * (math.lgamma(m + k / 2) - math.lgamma(m + 1) - math.lgamma(k / 2))
     )
 
 
-def basis_fn(nidx: int, midx: int, kappa: float, z: complex, w: complex) -> complex:
-    """Basis function ``f_(n,m) = weight_m(kappa) w^m P_n(z, w) / sqrt(n!)``."""
-    if kappa <= 0:
-        raise ValueError("need kappa > 0")
+def basis_fn(nidx: int, midx: int, k: float, z: complex, w: complex) -> complex:
+    """Basis function ``f_(n,m) = weight_m(k) w^m P_n(z, w) / sqrt(n!)``."""
+    if k <= 0:
+        raise ValueError("need k > 0")
     return (
-        _disk_weight(midx, kappa)
+        _disk_weight(midx, k)
         * w**midx
         * pn_value(nidx, z, w)
         / math.sqrt(float(math.factorial(nidx)))
     )
 
 
-def kernel_series(z, w, zp, wp, kappa: float, order: int) -> complex:
+def kernel_series(z, w, zp, wp, k: float, order: int) -> complex:
     """Partial sum of the basis expansion of the closed n = 1 kernel
-    ``jacobi.kernel(y, x, weight_from_kappa(kappa))`` with ``x = (z, w)`` and
-    ``y = (zp, wp)`` (second point conjugated).
+    ``jacobi.kernel(y, x, k)`` with ``x = (z, w)`` and ``y = (zp, wp)``
+    (second point conjugated).
 
     The polynomial factor resums (via the Hermite bilinear identity) to a
     ``(1 - w conj(wp))^{-1/2}`` times the exponential, so the disk weight in
-    the sum carries the shifted index ``kappa - 1/4``; with that shift the
-    series converges to the closed kernel at exponent ``-2 kappa``.
+    the sum carries the shifted index ``k - 1``; with that shift the series
+    converges to the closed kernel at exponent ``-k/2``.
     """
-    kshift = kappa - 0.25
-    if kshift <= 0:
-        raise ValueError("need kappa > 1/4 for the shifted disk weight")
+    if k <= 1:
+        raise ValueError("need k > 1 for the shifted disk weight")
     total = 0j
     pz = [pn_value(n, z, w) for n in range(order + 1)]
     pzp = [pn_value(n, zp, wp) for n in range(order + 1)]
@@ -194,7 +181,7 @@ def kernel_series(z, w, zp, wp, kappa: float, order: int) -> complex:
     for n in range(order + 1):
         inner += pz[n] * np.conj(pzp[n]) / float(math.factorial(n))
     for m in range(order + 1):
-        wt = _disk_weight(m, kshift)
+        wt = _disk_weight(m, k - 1)
         fm = wt * w**m
         fmp = wt * wp**m
         total += fm * np.conj(fmp) * inner
@@ -221,13 +208,13 @@ def cayley_inverse(w: complex, z: complex):
     return 1j * (1 + w) / (1 - w), z / (1 - w)
 
 
-def halfplane_form(v: complex, u: complex, kappa: float) -> np.ndarray:
+def halfplane_form(v: complex, u: complex, k: float) -> np.ndarray:
     """Hermitian coefficient matrix in coordinates (v, u).
 
-    ``-2 kappa/(vbar - v)^2 dv ^ dvbar + (2/(i(vbar - v))) B ^ Bbar`` with
+    ``-(k/2)/(vbar - v)^2 dv ^ dvbar + (2/(i(vbar - v))) B ^ Bbar`` with
     ``B = du - ((u - ubar)/(v - vbar)) dv``.
     """
-    hv = -2 * kappa / (np.conj(v) - v) ** 2
+    hv = -(k / 2) / (np.conj(v) - v) ** 2
     hb = 2.0 / (1j * (np.conj(v) - v))
     c = (u - np.conj(u)) / (v - np.conj(v))
     return np.array(
@@ -239,31 +226,30 @@ def halfplane_form(v: complex, u: complex, kappa: float) -> np.ndarray:
     )
 
 
-def kb_form_check(v: complex, u: complex, kappa: float) -> float:
+def kb_form_check(v: complex, u: complex, k: float) -> float:
     """Pull the disk form back through the Cayley map and compare.
 
-    The disk form is :func:`siegeljacobi.jacobi.kahler_form` at
-    ``k = weight_from_kappa(kappa)``, in coordinates ``(z, w)``.  Returns the
-    max entrywise difference between the pullback and the half-plane form at
-    the point.
+    The disk form is :func:`siegeljacobi.jacobi.kahler_form` at ``k``, in
+    coordinates ``(z, w)``.  Returns the max entrywise difference between the
+    pullback and the half-plane form at the point.
     """
     w, z = cayley(v, u)
     x = jacobi.CSPoint(z=np.array([z]), W=np.array([[w]]))
-    hd = jacobi.kahler_form(x, weight_from_kappa(kappa))
+    hd = jacobi.kahler_form(x, k)
     # holomorphic Jacobian of (v, u) -> (z, w), rows ordered like the form
     dz_dv = -2j * u / (v + 1j) ** 2
     dz_du = 2j / (v + 1j)
     dw_dv = 2j / (v + 1j) ** 2
     jac = np.array([[dz_dv, dz_du], [dw_dv, 0.0]], dtype=complex)
     pulled = jac.T @ hd @ jac.conj()
-    return float(np.abs(pulled - halfplane_form(v, u, kappa)).max())
+    return float(np.abs(pulled - halfplane_form(v, u, k)).max())
 
 
-def ez_metric(x: float, y: float, p: float, q: float, kappa: float) -> np.ndarray:
+def ez_metric(x: float, y: float, p: float, q: float, k: float) -> np.ndarray:
     """Real metric in the coordinates (x, y, p, q) with ``v = x + iy``,
     ``u = p v + q``.
 
-    ``ds^2 = kappa/(2 y^2) (dx^2 + dy^2)
+    ``ds^2 = k/(8 y^2) (dx^2 + dy^2)
              + (1/y)[(x^2 + y^2) dp^2 + dq^2 + 2 x dp dq]``;
     positive definite for ``y > 0``.
 
@@ -275,14 +261,14 @@ def ez_metric(x: float, y: float, p: float, q: float, kappa: float) -> np.ndarra
     if y <= 0:
         raise DomainViolation("need y > 0")
     g = np.zeros((4, 4))
-    g[0, 0] = g[1, 1] = kappa / (2 * y**2)
+    g[0, 0] = g[1, 1] = k / (8 * y**2)
     g[2, 2] = (x**2 + y**2) / y
     g[3, 3] = 1.0 / y
     g[2, 3] = g[3, 2] = x / y
     return g
 
 
-def halfplane_metric_real(x: float, y: float, p: float, q: float, kappa: float) -> np.ndarray:
+def halfplane_metric_real(x: float, y: float, p: float, q: float, k: float) -> np.ndarray:
     """Real form of :func:`halfplane_form` under the embedding ``u = p v + q``.
 
     ``G_ab = Re sum_ij H_ij J_ia conj(J_jb)`` for the complex Jacobian ``J``
@@ -290,7 +276,7 @@ def halfplane_metric_real(x: float, y: float, p: float, q: float, kappa: float) 
     """
     v = x + 1j * y
     u = p * v + q
-    h = halfplane_form(v, u, kappa)
+    h = halfplane_form(v, u, k)
     jac = np.array(
         [
             [1.0, 1j, 0.0, 0.0],

@@ -34,7 +34,7 @@ from scipy.linalg import lapack
 from .errors import DomainViolation, NonHermitian, NoConvergence, NotSymmetric, Singular
 
 #: Relative tolerance of the symmetry checks (against ``max(||m||, 1)``), and
-#: the default tolerance of :func:`is_siegel` and of the group membership check.
+#: the tolerance of :func:`is_siegel`, and the default of the membership check.
 DEFAULT_TOL = 1e-10
 
 #: A log-determinant raises :class:`Singular` when a pivot magnitude is at
@@ -427,17 +427,17 @@ def detpow(m: np.ndarray, s: float) -> complex:
     return complex(np.exp(s * principal_logdet(m)))
 
 
-def is_siegel(w: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_siegel(w: np.ndarray) -> bool:
     """Predicate for membership in the bounded symmetric domain.
 
-    True iff ``w`` is complex-symmetric within ``tol`` and the smallest
-    eigenvalue of ``1 - w w*`` exceeds ``tol``.
+    True iff ``w`` is complex-symmetric within :data:`DEFAULT_TOL` and the
+    smallest eigenvalue of ``1 - w w*`` exceeds it.
     """
     w = as_cmat(w)
     if w.shape[0] != w.shape[1]:
         return False
     scale = max(np.linalg.norm(w), 1.0)
-    if np.linalg.norm(w - w.T) > tol * scale:
+    if np.linalg.norm(w - w.T) > DEFAULT_TOL * scale:
         return False
     g = eye(w.shape[0]) - w @ w.conj().T
-    return bool(np.linalg.eigvalsh(g).min() > tol)
+    return bool(np.linalg.eigvalsh(g).min() > DEFAULT_TOL)

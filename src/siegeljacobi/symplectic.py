@@ -43,7 +43,6 @@ __all__ = [
     "sp_of",
     "w_of_z",
     "z_of_w",
-    "siegel_eta",
     "moebius",
     "ball_compose",
     "multiplier",
@@ -72,10 +71,6 @@ class SpElement:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    def as_block_matrix(self) -> np.ndarray:
-        """The full 2n x 2n matrix ``[[a, b], [conj b, conj a]]``."""
-        return np.block([[self.a, self.b], [self.b.conj(), self.a.conj()]])
 
     def to_json(self) -> dict:
         return {"a": matfun.mat_to_json(self.a), "b": matfun.mat_to_json(self.b)}
@@ -235,13 +230,6 @@ def z_of_w(w: np.ndarray) -> np.ndarray:
     h = w @ w.conj().T
     z = matfun.herm_func(h, matfun.arctanhc_of_sqrt, domain=lambda t: t < 1.0) @ w
     return 0.5 * (z + z.T)
-
-
-def siegel_eta(w: np.ndarray) -> np.ndarray:
-    """Companion value ``eta = log(1 - w w*)`` of the coordinate maps."""
-    w = matfun.check_symmetric(w)
-    g = matfun.eye(w.shape[0]) - w @ w.conj().T
-    return matfun.herm_func(g, np.log, domain=lambda t: t > 0.0)
 
 
 def moebius(g: SpElement, w: np.ndarray) -> np.ndarray:

@@ -280,11 +280,11 @@ def _lambda1_residual(k: float, n: int) -> float:
     return abs(val - 1.0 / symplectic.jn(k / 2 - n - 1, n)) / val
 
 
-def _real_metric_residual(x, y, p, q, kappa) -> float:
+def _real_metric_residual(x, y, p, q, k) -> float:
     """Max-abs distance of :func:`gj1.ez_metric` from the real form of the
     half-plane form, :func:`gj1.halfplane_metric_real`."""
     return np.abs(
-        gj1.ez_metric(x, y, p, q, kappa) - gj1.halfplane_metric_real(x, y, p, q, kappa)
+        gj1.ez_metric(x, y, p, q, k) - gj1.halfplane_metric_real(x, y, p, q, k)
     ).max()
 
 
@@ -303,14 +303,12 @@ _PN_TABLE = (
 def _one_variable_residuals():
     """Mismatches of :func:`gj1.pn_poly` against :data:`_PN_TABLE`, failures
     of the exact Hermite identity for n = 0..8, and the relative distance of
-    the order-40 basis series at kappa = 1 from :func:`jacobi.kernel` at
-    k = 4."""
+    the order-40 basis series at k = 4 from :func:`jacobi.kernel`."""
     bad_pn = sum(1 for i, text in enumerate(_PN_TABLE) if gj1.pn_poly(i).text() != text)
     bad_h = sum(0 if gj1.hermite_exact_equal(i) else 1 for i in range(9))
     ck = jacobi.kernel(CSPoint(z=np.array([0.2 + 0j]), W=np.array([[0.1 + 0j]])),
-                       CSPoint(z=np.array([0.1 + 0j]), W=np.array([[0.2 + 0j]])),
-                       gj1.weight_from_kappa(1.0))
-    sk = gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 1.0, 40)
+                       CSPoint(z=np.array([0.1 + 0j]), W=np.array([[0.2 + 0j]])), 4.0)
+    sk = gj1.kernel_series(0.1, 0.2, 0.2, 0.1, 4.0, 40)
     return bad_pn, bad_h, abs(sk - ck) / abs(ck)
 
 
@@ -494,20 +492,18 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
         worst_uni = max(worst_uni, uni)
         worst_mult = max(worst_mult, mult)
         worst_order = max(worst_order, _left_action_residual(h, h2, x))
-        if n == 1:
-            lam = jacobi.lambda_cocycle(h, x, int(k)).lam
-            ez = jacobi.lambda_cocycle_ez(h, x, int(k))
-            worst_routes = max(worst_routes, abs(ez - lam) / abs(lam))
-            worst_literal = max(worst_literal, _cocycle_literal_residual(h, x, int(k), ez))
+        lam = jacobi.lambda_cocycle(h, x, int(k)).lam
+        ez = jacobi.lambda_cocycle_ez(h, x, int(k))
+        worst_routes = max(worst_routes, abs(ez - lam) / abs(lam))
+        worst_literal = max(worst_literal, _cocycle_literal_residual(h, x, int(k), ez))
     _rec(checks, "cocycle-unitarity", "multiplier-norm-consistency", worst_uni,
          1e-9, n=n, k=k, samples=samples)
     _rec(checks, "cocycle-multiplicative", "multiplier-composition", worst_mult,
          1e-9, n=n, k=k, samples=samples)
-    if n == 1:
-        _rec(checks, "cocycle-route-agreement", "multiplier-closed-forms",
-             worst_routes, 1e-9, n=n, k=k, samples=samples)
-        _rec(checks, "cocycle-literal-route", "multiplier-literal-route",
-             worst_literal, 1e-9, n=n, k=k, samples=samples)
+    _rec(checks, "cocycle-route-agreement", "multiplier-closed-forms",
+         worst_routes, 1e-9, n=n, k=k, samples=samples)
+    _rec(checks, "cocycle-literal-route", "multiplier-literal-route",
+         worst_literal, 1e-9, n=n, k=k, samples=samples)
 
     x = _random_point(n, rng)
     pot = jacobi.kahler_potential(x, k)
@@ -605,11 +601,10 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
 
 
 def suite_gj1(k=16.0, seed=1234, samples=100) -> list:
-    """The n = 1 picture.  ``k`` is the general-module index, as in the other
-    suites; the half-plane formulas take ``kappa = gj1.kappa_from_weight(k)``."""
+    """The n = 1 picture, at the representation index ``k`` of the other
+    suites."""
     rng = np.random.default_rng(seed)
     checks = []
-    kappa = gj1.kappa_from_weight(k)
 
     bad_pn, bad_h, series = _one_variable_residuals()
     _rec(checks, "pn-golden-table", "heat-polynomial-table", bad_pn, 0,
@@ -617,7 +612,7 @@ def suite_gj1(k=16.0, seed=1234, samples=100) -> list:
     _rec(checks, "hermite-closed-form", "hermite-identity-exact", bad_h, 0,
          samples=9)
     _rec(checks, "kernel-series", "basis-resummation", series, 1e-6, n=1,
-         k=gj1.weight_from_kappa(1.0), samples=41)
+         k=4.0, samples=41)
 
     worst_rt = worst_kb = worst_ez = 0.0
     for _ in range(samples):
@@ -626,10 +621,10 @@ def suite_gj1(k=16.0, seed=1234, samples=100) -> list:
         w, z = gj1.cayley(v, u)
         v2, u2 = gj1.cayley_inverse(w, z)
         worst_rt = max(worst_rt, abs(v - v2) + abs(u - u2))
-        worst_kb = max(worst_kb, gj1.kb_form_check(v, u, kappa))
+        worst_kb = max(worst_kb, gj1.kb_form_check(v, u, k))
         x, y = v.real, v.imag
         p, q = rng.normal(), rng.normal()
-        worst_ez = max(worst_ez, _real_metric_residual(x, y, p, q, kappa))
+        worst_ez = max(worst_ez, _real_metric_residual(x, y, p, q, k))
     _rec(checks, "cayley-roundtrip", "halfplane-disk-biholomorphism", worst_rt,
          1e-12, samples=samples)
     _rec(checks, "form-pullback", "two-presentations-of-the-form", worst_kb,

@@ -241,10 +241,10 @@ def test_criterion_10_one_variable_section():
     for _ in range(100):
         v = complex(rng.normal(), abs(rng.normal()) + 0.2)
         u = complex(rng.normal(), rng.normal())
-        worst_kb = max(worst_kb, gj1.kb_form_check(v, u, 4.0))
+        worst_kb = max(worst_kb, gj1.kb_form_check(v, u, 16.0))
         x, p, q = rng.normal(size=3)
         y = abs(rng.normal()) + 0.2
-        worst_ez = max(worst_ez, verify._real_metric_residual(x, y, p, q, 4.0))
+        worst_ez = max(worst_ez, verify._real_metric_residual(x, y, p, q, 16.0))
     ok = (
         table_ok
         and hermite_ok

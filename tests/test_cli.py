@@ -53,7 +53,7 @@ def test_eval_density(capsys):
     point = json.dumps(
         {"z": [[0.0, 0.0]], "W": {"rows": 1, "cols": 1, "re": [0.5], "im": [0.0]}}
     )
-    code, out = run_cli(capsys, "eval", "density", "--point", point, "--n", "1")
+    code, out = run_cli(capsys, "eval", "density", "--point", point)
     assert code == 0
     assert abs(json.loads(out)["value"] - 0.75 ** (-3)) < 1e-12
 
@@ -157,9 +157,7 @@ def _point_json(z, w):
 
 
 def test_eval_rejects_point_outside_domain(capsys):
-    code, out = run_cli(
-        capsys, "eval", "density", "--point", _point_json(0.0, 1.5), "--n", "1"
-    )
+    code, out = run_cli(capsys, "eval", "density", "--point", _point_json(0.0, 1.5))
     assert code == 2 and out == ""
 
 
@@ -203,6 +201,26 @@ def test_flag_the_subcommand_does_not_read_exits_two(argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "density", "--n", "3", "--k", "7", "--point", _point_json(0.0, 0.5)],
+        ["eval", "lambda", "--n", "1", "--k", "5", "--point", _point_json(0.0, 0.5)],
+        ["eval", "kernel", "--n", "9", "--x", _point_json(0.0, 0.0),
+         "--y", _point_json(0.0, 0.0), "--k", "4"],
+        ["eval", "potential", "--point", _point_json(0.0, 0.5), "--k", "4",
+         "--y", _point_json(0.0, 0.0)],
+        ["eval", "form", "--point", _point_json(0.0, 0.5), "--k", "4", "--n", "1"],
+    ],
+)
+def test_eval_flag_the_quantity_does_not_read_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "does not read" in captured.err
 
 
 @pytest.mark.parametrize(

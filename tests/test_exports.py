@@ -1,5 +1,6 @@
 """Every name the package and its layer modules export in ``__all__`` exists,
-and the layers take no tolerance or step that no caller sets."""
+the layers take no tolerance or step that no caller sets, and they take one
+representation index, ``k``."""
 
 import importlib
 import inspect
@@ -17,11 +18,9 @@ def test_all_names_resolve(module):
 
 
 #: The only tolerance, integer-slack and branch-check parameters a caller can
-#: set: each is set by a caller (the CLI's ``decompose --tol``, a test of
-#: ``is_siegel``, the Fock oracle's weight-one cocycles); every other such
-#: value is fixed
+#: set: each is set by a caller (the CLI's ``decompose --tol``, the Fock
+#: oracle's weight-one cocycles); every other such value is fixed
 SETTABLE = {
-    "matfun.is_siegel": {"tol"},
     "symplectic.sp_new": {"tol"},
     "symplectic.SpElement.from_json": {"tol"},
     "jacobi.lambda_cocycle": {"unchecked_branch"},
@@ -52,6 +51,15 @@ def test_only_the_settable_tolerances_and_branch_checks_are_parameters():
             if knobs:
                 found[f"{layer}.{name}"] = knobs
     assert found == SETTABLE
+
+
+def test_no_layer_takes_a_kappa_index():
+    # the half-plane literature's kappa is k/4; every layer takes k itself
+    found = [f"{layer}.{name}"
+             for layer in LAYERS
+             for name, fn in _public_callables(importlib.import_module(f"siegeljacobi.{layer}"))
+             if "kappa" in inspect.signature(fn).parameters]
+    assert found == []
 
 
 def test_finite_difference_oracles_take_no_step():

@@ -40,47 +40,42 @@ def test_hermite_identity_exact(n):
 
 def test_basis_fn_weights():
     # constant basis function at the base point of the expansion
-    assert abs(gj1.basis_fn(0, 0, 1.0, 0.3, 0.2) - 1.0) < 1e-14
-    # first disk weight is sqrt(2 kappa) w
-    kappa = 1.7
+    assert abs(gj1.basis_fn(0, 0, 4.0, 0.3, 0.2) - 1.0) < 1e-14
+    # first disk weight is sqrt(k/2) w
+    k = 6.8
     w = 0.25 + 0.1j
-    val = gj1.basis_fn(0, 1, kappa, 0.0, w)
-    assert abs(val - math.sqrt(2 * kappa) * w) < 1e-14
+    val = gj1.basis_fn(0, 1, k, 0.0, w)
+    assert abs(val - math.sqrt(k / 2) * w) < 1e-14
 
 
 def test_kernel_series_converges():
     z, w, zp, wp = 0.1, 0.2, 0.2, 0.1
-    # the closed kernel at kappa = 1, second point conjugated
+    # the closed kernel at k = 4, second point conjugated
     x = CSPoint(z=np.array([z + 0j]), W=np.array([[w + 0j]]))
     y = CSPoint(z=np.array([zp + 0j]), W=np.array([[wp + 0j]]))
-    closed = jacobi.kernel(y, x, gj1.weight_from_kappa(1.0))
-    series = gj1.kernel_series(z, w, zp, wp, 1.0, 40)
+    closed = jacobi.kernel(y, x, 4.0)
+    series = gj1.kernel_series(z, w, zp, wp, 4.0, 40)
     assert abs(series - closed) / abs(closed) < 1e-6
     # truncation error is monotone in the order
     errs = [
-        abs(gj1.kernel_series(z, w, zp, wp, 1.0, order) - closed)
+        abs(gj1.kernel_series(z, w, zp, wp, 4.0, order) - closed)
         for order in (5, 10, 20, 40)
     ]
     assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
 
-def test_index_conversion():
-    assert gj1.kappa_from_weight(4.0) == 1.0
-    assert gj1.weight_from_kappa(gj1.kappa_from_weight(2.5)) == 2.5
-
-
 def test_kernel_matches_general_module():
-    # the one-variable kernel at kappa equals the general one at k = 4 kappa
-    kappa = 0.75
+    # the one-variable closed kernel equals the general one at n = 1
+    k = 3.0
     x = CSPoint(z=np.array([0.2 + 0.1j]), W=np.array([[0.3 - 0.2j]]))
     y = CSPoint(z=np.array([0.1 - 0.3j]), W=np.array([[0.1 + 0.2j]]))
-    # (1 - w conj(w'))^{-2 kappa} exp(...) at (z, w) = y, (z', w') = x
+    # (1 - w conj(w'))^{-k/2} exp(...) at (z, w) = y, (z', w') = x
     z, w = complex(y.z[0]), complex(y.W[0, 0])
     zp, wp = complex(x.z[0]), complex(x.W[0, 0])
     u = 1 - w * np.conj(wp)
     num = 2 * np.conj(zp) * z + z * z * np.conj(wp) + np.conj(zp) ** 2 * w
-    lhs = u ** (-2 * kappa) * np.exp(num / (2 * u))
-    rhs = jacobi.kernel(x, y, gj1.weight_from_kappa(kappa))
+    lhs = u ** (-k / 2) * np.exp(num / (2 * u))
+    rhs = jacobi.kernel(x, y, k)
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
@@ -100,46 +95,46 @@ def test_cayley_values_and_roundtrip():
 
 
 def test_disk_form_matches_general_module():
-    # (z, w)-ordered coefficients at kappa match the general form at k = 4 kappa
+    # (z, w)-ordered coefficients of the n = 1 form, typed out
     rng = np.random.default_rng(1)
-    kappa = 1.0
+    k = 4.0
     z = complex(0.3 * rng.normal(), 0.3 * rng.normal())
     w = 0.4 * math.tanh(rng.normal()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     x = CSPoint(z=np.array([z]), W=np.array([[w]]))
-    # 2 kappa/(1-w wbar)^2 dw ^ dwbar + A ^ Abar / (1 - w wbar) with
+    # (k/2)/(1-w wbar)^2 dw ^ dwbar + A ^ Abar / (1 - w wbar) with
     # A = dz + conj(alpha0) dw and alpha0 = (z + zbar w)/(1 - w wbar)
     m = 1.0 / (1 - w * np.conj(w))
     alpha0 = (z + np.conj(z) * w) * m
     disk = np.array(
-        [[m, m * alpha0], [m * np.conj(alpha0), 2 * kappa * m**2 + m * abs(alpha0) ** 2]]
+        [[m, m * alpha0], [m * np.conj(alpha0), k / 2 * m**2 + m * abs(alpha0) ** 2]]
     )
-    assert np.abs(disk - jacobi.kahler_form(x, 4 * kappa)).max() < 1e-10
+    assert np.abs(disk - jacobi.kahler_form(x, k)).max() < 1e-10
 
 
 def test_kb_form_pullback():
-    assert gj1.kb_form_check(1j, 0.0, 4.0) < 1e-10
+    assert gj1.kb_form_check(1j, 0.0, 16.0) < 1e-10
     rng = np.random.default_rng(2)
     for _ in range(50):
         v = complex(rng.normal(), abs(rng.normal()) + 0.2)
         u = complex(rng.normal(), rng.normal())
-        assert gj1.kb_form_check(v, u, 4.0) < 1e-8
-    # leading coefficient at the base point scales like k/2
-    k = 4.0
+        assert gj1.kb_form_check(v, u, 16.0) < 1e-8
+    # leading coefficient at the base point scales like k/8
+    k = 16.0
     h = gj1.halfplane_form(1j, 0.0, k)
-    assert abs(h[0, 0] - k / 2) < 1e-14
+    assert abs(h[0, 0] - k / 8) < 1e-14
 
 
 def test_ez_metric_values():
-    g = gj1.ez_metric(0.0, 1.0, 0.0, 0.0, 2.0)
+    g = gj1.ez_metric(0.0, 1.0, 0.0, 0.0, 8.0)
     assert np.abs(g - np.eye(4)).max() < 1e-14
     rng = np.random.default_rng(3)
     for _ in range(100):
         x, p, q = rng.normal(size=3)
         y = abs(rng.normal()) + 0.1
-        g = gj1.ez_metric(x, y, p, q, 4.0)
+        g = gj1.ez_metric(x, y, p, q, 16.0)
         assert np.linalg.eigvalsh(g).min() > 0
     with pytest.raises(DomainViolation):
-        gj1.ez_metric(0.0, -1.0, 0.0, 0.0, 2.0)
+        gj1.ez_metric(0.0, -1.0, 0.0, 0.0, 8.0)
 
 
 def test_ez_metric_matches_complex_form():
@@ -147,7 +142,7 @@ def test_ez_metric_matches_complex_form():
     for _ in range(50):
         x, p, q = rng.normal(size=3)
         y = abs(rng.normal()) + 0.2
-        assert verify._real_metric_residual(x, y, p, q, 4.0) < 1e-8
+        assert verify._real_metric_residual(x, y, p, q, 16.0) < 1e-8
 
 
 def random_sl2(rng):

@@ -86,7 +86,8 @@ RUNS = {
     "algebra": (verify.suite_algebra, set()),
     "gj1": (lambda: verify.suite_gj1(seed=7), set()),
     "symplectic": (lambda: verify.suite_symplectic(seed=7), {"moebius-closed-forms", "compose-closure"}),
-    "jacobi": (lambda: verify.suite_jacobi(seed=7), set()),
+    "jacobi": (lambda: verify.suite_jacobi(seed=7),
+               {"cocycle-route-agreement", "cocycle-literal-route"}),
     "jacobi-n1": (lambda: verify.suite_jacobi(n=1, seed=7), {"cocycle-literal-route"}),
     "oracle": (lambda: verify.suite_oracle(seed=7),
                {"displacement-normal-order", "squeeze-reverse-order"}),
@@ -162,6 +163,7 @@ BITES = {
     "compose-closure": (symplectic, "sp_compose", _scaled_part("a"), _symplectic),
     "jn-closed-forms": (symplectic, "jn", _scaled, _symplectic),
     "cocycle-literal-route": (jacobi, "lambda_cocycle_ez", _scaled, _jacobi_n1),
+    "cocycle-route-agreement": (jacobi, "lambda_cocycle_ez", _scaled, _jacobi),
     "normalization-routes": (symplectic, "jn", _scaled, _measure),
     "displacement-normal-order": (fockoracle, "displacement", _scaled, _oracle),
     "squeeze-reverse-order": (fockoracle, "squeeze", _scaled, _oracle),
