@@ -40,6 +40,7 @@ __all__ = [
     "CENTRAL_CHARGE",
     "cs_coords",
     "cs_from_coords",
+    "w_from_coords",
     "alpha_action",
     "alpha_action_inv",
     "jacobi_identity_element",
@@ -74,7 +75,10 @@ class CSPoint:
     ``z`` has shape ``(..., n)`` and ``W`` shape ``(..., n, n)``: the leading
     axes, if any, index a stack of points, which :func:`kahler_potential`,
     :func:`act`, :func:`cs_coords` and :func:`cs_from_coords` accept.  The
-    other functions of this module and the JSON form take a single point.
+    leading shapes of ``z`` and ``W`` broadcast: a size-1 axis of one holds
+    the same value for every index of the other, as in the stencil groups of
+    :func:`numdiff.wirtinger_hessian`.  The other functions of this module
+    and the JSON form take a single point.
     """
 
     z: np.ndarray
@@ -205,11 +209,17 @@ def cs_coords(x: CSPoint) -> np.ndarray:
 def cs_from_coords(coords: np.ndarray, n: int) -> CSPoint:
     """Inverse of :func:`cs_coords`; leading axes of ``coords`` give a stack."""
     coords = np.asarray(coords, dtype=complex)
+    return CSPoint(z=coords[..., :n], W=w_from_coords(coords[..., n:], n))
+
+
+def w_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric ``W`` of shape ``(..., n, n)`` from its coordinates ``w_ij``
+    (i<=j) of shape ``(..., n(n+1)/2)``, the ``W`` part of :func:`cs_from_coords`."""
     i, j = _sym_index_arrays(n)
     w = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
-    w[..., i, j] = coords[..., n:]
-    w[..., j, i] = coords[..., n:]
-    return CSPoint(z=coords[..., :n], W=w)
+    w[..., i, j] = coords
+    w[..., j, i] = coords
+    return w
 
 
 def alpha_action(g: SpElement, alpha: np.ndarray) -> np.ndarray:
@@ -336,8 +346,7 @@ def lambda_cocycle_ez(
                + conj(alpha)^T (1 + W abar^-1 bbar)^-1 (2z + z0)
 
     The literal ``T``-form, defined when ``b`` is invertible, is the
-    ``cocycle-literal-route`` check of :func:`siegeljacobi.verify.suite_jacobi`
-    at n = 1.
+    ``cocycle-literal-route`` check of :func:`siegeljacobi.verify.suite_jacobi`.
 
     Raises
     ------
@@ -394,15 +403,18 @@ def kahler_potential(x: CSPoint, k: float):
     :func:`matfun.logdet_hpd`, so a ``W`` outside the domain raises
     :class:`DomainViolation`.  A single point gives a ``float``; a stack of
     points gives a float array of its leading shape, equal to the per-point
-    values bit for bit.
+    values bit for bit.  The leading shapes of ``z`` and ``W`` may broadcast
+    (see :class:`CSPoint`): ``1 - W Wbar`` and its log-determinant are then
+    computed once per ``W``, and the ``z`` that share a ``W`` are solved in
+    one :func:`matfun.solve_vectors` call, one LU factorization per ``W``.
     """
     z = x.z[..., None]
     gram = matfun.eye(x.n) - x.W @ x.W.conj()
     t = z + x.W @ z.conj()
-    mz = matfun.solve(gram, z)
+    mz = matfun.solve_vectors(gram, x.z)[..., None]
     val = -0.5 * k * matfun.logdet_hpd(gram)
     val = val + (t.conj() * mz).sum(axis=(-2, -1)).real
-    return float(val) if x.W.ndim == 2 else val
+    return float(val) if x.z.ndim == 1 and x.W.ndim == 2 else val
 
 
 def _kahler_blocks(x: CSPoint):

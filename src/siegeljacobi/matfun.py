@@ -113,6 +113,41 @@ def inv(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a)
 
 
+def solve_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x`` with ``a x = b`` for a stack of matrices ``a`` ``(..., n, n)`` and
+    a stack of vectors ``b`` ``(..., n)`` whose leading shapes broadcast, with
+    one LU factorization per matrix of ``a``.
+
+    The vectors that share a matrix (along the axes where ``a`` has size 1)
+    are the columns of one right-hand side of :func:`solve`; a single matrix
+    is then one LAPACK ``zgesv`` call.  Each column gets the arithmetic of a
+    one-column solve, so the result equals ``np.linalg.solve`` of each point
+    on its own, bit for bit.  It is C-ordered, of the broadcast leading shape.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If a matrix is singular, as ``np.linalg.solve`` raises it.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if b.ndim == 1:  # one vector: no matrix to share
+        return solve(a, b[:, None])[..., 0]
+    nd = max(a.ndim - 2, b.ndim - 1)
+    a_lead = (1,) * (nd + 2 - a.ndim) + a.shape[:-2]
+    b_lead = (1,) * (nd + 1 - b.ndim) + b.shape[:-1]
+    shared = [i for i in range(nd) if a_lead[i] == 1]
+    own = [i for i in range(nd) if i not in shared]
+    order = own + [nd] + shared
+    cols = b.reshape(b_lead + b.shape[-1:]).transpose(order)
+    cols = cols.reshape(
+        tuple(b_lead[i] for i in own) + (b.shape[-1], math.prod(b_lead[i] for i in shared))
+    )
+    x = solve(a.reshape(tuple(a_lead[i] for i in own) + a.shape[-2:]), cols)
+    x = x.reshape(x.shape[:-1] + tuple(b_lead[i] for i in shared))
+    return np.ascontiguousarray(x.transpose([order.index(i) for i in range(nd + 1)]))
+
+
 def mat_to_json(m: np.ndarray) -> dict:
     """Serialize a matrix to the shared JSON format (row-major)."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
@@ -146,6 +181,13 @@ class HermEig:
 
     evals: np.ndarray
     evecs: np.ndarray
+
+    def apply(self, f) -> np.ndarray:
+        """``V f(diag(evals)) V*`` for a scalar function ``f`` applied to the
+        eigenvalues (vectorized); several functions of one matrix share its
+        decomposition."""
+        fe = np.asarray(f(self.evals))
+        return (self.evecs * fe) @ self.evecs.conj().T
 
 
 def herm_eig(h: np.ndarray) -> HermEig:
@@ -201,8 +243,7 @@ def herm_func(h: np.ndarray, f, domain=None) -> np.ndarray:
         raise DomainViolation(
             f"eigenvalues {dec.evals} leave the domain of {getattr(f, '__name__', f)}"
         )
-    fe = np.asarray(f(dec.evals))
-    return (dec.evecs * fe) @ dec.evecs.conj().T
+    return dec.apply(f)
 
 
 def _sqrt_series(t, small, f_small, f_large):
@@ -275,10 +316,8 @@ def cartan_blocks(z: np.ndarray):
         If ``z`` is not complex-symmetric.
     """
     z = check_symmetric(z)
-    h = z @ z.conj().T
-    m = herm_func(h, cosh_of_sqrt)
-    n = herm_func(h, sinhc_of_sqrt) @ z
-    return m, n
+    dec = herm_eig(z @ z.conj().T)
+    return dec.apply(cosh_of_sqrt), dec.apply(sinhc_of_sqrt) @ z
 
 
 def principal_logdet(m: np.ndarray):

@@ -5,23 +5,29 @@ coordinates of C^n x D_n.  These are deliberately independent of the closed
 forms they validate: plain central differences on the real and imaginary
 parts of each coordinate.
 
-Each oracle evaluates its whole stencil in one call: the function it
-differentiates receives a stacked :class:`CSPoint` and returns results of
-the stack's leading shape, as :func:`jacobi.kahler_potential`,
-:func:`jacobi.act` and :func:`matfun.logdet_hpd` do.  The Hessian's stack
-holds the 64 points of each coordinate pair ``a <= b`` once (192 / 960 /
-2880 points at n = 1 / 2 / 3): both Wirtinger derivatives step by the same
-offsets, so the points of entry ``(b, a)`` are those of ``(a, b)`` with the
-two steps swapped, bit for bit.  A Jacobian's stack holds four points per
+Each oracle evaluates its stencil on stacks: the function it differentiates
+receives a stacked :class:`CSPoint` and returns results of the stack's
+leading shape, as :func:`jacobi.kahler_potential`, :func:`jacobi.act` and
+:func:`matfun.logdet_hpd` do.  The Hessian's stencil holds the 64 points of
+each coordinate pair ``a <= b`` once (192 / 960 / 2880 points at n = 1 / 2 /
+3): both Wirtinger derivatives step by the same offsets, so the points of
+entry ``(b, a)`` are those of ``(a, b)`` with the two steps swapped, bit for
+bit.  Its pairs go to the function in three groups by coordinate kind
+(z–z, z–w, w–w), one call each, with ``z`` and ``W`` stacks that keep only
+the stencil axes they move along: a z–z pair never moves ``W`` and a z–w
+pair moves it along one step axis, so the 192 / 960 / 2880 points hold only
+73 / 433 / 1489 distinct ``W``.  A Jacobian's stack holds four points per
 stepped coordinate (20 at n = 2; 12 for :func:`w_jacobian`, which steps the
-``w_ij`` only).
+``w_ij`` only), in one call.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .jacobi import CSPoint, cs_coords, cs_from_coords
+from .jacobi import CSPoint, cs_coords, cs_from_coords, w_from_coords
 
 __all__ = ["wirtinger_hessian", "holomorphic_jacobian", "w_jacobian"]
 
@@ -68,6 +74,58 @@ def _contract(weights, blocks):
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_groups(n: int):
+    """The stencil's pairs ``a <= b`` of the ``dim = n + n(n+1)/2``
+    coordinates, as ``(rows, cols, groups)``, built once per ``n`` as
+    read-only arrays.
+
+    ``rows, cols`` is ``np.triu_indices(dim)``.  ``groups`` holds the
+    non-empty groups z–z, z–w and w–w, each as ``(where, z_steps, w_steps)``:
+    the group's positions in the pair order, then for each kind of
+    coordinates the :func:`_kind_stack` indices of the pairs' two steps.
+    """
+    rows, cols = np.triu_indices(n + n * (n + 1) // 2)
+    groups = []
+    for where in (cols < n, (rows < n) & (cols >= n), rows >= n):
+        r, c = rows[where], cols[where]
+        if len(r):
+            z_steps = (r if r[0] < n else None, c if c[0] < n else None)
+            w_steps = (None if r[0] < n else r - n, None if c[0] < n else c - n)
+            groups.append((np.flatnonzero(where), z_steps, w_steps))
+    for g in groups:
+        for arr in (g[0], *g[1], *g[2]):
+            if arr is not None:
+                arr.flags.writeable = False
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols, tuple(groups)
+
+
+def _kind_stack(base, rows, cols):
+    """Stencil stack of one kind of coordinates (the ``z`` or the ``w_ij``)
+    for a group of pairs.
+
+    ``rows`` and ``cols`` index the pairs' two coordinates into ``base``, or
+    are ``None`` where that step moves a coordinate of the other kind.  The
+    stack has shape ``(pairs, 8, 8) + base.shape`` with size-1 axes where a
+    step does not move this kind, and ``(1, 1, 1) + base.shape`` if neither
+    does.  The additions are those of the full stencil, in its order.
+    """
+    if rows is None and cols is None:
+        return base.reshape((1, 1, 1) + base.shape).copy()
+    steps = len(_HESSIAN_OFFSETS)
+    pairs = len(cols if rows is None else rows)
+    lead = (pairs, 1 if rows is None else steps, 1 if cols is None else steps)
+    stack = np.empty(lead + base.shape, dtype=complex)
+    stack[...] = base
+    pair = np.arange(pairs)
+    if rows is not None:
+        stack[pair, :, :, rows] += _HESSIAN_OFFSETS[:, None]
+    if cols is not None:
+        stack[pair, :, :, cols] += _HESSIAN_OFFSETS
+    return stack
+
+
 def wirtinger_hessian(fun, x: CSPoint) -> np.ndarray:
     """Mixed Hessian ``H_ab = d^2 f / dxi_a dxibar_b`` of a real function.
 
@@ -76,11 +134,17 @@ def wirtinger_hessian(fun, x: CSPoint) -> np.ndarray:
     ``h = 5e-4``, so the truncation error is O(h^4) and stays far below the
     closed forms it validates.
 
-    ``fun`` is called once, on the stacked :class:`CSPoint` of the
-    ``64 dim (dim+1)/2`` stencil points of the pairs ``a <= b`` (leading shape
-    ``(dim (dim+1)/2, 8, 8)``: the pair in the order of ``np.triu_indices``,
-    then the steps in coordinates ``a`` and ``b``), and returns the real
-    values as an array of that leading shape.
+    The stencil holds the 64 points of each pair ``a <= b`` (in the order of
+    ``np.triu_indices``; then the steps in coordinates ``a`` and ``b``).
+    ``fun`` is called once per group of pairs by coordinate kind, in the
+    order z–z, z–w, w–w, on a :class:`CSPoint` whose ``z`` and ``W`` keep
+    only the stencil axes they move along, with size-1 axes elsewhere.  At
+    n = 3 the groups hold 6, 18 and 21 pairs; ``z`` has leading shapes
+    ``(6, 8, 8)``, ``(18, 8, 1)`` and ``(1, 1, 1)``, and ``W`` has
+    ``(1, 1, 1)``, ``(18, 1, 8)`` and ``(21, 8, 8)``.  ``fun`` returns real
+    values with three axes that broadcast to the group's leading shape
+    ``(pairs, 8, 8)``, as :func:`jacobi.kahler_potential` does; so work that
+    depends on ``W`` alone runs once per distinct ``W``.
 
     Entry ``(b, a)`` reads the values of pair ``(a, b)`` with the two steps
     swapped.  This is exact, not an approximation: both derivatives step by
@@ -93,18 +157,21 @@ def wirtinger_hessian(fun, x: CSPoint) -> np.ndarray:
     as a call of ``fun`` per point would.
     """
     base = cs_coords(x)
-    dim = len(base)
-    rows, cols = np.triu_indices(dim)
-    lead = (len(rows),) + _HESSIAN_WEIGHTS.shape
-    stack = np.broadcast_to(base, lead + (dim,)).copy()
-    pair = np.arange(len(rows))
-    stack[pair, :, :, rows] += _HESSIAN_OFFSETS[:, None]
-    stack[pair, :, :, cols] += _HESSIAN_OFFSETS
-    vals = np.asarray(fun(cs_from_coords(stack, x.n)))
-    if vals.shape != lead:
-        raise ValueError(f"fun returned shape {vals.shape}, expected {lead}")
-    if np.iscomplexobj(vals):
-        raise ValueError("fun returned complex values, expected real ones")
+    n, dim = x.n, len(base)
+    rows, cols, groups = _pair_groups(n)
+    vals = np.empty((len(rows),) + _HESSIAN_WEIGHTS.shape)
+    for where, z_steps, w_steps in groups:
+        z = _kind_stack(base[:n], *z_steps)
+        w = _kind_stack(base[n:], *w_steps)
+        got = np.asarray(fun(CSPoint(z=z, W=w_from_coords(w, n))))
+        shape = (len(where),) + _HESSIAN_WEIGHTS.shape
+        if got.ndim != 3 or any(g not in (1, s) for g, s in zip(got.shape, shape)):
+            raise ValueError(
+                f"fun returned shape {got.shape}, expected one broadcasting to {shape}"
+            )
+        if np.iscomplexobj(got):
+            raise ValueError("fun returned complex values, expected real ones")
+        vals[where] = got
     off = rows != cols
     blocks = np.concatenate([vals, vals[off].swapaxes(1, 2)])
     entries = (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))

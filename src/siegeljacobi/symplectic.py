@@ -194,8 +194,9 @@ def cartan_decompose(g: SpElement) -> CartanFactors:
     h = y @ y.conj().T
     if np.linalg.eigvalsh(h).max() >= 1.0:
         raise DomainViolation("Gauss coordinate has norm >= 1")
-    z = matfun.herm_func(h, matfun.arctanhc_of_sqrt) @ y
-    v = matfun.herm_func(h, lambda t: np.sqrt(np.maximum(1.0 - t, 0.0))) @ g.a
+    dec = matfun.herm_eig(h)
+    z = dec.apply(matfun.arctanhc_of_sqrt) @ y
+    v = dec.apply(lambda t: np.sqrt(np.maximum(1.0 - t, 0.0))) @ g.a
     return CartanFactors(z=0.5 * (z + z.T), v=v)
 
 

@@ -231,14 +231,14 @@ def _ball_composition_residuals(w1, w2):
 def _cocycle_residuals(h, h2, x, k):
     """Relative residuals of the norm law ``|lambda(h, x)|^2 K(hx, hx) =
     K(x, x)`` and of the multiplicativity ``lambda(h, h2 x) lambda(h2, x) =
-    lambda(h h2, x)`` of the full cocycle.  The cocycle takes ``int(k)``."""
-    data = jacobi.lambda_cocycle(h, x, int(k))
+    lambda(h h2, x)`` of the full cocycle, at an even integer ``k``."""
+    data = jacobi.lambda_cocycle(h, x, k)
     hx = CSPoint(z=data.z1, W=data.W1)
     kxx = jacobi.kernel(x, x, k).real
     uni = abs(abs(data.lam) ** 2 * jacobi.kernel(hx, hx, k).real - kxx) / kxx
-    lam1 = jacobi.lambda_full(h, jacobi.act(h2, x), int(k))
-    lam2 = jacobi.lambda_full(h2, x, int(k))
-    lam12 = jacobi.lambda_full(jacobi.jacobi_compose(h, h2), x, int(k))
+    lam1 = jacobi.lambda_full(h, jacobi.act(h2, x), k)
+    lam2 = jacobi.lambda_full(h2, x, k)
+    lam12 = jacobi.lambda_full(jacobi.jacobi_compose(h, h2), x, k)
     return uni, abs(lam1 * lam2 - lam12) / abs(lam12)
 
 
@@ -467,6 +467,9 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
 
 
 def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
+    # the cocycles take an even integer k: reject any other before drawing,
+    # so that every record is computed at the k it is labelled with
+    k = symplectic._require_even_int(k, unchecked_branch=False)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -492,10 +495,10 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
         worst_uni = max(worst_uni, uni)
         worst_mult = max(worst_mult, mult)
         worst_order = max(worst_order, _left_action_residual(h, h2, x))
-        lam = jacobi.lambda_cocycle(h, x, int(k)).lam
-        ez = jacobi.lambda_cocycle_ez(h, x, int(k))
+        lam = jacobi.lambda_cocycle(h, x, k).lam
+        ez = jacobi.lambda_cocycle_ez(h, x, k)
         worst_routes = max(worst_routes, abs(ez - lam) / abs(lam))
-        worst_literal = max(worst_literal, _cocycle_literal_residual(h, x, int(k), ez))
+        worst_literal = max(worst_literal, _cocycle_literal_residual(h, x, k, ez))
     _rec(checks, "cocycle-unitarity", "multiplier-norm-consistency", worst_uni,
          1e-9, n=n, k=k, samples=samples)
     _rec(checks, "cocycle-multiplicative", "multiplier-composition", worst_mult,

@@ -244,6 +244,15 @@ def test_out_of_range_numeric_flag_exits_two(capsys, argv):
     assert argv[-2] in captured.err
 
 
+@pytest.mark.parametrize("k", ["6.5", "5"])
+def test_verify_jacobi_rejects_a_k_that_is_not_an_even_integer(capsys, k):
+    # the cocycle records need an even integer k; no record runs at a rounded one
+    code = cli.main(["verify", "jacobi", "--n", "2", "--k", k])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "k must be an even integer" in captured.err
+
+
 @pytest.mark.parametrize("which", ["gauss", "cartan"])
 def test_decompose_tol_sets_the_membership_tolerance(capsys, which):
     # membership residual 2.0e-6: outside the default --tol 1e-9, inside 1e-5

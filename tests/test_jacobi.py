@@ -279,6 +279,28 @@ def test_kahler_potential_stack_matches_single_calls(n, k):
     assert jacobi.kahler_potential(grid, k).tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("where", ["interior", "near-boundary"])
+@pytest.mark.parametrize(
+    "z_lead, w_lead",
+    # the three pair groups of numdiff.wirtinger_hessian: z-z, z-w, w-w
+    [((3, 8, 8), (1, 1, 1)), ((3, 8, 1), (3, 1, 8)), ((1, 1, 1), (3, 8, 8))],
+    ids=["z-z", "z-w", "w-w"],
+)
+def test_kahler_potential_of_broadcast_stacks_matches_the_full_stack(n, k, where, z_lead, w_lead):
+    rng = np.random.default_rng(80 + n)
+    make = _interior_stack if where == "interior" else _near_boundary_stack
+    z = make(n, rng, math.prod(z_lead)).z.reshape(z_lead + (n,))
+    w = make(n, rng, math.prod(w_lead)).W.reshape(w_lead + (n, n))
+    lead = np.broadcast_shapes(z_lead, w_lead)
+    full = CSPoint(z=np.broadcast_to(z, lead + (n,)).copy(),
+                   W=np.broadcast_to(w, lead + (n, n)).copy())
+    values = jacobi.kahler_potential(CSPoint(z=z, W=w), k)
+    assert values.shape == lead
+    assert values.tobytes() == jacobi.kahler_potential(full, k).tobytes()
+
+
 def _potential_mpmath(z, w, k):
     """``kahler_potential`` of one point in 50-digit arithmetic, from the
     defining formula ``-(k/2) log det G + Re(<z, M z> + z^T Wbar M z)``,

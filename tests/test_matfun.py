@@ -112,6 +112,24 @@ def test_cartan_blocks_rejects_nonsymmetric():
         matfun.cartan_blocks(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cartan_blocks_share_one_eigendecomposition(monkeypatch, n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(20):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z = rng.uniform(0.1, 2.0) * (z + z.T)
+        h = z @ z.conj().T
+        ref = (matfun.herm_func(h, matfun.cosh_of_sqrt),
+               matfun.herm_func(h, matfun.sinhc_of_sqrt) @ z)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        m, nb = matfun.cartan_blocks(z)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert (m.tobytes(), nb.tobytes()) == (ref[0].tobytes(), ref[1].tobytes())
+
+
 def test_principal_logdet_identity():
     assert matfun.principal_logdet(np.eye(3, dtype=complex)) == 0
 
@@ -374,6 +392,39 @@ def test_solve_and_inv_equal_numpy_bit_for_bit(n, lead, cols, complex_):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "a_lead, b_lead",
+    [
+        ((), ()),
+        ((), (4, 3)),
+        ((4,), ()),
+        ((5,), (2, 1)),
+        # the three pair groups of numdiff.wirtinger_hessian: z-z, z-w, w-w
+        ((1, 1, 1), (3, 8, 8)),
+        ((3, 1, 8), (3, 8, 1)),
+        ((3, 8, 8), (1, 1, 1)),
+    ],
+)
+def test_solve_vectors_equals_per_point_solves_bit_for_bit(n, a_lead, b_lead):
+    rng = np.random.default_rng(70 + n)
+    lead = np.broadcast_shapes(a_lead, b_lead)
+    for scale in (1.0, 1e-6):
+        a, _ = _system(n, rng, a_lead, None, complex_=True)
+        _, b = _system(n, rng, b_lead, None, complex_=True)
+        a = a - (2 - scale) * np.eye(n)  # scale 1e-6: nearly singular
+        got = matfun.solve_vectors(a, b)
+        full_a = np.broadcast_to(a, lead + (n, n))
+        want = np.linalg.solve(full_a, np.broadcast_to(b, lead + (n,))[..., None])[..., 0]
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_solve_vectors_of_a_singular_matrix_raises_as_numpy_does():
+    with pytest.raises(np.linalg.LinAlgError):
+        matfun.solve_vectors(np.zeros((1, 2, 2)), np.ones((3, 2)))
 
 
 def test_solve_mixes_real_and_complex_operands_as_numpy_does():

@@ -130,14 +130,41 @@ def test_hessian_calls_fun_once_on_the_stencil_stack():
         return jacobi.kahler_potential(pt, 4.0)
 
     numdiff.wirtinger_hessian(fun, x)
-    # dim = 5 coordinates give 15 pairs a <= b of 64 points each
-    assert shapes == [((15, 8, 8, 2), (15, 8, 8, 2, 2))]
+    # dim = 5 coordinates give 15 pairs a <= b of 64 points each: 3 z-z, 6 z-w
+    # and 6 w-w pairs, and z and W keep only the stencil axes they move along
+    assert shapes == [
+        ((3, 8, 8, 2), (1, 1, 1, 2, 2)),
+        ((6, 8, 1, 2), (6, 1, 8, 2, 2)),
+        ((1, 1, 1, 2), (6, 8, 8, 2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("n, matrices", [(1, 73), (2, 433), (3, 1489)])
+def test_hessian_of_the_potential_factors_each_distinct_w_once(monkeypatch, n, matrices):
+    # of the 192 / 960 / 2880 stencil points, only these many W differ
+    factored = []
+    logdet_hpd = matfun.logdet_hpd
+
+    def spy(m):
+        factored.append(int(np.prod(np.shape(m)[:-2])))
+        return logdet_hpd(m)
+
+    monkeypatch.setattr(matfun, "logdet_hpd", spy)
+    x = verify._random_point(n, np.random.default_rng(50 + n))
+    numdiff.wirtinger_hessian(potential(4.0), x)
+    assert sum(factored) == matrices
 
 
 def test_hessian_rejects_a_scalar_valued_fun():
     x = CSPoint(z=np.zeros(1, dtype=complex), W=np.zeros((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         numdiff.wirtinger_hessian(lambda pt: 1.0, x)
+    # three axes that do not broadcast to a group's (pairs, 8, 8), or a
+    # fourth axis, are rejected too
+    with pytest.raises(ValueError, match="shape"):
+        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 8, 7)), x)
+    with pytest.raises(ValueError, match="shape"):
+        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 1, 8, 8)), x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -84,6 +84,25 @@ def test_gauss_random_reassembly():
         assert np.linalg.eigvalsh(gram).min() > 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cartan_decompose_shares_one_eigendecomposition(monkeypatch, n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(20):
+        g = sp.sp_random(n, 0.6, rng)
+        y = g.b @ sp._inv(g.a.conj(), "conj(a)")
+        h = y @ y.conj().T
+        ref_z = matfun.herm_func(h, matfun.arctanhc_of_sqrt) @ y
+        ref_v = matfun.herm_func(h, lambda t: np.sqrt(np.maximum(1.0 - t, 0.0))) @ g.a
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        f = sp.cartan_decompose(g)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert f.z.tobytes() == (0.5 * (ref_z + ref_z.T)).tobytes()
+        assert f.v.tobytes() == ref_v.tobytes()
+
+
 def test_cartan_identity_scalar_and_reassembly():
     f = sp.cartan_decompose(sp.sp_identity(2))
     assert np.allclose(f.z, 0) and np.allclose(f.v, np.eye(2))
