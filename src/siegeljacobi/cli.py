@@ -29,10 +29,10 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _emit(payload: dict, indent):
+def _emit(payload: dict):
     # serialise before writing: a NaN or infinity raises ValueError here and
     # leaves stdout empty instead of printing invalid JSON
-    text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     sys.stdout.write(text + "\n")
 
 
@@ -75,64 +75,40 @@ def cmd_verify(args) -> int:
         samples=args.samples,
         cutoff=args.cutoff,
     )
-    _emit(report, args.json_indent)
+    _emit(report)
     return 0 if report["pass"] else 1
 
 
-#: The flags each ``eval`` quantity reads: each is required, and any other
-#: ``eval`` flag is an argument error.
-_EVAL_FLAGS = {
-    "kernel": ("x", "y", "k"),
-    "potential": ("point", "k"),
-    "form": ("point", "k"),
-    "density": ("point",),
-    "lambda": ("n", "k"),
+def _lambda_fields(args) -> dict:
+    consts = jacobi.measure_constants(args.n, args.k)
+    return {"n": consts.n, "k": consts.k, "p": consts.p, "value": consts.Lambda}
+
+
+#: Each ``eval`` quantity as ``(flags, anchor, fields)``: the flags it reads
+#: (each is required, and any other ``eval`` flag is an argument error), its
+#: anchor, and its payload fields as a function of the parsed arguments.
+_EVAL = {
+    "kernel": (("x", "y", "k"), "coherent-state-overlap", lambda args: {
+        "k": args.k,
+        "value": _complex_json(jacobi.kernel(_load_point(args.x), _load_point(args.y), args.k)),
+    }),
+    "potential": (("point", "k"), "log-diagonal-kernel", lambda args: {
+        "k": args.k, "value": jacobi.kahler_potential(_load_point(args.point), args.k),
+    }),
+    "form": (("point", "k"), "invariant-two-form", lambda args: {
+        "k": args.k,
+        "value": matfun.mat_to_json(jacobi.kahler_form(_load_point(args.point), args.k)),
+    }),
+    "density": (("point",), "invariant-volume-density", lambda args: {
+        "value": jacobi.density(_load_point(args.point)),
+    }),
+    "lambda": (("n", "k"), "resolution-of-unity-constant", _lambda_fields),
 }
 
 
 def cmd_eval(args) -> int:
-    what = args.what
-    if what == "lambda":
-        consts = jacobi.measure_constants(args.n, args.k)
-        _emit(
-            {
-                "what": "lambda",
-                "anchor": "resolution-of-unity-constant",
-                "n": consts.n,
-                "k": consts.k,
-                "p": consts.p,
-                "value": consts.Lambda,
-            },
-            args.json_indent,
-        )
-        return 0
-    if what == "kernel":
-        x = _load_point(args.x)
-        y = _load_point(args.y)
-        val = jacobi.kernel(x, y, args.k)
-        _emit(
-            {
-                "what": "kernel",
-                "anchor": "coherent-state-overlap",
-                "k": args.k,
-                "value": _complex_json(val),
-            },
-            args.json_indent,
-        )
-        return 0
-    x = _load_point(args.point)
-    if what == "potential":
-        payload = {"value": jacobi.kahler_potential(x, args.k), "k": args.k,
-                   "anchor": "log-diagonal-kernel"}
-    elif what == "form":
-        payload = {"value": matfun.mat_to_json(jacobi.kahler_form(x, args.k)),
-                   "k": args.k, "anchor": "invariant-two-form"}
-    elif what == "density":
-        payload = {"value": jacobi.density(x), "anchor": "invariant-volume-density"}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(what)
-    payload["what"] = what
-    _emit(payload, args.json_indent)
+    _, anchor, fields = _EVAL[args.what]
+    _emit({"what": args.what, "anchor": anchor, **fields(args)})
     return 0
 
 
@@ -152,7 +128,7 @@ def cmd_decompose(args) -> int:
         re = symplectic.cartan_synthesize(f.z, f.v)
         factors = {"Z": matfun.mat_to_json(f.z), "v": matfun.mat_to_json(f.v)}
     residual = float(np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b))
-    _emit({"which": args.which, "factors": factors, "residual": residual}, args.json_indent)
+    _emit({"which": args.which, "factors": factors, "residual": residual})
     return 0 if residual <= args.tol else 1
 
 
@@ -171,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=cmd_verify)
 
     pe = sub.add_parser("eval", help="evaluate a quantity at given points")
-    pe.add_argument("what", choices=tuple(_EVAL_FLAGS))
+    pe.add_argument("what", choices=tuple(_EVAL))
     pe.add_argument("--x", help="JSON point (kernel first slot), or - for stdin")
     pe.add_argument("--y", help="JSON point (kernel second slot)")
     pe.add_argument("--point", help="JSON point for potential/form/density")
@@ -187,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (pv, pe):
         p.add_argument("--n", type=_positive_int, default=None, help="matrix dimension")
         p.add_argument("--k", type=_finite_float, default=None, help="representation index")
-    for p in (pv, pe, pd):
-        p.add_argument("--json-indent", type=int, default=None)
     return parser
 
 
@@ -197,7 +171,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.fn is cmd_eval:
-        reads = _EVAL_FLAGS[args.what]
+        reads = _EVAL[args.what][0]
         for flag in ("x", "y", "point", "n", "k"):
             if (getattr(args, flag) is None) == (flag in reads):
                 verb = "needs" if flag in reads else "does not read"

@@ -348,6 +348,8 @@ def lambda_cocycle_ez(
     The literal ``T``-form, defined when ``b`` is invertible, is the
     ``cocycle-literal-route`` check of :func:`siegeljacobi.verify.suite_jacobi`.
 
+    ``k`` must be an even integer unless ``unchecked_branch`` is set.
+
     Raises
     ------
     Singular
@@ -552,6 +554,12 @@ def _ordered_map(tasks):
         yield from pool.map(lambda task: task(), tasks)
 
 
+def _fold(parts):
+    """Add the result tuples ``parts`` of chunk tasks elementwise in chunk
+    order, the sums a serial loop over all samples would form."""
+    return functools.reduce(lambda acc, part: tuple(a + b for a, b in zip(acc, part)), parts)
+
+
 def _chunk_count(count: int) -> int:
     """Number of ``_CHUNK``-sized substreams holding ``count`` samples."""
     if count < 1:
@@ -696,9 +704,9 @@ def _kernel_n1(z, w, z0: complex, w0: complex, k: float):
 
 
 def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, targets):
-    """Total weight, inside-disk count and, for each ``(f, z0, w0)`` of
-    ``targets``, the sum of ``weight * K(y, x0) * f(y)`` over chunk ``ci`` of
-    :func:`sample_arrays_n1`."""
+    """The flat tuple of total weight, inside-disk count and, for each
+    ``(f, z0, w0)`` of ``targets``, the sum of ``weight * K(y, x0) * f(y)``
+    over chunk ``ci`` of :func:`sample_arrays_n1`."""
     w, z, wt = _sample_chunk_n1(consts, count, seed, ci)
     mass = wt.sum()
     # the weight is 0 exactly outside the disk, so the kernel sums need only
@@ -707,7 +715,7 @@ def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, t
     w, z, wt = w[keep], z[keep], wt[keep]
     sums = [np.sum(wt * _kernel_n1(z, w, z0, w0, consts.k) * f(z, w))
             for f, z0, w0 in targets]
-    return mass, len(keep), sums
+    return mass, len(keep), *sums
 
 
 def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
@@ -732,9 +740,7 @@ def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     w0 = complex(x0.W[0, 0])
     tasks = [functools.partial(_reproduce_chunk, consts, samples, seed, ci, [(f, z0, w0)])
              for ci in range(_chunk_count(samples))]
-    total = 0j
-    for _, _, (part,) in _ordered_map(tasks):
-        total += part
+    _, _, total = _fold(_ordered_map(tasks))
     # the sum is over the samples inside the disk, the mean over all of them
     rhs = complex(total / samples)
     lhs = complex(f(np.array([z0]), np.array([w0]))[0])

@@ -329,10 +329,9 @@ def principal_logdet(m: np.ndarray):
     number of row swaps.  Returns a ``complex`` for one matrix and a complex
     array of the leading shape for a stack.  Each matrix is factorized by
     LAPACK ``zgetrf`` on its own, so a stacked call equals the per-matrix
-    calls bit for bit; a single matrix is one ``zgetrf`` call with its
-    bookkeeping done on that matrix directly.  A ``0 x 0`` matrix has
-    determinant 1 (the empty product) and log-determinant 0, as in
-    ``np.linalg.slogdet``; LAPACK is not called for it.
+    calls bit for bit.  A ``0 x 0`` matrix has determinant 1 (the empty
+    product) and log-determinant 0, as in ``np.linalg.slogdet``; LAPACK is
+    not called for it.
 
     Raises
     ------
@@ -353,38 +352,30 @@ def principal_logdet(m: np.ndarray):
         # the determinant of a 0x0 matrix is the empty product 1
         return 0j if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=complex)
     if m.ndim == 2:
-        # one matrix: the same factorization and sums as one stack entry,
-        # without the stack bookkeeping that dominates a single call
-        lu, piv, _ = lapack.zgetrf(m)
-        diag = lu.diagonal()
-        mag = np.abs(diag).min()
-        bound = SINGULAR_RTOL * max(np.abs(m).max(), 1.0)
-        if mag <= bound:
-            raise Singular(f"pivot magnitude {mag:.3e} below threshold {bound:.3e}")
-        val = np.log(diag).sum()
-        if sum(p != i for i, p in enumerate(piv.tolist())) % 2 == 1:
-            val += 1j * np.pi
-        return complex(val)
-    lead, n = m.shape[:-2], m.shape[-1]
-    flat = m.reshape(-1, n, n)
-    lus = np.empty_like(flat)
-    pivs = np.empty((len(flat), n), dtype=np.int32)
-    for i, mat in enumerate(flat):
-        lus[i], pivs[i], _ = lapack.zgetrf(mat)
-    diag = lus.diagonal(axis1=-2, axis2=-1)
-    odd = np.count_nonzero(pivs != np.arange(n), axis=-1) % 2 == 1
-    mag = np.abs(diag)
-    bound = SINGULAR_RTOL * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
-    bad = (mag <= bound[:, None]).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = f"stack index {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
-        raise Singular(
-            f"{where}pivot magnitude {mag[i].min():.3e} below threshold {bound[i]:.3e}"
-        )
-    out = np.log(diag).sum(axis=-1)
-    out[odd] += 1j * np.pi
-    return out.reshape(lead) if lead else complex(out[0])
+        return _logdet_lu(m)
+    out = np.empty(m.shape[:-2], dtype=complex)
+    for idx in np.ndindex(out.shape):
+        try:
+            out[idx] = _logdet_lu(m[idx])
+        except Singular as exc:
+            raise Singular(f"stack index {idx}: {exc}") from None
+    return out
+
+
+def _logdet_lu(m: np.ndarray) -> complex:
+    """:func:`principal_logdet` of one validated non-empty square matrix: one
+    ``zgetrf``, the pivot bound, the principal logs of the pivots and the
+    row-swap parity."""
+    lu, piv, _ = lapack.zgetrf(m)
+    diag = lu.diagonal()
+    mag = np.abs(diag).min()
+    bound = SINGULAR_RTOL * max(np.abs(m).max(), 1.0)
+    if mag <= bound:
+        raise Singular(f"pivot magnitude {mag:.3e} below threshold {bound:.3e}")
+    val = np.log(diag).sum()
+    if sum(p != i for i, p in enumerate(piv.tolist())) % 2 == 1:
+        val += 1j * np.pi
+    return complex(val)
 
 
 def logdet_hpd(m: np.ndarray):

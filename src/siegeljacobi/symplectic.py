@@ -277,15 +277,16 @@ def ball_compose(w1: np.ndarray, w2: np.ndarray):
     eye = matfun.eye(w1.shape[0])
     s1 = eye - w1 @ w1.conj().T
     s1p = eye - w1.conj().T @ w1
+    s1_inv_sqrt = _psd_power(s1, -0.5)
     w3 = (
-        _psd_power(s1, -0.5)
+        s1_inv_sqrt
         @ (w1 + w2)
         @ _inv(eye + w1.conj().T @ w2, "1 + w1* w2")
         @ _psd_power(s1p, 0.5)
     )
     w3 = 0.5 * (w3 + w3.T)
     m = (
-        _psd_power(s1, -0.5)
+        s1_inv_sqrt
         @ (eye + w1 @ w2.conj().T)
         @ _psd_power(eye - w2 @ w2.conj().T, -0.5)
     )
@@ -391,10 +392,7 @@ def _require_even_int(k, unchecked_branch: bool):
         return float(k)
     ki = int(round(float(k)))
     if abs(k - ki) > _INT_TOL or ki % 2 != 0:
-        raise ValueError(
-            "k must be an even integer (lambda_cocycle and lambda_cocycle_ez"
-            " take unchecked_branch=True to override)"
-        )
+        raise ValueError(f"k must be an even integer, got {k}")
     return float(ki)
 
 
@@ -408,6 +406,14 @@ def random_symmetric(n: int, scale: float, rng) -> np.ndarray:
     rng = _as_rng(rng)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * 0.5 * (m + m.T)
+
+
+def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random ``n x n`` unitary: the Q factor of a complex Gaussian
+    matrix, its columns rephased by the phases of R's diagonal."""
+    q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v, r = np.linalg.qr(q)
+    return v * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_siegel_point(n: int, scale: float, rng) -> np.ndarray:
@@ -424,7 +430,4 @@ def sp_random(n: int, scale: float, rng) -> SpElement:
     """
     rng = _as_rng(rng)
     z = random_symmetric(n, scale, rng)
-    q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    v, r = np.linalg.qr(q)
-    v = v * (np.diag(r) / np.abs(np.diag(r)))
-    return cartan_synthesize(z, v)
+    return cartan_synthesize(z, _haar_unitary(n, rng))

@@ -95,9 +95,7 @@ def _bounded_element(n, rng, cap, phase_cap=None) -> JacobiElement:
     zgen = symplectic.random_symmetric(n, 0.5, rng)
     zgen = zgen * (cap * math.sqrt(rng.uniform()) / max(np.linalg.norm(zgen, 2), 1e-12))
     if phase_cap is None:
-        q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        v, r = np.linalg.qr(q)
-        v = v * (np.diag(r) / np.abs(np.diag(r)))
+        v = symplectic._haar_unitary(n, rng)
     else:
         v = np.diag(np.exp(1j * rng.uniform(-phase_cap, phase_cap, size=n)))
     return JacobiElement(
@@ -727,14 +725,7 @@ def suite_measure(n=1, k=6.0, seed=7, samples=2_500_000) -> list:
     results = jacobi._ordered_map(n1_tasks + _jn_mc_tasks(p, count, seed))
 
     if n == 1:
-        mass = 0.0
-        sums = [0j] * len(_REPRODUCING_TARGETS)
-        inside = 0
-        for chunk_mass, chunk_inside, chunk_sums in itertools.islice(results, len(n1_tasks)):
-            mass += chunk_mass
-            inside += chunk_inside
-            for i, part in enumerate(chunk_sums):
-                sums[i] += part
+        mass, inside, *sums = jacobi._fold(itertools.islice(results, len(n1_tasks)))
         log.debug("measure sampler n=1: %d samples in %d chunks, inside-domain "
                   "fraction %.6f", samples, len(n1_tasks), inside / samples)
         _rec(checks, "normalization-mc", "unit-total-mass",
@@ -775,15 +766,11 @@ def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
 
 
 def _jn_mc_fold(results, count: int) -> float:
-    """Add the chunk results of :func:`_jn_mc_tasks` in chunk order."""
-    total = 0.0
-    inside_count = chunks = 0
-    for chunk_total, chunk_inside in results:
-        total += chunk_total
-        inside_count += chunk_inside
-        chunks += 1
+    """The ``J_2`` estimate from the chunk results of :func:`_jn_mc_tasks`,
+    added in chunk order."""
+    total, inside_count = jacobi._fold(results)
     log.debug("measure sampler jn-mc n=2: %d samples in %d chunks, inside-domain "
-              "fraction %.6f", count, chunks, inside_count / count)
+              "fraction %.6f", count, jacobi._chunk_count(count), inside_count / count)
     return 64.0 * total / count
 
 

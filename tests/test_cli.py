@@ -69,6 +69,55 @@ def test_eval_form_shape(capsys):
     assert np.linalg.eigvalsh(0.5 * (form + form.conj().T)).min() > 0
 
 
+_GOLDEN_X = json.dumps({"z": [[0.3, -0.2], [0.1, 0.4]], "W": {
+    "rows": 2, "cols": 2, "re": [0.2, 0.1, 0.1, -0.3], "im": [0.1, -0.2, -0.2, 0.05]}})
+_GOLDEN_Y = json.dumps({"z": [[-0.1, 0.25], [0.2, 0.0]], "W": {
+    "rows": 2, "cols": 2, "re": [-0.1, 0.05, 0.05, 0.2], "im": [0.3, 0.1, 0.1, -0.1]}})
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["kernel", "--x", _GOLDEN_X, "--y", _GOLDEN_Y, "--k", "6"],
+         '{"anchor": "coherent-state-overlap", "k": 6.0, "value": {"im": 0.23036202808378717,'
+         ' "re": 0.6439832623215783}, "what": "kernel"}\n'),
+        (["potential", "--point", _GOLDEN_X, "--k", "5"],
+         '{"anchor": "log-diagonal-kernel", "k": 5.0, "value": 1.0354103955187668,'
+         ' "what": "potential"}\n'),
+        (["form", "--point", _GOLDEN_X, "--k", "4"],
+         '{"anchor": "invariant-two-form", "k": 4.0, "value": {"cols": 5, "im":'
+         ' [2.4888776620238005e-18, -0.1383171414457435, -0.2463038140518201,'
+         ' 0.5983916685865635, -0.049492793494507775, 0.1383171414457435,'
+         ' -1.5995305005544222e-18, 0.043229678626819555, -0.2667344227210468,'
+         ' 0.6493041506177831, 0.2463038140518201, -0.043229678626819555,'
+         ' 4.649422211489224e-18, -0.4601188046755504, 0.03259910987196468,'
+         ' -0.5983916685865635, 0.2667344227210468, 0.4601188046755504,'
+         ' 1.0408340855860843e-17, -0.5129423662211097, 0.049492793494507775,'
+         ' -0.6493041506177831, -0.03259910987196468, 0.5129423662211097,'
+         ' 4.628657761433902e-18], "re": [1.1295899884735716, -0.05269224436028323,'
+         ' 0.25921235105166623, 0.12626659955773292, 0.06789126281214003,'
+         ' -0.05269224436028323, 1.1855754981063726, 0.018068112458745733,'
+         ' 0.18844657143455967, 0.17686998209853022, 0.25921235105166623,'
+         ' 0.018068112458745733, 2.665135597703017, -0.3395850979161604,'
+         ' -0.006339229415090138, 0.12626659955773292, 0.18844657143455967,'
+         ' -0.3395850979161605, 5.892451906720625, -0.3678515945705002,'
+         ' 0.06789126281214003, 0.17686998209853022, -0.006339229415090134,'
+         ' -0.3678515945705003, 3.1931692707834323], "rows": 5}, "what": "form"}\n'),
+        (["density", "--point", _GOLDEN_Y],
+         '{"anchor": "invariant-volume-density", "value": 2.118255501319053,'
+         ' "what": "density"}\n'),
+        (["lambda", "--n", "2", "--k", "7"],
+         '{"anchor": "resolution-of-unity-constant", "k": 7.0, "n": 2, "p": 0.0,'
+         ' "value": 0.019606581858320326, "what": "lambda"}\n'),
+    ],
+    ids=["kernel", "potential", "form", "density", "lambda"],
+)
+def test_eval_output_bytes(capsys, argv, expected):
+    # every eval quantity at fixed n = 2 points, byte for byte
+    code, out = run_cli(capsys, "eval", *argv)
+    assert code == 0 and out == expected
+
+
 def test_decompose_identity_gauss(capsys):
     g = json.dumps(
         {
@@ -195,6 +244,7 @@ def test_eval_rejects_malformed_point(capsys, point):
          '{"a": {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]},'
          ' "b": {"rows": 1, "cols": 1, "re": [0.0], "im": [0.0]}}'],
         ["verify", "algebra", "--tol", "1e-3"],
+        ["verify", "algebra", "--json-indent", "2"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_exits_two(argv):
@@ -250,7 +300,10 @@ def test_verify_jacobi_rejects_a_k_that_is_not_an_even_integer(capsys, k):
     code = cli.main(["verify", "jacobi", "--n", "2", "--k", k])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "k must be an even integer" in captured.err
+    assert f"k must be an even integer, got {float(k)}" in captured.err
+    # no CLI flag sets the cocycles' unchecked_branch, so the message must
+    # not offer it
+    assert "unchecked_branch" not in captured.err
 
 
 @pytest.mark.parametrize("which", ["gauss", "cartan"])
