@@ -77,8 +77,10 @@ class CSPoint:
     :func:`act`, :func:`cs_coords` and :func:`cs_from_coords` accept.  The
     leading shapes of ``z`` and ``W`` broadcast: a size-1 axis of one holds
     the same value for every index of the other, as in the stencil groups of
-    :func:`numdiff.wirtinger_hessian`.  The other functions of this module
-    and the JSON form take a single point.
+    :func:`numdiff.wirtinger_hessian` (there a ``W`` of leading shape
+    ``(pairs, 8, 1)`` serves the ``z`` of shape ``(pairs, 8, 4)``: four
+    points per ``W``).  The other functions of this module and the JSON form
+    take a single point.
     """
 
     z: np.ndarray
@@ -446,12 +448,18 @@ def kahler_form(x: CSPoint, k: float) -> np.ndarray:
     pairs = sym_index_pairs(n)
     dim = n + len(pairs)
     h = np.zeros((dim, dim), dtype=complex)
-    h[:n, :n] = blocks[0].T
 
     # the entries are assembled in Python complex arithmetic, which performs
     # the same IEEE operations as numpy complex128 scalars at a fraction of
-    # the per-operation cost; vectorizing them would change the rounding
+    # the per-operation cost; vectorizing them would change the rounding.
+    # Only the upper triangle is computed: the lower one is its conjugate and
+    # the diagonal is real, so the form is Hermitian bit for bit
     m, mb, xv, q, s, r, p = (b.tolist() for b in blocks)
+    for i in range(n):
+        h[i, i] = m[i][i].real
+        for j in range(i + 1, n):
+            h[i, j] = m[j][i]
+            h[j, i] = m[j][i].conjugate()
     xbar = [c.conjugate() for c in xv]
     for c, (kk, ll) in enumerate(pairs):
         for i in range(n):
@@ -472,7 +480,7 @@ def kahler_form(x: CSPoint, k: float) -> np.ndarray:
         return kmb[b][c] * m[d][a] + mb[a][c] * tb[d][b] + mb[b][c] * ta[d][a]
 
     for c1, (a, b) in enumerate(pairs):
-        for c2, (cc, d) in enumerate(pairs):
+        for c2, (cc, d) in enumerate(pairs[c1:], c1):
             tot = full(a, b, cc, d)
             if a != b:
                 tot += full(b, a, cc, d)
@@ -480,7 +488,11 @@ def kahler_form(x: CSPoint, k: float) -> np.ndarray:
                 tot += full(a, b, d, cc)
                 if a != b:
                     tot += full(b, a, d, cc)
-            h[n + c1, n + c2] = tot
+            if c1 == c2:
+                h[n + c1, n + c1] = tot.real
+            else:
+                h[n + c1, n + c2] = tot
+                h[n + c2, n + c1] = tot.conjugate()
     return h
 
 

@@ -133,7 +133,7 @@ def test_criterion_06_cocycle_and_unitarity():
                 h1 = bounded_element(n, rng, 0.35)
                 h2 = bounded_element(n, rng, 0.35)
                 x = bounded_point(n, rng, 0.35, 0.35)
-                uni, mult = verify._cocycle_residuals(h1, h2, x, k)
+                uni, mult, _ = verify._cocycle_residuals(h1, h2, x, k)
                 worst_mult = max(worst_mult, mult)
                 worst_uni = max(worst_uni, uni)
     ok = worst_mult <= 1e-9 and worst_uni <= 1e-9

@@ -86,23 +86,23 @@ _GOLDEN_Y = json.dumps({"z": [[-0.1, 0.25], [0.2, 0.0]], "W": {
          ' "what": "potential"}\n'),
         (["form", "--point", _GOLDEN_X, "--k", "4"],
          '{"anchor": "invariant-two-form", "k": 4.0, "value": {"cols": 5, "im":'
-         ' [2.4888776620238005e-18, -0.1383171414457435, -0.2463038140518201,'
+         ' [0.0, -0.1383171414457435, -0.2463038140518201,'
          ' 0.5983916685865635, -0.049492793494507775, 0.1383171414457435,'
-         ' -1.5995305005544222e-18, 0.043229678626819555, -0.2667344227210468,'
+         ' 0.0, 0.043229678626819555, -0.2667344227210468,'
          ' 0.6493041506177831, 0.2463038140518201, -0.043229678626819555,'
-         ' 4.649422211489224e-18, -0.4601188046755504, 0.03259910987196468,'
+         ' 0.0, -0.4601188046755504, 0.03259910987196468,'
          ' -0.5983916685865635, 0.2667344227210468, 0.4601188046755504,'
-         ' 1.0408340855860843e-17, -0.5129423662211097, 0.049492793494507775,'
+         ' 0.0, -0.5129423662211097, 0.049492793494507775,'
          ' -0.6493041506177831, -0.03259910987196468, 0.5129423662211097,'
-         ' 4.628657761433902e-18], "re": [1.1295899884735716, -0.05269224436028323,'
+         ' 0.0], "re": [1.1295899884735716, -0.05269224436028323,'
          ' 0.25921235105166623, 0.12626659955773292, 0.06789126281214003,'
          ' -0.05269224436028323, 1.1855754981063726, 0.018068112458745733,'
          ' 0.18844657143455967, 0.17686998209853022, 0.25921235105166623,'
          ' 0.018068112458745733, 2.665135597703017, -0.3395850979161604,'
          ' -0.006339229415090138, 0.12626659955773292, 0.18844657143455967,'
-         ' -0.3395850979161605, 5.892451906720625, -0.3678515945705002,'
-         ' 0.06789126281214003, 0.17686998209853022, -0.006339229415090134,'
-         ' -0.3678515945705003, 3.1931692707834323], "rows": 5}, "what": "form"}\n'),
+         ' -0.3395850979161604, 5.892451906720625, -0.3678515945705002,'
+         ' 0.06789126281214003, 0.17686998209853022, -0.006339229415090138,'
+         ' -0.3678515945705002, 3.1931692707834323], "rows": 5}, "what": "form"}\n'),
         (["density", "--point", _GOLDEN_Y],
          '{"anchor": "invariant-volume-density", "value": 2.118255501319053,'
          ' "what": "density"}\n'),

@@ -134,7 +134,7 @@ def test_lambda_cocycle_multiplicative_and_unitary():
             h1 = random_element(n, rng, 0.35)
             h2 = random_element(n, rng, 0.35)
             x = random_point(n, rng, 0.35, 0.35)
-            uni, mult = verify._cocycle_residuals(h1, h2, x, k)
+            uni, mult, _ = verify._cocycle_residuals(h1, h2, x, k)
             assert mult < 1e-9 and uni < 1e-9
 
 
@@ -285,7 +285,7 @@ def test_kahler_potential_stack_matches_single_calls(n, k):
 @pytest.mark.parametrize(
     "z_lead, w_lead",
     # the three pair groups of numdiff.wirtinger_hessian: z-z, z-w, w-w
-    [((3, 8, 8), (1, 1, 1)), ((3, 8, 1), (3, 1, 8)), ((1, 1, 1), (3, 8, 8))],
+    [((3, 8, 4), (1, 1, 1)), ((3, 8, 4), (3, 8, 1)), ((1, 1, 1), (3, 8, 4))],
     ids=["z-z", "z-w", "w-w"],
 )
 def test_kahler_potential_of_broadcast_stacks_matches_the_full_stack(n, k, where, z_lead, w_lead):
@@ -330,7 +330,8 @@ def test_kahler_potential_near_the_boundary_matches_mpmath(n, k):
 
 
 def _kahler_form_numpy_scalars(x, k):
-    """The form assembled entry by entry in numpy complex128 scalars."""
+    """The form assembled entry by entry in numpy complex128 scalars: the
+    upper triangle, its conjugate below and a real diagonal."""
     n = x.n
     m, mb, xv, q, s, r, p = jacobi._kahler_blocks(x)
     pairs = sp.sym_index_pairs(n)
@@ -344,7 +345,6 @@ def _kahler_form_numpy_scalars(x, k):
             if kk != ll:
                 fzw += m[i, ll] * xbar[kk]
             h[i, n + c] = np.conj(fzw)
-            h[n + c, i] = fzw
 
     def full(a, b, c, d):
         t = 0.5 * k * mb[b, c] * m[d, a]
@@ -354,6 +354,8 @@ def _kahler_form_numpy_scalars(x, k):
 
     for c1, (a, b) in enumerate(pairs):
         for c2, (cc, d) in enumerate(pairs):
+            if c2 < c1:
+                continue
             tot = full(a, b, cc, d)
             if a != b:
                 tot += full(b, a, cc, d)
@@ -362,7 +364,8 @@ def _kahler_form_numpy_scalars(x, k):
                 if a != b:
                     tot += full(b, a, d, cc)
             h[n + c1, n + c2] = tot
-    return h
+    upper = np.triu(h, 1)
+    return upper + upper.conj().T + np.diag(h.diagonal().real)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -376,6 +379,10 @@ def test_kahler_form_equals_numpy_scalar_assembly(n, k):
         x = CSPoint(z=rng.normal(size=n) + 1j * rng.normal(size=n), W=w)
         form = jacobi.kahler_form(x, k)
         assert form.tobytes() == _kahler_form_numpy_scalars(x, k).tobytes()
+        # Hermitian bit for bit (array_equal: the real diagonal's +0.0
+        # imaginary parts conjugate to -0.0)
+        assert np.array_equal(form, form.conj().T)
+        assert not form.diagonal().imag.any()
 
 
 def test_kahler_form_origin_blocks():

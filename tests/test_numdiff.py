@@ -6,23 +6,27 @@ from siegeljacobi.jacobi import CSPoint, cs_coords, cs_from_coords
 
 
 def per_point_hessian(fun, x, h=5e-4):
-    """The stencil of :func:`numdiff.wirtinger_hessian`, one ``fun`` call per
-    point: the reference the stacked evaluation must reproduce bit for bit."""
+    """The stencil of :func:`numdiff.wirtinger_hessian` at step ``h``, one
+    ``fun`` call per point: the reference the stacked evaluation must
+    reproduce bit for bit."""
     base = cs_coords(x)
     dim = len(base)
-    steps_a = numdiff._wirtinger_steps(h, conjugate=False)
-    steps_b = numdiff._wirtinger_steps(h, conjugate=True)
+    steps, partners, weights = numdiff._hessian_stencil(h)
     out = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
-        for b in range(dim):
+        for b in range(a, dim):
+            kind = int(a == b)
             acc = 0j
-            for da, wa in steps_a:
-                for db, wb in steps_b:
+            for db, row_steps, row_weights in zip(steps, partners[kind], weights[kind]):
+                for da, w in zip(row_steps, row_weights):
                     vec = base.copy()
                     vec[a] += da
                     vec[b] += db
-                    acc += wa * wb * fun(cs_from_coords(vec, x.n))
-            out[a, b] = acc
+                    acc += w * fun(cs_from_coords(vec, x.n))
+            if a == b:
+                out[a, a] = acc.real
+            else:
+                out[a, b], out[b, a] = acc, np.conj(acc)
     return out
 
 
@@ -119,6 +123,44 @@ def test_stacked_hessian_matches_per_point_loop(make_fun, n, k, where):
     fun = make_fun(k)
     fast = numdiff.wirtinger_hessian(fun, x)
     assert fast.tobytes() == per_point_hessian(fun, x).tobytes()
+    # Hermitian bit for bit (array_equal: the real diagonal's +0.0 imaginary
+    # parts conjugate to -0.0)
+    assert np.array_equal(fast, fast.conj().T)
+    assert not np.diag(fast).imag.any()
+
+
+def power_of_linear_form(degree):
+    """``Re(L^degree)`` for a fixed complex linear form ``L = sum_a c_a xi_a +
+    d_a xibar_a`` in five coordinates (n = 2), with its exact Wirtinger
+    Hessian ``1/2 degree (degree - 1) [L^(degree-2) c_a d_b + conj(L^(degree-2)
+    d_a c_b)]``: a real polynomial of that degree in the coordinates."""
+    rng = np.random.default_rng(degree)
+    c, d = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+
+    def fun(pt):
+        xi = cs_coords(pt)
+        return float(np.real((c @ xi + d @ xi.conj()) ** degree))
+
+    def exact(pt):
+        xi = cs_coords(pt)
+        pw = (c @ xi + d @ xi.conj()) ** (degree - 2)
+        return 0.5 * degree * (degree - 1) * (pw * np.outer(c, d) + np.conj(pw * np.outer(d, c)))
+
+    return fun, exact
+
+
+def test_hessian_stencil_is_fourth_order():
+    # at h = 5e-4 rounding hides the truncation error, so the per-point
+    # stencil runs at larger steps: a quintic has no O(h^4) term and comes out
+    # exact to rounding, a sextic has only the O(h^4) term, so halving h
+    # divides its error by 16
+    x = verify._random_point(2, np.random.default_rng(49), 0.5, 0.6)
+    fun, exact = power_of_linear_form(5)
+    want = exact(x)
+    assert np.abs(per_point_hessian(fun, x, h=0.05) - want).max() < 1e-12 * np.abs(want).max()
+    fun, exact = power_of_linear_form(6)
+    err = [np.abs(per_point_hessian(fun, x, h) - exact(x)).max() for h in (0.05, 0.025)]
+    assert 15.5 < err[0] / err[1] < 16.5
 
 
 def test_hessian_calls_fun_once_on_the_stencil_stack():
@@ -130,28 +172,35 @@ def test_hessian_calls_fun_once_on_the_stencil_stack():
         return jacobi.kahler_potential(pt, 4.0)
 
     numdiff.wirtinger_hessian(fun, x)
-    # dim = 5 coordinates give 15 pairs a <= b of 64 points each: 3 z-z, 6 z-w
+    # dim = 5 coordinates give 15 pairs a <= b of 32 points each: 3 z-z, 6 z-w
     # and 6 w-w pairs, and z and W keep only the stencil axes they move along
     assert shapes == [
-        ((3, 8, 8, 2), (1, 1, 1, 2, 2)),
-        ((6, 8, 1, 2), (6, 1, 8, 2, 2)),
-        ((1, 1, 1, 2), (6, 8, 8, 2, 2)),
+        ((3, 8, 4, 2), (1, 1, 1, 2, 2)),
+        ((6, 8, 4, 2), (6, 8, 1, 2, 2)),
+        ((1, 1, 1, 2), (6, 8, 4, 2, 2)),
     ]
 
 
-@pytest.mark.parametrize("n, matrices", [(1, 73), (2, 433), (3, 1489)])
-def test_hessian_of_the_potential_factors_each_distinct_w_once(monkeypatch, n, matrices):
-    # of the 192 / 960 / 2880 stencil points, only these many W differ
-    factored = []
+@pytest.mark.parametrize("n, points, matrices", [(1, 96, 41), (2, 480, 241), (3, 1440, 817)])
+def test_hessian_of_the_potential_factors_each_distinct_w_once(monkeypatch, n, points, matrices):
+    # three calls on stacks of leading shape (pairs, 8, 4), whose points hold
+    # only these many distinct W, each factored once
+    leads, factored = [], []
     logdet_hpd = matfun.logdet_hpd
 
     def spy(m):
         factored.append(int(np.prod(np.shape(m)[:-2])))
         return logdet_hpd(m)
 
+    def fun(pt):
+        leads.append(np.broadcast_shapes(pt.z.shape[:-1], pt.W.shape[:-2]))
+        return jacobi.kahler_potential(pt, 4.0)
+
     monkeypatch.setattr(matfun, "logdet_hpd", spy)
     x = verify._random_point(n, np.random.default_rng(50 + n))
-    numdiff.wirtinger_hessian(potential(4.0), x)
+    numdiff.wirtinger_hessian(fun, x)
+    assert len(leads) == 3 and all(lead[1:] == (8, 4) for lead in leads)
+    assert sum(np.prod(lead) for lead in leads) == points
     assert sum(factored) == matrices
 
 
@@ -159,12 +208,12 @@ def test_hessian_rejects_a_scalar_valued_fun():
     x = CSPoint(z=np.zeros(1, dtype=complex), W=np.zeros((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         numdiff.wirtinger_hessian(lambda pt: 1.0, x)
-    # three axes that do not broadcast to a group's (pairs, 8, 8), or a
+    # three axes that do not broadcast to a group's (pairs, 8, 4), or a
     # fourth axis, are rejected too
     with pytest.raises(ValueError, match="shape"):
         numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 8, 7)), x)
     with pytest.raises(ValueError, match="shape"):
-        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 1, 8, 8)), x)
+        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 1, 8, 4)), x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

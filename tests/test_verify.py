@@ -41,7 +41,7 @@ PINNED = {
         ("kernel-transformation", "multiplier-placement", 2, 4.0, 50, 1e-09, 9.154763804969693e-15),
         ("jn-closed-forms", "weighted-volume-constant", None, None, 200, 0.0, 0.0),
         ("lambda1-routes", "group-normalization-constant", 2, 8.0, None, 1e-12, 1.0327164683510074e-15),
-        ("two-form-hessian", "invariant-form-vs-finite-differences", 2, 4.0, None, 1e-05, 1.1701521444447931e-07),
+        ("two-form-hessian", "invariant-form-vs-finite-differences", 2, 4.0, None, 1e-05, 1.170151762153182e-07),
         ("two-form-positive", "invariant-form-positivity", 2, 4.0, None, 0.5, 0.0),
         ("volume-invariance", "group-invariant-volume", 2, None, None, 1e-06, 2.764876146944587e-10),
     ],
@@ -51,9 +51,9 @@ PINNED = {
         ("cocycle-unitarity", "multiplier-norm-consistency", 2, 4.0, 100, 1e-09, 5.7867099250484484e-15),
         ("cocycle-multiplicative", "multiplier-composition", 2, 4.0, 100, 1e-09, 1.9613309815320855e-15),
         ("potential-log-kernel", "potential-diagonal-consistency", 2, 4.0, None, 1e-11, 2.4070557770636683e-16),
-        ("kahler-hessian-fd", "form-vs-finite-differences", 2, 4.0, None, 1e-05, 5.049177857695131e-10),
+        ("kahler-hessian-fd", "form-vs-finite-differences", 2, 4.0, None, 1e-05, 3.242844010675883e-10),
         ("kahler-positive", "form-positivity", 2, 4.0, None, 0.5, 0.0),
-        ("form-invariance", "group-invariant-form", 2, 4.0, None, 1e-05, 4.693236910213827e-10),
+        ("form-invariance", "group-invariant-form", 2, 4.0, None, 1e-05, 4.693236910213822e-10),
         ("density-invariance", "group-invariant-volume", 2, None, None, 1e-05, 4.240891043588252e-10),
         ("action-order", "left-action-convention", 2, None, 100, 1e-10, 4.1093545105807474e-16),
     ],
@@ -64,9 +64,9 @@ PINNED = {
         ("cocycle-multiplicative", "multiplier-composition", 1, 4.0, 100, 1e-09, 1.1667522359910967e-15),
         ("cocycle-route-agreement", "multiplier-closed-forms", 1, 4.0, 100, 1e-09, 4.1998790131842775e-16),
         ("potential-log-kernel", "potential-diagonal-consistency", 1, 4.0, None, 1e-11, 1.577514160966409e-17),
-        ("kahler-hessian-fd", "form-vs-finite-differences", 1, 4.0, None, 1e-05, 1.9517716647421688e-10),
+        ("kahler-hessian-fd", "form-vs-finite-differences", 1, 4.0, None, 1e-05, 1.9517409910463357e-10),
         ("kahler-positive", "form-positivity", 1, 4.0, None, 0.5, 0.0),
-        ("form-invariance", "group-invariant-form", 1, 4.0, None, 1e-05, 5.456923801716731e-11),
+        ("form-invariance", "group-invariant-form", 1, 4.0, None, 1e-05, 5.456923801716726e-11),
         ("density-invariance", "group-invariant-volume", 1, None, None, 1e-05, 2.931599389145234e-11),
         ("action-order", "left-action-convention", 1, None, 100, 1e-10, 5.35510008047711e-16),
     ],
