@@ -10,9 +10,15 @@ Subpackage map:
 * ``fockoracle``  -- truncated single-mode ground truth for every identity
 * ``gj1``         -- one-variable section: polynomial basis, half-plane maps
 * ``verify``      -- verification suites and the independent routes they run
+
+``fockoracle`` and ``verify`` load on first use (``siegeljacobi.verify`` or
+an import of the submodule): they need ``scipy.linalg``, which the closed
+forms do not.
 """
 
-from . import diffops, fockoracle, gj1, jacobi, matfun, numdiff, symplectic, verify
+import importlib
+
+from . import diffops, gj1, jacobi, matfun, numdiff, symplectic
 from .jacobi import CSPoint, JacobiElement
 from .symplectic import SpElement
 
@@ -31,3 +37,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: the layers that load scipy.linalg are imported on first access
+    if name in ("fockoracle", "verify"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

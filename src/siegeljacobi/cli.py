@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import jacobi, matfun, symplectic, verify
+from . import jacobi, matfun, symplectic
 from .errors import SiegelJacobiError
 from .jacobi import CSPoint
 
@@ -54,6 +54,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _suite_name(text: str) -> str:
+    # verify (and with it scipy.linalg) is imported for the verify command only
+    from . import verify
+
+    if text not in verify.SUITES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(verify.SUITES)})"
+        )
+    return text
+
+
 def _load_json(text: str):
     if text == "-":
         return json.load(sys.stdin)
@@ -67,6 +78,8 @@ def _load_point(text: str) -> CSPoint:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_suite(
         args.suite,
         seed=args.seed,
@@ -140,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=verify.SUITES)
+    pv.add_argument("suite", type=_suite_name, help="a suite of siegeljacobi.verify, or all")
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--samples", type=_positive_int, default=None)
     pv.add_argument("--cutoff", type=int, default=None)

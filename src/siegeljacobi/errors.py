@@ -37,9 +37,5 @@ class VariableMismatch(SiegelJacobiError):
     """Symbolic operands are defined over different variable sets."""
 
 
-class BranchViolation(SiegelJacobiError):
-    """An argument sits on a branch cut of a multivalued function."""
-
-
 class CutoffTooSmall(SiegelJacobiError):
     """Truncated Fock-space computation lost too much tail mass."""

@@ -23,13 +23,11 @@ import numpy as np
 
 from . import jacobi
 from .diffops import MPoly
-from .errors import BranchViolation, DomainViolation, Singular
+from .errors import DomainViolation, Singular
 
 __all__ = [
     "pn_poly",
     "pn_value",
-    "hermite_value",
-    "hermite_check",
     "hermite_exact_equal",
     "basis_fn",
     "kernel_series",
@@ -88,39 +86,9 @@ def _hermite_coeffs(n: int):
     return coeffs[n]
 
 
-def hermite_value(n: int, x: complex) -> complex:
-    """Hermite polynomial by recurrence, valid for complex argument."""
-    h0, h1 = 1.0 + 0j, 2.0 * x
-    if n == 0:
-        return h0
-    for m in range(1, n):
-        h0, h1 = h1, 2 * x * h1 - 2 * m * h0
-    return h1
-
-
-def hermite_check(n: int, z: complex, w: complex) -> float:
-    """Residual of ``P_n(z, w) = (i/sqrt2)^n w^{n/2} H_n(-i z / sqrt(2w))``.
-
-    Uses the principal square root of ``w``.
-
-    Raises
-    ------
-    BranchViolation
-        For ``w`` on the cut (-inf, 0].
-    """
-    w = complex(w)
-    if w.real <= 0 and w.imag == 0:
-        raise BranchViolation("w on the branch cut of the square root")
-    closed = (
-        (1j / math.sqrt(2)) ** n
-        * w ** (n / 2)
-        * hermite_value(n, -1j * z / np.sqrt(2 * w))
-    )
-    return float(abs(pn_value(n, z, w) - closed))
-
-
 def hermite_exact_equal(n: int) -> bool:
-    """Exact-arithmetic form of :func:`hermite_check`.
+    """``P_n(z, w) = (i/sqrt2)^n w^{n/2} H_n(-i z / sqrt(2w))``, checked in
+    exact arithmetic.
 
     Clearing the half-integer powers (Hermite parity makes every exponent an
     integer) turns the identity into a polynomial one over the Gaussian

@@ -4,12 +4,15 @@ Everything downstream (group decompositions, kernels, measures) is built on a
 small set of spectral operations for Hermitian matrices, two
 log-determinants (a principal one by LU for general matrices, and a real one
 by Cholesky for the Hermitian positive-definite ``1 - W Wbar``), and linear
-solves and inverses.  A single matrix goes to LAPACK directly: on the
-``n <= 3`` matrices of the closed forms, numpy's ``np.linalg`` wrappers cost
-several microseconds more than the LAPACK call, so they serve stacks only.
-Matrices are plain ``numpy`` arrays of ``complex``; the shared JSON wire
-format is ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with row-major
-entry order.
+solves and inverses.  The solves, inverses and Cholesky factors call numpy's
+own LAPACK gufuncs (``numpy.linalg._umath_linalg``), the ones ``np.linalg``
+calls, on one matrix and on a stack alike: on the ``n <= 3`` matrices of the
+closed forms, ``np.linalg``'s wrappers cost several microseconds more than
+the factorization.  Only the LU of :func:`principal_logdet` is scipy's
+``zgetrf``, imported on its first call, so importing this module loads no
+scipy.  Matrices are plain ``numpy`` arrays of ``complex``; the shared JSON
+wire format is ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with
+row-major entry order.
 
 Branch convention: every fractional power of a general determinant goes
 through the principal log-determinant, the sum of the principal logs of the
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainViolation, NonHermitian, NoConvergence, NotSymmetric, Singular
 
@@ -64,53 +67,65 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
-#: LAPACK ``gesv`` by the dtype numpy's solve computes in
-_GESV = {np.dtype(float): lapack.dgesv, np.dtype(complex): lapack.zgesv}
+@np.errstate(all="ignore", invalid="raise")
+def _lapack(gufunc, fallback, *args):
+    """``gufunc(*args)`` as ``np.linalg`` calls it, for float64 or complex128
+    operands: a failed factorization sets the floating-point invalid flag
+    (and fills its matrix with NaN), which raises ``LinAlgError`` here as it
+    does there, without a warning.  Operands the gufunc refuses (a matrix
+    that is not square, a mismatched right-hand side) go to ``fallback``,
+    the ``np.linalg`` function, which raises its own error for them."""
+    try:
+        return gufunc(*args)
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+    except ValueError:
+        return fallback(*args)
+
+
+@np.errstate(all="ignore")
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a matrix or stack, as ``np.linalg.cholesky``
+    computes them; a matrix that does not factor comes back as NaN."""
+    return _umath_linalg.cholesky_lo(m)
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)``, bit for bit, without its wrapper on one matrix.
+    """``np.linalg.solve(a, b)``, bit for bit, without its wrapper.
 
-    One square ``(n, n)`` matrix ``a`` with a right-hand side ``(n,)`` or
-    ``(n, k)`` whose dtypes promote to float64 or complex128 is one LAPACK
-    ``dgesv``/``zgesv`` call, the routine ``np.linalg.solve`` calls; the
-    result is C-ordered, as numpy's is.  Every other input (a stack, an empty
-    or non-square matrix, a mismatched right-hand side, another dtype) goes
-    to ``np.linalg.solve`` itself.
+    ``a`` is one square matrix ``(n, n)`` or a stack ``(..., n, n)``; ``b`` is
+    a vector ``(n,)`` or a matrix or stack of them ``(..., n, k)``.  Operands
+    of float64 or complex128 go to numpy's LAPACK gufunc (``zgesv`` per
+    matrix), the one ``np.linalg.solve`` calls, so the result is its result,
+    C-ordered; operands of any other dtype go to ``np.linalg.solve`` itself.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If ``a`` is singular, as ``np.linalg.solve`` raises it.
+        If a matrix of ``a`` is singular, as ``np.linalg.solve`` raises it.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    gesv = _GESV.get(np.promote_types(a.dtype, b.dtype))
-    if (gesv is None or a.ndim != 2 or b.ndim not in (1, 2)
-            or not 0 < a.shape[0] == a.shape[1] == b.shape[0]):
+    if a.dtype.char not in "dD" or b.dtype.char not in "dD":
         return np.linalg.solve(a, b)
-    _, _, x, info = gesv(a, b)
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    # gesv returns a Fortran-ordered x; the order can change the rounding of
-    # a product that follows
-    return np.ascontiguousarray(x)
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return _lapack(gufunc, np.linalg.solve, a, b)
 
 
 def inv(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv(a)``, bit for bit: :func:`solve` of ``a`` and the identity
-    on one matrix, which is the solve ``np.linalg.inv`` makes; a stack goes to
-    ``np.linalg.inv``.
+    """``np.linalg.inv(a)``, bit for bit, without its wrapper: numpy's LAPACK
+    gufunc for one matrix or a stack of float64 or complex128, and
+    ``np.linalg.inv`` itself for any other dtype.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If ``a`` is singular, as ``np.linalg.inv`` raises it.
+        If a matrix is singular, as ``np.linalg.inv`` raises it.
     """
     a = np.asarray(a)
-    if a.ndim == 2 and a.dtype in _GESV:
-        return solve(a, eye(len(a)))
-    return np.linalg.inv(a)
+    if a.dtype.char not in "dD":
+        return np.linalg.inv(a)
+    return _lapack(_umath_linalg.inv, np.linalg.inv, a)
 
 
 def solve_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,10 +134,10 @@ def solve_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one LU factorization per matrix of ``a``.
 
     The vectors that share a matrix (along the axes where ``a`` has size 1)
-    are the columns of one right-hand side of :func:`solve`; a single matrix
-    is then one LAPACK ``zgesv`` call.  Each column gets the arithmetic of a
-    one-column solve, so the result equals ``np.linalg.solve`` of each point
-    on its own, bit for bit.  It is C-ordered, of the broadcast leading shape.
+    are the columns of one right-hand side of :func:`solve`, one ``zgesv``
+    per matrix.  Each column gets the arithmetic of a one-column solve, so
+    the result equals ``np.linalg.solve`` of each point on its own, bit for
+    bit.  It is C-ordered, of the broadcast leading shape.
 
     Raises
     ------
@@ -362,11 +377,20 @@ def principal_logdet(m: np.ndarray):
     return out
 
 
+@functools.cache
+def _scipy_lapack():
+    """scipy's LAPACK module, imported on the first LU so that importing this
+    module loads no scipy."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _logdet_lu(m: np.ndarray) -> complex:
     """:func:`principal_logdet` of one validated non-empty square matrix: one
     ``zgetrf``, the pivot bound, the principal logs of the pivots and the
     row-swap parity."""
-    lu, piv, _ = lapack.zgetrf(m)
+    lu, piv, _ = _scipy_lapack().zgetrf(m)
     diag = lu.diagonal()
     mag = np.abs(diag).min()
     bound = SINGULAR_RTOL * max(np.abs(m).max(), 1.0)
@@ -384,12 +408,12 @@ def logdet_hpd(m: np.ndarray):
     ``m`` is one square matrix ``(n, n)`` or a stack ``(..., n, n)``, such as
     ``1 - W Wbar`` for ``W`` in the domain; only its lower triangle is read.
     The result is ``2 sum_i log L_ii``: a ``float`` for one matrix and a
-    float array of the leading shape for a stack.  One matrix is one LAPACK
-    ``zpotrf`` call, without the per-call cost of ``np.linalg.cholesky``'s
-    wrapper; one ``np.linalg.cholesky`` call factors a whole stack.  The
-    gufunc calls the same ``zpotrf`` on each matrix, so a stacked call equals
-    the per-matrix calls bit for bit.  A ``0 x 0`` matrix has log-determinant
-    0.
+    float array of the leading shape for a stack.  One call of numpy's LAPACK
+    gufunc, the ``zpotrf`` per matrix that ``np.linalg.cholesky`` calls,
+    factors one matrix or a whole stack without that wrapper's per-call
+    cost, so a stacked call equals the per-matrix calls bit for bit.  A
+    matrix that does not factor comes back as NaN, which is read once the
+    stack is factored.  A ``0 x 0`` matrix has log-determinant 0.
 
     Raises
     ------
@@ -412,44 +436,40 @@ def logdet_hpd(m: np.ndarray):
     scale = np.abs(m).max(initial=1.0)
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
+    diag = _cholesky(m).diagonal(axis1=-2, axis2=-1).real
+    # a NaN pivot fails the test, and a pivot at or below its own matrix's
+    # bound is at or below the largest one
+    if diag.size and not diag.min() ** 2 > SINGULAR_RTOL * scale:
+        _raise_hpd_failure(m, diag)
+    out = 2.0 * np.log(diag).sum(axis=-1)
+    return float(out) if m.ndim == 2 else out
+
+
+def _raise_hpd_failure(m: np.ndarray, diag: np.ndarray):
+    """Raise the error of :func:`logdet_hpd` for the first matrix of ``m``
+    whose Cholesky diagonal ``diag`` is NaN or has a pivot at or below its
+    bound, if there is one."""
     lead, n = m.shape[:-2], m.shape[-1]
+    flat, diag = m.reshape(-1, n, n), diag.reshape(-1, n)
 
     def where(i):
         return f"stack index {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
 
-    def not_positive_definite(i, mat):
-        evmin = np.linalg.eigvalsh(mat).min()
-        return DomainViolation(
+    failed = np.isnan(diag).any(axis=-1)
+    if failed.any():
+        i = int(np.argmax(failed))
+        evmin = np.linalg.eigvalsh(flat[i]).min()
+        raise DomainViolation(
             f"{where(i)}matrix is not positive definite, smallest eigenvalue {evmin:.3e}"
         )
-
-    flat = m.reshape(math.prod(lead), n, n)
-    if lead:
-        try:
-            diag = np.linalg.cholesky(flat).diagonal(axis1=-2, axis2=-1).real
-        except np.linalg.LinAlgError:
-            # the failure path only: find the first matrix that does not factor
-            for i, mat in enumerate(flat):
-                if lapack.zpotrf(mat, lower=1)[1] > 0:
-                    raise not_positive_definite(i, mat) from None
-            raise  # pragma: no cover - every matrix factored on its own
-    else:
-        factor, info = lapack.zpotrf(m, lower=1)
-        if info > 0:
-            raise not_positive_definite(0, m)
-        diag = factor.diagonal().real[None]
-    # a pivot at or below its own matrix's bound is at or below the largest one
-    if diag.size and diag.min() ** 2 <= SINGULAR_RTOL * scale:
-        pivots = diag * diag
-        bound = SINGULAR_RTOL * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
-        bad = (pivots <= bound[:, None]).any(axis=-1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise Singular(
-                f"{where(i)}pivot magnitude {pivots[i].min():.3e} below threshold {bound[i]:.3e}"
-            )
-    out = 2.0 * np.log(diag).sum(axis=-1)
-    return out.reshape(lead) if lead else float(out[0])
+    pivots = diag * diag
+    bound = SINGULAR_RTOL * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
+    bad = (pivots <= bound[:, None]).any(axis=-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise Singular(
+            f"{where(i)}pivot magnitude {pivots[i].min():.3e} below threshold {bound[i]:.3e}"
+        )
 
 
 def detpow(m: np.ndarray, s: float) -> complex:

@@ -118,6 +118,23 @@ def test_eval_output_bytes(capsys, argv, expected):
     assert code == 0 and out == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["density", "--point", _GOLDEN_Y], ["potential", "--point", _GOLDEN_X, "--k", "5"],
+     ["form", "--point", _GOLDEN_X, "--k", "4"]],
+    ids=["density", "potential", "form"],
+)
+def test_eval_of_the_geometry_loads_no_scipy_linalg(argv):
+    # the verify layer, and with it scipy.linalg, is imported for verify only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from siegeljacobi import cli; code = cli.main(sys.argv[1:]); "
+            "print('scipy.linalg' in sys.modules, code)")
+    proc = subprocess.run([sys.executable, "-c", code, "eval", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
+
+
 def test_decompose_identity_gauss(capsys):
     g = json.dumps(
         {

@@ -4,6 +4,10 @@ representation index, ``k``."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,28 @@ def test_finite_difference_oracles_take_no_step():
         "holomorphic_jacobian": ["mapping", "x"],
         "w_jacobian": ["mapping", "w"],
     }
+
+
+def test_the_geometry_path_loads_no_scipy_linalg():
+    # importing the package and running the closed-form geometry and its
+    # finite-difference oracles calls numpy's LAPACK only; fockoracle and
+    # verify, which need scipy.linalg, load on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """
+import sys
+import numpy as np
+import siegeljacobi
+from siegeljacobi import jacobi, numdiff, symplectic
+rng = np.random.default_rng(2)
+x = jacobi.cs_point(0.3 * rng.normal(size=2) + 0.2j, symplectic.random_siegel_point(2, 0.5, rng))
+h = jacobi.JacobiElement(g=symplectic.sp_random(2, 0.4, rng), alpha=np.array([0.1, 0.2j]), t=0.3)
+jacobi.kahler_form(x, 4.0)
+jacobi.kahler_potential(x, 4.0)
+jacobi.density(jacobi.act(h, x))
+numdiff.wirtinger_hessian(lambda p: jacobi.kahler_potential(p, 4.0), x)
+numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegeljacobi import gj1, jacobi, verify
-from siegeljacobi.errors import BranchViolation, DomainViolation
+from siegeljacobi.errors import DomainViolation
 from siegeljacobi.jacobi import CSPoint, JacobiElement
 
 
@@ -22,14 +22,6 @@ def test_pn_generating_function():
         gj1.pn_value(n, z, w) * t**n / math.factorial(n) for n in range(40)
     )
     assert abs(direct - series) < 1e-14
-
-
-def test_hermite_check_values():
-    assert gj1.hermite_check(0, 0.7, 0.3) < 1e-15
-    assert gj1.hermite_check(2, 0.5 + 0.1j, 0.2 + 0.05j) < 1e-14
-    assert gj1.hermite_check(5, 0.3, 0.2) < 1e-12
-    with pytest.raises(BranchViolation):
-        gj1.hermite_check(3, 0.1, -0.5)
 
 
 @given(st.integers(min_value=0, max_value=12))

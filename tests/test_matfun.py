@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from siegeljacobi import matfun
 from siegeljacobi.errors import DomainViolation, NonHermitian, NotSymmetric, Singular
@@ -220,7 +223,10 @@ def test_principal_logdet_of_empty_matrices_is_zero(monkeypatch):
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on an empty matrix")
 
-    monkeypatch.setattr(matfun.lapack, "zgetrf", no_lapack)
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", no_lapack)
+    # the patch reaches the LU of a non-empty matrix
+    with pytest.raises(AssertionError, match="LAPACK called"):
+        matfun.principal_logdet(np.eye(1))
     # det of a 0x0 matrix is the empty product 1, as np.linalg.slogdet says
     assert np.linalg.slogdet(np.zeros((0, 0))) == (1.0, 0.0)
     val = matfun.principal_logdet(np.zeros((0, 0)))
@@ -252,16 +258,16 @@ def test_logdet_hpd_stack_matches_single_calls(n):
 
 def test_logdet_hpd_factors_a_stack_in_one_call(monkeypatch):
     calls = []
-    cholesky = np.linalg.cholesky
+    cholesky = _umath_linalg.cholesky_lo
 
     def counted(a):
         calls.append(a.shape)
         return cholesky(a)
 
-    monkeypatch.setattr(matfun.np.linalg, "cholesky", counted)
+    monkeypatch.setattr(_umath_linalg, "cholesky_lo", counted)
     _, stack = _hpd_stack(3, np.random.default_rng(56), (2, 5))
     matfun.logdet_hpd(stack)
-    assert calls == [(10, 3, 3)]
+    assert calls == [(2, 5, 3, 3)]
 
 
 def test_logdet_hpd_factors_one_matrix_without_np_cholesky(monkeypatch):
@@ -377,7 +383,7 @@ def _system(n, rng, lead, cols, complex_):
     return a, b
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
 @pytest.mark.parametrize("cols", [None, 1, 3])
 @pytest.mark.parametrize("complex_", [False, True])
@@ -420,6 +426,70 @@ def test_solve_vectors_equals_per_point_solves_bit_for_bit(n, a_lead, b_lead):
         want = np.linalg.solve(full_a, np.broadcast_to(b, lead + (n,))[..., None])[..., 0]
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_numpy_lapack_gufuncs_equal_np_linalg_bit_for_bit(n, lead, complex_):
+    # matfun calls the private gufuncs of numpy.linalg directly: pin each one
+    # to its public wrapper, so that a numpy upgrade that changes them fails
+    rng = np.random.default_rng(80 + n)
+    a, b = _system(n, rng, lead, 2, complex_)
+    vec = b[(0,) * len(lead)][:, 0]  # one right-hand side for every matrix
+    hpd = a @ np.swapaxes(a, -1, -2).conj() + np.eye(n)
+    pairs = [
+        (_umath_linalg.solve(a, b), np.linalg.solve(a, b)),
+        (_umath_linalg.solve1(a, vec), np.linalg.solve(a, vec)),
+        (_umath_linalg.inv(a), np.linalg.inv(a)),
+        (_umath_linalg.cholesky_lo(hpd), np.linalg.cholesky(hpd)),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # logdet_hpd factors in complex, also for real input
+    diag = np.linalg.cholesky(hpd.astype(complex)).diagonal(axis1=-2, axis2=-1).real
+    want = 2.0 * np.log(diag).sum(axis=-1)
+    assert np.asarray(matfun.logdet_hpd(hpd)).tobytes() == want.tobytes()
+
+
+def _raised(fn):
+    """``(type, message)`` of the error ``fn()`` raises; fails on a warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Exception) as err:
+            fn()
+    assert caught == []
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_failures_raise_numpys_errors_without_a_warning(lead):
+    rng = np.random.default_rng(85)
+    for dtype in (float, complex):
+        a, b = _system(2, rng, lead, 2, dtype is complex)
+        sing = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=dtype)
+        if lead:
+            a[(-1,) * len(lead)] = sing
+        else:
+            a = sing
+        vec = b[(0,) * len(lead)][:, 0]
+        for ours, theirs in ((lambda: matfun.solve(a, b), lambda: np.linalg.solve(a, b)),
+                             (lambda: matfun.solve(a, vec), lambda: np.linalg.solve(a, vec)),
+                             (lambda: matfun.inv(a), lambda: np.linalg.inv(a))):
+            assert _raised(ours) == _raised(theirs) == (np.linalg.LinAlgError, "Singular matrix")
+    # a matrix that is not square raises what numpy raises for it
+    assert _raised(lambda: matfun.inv(np.ones(lead + (2, 3)))) == _raised(
+        lambda: np.linalg.inv(np.ones(lead + (2, 3))))
+    # the log-det names the first matrix of a stack that fails
+    _, hpd = _hpd_stack(2, rng, lead + (2,))
+    hpd[(-1,) * len(lead) + (1,)] = np.eye(2) - np.diag([1.2, 0.5]) ** 2
+    where = f"stack index {(*(d - 1 for d in lead), 1)}: "
+    assert _raised(lambda: matfun.logdet_hpd(hpd)) == (
+        DomainViolation, f"{where}matrix is not positive definite, smallest eigenvalue -4.400e-01")
+    hpd[(-1,) * len(lead) + (1,)] = np.diag([1.0, 5e-14])
+    assert _raised(lambda: matfun.logdet_hpd(hpd)) == (
+        Singular, f"{where}pivot magnitude {5e-14:.3e} below threshold {1e-13:.3e}")
 
 
 def test_solve_vectors_of_a_singular_matrix_raises_as_numpy_does():
