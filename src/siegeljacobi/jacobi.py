@@ -366,8 +366,9 @@ def lambda_cocycle_ez(
     z0 = h.alpha - w @ h.alpha.conj()
     rhs = 2 * z + z0
     try:
-        core = matfun.solve(ab + bb @ w, bb)
-        tail = matfun.solve(matfun.eye(x.n) + w @ matfun.solve(ab, bb), rhs)
+        # (abar + bbar W)^-1 bbar and abar^-1 bbar in one stacked solve
+        core, t = matfun.solve(np.array((ab + bb @ w, ab)), bb)
+        tail = matfun.solve(matfun.eye(x.n) + w @ t, rhs)
     except np.linalg.LinAlgError as exc:
         raise Singular("b -> 0 safe route is not computable") from exc
     two_lam1 = (
@@ -389,9 +390,10 @@ def kernel(x: CSPoint, y: CSPoint, k: float) -> complex:
     """
     n = x.n
     u = matfun.inv(matfun.eye(n) - y.W @ x.W.conj())
+    uz = u @ y.z
     expo = (
-        2.0 * (x.z.conj() * (u @ y.z)).sum()
-        + ((x.W @ y.z.conj()).conj() * (u @ y.z)).sum()
+        2.0 * (x.z.conj() * uz).sum()
+        + ((x.W @ y.z.conj()).conj() * uz).sum()
         + (x.z.conj() * (u @ y.W @ x.z.conj())).sum()
     )
     return complex(detpow(u, k / 2) * np.exp(0.5 * expo))

@@ -2,26 +2,27 @@
 
 Everything downstream (group decompositions, kernels, measures) is built on a
 small set of spectral operations for Hermitian matrices, two
-log-determinants (a principal one by LU for general matrices, and a real one
-by Cholesky for the Hermitian positive-definite ``1 - W Wbar``), and linear
-solves and inverses.  The solves, inverses and Cholesky factors call numpy's
+log-determinants (a principal one from the eigenvalues of a general matrix,
+and a real one by Cholesky for the Hermitian positive-definite
+``1 - W Wbar``), and linear solves and inverses.  All of them call numpy's
 own LAPACK gufuncs (``numpy.linalg._umath_linalg``), the ones ``np.linalg``
 calls, on one matrix and on a stack alike: on the ``n <= 3`` matrices of the
 closed forms, ``np.linalg``'s wrappers cost several microseconds more than
-the factorization.  Only the LU of :func:`principal_logdet` is scipy's
-``zgetrf``, imported on its first call, so importing this module loads no
-scipy.  Matrices are plain ``numpy`` arrays of ``complex``; the shared JSON
-wire format is ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with
-row-major entry order.
+the factorization.  This module loads no scipy.  Matrices are plain
+``numpy`` arrays of ``complex``; the shared JSON wire format is
+``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with row-major entry
+order.
 
 Branch convention: every fractional power of a general determinant goes
-through the principal log-determinant, the sum of the principal logs of the
-LU pivots.  That is neither the principal branch of ``log det`` nor the
-branch continued from the identity, so interior points of the domain are not
-safe from it: at n = 2, 3 and odd ``k``, 59 of 277 finite diagonal values
-``jacobi.kernel(x, x, k)`` came out negative or complex (``W`` drawn by
-``symplectic.random_siegel_point`` at scales in [0.3, 3]).  Integer powers,
-such as the kernel's at even ``k``, do not depend on the branch.  Powers of
+through :func:`principal_logdet`, the sum of the principal logs of the
+eigenvalues.  The kernel's ``U = (1 - A)^-1`` with ``A = W_y conj(W_x)``
+and ``ball_compose``'s ``1 + w1 w2*`` have every eigenvalue in the right
+half-plane for ``W`` in the domain, and stay there as ``A`` (or ``w1 w2*``)
+is scaled down to 0; so that sum is the branch continued from the identity,
+the diagonal kernel is real and positive, and ``K(x, y) = conj(K(y, x))``,
+at every real ``k``.  For a
+``1 x 1`` matrix it is the principal log of the entry.  Integer powers, such
+as the cocycles' at even ``k``, do not depend on the branch.  Powers of
 ``det(1 - W Wbar)`` are real and need no branch.
 """
 
@@ -40,8 +41,9 @@ from .errors import DomainViolation, NonHermitian, NoConvergence, NotSymmetric, 
 #: the tolerance of :func:`is_siegel`, and the default of the membership check.
 DEFAULT_TOL = 1e-10
 
-#: A log-determinant raises :class:`Singular` when a pivot magnitude is at
-#: most this fraction of ``max(|m|, 1)`` over its matrix.
+#: A log-determinant raises :class:`Singular` when an eigenvalue (or
+#: Cholesky pivot) magnitude is at most this fraction of ``max(|m|, 1)`` over
+#: its matrix.
 SINGULAR_RTOL = 1e-13
 
 
@@ -72,15 +74,30 @@ def _lapack(gufunc, fallback, *args):
     """``gufunc(*args)`` as ``np.linalg`` calls it, for float64 or complex128
     operands: a failed factorization sets the floating-point invalid flag
     (and fills its matrix with NaN), which raises ``LinAlgError`` here as it
-    does there, without a warning.  Operands the gufunc refuses (a matrix
-    that is not square, a mismatched right-hand side) go to ``fallback``,
-    the ``np.linalg`` function, which raises its own error for them."""
+    does there, without a warning; a failed ``eigvals`` raises
+    :class:`NoConvergence` naming the first matrix that failed.  Operands the
+    gufunc refuses (a matrix that is not square, a mismatched right-hand
+    side) go to ``fallback``, the ``np.linalg`` function, which raises its
+    own error for them."""
     try:
         return gufunc(*args)
     except FloatingPointError:
-        raise np.linalg.LinAlgError("Singular matrix") from None
+        if gufunc is not _umath_linalg.eigvals:
+            raise np.linalg.LinAlgError("Singular matrix") from None
+        # run it again to read which matrix it left as NaN
+        with np.errstate(invalid="ignore"):
+            failed = np.isnan(gufunc(*args)).any(axis=-1)
+        raise NoConvergence(f"{_first_failure(failed)[1]}eigenvalues did not converge") from None
     except ValueError:
         return fallback(*args)
+
+
+def _first_failure(failed: np.ndarray) -> tuple:
+    """The index of the first true entry of ``failed``, a boolean array over a
+    stack's leading shape, and the message prefix naming it (empty for one
+    matrix, where ``failed`` is 0-d)."""
+    idx = np.unravel_index(int(np.argmax(failed)), failed.shape)
+    return idx, f"stack index {tuple(map(int, idx))}: " if failed.ndim else ""
 
 
 @np.errstate(all="ignore")
@@ -336,15 +353,16 @@ def cartan_blocks(z: np.ndarray):
 
 
 def principal_logdet(m: np.ndarray):
-    """Principal log-determinant via LU with pivot-phase accumulation.
+    """Principal log-determinant: the sum of the principal logs of the
+    eigenvalues.
 
     ``m`` is one square matrix ``(n, n)`` or a stack ``(..., n, n)``.
-    ``exp(result) == det(m)``; the imaginary part is the sum of the principal
-    logarithms of the diagonal of the U factor plus ``i pi`` for an odd
-    number of row swaps.  Returns a ``complex`` for one matrix and a complex
-    array of the leading shape for a stack.  Each matrix is factorized by
-    LAPACK ``zgetrf`` on its own, so a stacked call equals the per-matrix
-    calls bit for bit.  A ``0 x 0`` matrix has determinant 1 (the empty
+    ``exp(result) == det(m)``.  Returns a ``complex`` for one matrix and a
+    complex array of the leading shape for a stack.  One call of numpy's
+    ``eigvals`` gufunc (``zgeev`` per matrix) serves one matrix or a whole
+    stack, so a stacked call equals the per-matrix calls bit for bit, and
+    each equals ``np.log(np.linalg.eigvals(m)).sum()``.  See the module's
+    branch convention.  A ``0 x 0`` matrix has determinant 1 (the empty
     product) and log-determinant 0, as in ``np.linalg.slogdet``; LAPACK is
     not called for it.
 
@@ -353,53 +371,39 @@ def principal_logdet(m: np.ndarray):
     ValueError
         If an entry is not finite or the matrices are not square.
     Singular
-        If a pivot magnitude is at most ``SINGULAR_RTOL * max(|m|, 1)`` of its
-        matrix; for a stack the message names the first such matrix.
+        If an eigenvalue magnitude is at most ``SINGULAR_RTOL * max(|m|, 1)``
+        of its matrix; for a stack the message names the first such matrix.
+    NoConvergence
+        If the eigenvalue iteration fails; the message names the matrix.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     if m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
     if m.shape[-1] == 0:
         # the determinant of a 0x0 matrix is the empty product 1
         return 0j if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=complex)
+    # max(|m|, 1) of each matrix; NaN or inf if an entry is not finite
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    if not math.isfinite(scale if m.ndim == 2 else scale.max(initial=1.0)):
+        raise ValueError("matrix has non-finite entries")
+    ev = _lapack(_umath_linalg.eigvals, np.linalg.eigvals, m)
+    bound = SINGULAR_RTOL * scale
     if m.ndim == 2:
-        return _logdet_lu(m)
-    out = np.empty(m.shape[:-2], dtype=complex)
-    for idx in np.ndindex(out.shape):
-        try:
-            out[idx] = _logdet_lu(m[idx])
-        except Singular as exc:
-            raise Singular(f"stack index {idx}: {exc}") from None
-    return out
-
-
-@functools.cache
-def _scipy_lapack():
-    """scipy's LAPACK module, imported on the first LU so that importing this
-    module loads no scipy."""
-    from scipy.linalg import lapack
-
-    return lapack
-
-
-def _logdet_lu(m: np.ndarray) -> complex:
-    """:func:`principal_logdet` of one validated non-empty square matrix: one
-    ``zgetrf``, the pivot bound, the principal logs of the pivots and the
-    row-swap parity."""
-    lu, piv, _ = _scipy_lapack().zgetrf(m)
-    diag = lu.diagonal()
-    mag = np.abs(diag).min()
-    bound = SINGULAR_RTOL * max(np.abs(m).max(), 1.0)
-    if mag <= bound:
-        raise Singular(f"pivot magnitude {mag:.3e} below threshold {bound:.3e}")
-    val = np.log(diag).sum()
-    if sum(p != i for i, p in enumerate(piv.tolist())) % 2 == 1:
-        val += 1j * np.pi
-    return complex(val)
+        # one matrix: the minimum as a Python scalar
+        mag = min(map(abs, ev.tolist()))
+        if mag <= bound:
+            raise Singular(f"eigenvalue magnitude {mag:.3e} below threshold {bound:.3e}")
+        return complex(np.log(ev).sum())
+    mag = np.abs(ev).min(axis=-1)
+    bad = mag <= bound
+    if bad.any():
+        idx, where = _first_failure(bad)
+        raise Singular(
+            f"{where}eigenvalue magnitude {mag[idx]:.3e} below threshold {bound[idx]:.3e}"
+        )
+    return np.log(ev).sum(axis=-1)
 
 
 def logdet_hpd(m: np.ndarray):
@@ -449,26 +453,20 @@ def _raise_hpd_failure(m: np.ndarray, diag: np.ndarray):
     """Raise the error of :func:`logdet_hpd` for the first matrix of ``m``
     whose Cholesky diagonal ``diag`` is NaN or has a pivot at or below its
     bound, if there is one."""
-    lead, n = m.shape[:-2], m.shape[-1]
-    flat, diag = m.reshape(-1, n, n), diag.reshape(-1, n)
-
-    def where(i):
-        return f"stack index {tuple(map(int, np.unravel_index(i, lead)))}: " if lead else ""
-
     failed = np.isnan(diag).any(axis=-1)
     if failed.any():
-        i = int(np.argmax(failed))
-        evmin = np.linalg.eigvalsh(flat[i]).min()
+        idx, where = _first_failure(failed)
+        evmin = np.linalg.eigvalsh(m[idx]).min()
         raise DomainViolation(
-            f"{where(i)}matrix is not positive definite, smallest eigenvalue {evmin:.3e}"
+            f"{where}matrix is not positive definite, smallest eigenvalue {evmin:.3e}"
         )
     pivots = diag * diag
-    bound = SINGULAR_RTOL * np.maximum(np.abs(flat).max(axis=(-2, -1)), 1.0)
-    bad = (pivots <= bound[:, None]).any(axis=-1)
+    bound = SINGULAR_RTOL * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    bad = (pivots <= bound[..., None]).any(axis=-1)
     if bad.any():
-        i = int(np.argmax(bad))
+        idx, where = _first_failure(bad)
         raise Singular(
-            f"{where(i)}pivot magnitude {pivots[i].min():.3e} below threshold {bound[i]:.3e}"
+            f"{where}pivot magnitude {pivots[idx].min():.3e} below threshold {bound[idx]:.3e}"
         )
 
 

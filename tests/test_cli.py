@@ -79,8 +79,8 @@ _GOLDEN_Y = json.dumps({"z": [[-0.1, 0.25], [0.2, 0.0]], "W": {
     "argv, expected",
     [
         (["kernel", "--x", _GOLDEN_X, "--y", _GOLDEN_Y, "--k", "6"],
-         '{"anchor": "coherent-state-overlap", "k": 6.0, "value": {"im": 0.23036202808378717,'
-         ' "re": 0.6439832623215783}, "what": "kernel"}\n'),
+         '{"anchor": "coherent-state-overlap", "k": 6.0, "value": {"im": 0.23036202808378742,'
+         ' "re": 0.643983262321579}, "what": "kernel"}\n'),
         (["potential", "--point", _GOLDEN_X, "--k", "5"],
          '{"anchor": "log-diagonal-kernel", "k": 5.0, "value": 1.0354103955187668,'
          ' "what": "potential"}\n'),
@@ -121,14 +121,16 @@ def test_eval_output_bytes(capsys, argv, expected):
 @pytest.mark.parametrize(
     "argv",
     [["density", "--point", _GOLDEN_Y], ["potential", "--point", _GOLDEN_X, "--k", "5"],
-     ["form", "--point", _GOLDEN_X, "--k", "4"]],
-    ids=["density", "potential", "form"],
+     ["form", "--point", _GOLDEN_X, "--k", "4"],
+     ["kernel", "--x", _GOLDEN_X, "--y", _GOLDEN_Y, "--k", "3"], ["lambda", "--n", "2", "--k", "7"]],
+    ids=["density", "potential", "form", "kernel", "lambda"],
 )
 def test_eval_of_the_geometry_loads_no_scipy_linalg(argv):
-    # the verify layer, and with it scipy.linalg, is imported for verify only
+    # the verify layer, and with it scipy.linalg, is imported for verify
+    # only; every eval quantity loads no scipy module at all
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; from siegeljacobi import cli; code = cli.main(sys.argv[1:]); "
-            "print('scipy.linalg' in sys.modules, code)")
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), code)")
     proc = subprocess.run([sys.executable, "-c", code, "eval", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr

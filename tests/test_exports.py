@@ -78,7 +78,8 @@ def test_finite_difference_oracles_take_no_step():
 
 
 def test_the_geometry_path_loads_no_scipy_linalg():
-    # importing the package and running the closed-form geometry and its
+    # importing the package and running the closed forms (the geometry, the
+    # kernel, the cocycles and every log-determinant) and the
     # finite-difference oracles calls numpy's LAPACK only; fockoracle and
     # verify, which need scipy.linalg, load on first use
     src = Path(__file__).resolve().parents[1] / "src"
@@ -86,10 +87,17 @@ def test_the_geometry_path_loads_no_scipy_linalg():
 import sys
 import numpy as np
 import siegeljacobi
-from siegeljacobi import jacobi, numdiff, symplectic
+from siegeljacobi import jacobi, matfun, numdiff, symplectic
 rng = np.random.default_rng(2)
 x = jacobi.cs_point(0.3 * rng.normal(size=2) + 0.2j, symplectic.random_siegel_point(2, 0.5, rng))
+y = jacobi.cs_point(0.2 * rng.normal(size=2) - 0.1j, symplectic.random_siegel_point(2, 0.4, rng))
 h = jacobi.JacobiElement(g=symplectic.sp_random(2, 0.4, rng), alpha=np.array([0.1, 0.2j]), t=0.3)
+jacobi.kernel(x, y, 3.0)
+jacobi.lambda_cocycle(h, x, 4.0)
+jacobi.lambda_cocycle_ez(h, x, 4.0)
+symplectic.multiplier(h.g, x.W, 3.0)
+symplectic.ball_compose(x.W, y.W)
+matfun.principal_logdet(np.eye(2) + 0.3 * rng.normal(size=(4, 2, 2)))
 jacobi.kahler_form(x, 4.0)
 jacobi.kahler_potential(x, 4.0)
 jacobi.density(jacobi.act(h, x))

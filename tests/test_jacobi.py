@@ -329,6 +329,88 @@ def test_kahler_potential_near_the_boundary_matches_mpmath(n, k):
         assert abs(single - ref) <= 1e-13 * abs(ref)
 
 
+def _kernel_mpmath(x, y, k):
+    """``kernel(x, y, k)`` of one pair in 50-digit arithmetic, from the
+    defining formula with ``log det U = -sum_i log(1 - mu_i)`` over the
+    eigenvalues ``mu_i`` of ``W_y conj(W_x)``.  Each ``|mu_i| < 1``, so each
+    ``1 - mu_i`` has a positive real part and the sum is the branch continued
+    from the identity."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        def mat(a):
+            return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a])
+
+        def col(v):
+            return mat(np.asarray(v)[:, None])
+
+        a = mat(y.W) * mat(x.W.conj())
+        mu = mpmath.eig(a, left=False, right=False)
+        logdet_u = -mpmath.fsum(mpmath.log(1 - m) for m in mu)
+        u = (mpmath.eye(x.n) - a) ** -1
+        zx, zy = col(x.z), col(y.z)
+        expo = (
+            2 * (zx.H * u * zy)[0]
+            + ((mat(x.W) * col(y.z.conj())).H * u * zy)[0]
+            + (zx.H * u * mat(y.W) * col(x.z.conj()))[0]
+        )
+        return complex(mpmath.exp(mpmath.mpf(k) / 2 * logdet_u + expo / 2))
+
+
+def _kernel_lu_pivots(x, y, k):
+    """``kernel`` with ``log det U`` summed over the principal logs of the LU
+    pivots of ``U``, plus ``i pi`` for an odd number of row swaps: the branch
+    the kernel took before it summed eigenvalue logs."""
+    import scipy.linalg
+
+    u = np.linalg.inv(np.eye(x.n) - y.W @ x.W.conj())
+    lu, piv = scipy.linalg.lu_factor(u)
+    logdet_u = np.log(np.diag(lu)).sum() + 1j * np.pi * (np.sum(piv != np.arange(x.n)) % 2)
+    uz = u @ y.z
+    expo = (
+        2.0 * (x.z.conj() * uz).sum()
+        + ((x.W @ y.z.conj()).conj() * uz).sum()
+        + (x.z.conj() * (u @ y.W @ x.z.conj())).sum()
+    )
+    return complex(np.exp(k / 2 * logdet_u + 0.5 * expo))
+
+
+def _near_boundary_pairs(n):
+    """Eight pairs of points with ``||W||`` in (0.9, 0.999) and ``|z|``
+    about 0.3.  Near the boundary ``cond(U)`` reaches 1e3, and the rounding
+    of the kernel's quadratic exponent grows with ``|z|^2 cond(U)``; the
+    branch of ``det(U)^{k/2}`` does not depend on ``z``."""
+    stack = _near_boundary_stack(n, np.random.default_rng(100 + n), 16)
+    pts = [CSPoint(z=0.3 * z, W=w) for z, w in zip(stack.z, stack.W)]
+    return list(zip(pts[::2], pts[1::2]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [3, 5, 2.5])
+def test_kernel_near_the_boundary_takes_the_branch_from_the_identity(n, k):
+    for x, y in _near_boundary_pairs(n):
+        for a in (x, y):
+            diag = jacobi.kernel(a, a, k)
+            assert diag.real > 0 and abs(diag.imag) <= 1e-12 * diag.real
+        kxy = jacobi.kernel(x, y, k)
+        assert abs(kxy - np.conj(jacobi.kernel(y, x, k))) <= 1e-12 * abs(kxy)
+        for a, b in ((x, y), (y, x), (x, x)):
+            ref = _kernel_mpmath(a, b, k)
+            assert abs(jacobi.kernel(a, b, k) - ref) <= 1e-12 * abs(ref)
+
+
+def test_the_lu_pivot_branch_fails_near_the_boundary():
+    # bite for the test above: the pivot-sum route misses the reference on
+    # some of the same draws
+    missed = 0
+    for n in (2, 3):
+        for k in (3, 5, 2.5):
+            for x, y in _near_boundary_pairs(n):
+                for a, b in ((x, y), (y, x), (x, x)):
+                    ref = _kernel_mpmath(a, b, k)
+                    missed += not abs(_kernel_lu_pivots(a, b, k) - ref) <= 1e-12 * abs(ref)
+    assert missed > 0
+
+
 def _kahler_form_numpy_scalars(x, k):
     """The form assembled entry by entry in numpy complex128 scalars: the
     upper triangle, its conjugate below and a real diagonal."""

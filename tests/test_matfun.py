@@ -2,11 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.linalg import _umath_linalg
 
 from siegeljacobi import matfun
-from siegeljacobi.errors import DomainViolation, NonHermitian, NotSymmetric, Singular
+from siegeljacobi.errors import (
+    DomainViolation,
+    NoConvergence,
+    NonHermitian,
+    NotSymmetric,
+    Singular,
+)
 
 
 def random_hermitian(n, rng, psd=False, scale=1.0):
@@ -154,33 +159,44 @@ def test_principal_logdet_singular():
         matfun.principal_logdet(np.zeros((2, 2), dtype=complex))
 
 
-def _lu_factor_logdet(m):
-    """The log-det as ``scipy.linalg.lu_factor`` gives it, one matrix at a time."""
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    out = complex(np.sum(np.log(np.diag(lu))))
-    if np.sum(piv != np.arange(len(piv))) % 2:
-        out += 1j * np.pi
-    return out
+def _eigvals_logdet(m):
+    """The log-det as ``np.linalg.eigvals`` gives it, one matrix at a time."""
+    return complex(np.log(np.linalg.eigvals(m)).sum())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_principal_logdet_stack_matches_single_calls(n):
     rng = np.random.default_rng(20 + n)
     stack = np.eye(n) + (rng.normal(size=(3, 4, n, n)) + 1j * rng.normal(size=(3, 4, n, n)))
-    # swapping the first and last rows of the identity needs one row swap:
-    # an odd permutation phase (at n = 2, 3 it is the reversed identity)
+    # swapping the first and last rows of the identity is a reflection, with
+    # an eigenvalue near -1 once perturbed: the principal logs meet their cut
     swap = np.eye(n)
     swap[[0, -1]] = swap[[-1, 0]]
     stack[1, 2] = swap + 0.1 * rng.normal(size=(n, n))
-    if n > 1:
-        assert np.sum(scipy.linalg.lu_factor(stack[1, 2])[1] != np.arange(n)) % 2 == 1
     stacked = matfun.principal_logdet(stack)
     assert stacked.shape == (3, 4) and stacked.dtype == complex
     singles = [matfun.principal_logdet(m) for m in stack.reshape(-1, n, n)]
     assert all(type(v) is complex for v in singles)
     assert stacked.tobytes() == np.array(singles).reshape(3, 4).tobytes()
-    reference = [_lu_factor_logdet(m) for m in stack.reshape(-1, n, n)]
+    reference = [_eigvals_logdet(m) for m in stack.reshape(-1, n, n)]
     assert np.array(singles).tobytes() == np.array(reference).tobytes()
+    dets = np.linalg.det(stack)
+    assert np.abs(np.exp(stacked) / dets - 1).max() < 1e-12
+
+
+def test_principal_logdet_factors_a_stack_in_one_call(monkeypatch):
+    calls = []
+    eigvals = _umath_linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(_umath_linalg, "eigvals", counted)
+    rng = np.random.default_rng(25)
+    matfun.principal_logdet(np.eye(3) + 0.3 * rng.normal(size=(2, 5, 3, 3)))
+    matfun.principal_logdet(np.eye(2))
+    assert calls == [(2, 5, 3, 3), (2, 2)]
 
 
 def test_principal_logdet_stack_rejects_non_finite():
@@ -196,8 +212,11 @@ def test_principal_logdet_stack_names_the_singular_matrix():
     rng = np.random.default_rng(24)
     stack = np.eye(2) + 0.2 * rng.normal(size=(5, 2, 2))
     stack[2] = [[1.0, 2.0], [2.0, 4.0 + 1e-14]]
-    pivot = np.abs(np.diag(scipy.linalg.lu_factor(stack[2])[0])).min()
-    with pytest.raises(Singular, match=rf"stack index \(2,\): pivot magnitude {pivot:.3e}"):
+    mag = np.abs(np.linalg.eigvals(stack[2] + 0j)).min()
+    with pytest.raises(
+        Singular,
+        match=rf"^stack index \(2,\): eigenvalue magnitude {mag:.3e} below threshold {4e-13:.3e}$",
+    ):
         matfun.principal_logdet(stack)
 
 
@@ -206,25 +225,53 @@ def test_principal_logdet_single_rejects_non_finite():
     m[0, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         matfun.principal_logdet(m)
+    with pytest.raises(ValueError, match="square"):
+        matfun.principal_logdet(np.ones((2, 3)))
 
 
-def test_principal_logdet_single_singular_names_its_pivot():
+def test_principal_logdet_single_singular_names_its_eigenvalue():
     # entries below 1 keep the threshold at 1e-13 * max(|m|, 1) = 1e-13,
-    # above the last pivot of about 7e-14
+    # above the small eigenvalue of about 5.6e-14
     m = np.array([[0.5, 0.25], [0.25, 0.125 + 7e-14]])
-    pivot = np.abs(np.diag(scipy.linalg.lu_factor(m)[0])).min()
+    mag = np.abs(np.linalg.eigvals(m + 0j)).min()
     with pytest.raises(Singular) as err:
         matfun.principal_logdet(m)
     # and no stack index for one matrix
-    assert str(err.value) == f"pivot magnitude {pivot:.3e} below threshold {1e-13:.3e}"
+    assert str(err.value) == f"eigenvalue magnitude {mag:.3e} below threshold {1e-13:.3e}"
+
+
+def _fails_at(index):
+    """A stand-in for the ``eigvals`` gufunc that fails to converge on the
+    matrix at ``index`` of its input, as LAPACK reports it: NaN eigenvalues
+    and the floating-point invalid flag."""
+    eigvals = _umath_linalg.eigvals
+
+    def fake(a):
+        out = eigvals(a)
+        out[index] = np.nan
+        np.zeros(1) / np.zeros(1)  # sets the invalid flag
+        return out
+
+    return fake
+
+
+def test_principal_logdet_reports_no_convergence(monkeypatch):
+    monkeypatch.setattr(_umath_linalg, "eigvals", _fails_at((1, 2)))
+    stack = np.broadcast_to(np.eye(2), (2, 3, 2, 2))
+    assert _raised(lambda: matfun.principal_logdet(stack)) == (
+        NoConvergence, "stack index (1, 2): eigenvalues did not converge")
+    monkeypatch.undo()
+    monkeypatch.setattr(_umath_linalg, "eigvals", _fails_at(...))
+    assert _raised(lambda: matfun.principal_logdet(np.eye(2))) == (
+        NoConvergence, "eigenvalues did not converge")
 
 
 def test_principal_logdet_of_empty_matrices_is_zero(monkeypatch):
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK called on an empty matrix")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", no_lapack)
-    # the patch reaches the LU of a non-empty matrix
+    monkeypatch.setattr(_umath_linalg, "eigvals", no_lapack)
+    # the patch reaches the eigenvalues of a non-empty matrix
     with pytest.raises(AssertionError, match="LAPACK called"):
         matfun.principal_logdet(np.eye(1))
     # det of a 0x0 matrix is the empty product 1, as np.linalg.slogdet says
@@ -443,6 +490,7 @@ def test_numpy_lapack_gufuncs_equal_np_linalg_bit_for_bit(n, lead, complex_):
         (_umath_linalg.solve1(a, vec), np.linalg.solve(a, vec)),
         (_umath_linalg.inv(a), np.linalg.inv(a)),
         (_umath_linalg.cholesky_lo(hpd), np.linalg.cholesky(hpd)),
+        (_umath_linalg.eigvals(a + 0j), np.linalg.eigvals(a + 0j)),
     ]
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
