@@ -55,7 +55,8 @@ def _finite_float(text: str) -> float:
 
 
 def _suite_name(text: str) -> str:
-    # verify (and with it scipy.linalg) is imported for the verify command only
+    # verify (and with it fockoracle) is imported for the verify command only,
+    # so eval and decompose skip its import time and memory
     from . import verify
 
     if text not in verify.SUITES:

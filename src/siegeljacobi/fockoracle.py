@@ -7,16 +7,16 @@ span of the number states |0>..|N>.  The single-mode realization
 ``Kp = a+ a+ / 2``, ``Km = a a / 2``, ``K0 = (a+ a + a a+) / 4`` has vacuum
 weight 1/4, so the oracle pins the representation index to k = 1.
 
-Two kinds of result:
-
-* operators, as dense ``ndarray``s through ``scipy.linalg.expm``:
-  :func:`displacement`, :func:`squeeze`, :func:`squeeze_from_generator`,
-  :func:`s_of_g` and the entries :func:`check_hpb` compares;
-* states, built matrix-free: :func:`cs_vector`, :func:`squeezed_vacuum`,
-  :func:`check_lemma6`, :func:`mm1_residual`, :func:`oracle_kernel` and
-  :func:`squeezed_vacuum_convention` apply each exponential (``_expm_apply``)
-  or series term to a vector through the generators' few nonzero diagonals,
-  and form no ``(N+1)^2`` matrix.
+Every exponential is one routine, ``_expm_apply``: the action of
+``exp(G)`` on a vector or a block of columns through the generator's few
+nonzero diagonals, so no ``(N+1)^2`` matrix is formed to exponentiate.  The
+states (:func:`squeezed_vacuum`, :func:`check_lemma6`, :func:`mm1_residual`,
+:func:`squeezed_vacuum_convention`) apply it, and the orbit vectors of
+:func:`cs_vector` and :func:`oracle_kernel` their series, to one vector.
+The operators (:func:`displacement`, :func:`squeeze`,
+:func:`squeeze_from_generator`, :func:`s_of_g`) are the same actions on the
+identity, and :func:`check_hpb` applies them to the leading basis columns it
+reads.
 
 The ladder and quadratic generators are built once per cutoff and returned
 read-only.  Operators have one route each here; their second routes are
@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CutoffTooSmall
 from .jacobi import CSPoint, JacobiElement, alpha_action, alpha_action_inv, lambda_cocycle
@@ -135,9 +134,16 @@ def _banded(cutoff: int, **coeffs) -> dict:
     return {ops[name][1]: coeff * ops[name][2] for name, coeff in coeffs.items()}
 
 
+def _column(diag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``diag`` shaped to broadcast along the columns of ``v``, a vector or
+    a block of columns."""
+    return diag if v.ndim == 1 else diag[:, None]
+
+
 def _band_matvec(gen: dict, v: np.ndarray) -> np.ndarray:
-    """``G @ v`` for a banded ``G = {offset: diagonal}``."""
-    out = np.zeros(len(v), dtype=complex)
+    """``G @ v`` for a banded ``G = {offset: diagonal}`` and a vector or a
+    block of columns ``v``; each diagonal is shaped by :func:`_column`."""
+    out = np.zeros(v.shape, dtype=complex)
     for offset, diag in gen.items():
         if offset >= 0:
             out[: len(v) - offset] += diag * v[offset:]
@@ -147,7 +153,8 @@ def _band_matvec(gen: dict, v: np.ndarray) -> np.ndarray:
 
 
 def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
-    """``expm(G) @ v`` for a banded generator ``G = {offset: diagonal}``.
+    """``expm(G) @ v`` for a banded generator ``G = {offset: diagonal}`` and
+    a vector or a block of columns ``v``: the package's one exponential.
 
     A diagonal ``G`` is an elementwise multiply.  Otherwise ``ceil(||G||_1)``
     steps of the degree-``TAYLOR_DEGREE`` Taylor polynomial of ``G / steps``
@@ -155,7 +162,7 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
     2011, at a fixed degree).
     """
     if gen.keys() == {0}:
-        return np.exp(gen[0]) * v
+        return _column(np.exp(gen[0]), v) * v
     n = len(v)
     colsum = np.zeros(n)
     for offset, diag in gen.items():
@@ -164,8 +171,9 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
         else:
             colsum[: n + offset] += np.abs(diag)
     steps = max(1, math.ceil(colsum.max()))
-    # the factor 1 / (steps * j) of Taylor term j rides on the diagonals
-    scaled = [{off: diag / (steps * j) for off, diag in gen.items()}
+    # the factor 1 / (steps * j) of Taylor term j rides on the diagonals,
+    # shaped for v's columns once per call
+    scaled = [{off: _column(diag / (steps * j), v) for off, diag in gen.items()}
               for j in range(1, TAYLOR_DEGREE + 1)]
     for _ in range(steps):
         term = v
@@ -197,14 +205,12 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     CutoffTooSmall
         If the displaced vacuum leaks too much mass into the tail.
     """
-    a, ad = ladder(cutoff)
-    d = scipy.linalg.expm(alpha * ad - np.conj(alpha) * a)
-    _guard_tail(d[:, 0], cutoff, f"displacement by |alpha|={abs(alpha)}")
-    return d
+    return _displace(alpha, np.eye(cutoff + 1, dtype=complex), cutoff)
 
 
 def _displace(alpha: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
-    """``D(alpha) v`` as one vector action, with :func:`displacement`'s guard."""
+    """``D(alpha) v`` as one action on a vector or a block of columns, with
+    :func:`displacement`'s guard."""
     gen = _banded(cutoff, ad=alpha, a=-np.conj(alpha))
     _guard_tail(_expm_apply(gen, vacuum(cutoff).amps), cutoff,
                 f"displacement by |alpha|={abs(alpha)}")
@@ -218,14 +224,7 @@ def squeeze(w: complex, cutoff: int) -> np.ndarray:
     ``eta = log(1 - |w|^2)``; raises :class:`CutoffTooSmall` if the
     squeezed vacuum leaks too much mass into the tail.
     """
-    if abs(w) >= 1:
-        raise ValueError("need |w| < 1")
-    kp, km, k0 = number_ops(cutoff)
-    eta = np.log(1 - abs(w) ** 2)
-    s = scipy.linalg.expm(w * kp) @ scipy.linalg.expm(eta * k0)
-    s = s @ scipy.linalg.expm(-np.conj(w) * km)
-    _guard_tail(s[:, 0], cutoff, f"squeeze by |w|={abs(w)}")
-    return s
+    return _squeeze_apply(w, np.eye(cutoff + 1, dtype=complex), cutoff)
 
 
 def squeezed_vacuum(w: complex, cutoff: int) -> FockVec:
@@ -251,7 +250,8 @@ def _squeeze_factors(w: complex, cutoff: int) -> list:
 
 
 def _squeeze_apply(w: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
-    """``S(w) v`` as three vector actions, with :func:`squeeze`'s guard."""
+    """``S(w) v`` as three actions on a vector or a block of columns, with
+    :func:`squeeze`'s guard."""
     squeezed_vacuum(w, cutoff)
     for gen in _squeeze_factors(w, cutoff):
         v = _expm_apply(gen, v)
@@ -260,8 +260,13 @@ def _squeeze_apply(w: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
 
 def squeeze_from_generator(zeta: complex, cutoff: int) -> np.ndarray:
     """One-parameter form ``exp(zeta Kp - conj(zeta) Km)``."""
-    kp, km, _ = number_ops(cutoff)
-    return scipy.linalg.expm(zeta * kp - np.conj(zeta) * km)
+    return _squeeze_zeta(zeta, np.eye(cutoff + 1, dtype=complex), cutoff)
+
+
+def _squeeze_zeta(zeta: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
+    """``exp(zeta Kp - conj(zeta) Km) v``: :func:`squeeze_from_generator` as
+    one action on a vector or a block of columns."""
+    return _expm_apply(_banded(cutoff, kp=zeta, km=-np.conj(zeta)), v)
 
 
 def cs_vector(z: complex, w: complex, cutoff: int) -> FockVec:
@@ -299,9 +304,15 @@ def s_of_g(g: SpElement, cutoff: int) -> np.ndarray:
     logarithm fixes the lift, consistently with the closed-form multiplier
     for elements near the identity.
     """
+    return _lift_apply(g, np.eye(cutoff + 1, dtype=complex), cutoff)
+
+
+def _lift_apply(g: SpElement, vec: np.ndarray, cutoff: int) -> np.ndarray:
+    """``S(g) vec`` as two actions: the diagonal ``exp(2 log(v) K0)``, then
+    the generator form of the squeeze."""
     zeta, v = _cartan_params(g)
-    _, _, k0 = number_ops(cutoff)
-    return squeeze_from_generator(zeta, cutoff) @ scipy.linalg.expm(2 * np.log(v) * k0)
+    vec = _expm_apply(_banded(cutoff, k0=2 * np.log(v)), vec)
+    return _squeeze_zeta(zeta, vec, cutoff)
 
 
 def _cartan_params(g: SpElement) -> tuple:
@@ -334,7 +345,8 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
 
     For the hyperbolic element ``g = cartan_synthesize([[zeta]], 1)`` with
     blocks ``(m, n) = (cosh|zeta|, zeta sinh|zeta| / |zeta|)``, checks on the
-    lower half of the truncated basis:
+    lower quarter of the truncated basis, applying each operator to those
+    basis columns:
 
     * ``S^-1 a S = m a + n a+``
     * ``D(alpha) S = S D(beta)`` with ``beta = g^-1 . alpha``
@@ -343,24 +355,26 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
       (:func:`siegeljacobi.jacobi.alpha_action`).
     """
     a, ad = ladder(cutoff)
-    s = squeeze_from_generator(zeta, cutoff)
-    sinv = squeeze_from_generator(-zeta, cutoff)
     g = cartan_synthesize(np.array([[zeta]]), np.eye(1))
     m, n = complex(g.a[0, 0]), complex(g.b[0, 0])
     alpha_v = np.array([alpha], dtype=complex)
+    beta = complex(alpha_action_inv(g, alpha_v)[0])
     deep = cutoff // 4  # conjugation products touch the corner above this
+    cols = np.eye(cutoff + 1, deep, dtype=complex)
+    annihilate = {off: _column(diag, cols) for off, diag in _banded(cutoff, a=1.0).items()}
 
-    lhs = sinv @ a @ s
-    rhs = m * a + n * ad
-    res = np.abs(lhs[:deep, :deep] - rhs[:deep, :deep]).max()
+    # with E = cols, each squeeze acts once on the blocks it shares: S on
+    # [E, D(beta) E], then S^-1 on [a S E, E]
+    s_cols, s_d_beta = np.hsplit(
+        _squeeze_zeta(zeta, np.hstack([cols, _displace(beta, cols, cutoff)]), cutoff), 2)
+    sinv_a_s, sinv_cols = np.hsplit(
+        _squeeze_zeta(-zeta, np.hstack([_band_matvec(annihilate, s_cols), cols]), cutoff), 2)
 
-    d_alpha = displacement(alpha, cutoff)
-    d_beta = displacement(complex(alpha_action_inv(g, alpha_v)[0]), cutoff)
-    res = max(res, np.abs((d_alpha @ s - s @ d_beta)[:deep, :deep]).max())
-
-    lhs2 = s @ d_alpha @ sinv
-    rhs2 = displacement(complex(alpha_action(g, alpha_v)[0]), cutoff)
-    res = max(res, np.abs((lhs2 - rhs2)[:deep, :deep]).max())
+    res = np.abs(sinv_a_s[:deep] - (m * a + n * ad)[:deep, :deep]).max()
+    res = max(res, np.abs((_displace(alpha, s_cols, cutoff) - s_d_beta)[:deep]).max())
+    lhs = _squeeze_zeta(zeta, _displace(alpha, sinv_cols, cutoff), cutoff)
+    rhs = _displace(complex(alpha_action(g, alpha_v)[0]), cols, cutoff)
+    res = max(res, np.abs((lhs - rhs)[:deep]).max())
     return float(res)
 
 
@@ -383,19 +397,9 @@ def mm1_residual(g: SpElement, alpha: complex, z: complex, w: complex, cutoff: i
     x = CSPoint(z=np.array([z]), W=np.array([[w]]))
     h = JacobiElement(g=g, alpha=np.array([alpha]), t=0.0)
     data = lambda_cocycle(h, x, 1, unchecked_branch=True)
-    lhs = _orbit_image(g, alpha, cs_vector(z, w, cutoff).amps, cutoff)
+    lhs = _lift_apply(g, _displace(alpha, cs_vector(z, w, cutoff).amps, cutoff), cutoff)
     rhs = data.lam * cs_vector(complex(data.z1[0]), complex(data.W1[0, 0]), cutoff).amps
     return float(np.linalg.norm(lhs - rhs)), data
-
-
-def _orbit_image(g: SpElement, alpha: complex, vec: np.ndarray, cutoff: int) -> np.ndarray:
-    """``S(g) D(alpha) vec`` as three vector actions: ``D(alpha)``, the diagonal
-    ``exp(2 log(v) K0)`` and the generator form of the squeeze (see
-    :func:`s_of_g`)."""
-    zeta, v = _cartan_params(g)
-    vec = _displace(alpha, vec, cutoff)
-    vec = _expm_apply(_banded(cutoff, k0=2 * np.log(v)), vec)
-    return _expm_apply(_banded(cutoff, kp=zeta, km=-np.conj(zeta)), vec)
 
 
 def squeezed_vacuum_convention(w: complex, cutoff: int):

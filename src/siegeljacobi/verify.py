@@ -15,8 +15,10 @@ field is a stable identifier naming the identity a record exercises.  The
 one realization of the algebra, and records check each of its entries.
 
 The primitives in ``symplectic`` and ``jacobi`` evaluate one closed form
-each, and the ``fockoracle`` operators one exponential route each; the
-independent routes that cross-check them live here and run once per suite.
+each, and the ``fockoracle`` operators one product of exponential actions
+each; the independent routes that cross-check them live here and run once
+per suite.  The oracle records apply each operator to the leading basis
+columns they read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import logging
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import diffops, fockoracle, gj1, jacobi, matfun, numdiff, symplectic
 from .jacobi import CSPoint, JacobiElement
@@ -117,27 +118,36 @@ def _moebius_residual(g, w, out) -> float:
     return np.linalg.norm(out - alt) / max(1.0, np.linalg.norm(out))
 
 
+def _ordered_product(cutoff, width, *factors):
+    """The leading ``width`` columns of ``exp(G_1) ... exp(G_m)``, the
+    generators given as ``fockoracle._banded`` coefficients, rightmost
+    applied first."""
+    cols = np.eye(cutoff + 1, width, dtype=complex)
+    for coeffs in reversed(factors):
+        cols = fockoracle._expm_apply(fockoracle._banded(cutoff, **coeffs), cols)
+    return cols
+
+
 def _normal_order_residual(alpha, cutoff, d) -> float:
-    """Distance of ``d = fockoracle.displacement(alpha, cutoff)`` from the
-    normal-ordered product ``exp(-|alpha|^2/2) e^{alpha a+} e^{-conj(alpha) a}``
-    on the lower half of the basis."""
-    a, ad = fockoracle.ladder(cutoff)
-    ordered = np.exp(-0.5 * abs(alpha) ** 2) * scipy.linalg.expm(alpha * ad)
-    ordered = ordered @ scipy.linalg.expm(-np.conj(alpha) * a)
+    """Distance of ``d``, leading columns of
+    ``fockoracle.displacement(alpha, cutoff)``, from the normal-ordered
+    product ``exp(-|alpha|^2/2) e^{alpha a+} e^{-conj(alpha) a}`` on the lower
+    half of the basis."""
     half = cutoff // 2
-    return float(np.abs(d[:half, :half] - ordered[:half, :half]).max())
+    ordered = _ordered_product(cutoff, half, {"ad": alpha}, {"a": -np.conj(alpha)})
+    ordered = np.exp(-0.5 * abs(alpha) ** 2) * ordered
+    return float(np.abs(d[:half, :half] - ordered[:half]).max())
 
 
 def _reverse_order_residual(w, cutoff, s) -> float:
-    """Distance of ``s = fockoracle.squeeze(w, cutoff)`` from the reverse
-    ordering ``e^{-conj(w) Km} e^{-eta K0} e^{w Kp}``, ``eta = log(1 - |w|^2)``,
-    on the ``cutoff // 8`` block: that ordering amplifies corner truncation."""
-    kp, km, k0 = fockoracle.number_ops(cutoff)
+    """Distance of ``s``, leading columns of ``fockoracle.squeeze(w, cutoff)``,
+    from the reverse ordering ``e^{-conj(w) Km} e^{-eta K0} e^{w Kp}``,
+    ``eta = log(1 - |w|^2)``, on the ``cutoff // 8`` block: that ordering
+    amplifies corner truncation."""
     eta = np.log(1 - abs(w) ** 2)
-    reverse = scipy.linalg.expm(-np.conj(w) * km) @ scipy.linalg.expm(-eta * k0)
-    reverse = reverse @ scipy.linalg.expm(w * kp)
     deep = cutoff // 8
-    return float(np.abs(s[:deep, :deep] - reverse[:deep, :deep]).max())
+    reverse = _ordered_product(cutoff, deep, {"km": -np.conj(w)}, {"k0": -eta}, {"kp": w})
+    return float(np.abs(s[:deep, :deep] - reverse[:deep]).max())
 
 
 def _jn_forms_residual(p: float, n: int) -> float:
@@ -534,13 +544,14 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
 
     a2 = 0.3 + 0.2j
     a1 = -0.1 + 0.25j
-    d2 = fockoracle.displacement(a2, cutoff)
-    d1 = fockoracle.displacement(a1, cutoff)
-    d12 = fockoracle.displacement(a2 + a1, cutoff)
-    phase = np.exp(1j * np.imag(a2 * np.conj(a1)))
     half = cutoff // 2
+    cols = np.eye(cutoff + 1, half, dtype=complex)  # the columns each record reads
+    d2 = fockoracle._displace(a2, cols, cutoff)
+    d1 = fockoracle._displace(a1, cols, cutoff)
+    d12 = fockoracle._displace(a2 + a1, cols, cutoff)
+    phase = np.exp(1j * np.imag(a2 * np.conj(a1)))
     _rec(checks, "displacement-composition", "translation-phase-law",
-         np.abs((d2 @ d1 - phase * d12)[:half, :half]).max(), 1e-9,
+         np.abs((fockoracle._displace(a2, d1, cutoff) - phase * d12)[:half]).max(), 1e-9,
          samples=1)
     worst_order = max(_normal_order_residual(al, cutoff, d)
                       for al, d in ((a2, d2), (a1, d1), (a2 + a1, d12)))
@@ -548,11 +559,11 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
          worst_order, 1e-8, samples=3)
 
     w = 0.3
-    sq = fockoracle.squeeze(w, cutoff)
+    sq = fockoracle._squeeze_apply(w, cols, cutoff)
     zeta = float(np.arctanh(w))
-    sg = fockoracle.squeeze_from_generator(zeta, cutoff)
+    sg = fockoracle._squeeze_zeta(zeta, cols, cutoff)
     _rec(checks, "squeeze-disentangling", "ordered-exponential-forms",
-         np.abs((sq - sg)[:half, :half]).max(), 1e-8, samples=1)
+         np.abs((sq - sg)[:half]).max(), 1e-8, samples=1)
     _rec(checks, "squeeze-reverse-order", "reverse-ordered-squeeze",
          _reverse_order_residual(w, cutoff, sq), 1e-8, samples=1)
 

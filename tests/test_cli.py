@@ -33,6 +33,19 @@ def test_verify_reports_are_reproducible(capsys):
     assert out1 == out2
 
 
+def test_verify_report_does_not_depend_on_the_blas_thread_count():
+    # the oracle records apply banded exponentials elementwise, so no BLAS
+    # kernel with a thread-dependent summation order enters a residual
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = [
+        subprocess.run([sys.executable, "-m", "siegeljacobi", "verify", "oracle", "--seed", "7"],
+                       capture_output=True, check=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+
+
 def test_eval_kernel_at_origin(capsys):
     origin = json.dumps(
         {"z": [[0.0, 0.0]], "W": {"rows": 1, "cols": 1, "re": [0.0], "im": [0.0]}}
@@ -126,8 +139,8 @@ def test_eval_output_bytes(capsys, argv, expected):
     ids=["density", "potential", "form", "kernel", "lambda"],
 )
 def test_eval_of_the_geometry_loads_no_scipy_linalg(argv):
-    # the verify layer, and with it scipy.linalg, is imported for verify
-    # only; every eval quantity loads no scipy module at all
+    # the verify layer is imported for verify only, which keeps its import
+    # time and memory out of eval; every eval quantity loads no scipy module
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; from siegeljacobi import cli; code = cli.main(sys.argv[1:]); "
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules), code)")

@@ -79,9 +79,9 @@ def test_finite_difference_oracles_take_no_step():
 
 def test_the_geometry_path_loads_no_scipy_linalg():
     # importing the package and running the closed forms (the geometry, the
-    # kernel, the cocycles and every log-determinant) and the
-    # finite-difference oracles calls numpy's LAPACK only; fockoracle and
-    # verify, which need scipy.linalg, load on first use
+    # kernel, the cocycles and every log-determinant), the
+    # finite-difference oracles, the Fock oracle and its verify suite calls
+    # numpy only: scipy is a test dependency
     src = Path(__file__).resolve().parents[1] / "src"
     code = """
 import sys
@@ -103,6 +103,8 @@ jacobi.kahler_potential(x, 4.0)
 jacobi.density(jacobi.act(h, x))
 numdiff.wirtinger_hessian(lambda p: jacobi.kahler_potential(p, 4.0), x)
 numdiff.holomorphic_jacobian(lambda p: jacobi.act(h, p), x)
+import siegeljacobi.fockoracle, siegeljacobi.verify
+siegeljacobi.verify.suite_oracle(samples=1)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -225,10 +225,66 @@ _GENERATORS = [
 def test_expm_apply_matches_dense_expm(cutoff, coeffs):
     dense = scipy.linalg.expm(_dense(cutoff, **coeffs))
     gen = fo._banded(cutoff, **coeffs)
-    for vec in (fo.vacuum(cutoff).amps, fo.cs_vector(0.3 + 0.1j, 0.2 - 0.1j, cutoff).amps):
+    for vec in (fo.vacuum(cutoff).amps, fo.cs_vector(0.3 + 0.1j, 0.2 - 0.1j, cutoff).amps,
+                np.eye(cutoff + 1, cutoff // 2)):
         want = dense @ vec
         got = fo._expm_apply(gen, vec)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# the dense scipy.linalg.expm constructions of the four operators, the
+# reference for their matrix-free actions
+def _expm(cutoff, **coeffs):
+    return scipy.linalg.expm(_dense(cutoff, **coeffs))
+
+
+def _expm_displacement(alpha, cutoff):
+    return _expm(cutoff, ad=alpha, a=-np.conj(alpha))
+
+
+def _expm_squeeze_factors(w, cutoff):
+    eta = np.log(1 - abs(w) ** 2)
+    return [_expm(cutoff, kp=w), _expm(cutoff, k0=eta), _expm(cutoff, km=-np.conj(w))]
+
+
+def _expm_squeeze(w, cutoff):
+    e1, e2, e3 = _expm_squeeze_factors(w, cutoff)
+    return e1 @ e2 @ e3
+
+
+def _expm_squeeze_from_generator(zeta, cutoff):
+    return _expm(cutoff, kp=zeta, km=-np.conj(zeta))
+
+
+def _expm_s_of_g(g, cutoff):
+    zeta, v = fo._cartan_params(g)
+    return _expm_squeeze_from_generator(zeta, cutoff) @ _expm(cutoff, k0=2 * np.log(v))
+
+
+@pytest.mark.parametrize("cutoff", [60, 100])
+def test_operators_match_their_dense_expm_constructions(cutoff):
+    g = sp.cartan_synthesize(np.array([[0.25 + 0.1j]]), np.array([[np.exp(0.4j)]]))
+    pairs = [
+        (fo.displacement(0.3 + 0.2j, cutoff), _expm_displacement(0.3 + 0.2j, cutoff)),
+        (fo.displacement(-0.1 + 0.25j, cutoff), _expm_displacement(-0.1 + 0.25j, cutoff)),
+        (fo.squeeze_from_generator(math.atanh(0.3), cutoff),
+         _expm_squeeze_from_generator(math.atanh(0.3), cutoff)),
+        (fo.squeeze_from_generator(0.25 + 0.1j, cutoff),
+         _expm_squeeze_from_generator(0.25 + 0.1j, cutoff)),
+        (fo.s_of_g(g, cutoff), _expm_s_of_g(g, cutoff)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # the squeeze's truncated factors grow like exp(|w| N / 2) and cancel in
+    # the product (both routes differ from a 40-digit product by about 6e-12
+    # at N = 60, w = 0.3), so the scale is the size of its terms
+    for w in (0.3, -0.15 + 0.3j):
+        factors = _expm_squeeze_factors(w, cutoff)
+        terms = np.linalg.norm(np.abs(factors[0]) @ np.abs(factors[1]) @ np.abs(factors[2]))
+        got = fo.squeeze(w, cutoff)
+        assert got.shape == factors[0].shape
+        assert np.linalg.norm(got - _expm_squeeze(w, cutoff)) <= 1e-13 * terms
 
 
 def test_mm1_state_route_matches_dense_operators():
@@ -243,8 +299,8 @@ def test_mm1_state_route_matches_dense_operators():
         z = 0.3 * complex(rng.normal(), rng.normal()) / math.sqrt(2)
         w = complex(0.3 * np.tanh(rng.normal()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         e = fo.cs_vector(z, w, n).amps
-        want = fo.s_of_g(g, n) @ (fo.displacement(alpha, n) @ e)
-        got = fo._orbit_image(g, alpha, e, n)
+        want = _expm_s_of_g(g, n) @ (_expm_displacement(alpha, n) @ e)
+        got = fo._lift_apply(g, fo._displace(alpha, e, n), n)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -254,7 +310,6 @@ def test_state_routes_build_no_operator(monkeypatch):
 
     for name in ("displacement", "squeeze", "squeeze_from_generator", "s_of_g"):
         monkeypatch.setattr(fo, name, refuse)
-    monkeypatch.setattr(fo.scipy.linalg, "expm", refuse)
     g = sp.cartan_synthesize(np.array([[0.2 + 0.1j]]), np.array([[1j]]))
     assert fo.mm1_residual(g, 0.2 - 0.1j, 0.1j, 0.2, 100)[0] < 1e-6
     assert fo.check_lemma6(0.4, 0.3, 80) < 1e-7
@@ -267,9 +322,9 @@ def test_state_route_squeeze_matches_dense_operator():
     n = 120
     w1, w2 = 0.25 + 0.1j, -0.15 + 0.3j
     vec = fo.squeezed_vacuum(w1, n).amps
-    want = fo.squeeze(w1, n) @ fo.vacuum(n).amps
+    want = _expm_squeeze(w1, n) @ fo.vacuum(n).amps
     assert np.linalg.norm(vec - want) <= 1e-13
-    want = fo.squeeze(w2, n) @ vec
+    want = _expm_squeeze(w2, n) @ vec
     assert np.linalg.norm(fo._squeeze_apply(w2, vec, n) - want) <= 1e-13
 
 
