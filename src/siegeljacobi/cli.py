@@ -54,6 +54,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _suite_name(text: str) -> str:
     # verify (and with it fockoracle) is imported for the verify command only,
     # so eval and decompose skip its import time and memory
@@ -170,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("decompose", help="factor a group element")
     pd.add_argument("--g", required=True, help="JSON element {a: ..., b: ...}, or -")
     pd.add_argument("--which", choices=("gauss", "cartan"), required=True)
-    pd.add_argument("--tol", type=float, default=1e-9)
+    pd.add_argument("--tol", type=_positive_float, default=1e-9)
     pd.set_defaults(fn=cmd_decompose)
 
     # each subcommand takes only the flags it reads

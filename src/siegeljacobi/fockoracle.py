@@ -10,13 +10,16 @@ weight 1/4, so the oracle pins the representation index to k = 1.
 Every exponential is one routine, ``_expm_apply``: the action of
 ``exp(G)`` on a vector or a block of columns through the generator's few
 nonzero diagonals, so no ``(N+1)^2`` matrix is formed to exponentiate.  The
-states (:func:`squeezed_vacuum`, :func:`check_lemma6`, :func:`mm1_residual`,
-:func:`squeezed_vacuum_convention`) apply it, and the orbit vectors of
-:func:`cs_vector` and :func:`oracle_kernel` their series, to one vector.
-The operators (:func:`displacement`, :func:`squeeze`,
-:func:`squeeze_from_generator`, :func:`s_of_g`) are the same actions on the
-identity, and :func:`check_hpb` applies them to the leading basis columns it
-reads.
+operators (:func:`displacement`, :func:`squeeze`,
+:func:`squeeze_from_generator`, :func:`s_of_g`) are their actions: each
+takes a vector or a block of columns over |0>..|N>, reads the cutoff from
+its length, and applies its ordered product of exponentials, with the
+vacuum as one more column for its tail guard; ``np.eye(N + 1)`` gives the
+operator.  The states (:func:`squeezed_vacuum`, :func:`check_lemma6`,
+:func:`mm1_residual`, :func:`squeezed_vacuum_convention`) apply them to one
+vector, :func:`check_hpb` to the leading basis columns it reads, and the
+orbit vectors of :func:`cs_vector` and :func:`oracle_kernel` sum their
+series on one vector.
 
 The ladder and quadratic generators are built once per cutoff and returned
 read-only.  Operators have one route each here; their second routes are
@@ -189,84 +192,66 @@ def vacuum(cutoff: int) -> FockVec:
     return FockVec(cutoff, v)
 
 
-def _guard_tail(image: np.ndarray, cutoff: int, what: str) -> None:
-    """Raise :class:`CutoffTooSmall` if ``image``, an operator's image of the
-    vacuum, has more than ``TAIL_THRESHOLD`` absolute tail mass."""
-    tail = FockVec(cutoff, image).tail_mass
+def _product(factors: list, v: np.ndarray) -> np.ndarray:
+    """``exp(G_m) ... exp(G_1) v`` on a vector or a block of columns ``v``
+    over |0>..|N>, the generators ``factors = [G_1, ..., G_m]`` given as
+    :func:`_banded` coefficients in the order they act (rightmost first)."""
+    for coeffs in factors:
+        v = _expm_apply(_banded(len(v) - 1, **coeffs), v)
+    return v
+
+
+def _guarded(factors: list, v: np.ndarray, what: str) -> np.ndarray:
+    """An operator's :func:`_product` with its guard: the vacuum acts as one
+    more column of ``v``, and :class:`CutoffTooSmall` is raised if its image
+    has more than ``TAIL_THRESHOLD`` absolute tail mass."""
+    cutoff = len(v) - 1
+    out = _product(factors, np.column_stack([v, vacuum(cutoff).amps]))
+    tail = FockVec(cutoff, out[:, -1]).tail_mass
     if tail > TAIL_THRESHOLD:
         raise CutoffTooSmall(f"{what} tail mass {tail:.2e} at cutoff {cutoff}")
+    return out[:, :-1].reshape(v.shape)
 
 
-def displacement(alpha: complex, cutoff: int) -> np.ndarray:
-    """Displacement operator ``exp(alpha a+ - conj(alpha) a)``.
+def displacement(alpha: complex, v: np.ndarray) -> np.ndarray:
+    """Displacement operator ``exp(alpha a+ - conj(alpha) a)`` applied to
+    ``v``, a vector or a block of columns over |0>..|N> (``np.eye(N + 1)``
+    gives the operator).
 
     Raises
     ------
     CutoffTooSmall
         If the displaced vacuum leaks too much mass into the tail.
     """
-    return _displace(alpha, np.eye(cutoff + 1, dtype=complex), cutoff)
+    return _guarded([{"ad": alpha, "a": -np.conj(alpha)}], v,
+                    f"displacement by |alpha|={abs(alpha)}")
 
 
-def _displace(alpha: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
-    """``D(alpha) v`` as one action on a vector or a block of columns, with
-    :func:`displacement`'s guard."""
-    gen = _banded(cutoff, ad=alpha, a=-np.conj(alpha))
-    _guard_tail(_expm_apply(gen, vacuum(cutoff).amps), cutoff,
-                f"displacement by |alpha|={abs(alpha)}")
-    return _expm_apply(gen, v)
+def squeeze(w: complex, v: np.ndarray) -> np.ndarray:
+    """Bogoliubov operator for a domain point ``|w| < 1`` applied to ``v``,
+    a vector or a block of columns over |0>..|N>.
 
-
-def squeeze(w: complex, cutoff: int) -> np.ndarray:
-    """Bogoliubov operator for a domain point ``|w| < 1``.
-
-    Built as ``exp(w Kp) exp(eta K0) exp(-conj(w) Km)`` with
+    Acts as ``exp(w Kp) exp(eta K0) exp(-conj(w) Km)`` with
     ``eta = log(1 - |w|^2)``; raises :class:`CutoffTooSmall` if the
     squeezed vacuum leaks too much mass into the tail.
     """
-    return _squeeze_apply(w, np.eye(cutoff + 1, dtype=complex), cutoff)
+    if abs(w) >= 1:
+        raise ValueError("need |w| < 1")
+    eta = np.log(1 - abs(w) ** 2)
+    return _guarded([{"km": -np.conj(w)}, {"k0": eta}, {"kp": w}], v,
+                    f"squeeze by |w|={abs(w)}")
 
 
 def squeezed_vacuum(w: complex, cutoff: int) -> FockVec:
-    """``S(w)|0>``, the vacuum column of :func:`squeeze`, as one vector action.
-
-    ``Km|0> = 0``, so the factor ``exp(-conj(w) Km)`` fixes the vacuum and
-    ``S(w)|0> = exp(w Kp) exp(eta K0)|0>``.  Raises :class:`CutoffTooSmall`
-    where :func:`squeeze` does.
-    """
-    if abs(w) >= 1:
-        raise ValueError("need |w| < 1")
-    vec = vacuum(cutoff).amps
-    for gen in _squeeze_factors(w, cutoff)[1:]:
-        vec = _expm_apply(gen, vec)
-    _guard_tail(vec, cutoff, f"squeeze by |w|={abs(w)}")
-    return FockVec(cutoff, vec)
+    """``S(w)|0>``: :func:`squeeze` on the vacuum, whose factor
+    ``exp(-conj(w) Km)`` leaves it as it is (``Km|0> = 0``)."""
+    return FockVec(cutoff, squeeze(w, vacuum(cutoff).amps))
 
 
-def _squeeze_factors(w: complex, cutoff: int) -> list:
-    """The banded generators of :func:`squeeze`'s factors, rightmost first."""
-    eta = np.log(1 - abs(w) ** 2)
-    return [_banded(cutoff, km=-np.conj(w)), _banded(cutoff, k0=eta), _banded(cutoff, kp=w)]
-
-
-def _squeeze_apply(w: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
-    """``S(w) v`` as three actions on a vector or a block of columns, with
-    :func:`squeeze`'s guard."""
-    squeezed_vacuum(w, cutoff)
-    for gen in _squeeze_factors(w, cutoff):
-        v = _expm_apply(gen, v)
-    return v
-
-
-def squeeze_from_generator(zeta: complex, cutoff: int) -> np.ndarray:
-    """One-parameter form ``exp(zeta Kp - conj(zeta) Km)``."""
-    return _squeeze_zeta(zeta, np.eye(cutoff + 1, dtype=complex), cutoff)
-
-
-def _squeeze_zeta(zeta: complex, v: np.ndarray, cutoff: int) -> np.ndarray:
-    """``exp(zeta Kp - conj(zeta) Km) v``: :func:`squeeze_from_generator` as
-    one action on a vector or a block of columns."""
-    return _expm_apply(_banded(cutoff, kp=zeta, km=-np.conj(zeta)), v)
+def squeeze_from_generator(zeta: complex, v: np.ndarray) -> np.ndarray:
+    """One-parameter form ``exp(zeta Kp - conj(zeta) Km)`` applied to ``v``,
+    with :func:`squeeze`'s guard."""
+    return _guarded([{"kp": zeta, "km": -np.conj(zeta)}], v, f"squeeze by |zeta|={abs(zeta)}")
 
 
 def cs_vector(z: complex, w: complex, cutoff: int) -> FockVec:
@@ -296,23 +281,18 @@ def cs_vector(z: complex, w: complex, cutoff: int) -> FockVec:
     return result
 
 
-def s_of_g(g: SpElement, cutoff: int) -> np.ndarray:
-    """Metaplectic-type lift of a 1x1 group element.
+def s_of_g(g: SpElement, v: np.ndarray) -> np.ndarray:
+    """Metaplectic-type lift of a 1x1 group element applied to ``v``, with
+    :func:`squeeze`'s guard.
 
-    The Cartan factors ``(zeta, v)`` give
-    ``S(g) = exp(zeta Kp - conj(zeta) Km) exp(2 log(v) K0)``; the principal
+    The Cartan factors ``(zeta, u)`` of ``g`` give
+    ``S(g) = exp(zeta Kp - conj(zeta) Km) exp(2 log(u) K0)``; the principal
     logarithm fixes the lift, consistently with the closed-form multiplier
     for elements near the identity.
     """
-    return _lift_apply(g, np.eye(cutoff + 1, dtype=complex), cutoff)
-
-
-def _lift_apply(g: SpElement, vec: np.ndarray, cutoff: int) -> np.ndarray:
-    """``S(g) vec`` as two actions: the diagonal ``exp(2 log(v) K0)``, then
-    the generator form of the squeeze."""
-    zeta, v = _cartan_params(g)
-    vec = _expm_apply(_banded(cutoff, k0=2 * np.log(v)), vec)
-    return _squeeze_zeta(zeta, vec, cutoff)
+    zeta, u = _cartan_params(g)
+    return _guarded([{"k0": 2 * np.log(u)}, {"kp": zeta, "km": -np.conj(zeta)}], v,
+                    f"lift by |zeta|={abs(zeta)}")
 
 
 def _cartan_params(g: SpElement) -> tuple:
@@ -330,7 +310,7 @@ def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
     ``(1 - w wbar)^{1/4} exp(-conj(alpha) z / 2) e_{z,w}`` with
     ``z = alpha - w conj(alpha)`` (single mode, k = 1).
     """
-    lhs = _displace(alpha, squeezed_vacuum(w, cutoff).amps, cutoff)
+    lhs = displacement(alpha, squeezed_vacuum(w, cutoff).amps)
     z = alpha - w * np.conj(alpha)
     rhs = (
         (1 - w * np.conj(w)) ** 0.25
@@ -366,14 +346,14 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     # with E = cols, each squeeze acts once on the blocks it shares: S on
     # [E, D(beta) E], then S^-1 on [a S E, E]
     s_cols, s_d_beta = np.hsplit(
-        _squeeze_zeta(zeta, np.hstack([cols, _displace(beta, cols, cutoff)]), cutoff), 2)
+        squeeze_from_generator(zeta, np.hstack([cols, displacement(beta, cols)])), 2)
     sinv_a_s, sinv_cols = np.hsplit(
-        _squeeze_zeta(-zeta, np.hstack([_band_matvec(annihilate, s_cols), cols]), cutoff), 2)
+        squeeze_from_generator(-zeta, np.hstack([_band_matvec(annihilate, s_cols), cols])), 2)
 
     res = np.abs(sinv_a_s[:deep] - (m * a + n * ad)[:deep, :deep]).max()
-    res = max(res, np.abs((_displace(alpha, s_cols, cutoff) - s_d_beta)[:deep]).max())
-    lhs = _squeeze_zeta(zeta, _displace(alpha, sinv_cols, cutoff), cutoff)
-    rhs = _displace(complex(alpha_action(g, alpha_v)[0]), cols, cutoff)
+    res = max(res, np.abs((displacement(alpha, s_cols) - s_d_beta)[:deep]).max())
+    lhs = squeeze_from_generator(zeta, displacement(alpha, sinv_cols))
+    rhs = displacement(complex(alpha_action(g, alpha_v)[0]), cols)
     res = max(res, np.abs((lhs - rhs)[:deep]).max())
     return float(res)
 
@@ -397,7 +377,7 @@ def mm1_residual(g: SpElement, alpha: complex, z: complex, w: complex, cutoff: i
     x = CSPoint(z=np.array([z]), W=np.array([[w]]))
     h = JacobiElement(g=g, alpha=np.array([alpha]), t=0.0)
     data = lambda_cocycle(h, x, 1, unchecked_branch=True)
-    lhs = _lift_apply(g, _displace(alpha, cs_vector(z, w, cutoff).amps, cutoff), cutoff)
+    lhs = s_of_g(g, displacement(alpha, cs_vector(z, w, cutoff).amps))
     rhs = data.lam * cs_vector(complex(data.z1[0]), complex(data.W1[0, 0]), cutoff).amps
     return float(np.linalg.norm(lhs - rhs)), data
 

@@ -118,9 +118,13 @@ def sp_new(a, b, tol: float = DEFAULT_TOL) -> SpElement:
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not a finite positive number.
     NotSymplectic
         With the worst residual if any of the four block identities fails.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     a = as_cmat(a)
     b = as_cmat(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -191,10 +195,9 @@ def cartan_decompose(g: SpElement) -> CartanFactors:
     """
     abar_inv = _inv(g.a.conj(), "conj(a)")
     y = g.b @ abar_inv
-    h = y @ y.conj().T
-    if np.linalg.eigvalsh(h).max() >= 1.0:
+    dec = matfun.herm_eig(y @ y.conj().T)
+    if dec.evals.max() >= 1.0:
         raise DomainViolation("Gauss coordinate has norm >= 1")
-    dec = matfun.herm_eig(h)
     z = dec.apply(matfun.arctanhc_of_sqrt) @ y
     v = dec.apply(lambda t: np.sqrt(np.maximum(1.0 - t, 0.0))) @ g.a
     return CartanFactors(z=0.5 * (z + z.T), v=v)

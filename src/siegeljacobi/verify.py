@@ -118,35 +118,27 @@ def _moebius_residual(g, w, out) -> float:
     return np.linalg.norm(out - alt) / max(1.0, np.linalg.norm(out))
 
 
-def _ordered_product(cutoff, width, *factors):
-    """The leading ``width`` columns of ``exp(G_1) ... exp(G_m)``, the
-    generators given as ``fockoracle._banded`` coefficients, rightmost
-    applied first."""
-    cols = np.eye(cutoff + 1, width, dtype=complex)
-    for coeffs in reversed(factors):
-        cols = fockoracle._expm_apply(fockoracle._banded(cutoff, **coeffs), cols)
-    return cols
-
-
 def _normal_order_residual(alpha, cutoff, d) -> float:
     """Distance of ``d``, leading columns of
-    ``fockoracle.displacement(alpha, cutoff)``, from the normal-ordered
-    product ``exp(-|alpha|^2/2) e^{alpha a+} e^{-conj(alpha) a}`` on the lower
-    half of the basis."""
+    ``fockoracle.displacement(alpha, np.eye(cutoff + 1))``, from the
+    normal-ordered product ``exp(-|alpha|^2/2) e^{alpha a+} e^{-conj(alpha) a}``
+    on the lower half of the basis."""
     half = cutoff // 2
-    ordered = _ordered_product(cutoff, half, {"ad": alpha}, {"a": -np.conj(alpha)})
+    ordered = fockoracle._product([{"a": -np.conj(alpha)}, {"ad": alpha}],
+                                  np.eye(cutoff + 1, half, dtype=complex))
     ordered = np.exp(-0.5 * abs(alpha) ** 2) * ordered
     return float(np.abs(d[:half, :half] - ordered[:half]).max())
 
 
 def _reverse_order_residual(w, cutoff, s) -> float:
-    """Distance of ``s``, leading columns of ``fockoracle.squeeze(w, cutoff)``,
-    from the reverse ordering ``e^{-conj(w) Km} e^{-eta K0} e^{w Kp}``,
-    ``eta = log(1 - |w|^2)``, on the ``cutoff // 8`` block: that ordering
-    amplifies corner truncation."""
+    """Distance of ``s``, leading columns of
+    ``fockoracle.squeeze(w, np.eye(cutoff + 1))``, from the reverse ordering
+    ``e^{-conj(w) Km} e^{-eta K0} e^{w Kp}``, ``eta = log(1 - |w|^2)``, on the
+    ``cutoff // 8`` block: that ordering amplifies corner truncation."""
     eta = np.log(1 - abs(w) ** 2)
     deep = cutoff // 8
-    reverse = _ordered_product(cutoff, deep, {"km": -np.conj(w)}, {"k0": -eta}, {"kp": w})
+    reverse = fockoracle._product([{"kp": w}, {"k0": -eta}, {"km": -np.conj(w)}],
+                                  np.eye(cutoff + 1, deep, dtype=complex))
     return float(np.abs(s[:deep, :deep] - reverse[:deep]).max())
 
 
@@ -546,12 +538,12 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     a1 = -0.1 + 0.25j
     half = cutoff // 2
     cols = np.eye(cutoff + 1, half, dtype=complex)  # the columns each record reads
-    d2 = fockoracle._displace(a2, cols, cutoff)
-    d1 = fockoracle._displace(a1, cols, cutoff)
-    d12 = fockoracle._displace(a2 + a1, cols, cutoff)
+    d2 = fockoracle.displacement(a2, cols)
+    d1 = fockoracle.displacement(a1, cols)
+    d12 = fockoracle.displacement(a2 + a1, cols)
     phase = np.exp(1j * np.imag(a2 * np.conj(a1)))
     _rec(checks, "displacement-composition", "translation-phase-law",
-         np.abs((fockoracle._displace(a2, d1, cutoff) - phase * d12)[:half]).max(), 1e-9,
+         np.abs((fockoracle.displacement(a2, d1) - phase * d12)[:half]).max(), 1e-9,
          samples=1)
     worst_order = max(_normal_order_residual(al, cutoff, d)
                       for al, d in ((a2, d2), (a1, d1), (a2 + a1, d12)))
@@ -559,9 +551,9 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
          worst_order, 1e-8, samples=3)
 
     w = 0.3
-    sq = fockoracle._squeeze_apply(w, cols, cutoff)
+    sq = fockoracle.squeeze(w, cols)
     zeta = float(np.arctanh(w))
-    sg = fockoracle._squeeze_zeta(zeta, cols, cutoff)
+    sg = fockoracle.squeeze_from_generator(zeta, cols)
     _rec(checks, "squeeze-disentangling", "ordered-exponential-forms",
          np.abs((sq - sg)[:half]).max(), 1e-8, samples=1)
     _rec(checks, "squeeze-reverse-order", "reverse-ordered-squeeze",
@@ -605,7 +597,7 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     w3, v, detv = symplectic.ball_compose(
         np.array([[w2]]), np.array([[w1]])
     )
-    lhs = fockoracle._squeeze_apply(w2, fockoracle.squeezed_vacuum(w1, big).amps, big)
+    lhs = fockoracle.squeeze(w2, fockoracle.squeezed_vacuum(w1, big).amps)
     rhs = detv**0.5 * fockoracle.squeezed_vacuum(complex(w3[0, 0]), big).amps
     _rec(checks, "composition-operator-order", "two-point-law-operator-check",
          float(np.linalg.norm(lhs - rhs)), 1e-8, n=1, k=1.0, samples=1)

@@ -338,6 +338,20 @@ def test_verify_jacobi_rejects_a_k_that_is_not_an_even_integer(capsys, k):
     assert "unchecked_branch" not in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_decompose_rejects_a_tol_that_is_not_finite_and_positive(capsys, tol):
+    # a = 3, b = 0.5 has membership residual 7.75: inf accepted it and printed a
+    # Gauss factorization with residual 2.58, nan a Cartan one with residual 0
+    g = json.dumps({"a": {"rows": 1, "cols": 1, "re": [3.0], "im": [0.0]},
+                    "b": {"rows": 1, "cols": 1, "re": [0.5], "im": [0.0]}})
+    for which in ("gauss", "cartan"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["decompose", "--g", g, "--which", which, "--tol", tol])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert "--tol" in captured.err
+
+
 @pytest.mark.parametrize("which", ["gauss", "cartan"])
 def test_decompose_tol_sets_the_membership_tolerance(capsys, which):
     # membership residual 2.0e-6: outside the default --tol 1e-9, inside 1e-5

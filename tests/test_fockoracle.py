@@ -46,9 +46,9 @@ def test_quadratic_brackets_hold_away_from_corner():
 
 def test_displacement_identity_and_vacuum_overlap():
     n = 40
-    d0 = fo.displacement(0.0, n)
+    d0 = fo.displacement(0.0, np.eye(n + 1))
     assert np.abs(d0 - np.eye(n + 1)).max() < 1e-14
-    d = fo.displacement(0.5, n)
+    d = fo.displacement(0.5, np.eye(n + 1))
     assert abs(d[0, 0] - math.exp(-0.125)) < 1e-10
     # unitary below the corner
     gram = d.conj().T @ d
@@ -59,32 +59,38 @@ def test_displacement_identity_and_vacuum_overlap():
 def test_displacement_composition_phase():
     n = 60
     a2, a1 = 0.4 + 0.2j, -0.3 + 0.1j
-    lhs = fo.displacement(a2, n) @ fo.displacement(a1, n)
+    lhs = fo.displacement(a2, fo.displacement(a1, np.eye(n + 1)))
     phase = np.exp(1j * np.imag(a2 * np.conj(a1)))
-    rhs = phase * fo.displacement(a2 + a1, n)
+    rhs = phase * fo.displacement(a2 + a1, np.eye(n + 1))
     q = n // 2
     assert np.abs((lhs - rhs)[:q, :q]).max() < 1e-9
 
 
-def test_displacement_cutoff_guard():
-    # the same absolute tail-mass guard on the displaced and squeezed vacuum
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_displacement_cutoff_guard(width):
+    # the same absolute tail-mass guard on the image of the vacuum under each
+    # operator, whether it acts on a vector or on a block of columns
+    lift = sp.cartan_synthesize(np.array([[math.atanh(0.9)]]), np.eye(1))
     for op, arg, cutoff in [
         (fo.displacement, 4.0, 12),
         (fo.squeeze, 0.3, 12),
         (fo.squeeze, 0.9, 40),
+        (fo.squeeze_from_generator, math.atanh(0.9), 40),
+        (fo.s_of_g, lift, 40),
     ]:
+        v = fo.vacuum(cutoff).amps if width is None else np.eye(cutoff + 1, width)
         with pytest.raises(CutoffTooSmall):
-            op(arg, cutoff)
+            op(arg, v)
 
 
 def test_squeeze_identity_orderings_and_generator_form():
     n = 60
-    s0 = fo.squeeze(0.0, n)
+    s0 = fo.squeeze(0.0, np.eye(n + 1))
     assert np.abs(s0 - np.eye(n + 1)).max() < 1e-14
-    s = fo.squeeze(0.3, n)
+    s = fo.squeeze(0.3, np.eye(n + 1))
     assert verify._reverse_order_residual(0.3, n, s) <= 1e-9
     zeta = math.atanh(0.3)
-    sg = fo.squeeze_from_generator(zeta, n)
+    sg = fo.squeeze_from_generator(zeta, np.eye(n + 1))
     q = n // 4
     assert np.abs((s - sg)[:q, :q]).max() < 1e-8
 
@@ -168,7 +174,7 @@ def test_group_orbit_of_vacuum():
         v = np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2))
         g = sp.cartan_synthesize(np.array([[zeta]]), np.array([[v]]))
         y = complex(sp.gauss_decompose(g).y[0, 0])
-        lhs = fo.s_of_g(g, n) @ fo.vacuum(n).amps
+        lhs = fo.s_of_g(g, np.eye(n + 1)) @ fo.vacuum(n).amps
         rhs = complex(g.a.conj()[0, 0]) ** -0.5 * fo.cs_vector(0.0, y, n).amps
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
@@ -179,9 +185,9 @@ def test_composition_operator_order():
     n = 120
     w1, w2 = 0.25 + 0.1j, -0.15 + 0.3j
     w3, v, detv = sp.ball_compose(np.array([[w2]]), np.array([[w1]]))
-    lhs = fo.squeeze(w2, n) @ (fo.squeeze(w1, n) @ fo.vacuum(n).amps)
+    lhs = fo.squeeze(w2, np.eye(n + 1)) @ (fo.squeeze(w1, np.eye(n + 1)) @ fo.vacuum(n).amps)
     rhs = detv**0.5 * (
-        fo.squeeze(complex(w3[0, 0]), n) @ fo.vacuum(n).amps
+        fo.squeeze(complex(w3[0, 0]), np.eye(n + 1)) @ fo.vacuum(n).amps
     )
     assert np.linalg.norm(lhs - rhs) < 1e-8
 
@@ -264,14 +270,15 @@ def _expm_s_of_g(g, cutoff):
 @pytest.mark.parametrize("cutoff", [60, 100])
 def test_operators_match_their_dense_expm_constructions(cutoff):
     g = sp.cartan_synthesize(np.array([[0.25 + 0.1j]]), np.array([[np.exp(0.4j)]]))
+    eye = np.eye(cutoff + 1)
     pairs = [
-        (fo.displacement(0.3 + 0.2j, cutoff), _expm_displacement(0.3 + 0.2j, cutoff)),
-        (fo.displacement(-0.1 + 0.25j, cutoff), _expm_displacement(-0.1 + 0.25j, cutoff)),
-        (fo.squeeze_from_generator(math.atanh(0.3), cutoff),
+        (fo.displacement(0.3 + 0.2j, eye), _expm_displacement(0.3 + 0.2j, cutoff)),
+        (fo.displacement(-0.1 + 0.25j, eye), _expm_displacement(-0.1 + 0.25j, cutoff)),
+        (fo.squeeze_from_generator(math.atanh(0.3), eye),
          _expm_squeeze_from_generator(math.atanh(0.3), cutoff)),
-        (fo.squeeze_from_generator(0.25 + 0.1j, cutoff),
+        (fo.squeeze_from_generator(0.25 + 0.1j, eye),
          _expm_squeeze_from_generator(0.25 + 0.1j, cutoff)),
-        (fo.s_of_g(g, cutoff), _expm_s_of_g(g, cutoff)),
+        (fo.s_of_g(g, eye), _expm_s_of_g(g, cutoff)),
     ]
     for got, want in pairs:
         assert got.shape == want.shape
@@ -282,7 +289,7 @@ def test_operators_match_their_dense_expm_constructions(cutoff):
     for w in (0.3, -0.15 + 0.3j):
         factors = _expm_squeeze_factors(w, cutoff)
         terms = np.linalg.norm(np.abs(factors[0]) @ np.abs(factors[1]) @ np.abs(factors[2]))
-        got = fo.squeeze(w, cutoff)
+        got = fo.squeeze(w, eye)
         assert got.shape == factors[0].shape
         assert np.linalg.norm(got - _expm_squeeze(w, cutoff)) <= 1e-13 * terms
 
@@ -300,22 +307,61 @@ def test_mm1_state_route_matches_dense_operators():
         w = complex(0.3 * np.tanh(rng.normal()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         e = fo.cs_vector(z, w, n).amps
         want = _expm_s_of_g(g, n) @ (_expm_displacement(alpha, n) @ e)
-        got = fo._lift_apply(g, fo._displace(alpha, e, n), n)
+        got = fo.s_of_g(g, fo.displacement(alpha, e))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_state_routes_build_no_operator(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a state route built an operator")
+    # a state route acts on the state and the guard's vacuum column only
+    widths = []
 
-    for name in ("displacement", "squeeze", "squeeze_from_generator", "s_of_g"):
-        monkeypatch.setattr(fo, name, refuse)
+    def record(gen, v):
+        widths.append(1 if v.ndim == 1 else v.shape[1])
+        return expm_apply(gen, v)
+
+    expm_apply = fo._expm_apply
+    monkeypatch.setattr(fo, "_expm_apply", record)
     g = sp.cartan_synthesize(np.array([[0.2 + 0.1j]]), np.array([[1j]]))
     assert fo.mm1_residual(g, 0.2 - 0.1j, 0.1j, 0.2, 100)[0] < 1e-6
     assert fo.check_lemma6(0.4, 0.3, 80) < 1e-7
     assert fo.squeezed_vacuum_convention(0.3, 60)["plain"] < 1e-8
-    lhs = fo._squeeze_apply(-0.15 + 0.3j, fo.squeezed_vacuum(0.25 + 0.1j, 120).amps, 120)
+    lhs = fo.squeeze(-0.15 + 0.3j, fo.squeezed_vacuum(0.25 + 0.1j, 120).amps)
     assert np.isfinite(lhs).all()
+    assert widths and max(widths) <= 2
+
+
+@pytest.mark.parametrize("op, arg, actions", [
+    (fo.displacement, 0.3 + 0.2j, 1),
+    (fo.squeeze, 0.3 - 0.1j, 3),
+    (fo.squeeze_from_generator, 0.25 + 0.1j, 1),
+    (fo.s_of_g, sp.cartan_synthesize(np.array([[0.25 + 0.1j]]), np.array([[1j]])), 2),
+])
+@pytest.mark.parametrize("width", [None, 5])
+def test_operators_run_one_action_per_factor(monkeypatch, op, arg, actions, width):
+    # the tail guard rides along as a column: no second action on the vacuum
+    calls = []
+
+    def record(gen, v):
+        calls.append(v.shape)
+        return expm_apply(gen, v)
+
+    expm_apply = fo._expm_apply
+    monkeypatch.setattr(fo, "_expm_apply", record)
+    v = fo.cs_vector(0.1, 0.2, 60).amps if width is None else np.eye(61, width)
+    out = op(arg, v)
+    assert out.shape == v.shape
+    assert len(calls) == actions
+
+
+def test_operator_columns_equal_their_vector_actions():
+    v = fo.cs_vector(0.3 + 0.1j, 0.2 - 0.1j, 80).amps
+    block = np.column_stack([v, fo.vacuum(80).amps, np.eye(81, 3)])
+    g = sp.cartan_synthesize(np.array([[0.25 + 0.1j]]), np.array([[1j]]))
+    for op, arg in [(fo.displacement, 0.3 + 0.2j), (fo.squeeze, 0.3 - 0.1j),
+                    (fo.squeeze_from_generator, 0.25 + 0.1j), (fo.s_of_g, g)]:
+        out = op(arg, block)
+        for j in range(block.shape[1]):
+            assert np.array_equal(out[:, j], op(arg, block[:, j]))
 
 
 def test_state_route_squeeze_matches_dense_operator():
@@ -325,13 +371,13 @@ def test_state_route_squeeze_matches_dense_operator():
     want = _expm_squeeze(w1, n) @ fo.vacuum(n).amps
     assert np.linalg.norm(vec - want) <= 1e-13
     want = _expm_squeeze(w2, n) @ vec
-    assert np.linalg.norm(fo._squeeze_apply(w2, vec, n) - want) <= 1e-13
+    assert np.linalg.norm(fo.squeeze(w2, vec) - want) <= 1e-13
 
 
 @pytest.mark.parametrize(
     "state_route, arg, cutoff",
     [
-        (lambda alpha, n: fo._displace(alpha, fo.vacuum(n).amps, n), 4.0, 12),
+        (lambda alpha, n: fo.displacement(alpha, fo.vacuum(n).amps), 4.0, 12),
         (lambda alpha, n: fo.check_lemma6(alpha, 0.0, n), 4.0, 12),
         (lambda alpha, n: fo.mm1_residual(sp.cartan_synthesize(np.zeros((1, 1)), np.eye(1)),
                                           alpha, 0.0, 0.0, n), 4.0, 12),
@@ -339,7 +385,7 @@ def test_state_route_squeeze_matches_dense_operator():
         (fo.squeezed_vacuum, 0.9, 40),
         (lambda w, n: fo.check_lemma6(0.0, w, n), 0.3, 12),
         (fo.squeezed_vacuum_convention, 0.9, 40),
-        (lambda w, n: fo._squeeze_apply(w, fo.vacuum(n).amps, n), 0.9, 40),
+        (lambda w, n: fo.squeeze(w, fo.vacuum(n).amps), 0.9, 40),
     ],
 )
 def test_state_routes_keep_the_cutoff_guard(state_route, arg, cutoff):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -305,7 +306,6 @@ def _potential_mpmath(z, w, k):
     """``kahler_potential`` of one point in 50-digit arithmetic, from the
     defining formula ``-(k/2) log det G + Re(<z, M z> + z^T Wbar M z)``,
     ``G = 1 - W Wbar``, ``M = G^-1``."""
-    mpmath = pytest.importorskip("mpmath")
     n = len(z)
     with mpmath.workdps(50):
         mz = mpmath.matrix([[mpmath.mpc(complex(v))] for v in z])
@@ -335,7 +335,6 @@ def _kernel_mpmath(x, y, k):
     eigenvalues ``mu_i`` of ``W_y conj(W_x)``.  Each ``|mu_i| < 1``, so each
     ``1 - mu_i`` has a positive real part and the sum is the branch continued
     from the identity."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         def mat(a):
             return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a])

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
@@ -335,7 +336,6 @@ def test_logdet_hpd_factors_one_matrix_without_np_cholesky(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_logdet_hpd_near_the_boundary_matches_mpmath(n):
-    mpmath = pytest.importorskip("mpmath")
     ws, stack = _hpd_stack(n, np.random.default_rng(60 + n), (8,), 0.9, 0.999)
     vals = matfun.logdet_hpd(stack)
     with mpmath.workdps(50):

@@ -24,6 +24,13 @@ def test_sp_new_rejects_garbage():
         sp.sp_new(np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_sp_new_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a = 3, b = 0.5 has membership residual 7.75: no tolerance may accept it
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        sp.sp_new(np.array([[3.0]]), np.array([[0.5]]), tol)
+
+
 def test_sp_random_membership_and_determinism():
     rng = np.random.default_rng(42)
     for _ in range(1000):
@@ -94,13 +101,24 @@ def test_cartan_decompose_shares_one_eigendecomposition(monkeypatch, n):
         ref_z = matfun.herm_func(h, matfun.arctanhc_of_sqrt) @ y
         ref_v = matfun.herm_func(h, lambda t: np.sqrt(np.maximum(1.0 - t, 0.0))) @ g.a
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append("eigvalsh") or eigvalsh(m))
         f = sp.cartan_decompose(g)
         monkeypatch.undo()
-        assert len(calls) == 1
+        # the domain check reads the same eigenvalues
+        assert calls == ["eigh"]
         assert f.z.tobytes() == (0.5 * (ref_z + ref_z.T)).tobytes()
         assert f.v.tobytes() == ref_v.tobytes()
+
+
+@pytest.mark.parametrize("b", [[1.0], [2.0], [0.5, 1.5]])
+def test_cartan_decompose_rejects_a_gauss_coordinate_outside_the_ball(b):
+    # a = 1 makes the Gauss coordinate y = b, so the domain check reads |b|
+    g = sp.SpElement(a=np.eye(len(b), dtype=complex), b=np.diag(b).astype(complex))
+    with pytest.raises(DomainViolation, match="norm >= 1"):
+        sp.cartan_decompose(g)
 
 
 def test_cartan_identity_scalar_and_reassembly():

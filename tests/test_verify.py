@@ -165,8 +165,8 @@ BITES = {
     "cocycle-literal-route": (jacobi, "lambda_cocycle_ez", _scaled, _jacobi_n1),
     "cocycle-route-agreement": (jacobi, "lambda_cocycle_ez", _scaled, _jacobi),
     "normalization-routes": (symplectic, "jn", _scaled, _measure),
-    "displacement-normal-order": (fockoracle, "_displace", _scaled, _oracle),
-    "squeeze-reverse-order": (fockoracle, "_squeeze_apply", _scaled, _oracle),
+    "displacement-normal-order": (fockoracle, "displacement", _scaled, _oracle),
+    "squeeze-reverse-order": (fockoracle, "squeeze", _scaled, _oracle),
     # the orbit record applies S(g) D(alpha) to a vector, one action each
     "orbit-map-end-to-end": (fockoracle, "_expm_apply", _scaled, _oracle),
     "kernel-transformation": (jacobi, "kernel", _scaled_index, _symplectic),
