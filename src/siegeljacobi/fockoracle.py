@@ -9,21 +9,29 @@ weight 1/4, so the oracle pins the representation index to k = 1.
 
 Every exponential is one routine, ``_expm_apply``: the action of
 ``exp(G)`` on a vector or a block of columns through the generator's few
-nonzero diagonals, so no ``(N+1)^2`` matrix is formed to exponentiate.  The
+nonzero diagonals, so no ``(N+1)^2`` matrix is formed to exponentiate.  A
+generator's coefficients are numbers, or 1-D arrays of ``c`` entries: then
+column ``i`` of the block takes the ``i mod c``-th generator, and each
+generator runs its own number of Taylor steps.  The
 operators (:func:`displacement`, :func:`squeeze`,
 :func:`squeeze_from_generator`, :func:`s_of_g`) are their actions: each
 takes a vector or a block of columns over |0>..|N>, reads the cutoff from
 its length, and applies its ordered product of exponentials, with the
 vacuum as one more column for its tail guard; ``np.eye(N + 1)`` gives the
-operator.  The states (:func:`squeezed_vacuum`, :func:`check_lemma6`,
-:func:`mm1_residual`, :func:`squeezed_vacuum_convention`) apply them to one
-vector, :func:`check_hpb` to the leading basis columns it reads, and the
-orbit vectors of :func:`cs_vector` and :func:`oracle_kernel` sum their
-series on one vector.
+operator.  Each also takes one parameter per column of a block (a 1-D
+array; for :func:`s_of_g` a sequence of elements), with one guard column
+per sample.  The orbit vectors of :func:`cs_vector` sum their series on
+one column, or on a stack of columns that each stop at their own last term.
+:func:`mm1_residual` and :func:`oracle_kernel` take a stack of samples and
+make one stacked call of each operator for all of them; a single sample is a
+stack of one with scalar returns.  Every column of a stack has the bits of
+its own one-sample call.
 
-The ladder and quadratic generators are built once per cutoff and returned
-read-only.  Operators have one route each here; their second routes are
-records of :func:`siegeljacobi.verify.suite_oracle`.
+The diagonals of the ladder and quadratic generators are built once per
+cutoff and kept read-only; :func:`ladder` and :func:`number_ops` place
+them in dense matrices once per cutoff, on first call.  Operators have one
+route each here; their second routes are records of
+:func:`siegeljacobi.verify.suite_oracle`.
 
 Accuracy is certified by cutoff doubling rather than a priori bounds: all
 checks report a residual that must shrink when N grows.
@@ -32,7 +40,6 @@ checks report a residual that must shrink when N grows.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,85 +74,112 @@ TAYLOR_DEGREE = 18  # 1/19! < 1e-17: one step's truncation at unit norm
 
 @dataclass(frozen=True)
 class FockVec:
-    """State vector over |0>..|N> with truncation-tail accounting."""
+    """State vector over |0>..|N>, or a stack of them as the columns of
+    ``amps``, with truncation-tail accounting (one value per column)."""
 
     cutoff: int
     amps: np.ndarray
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+    def norm(self):
+        return _per_column(self.amps, lambda v: float(np.linalg.norm(v)))
 
     @property
-    def tail_mass(self) -> float:
+    def tail_mass(self):
         """Probability mass above ``TAIL_FRACTION * cutoff``."""
         start = int(TAIL_FRACTION * self.cutoff)
-        return float(np.sum(np.abs(self.amps[start:]) ** 2))
+        return _per_column(self.amps, lambda v: float(np.sum(np.abs(v[start:]) ** 2)))
+
+
+def _per_column(amps: np.ndarray, fn):
+    """``fn`` of a vector, or the array of ``fn`` of each column of a stack.
+
+    Each column is read as a contiguous copy, as a vector would be: a 1-D
+    reduction of a strided column (``np.vdot``) may sum in another order.
+    """
+    if amps.ndim == 1:
+        return fn(amps)
+    return np.array([fn(col) for col in np.ascontiguousarray(amps.T)])
+
+
+def _sample_error(message, bad, stacked: bool):
+    """:class:`CutoffTooSmall` for the first flagged column of ``bad``, named
+    as a sample when the call was stacked; ``message(i)`` describes
+    column ``i``.  Returns quietly when no column is flagged."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        i = flagged[0]
+        raise CutoffTooSmall(f"sample {i}: {message(i)}" if stacked else message(i))
 
 
 @functools.cache
 def _generators(cutoff: int) -> dict:
-    """``a, ad, kp, km, k0`` at one cutoff, read-only, with their diagonals.
+    """The one nonzero diagonal of each of ``a, ad, kp, km, k0`` at one
+    cutoff, read-only: ``{name: (offset, diagonal)}``, the operator being
+    ``np.diag(diagonal, offset)``.
 
-    Returns ``{name: (matrix, offset, diagonal)}``: each generator has one
-    nonzero diagonal, ``matrix[i, i + offset]``.
+    ``a[m - 1, m] = sqrt(m)``, ``ad = a*``, ``kp = ad ad / 2``,
+    ``km = a a / 2`` and ``k0 = (ad a + a ad) / 4``, with no matrix formed.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for m in range(1, cutoff + 1):
-        a[m - 1, m] = np.sqrt(m)
-    ad = a.conj().T
-    ops = {
-        "a": (a, 1),
-        "ad": (ad, -1),
-        "kp": (0.5 * ad @ ad, -2),
-        "km": (0.5 * a @ a, 2),
-        "k0": (0.25 * (ad @ a + a @ ad), 0),
+    root = np.sqrt(np.arange(1, cutoff + 1))
+    square = root * root
+    out = {
+        "a": (1, root.astype(complex)),
+        "ad": (-1, root.astype(complex).conj()),
+        "kp": (-2, (0.5 * root[1:] * root[:-1]).astype(complex)),
+        "km": (2, (0.5 * root[:-1] * root[1:]).astype(complex)),
+        "k0": (0, (0.25 * (np.append(0.0, square) + np.append(square, 0.0))).astype(complex)),
     }
-    out = {}
-    for name, (mat, offset) in ops.items():
-        diag = np.diagonal(mat, offset).copy()
-        mat.setflags(write=False)
+    for _, diag in out.values():
         diag.setflags(write=False)
-        out[name] = (mat, offset, diag)
     return out
 
 
+def _matrices(cutoff: int, *names) -> tuple:
+    """The named generators at one cutoff as read-only dense matrices."""
+    mats = tuple(np.diag(diag, offset) for offset, diag in
+                 (_generators(cutoff)[name] for name in names))
+    for mat in mats:
+        mat.setflags(write=False)
+    return mats
+
+
+@functools.cache
 def ladder(cutoff: int):
     """Annihilation and creation matrices: ``a |m> = sqrt(m) |m-1>``.
 
     Built once per cutoff; the arrays are read-only.
     """
-    ops = _generators(cutoff)
-    return ops["a"][0], ops["ad"][0]
+    return _matrices(cutoff, "a", "ad")
 
 
+@functools.cache
 def number_ops(cutoff: int):
     """The quadratic generators ``(Kp, Km, K0)`` in the truncated basis.
 
     Built once per cutoff; the arrays are read-only.
     """
-    ops = _generators(cutoff)
-    return ops["kp"][0], ops["km"][0], ops["k0"][0]
+    return _matrices(cutoff, "kp", "km", "k0")
 
 
 def _banded(cutoff: int, **coeffs) -> dict:
     """``sum coeff * op`` over named generators as ``{offset: diagonal}``;
-    no two generators share an offset."""
+    no two generators share an offset.
+
+    Each diagonal is a column ``(len, 1)`` for a number ``coeff``, or
+    ``(len, c)`` for a 1-D array of ``c`` coefficients: ``c`` generators,
+    column ``i`` of a block taking generator ``i mod c``.
+    """
     ops = _generators(cutoff)
-    return {ops[name][1]: coeff * ops[name][2] for name, coeff in coeffs.items()}
-
-
-def _column(diag: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``diag`` shaped to broadcast along the columns of ``v``, a vector or
-    a block of columns."""
-    return diag if v.ndim == 1 else diag[:, None]
+    return {ops[name][0]: coeff * ops[name][1][:, None] for name, coeff in coeffs.items()}
 
 
 def _band_matvec(gen: dict, v: np.ndarray) -> np.ndarray:
-    """``G @ v`` for a banded ``G = {offset: diagonal}`` and a vector or a
-    block of columns ``v``; each diagonal is shaped by :func:`_column`."""
+    """``G @ v`` for a banded ``G = {offset: diagonal}`` and a block ``v``
+    whose first axis is the basis; the diagonals broadcast along the
+    other axes."""
     out = np.zeros(v.shape, dtype=complex)
     for offset, diag in gen.items():
         if offset >= 0:
@@ -159,31 +193,65 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
     """``expm(G) @ v`` for a banded generator ``G = {offset: diagonal}`` and
     a vector or a block of columns ``v``: the package's one exponential.
 
-    A diagonal ``G`` is an elementwise multiply.  Otherwise ``ceil(||G||_1)``
-    steps of the degree-``TAYLOR_DEGREE`` Taylor polynomial of ``G / steps``
-    (the exponential action of Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
-    2011, at a fixed degree).
+    The diagonals hold ``c`` generators (:func:`_banded`), and column ``i``
+    of ``v`` takes generator ``i mod c``.  A diagonal ``G`` is an
+    elementwise multiply.  Otherwise each generator ``G_c`` runs
+    ``ceil(||G_c||_1)`` steps of the degree-``TAYLOR_DEGREE`` Taylor
+    polynomial of ``G_c / steps`` on its columns (the exponential action of
+    Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011, at a fixed degree).
+    Columns whose first terms are all exactly zero have every term zero and
+    are returned as they are.  The generators are ordered by step count, so
+    that each step acts on those still running; each column has the bits of
+    its own one-column action.
     """
+    width = max(diag.shape[1] for diag in gen.values())
+    block = v.reshape(len(v), -1, width)
+    gen = {offset: diag[:, None, :] for offset, diag in gen.items()}
     if gen.keys() == {0}:
-        return _column(np.exp(gen[0]), v) * v
-    n = len(v)
-    colsum = np.zeros(n)
+        return (np.exp(gen[0]) * block).reshape(v.shape)
+    n = len(block)
+    colsum = np.zeros((n, 1, width))
     for offset, diag in gen.items():
         if offset >= 0:
             colsum[offset:] += np.abs(diag)
         else:
             colsum[: n + offset] += np.abs(diag)
-    steps = max(1, math.ceil(colsum.max()))
-    # the factor 1 / (steps * j) of Taylor term j rides on the diagonals,
-    # shaped for v's columns once per call
-    scaled = [{off: _column(diag / (steps * j), v) for off, diag in gen.items()}
-              for j in range(1, TAYLOR_DEGREE + 1)]
-    for _ in range(steps):
-        term = v
-        for gen_j in scaled:
-            term = _band_matvec(gen_j, term)
-            v = v + term
-    return v
+    steps = np.maximum(1, np.ceil(colsum.max(axis=(0, 1)))).astype(int)
+    # the factor 1 / (steps * j) of Taylor term j, one row per generator; it
+    # multiplies the diagonals as numpy's division of a complex by a real
+    # does (by the reciprocal), so the bits are those of the quotient
+    scales = (1.0 / np.multiply.outer(steps, np.arange(1, TAYLOR_DEGREE + 1))).astype(complex)
+
+    def taylor_term(j, active):
+        # the diagonals of term j for the first ``active`` generators, made
+        # per term: kept for all terms, many generators take several MB
+        return {offset: diag[..., :active] * scales[:active, j - 1]
+                for offset, diag in gen.items()}
+
+    if width == 1:
+        # one generator: each term's diagonals are made once
+        taylor_term = functools.cache(taylor_term)
+
+    runs = np.where(_band_matvec(taylor_term(1, width), block).any(axis=(0, 1)), steps, 0)
+    order = np.argsort(-runs, kind="stable")
+    runs, scales = runs[order], scales[order]
+    gen = {offset: diag[..., order] for offset, diag in gen.items()}
+    out = np.empty(block.shape, dtype=complex)
+    cols = block[..., order].astype(complex, copy=False)
+    for step in range(runs[0]):
+        active = np.count_nonzero(runs > step)
+        if active < cols.shape[-1]:
+            # the generators that have run all their steps leave, and the
+            # rest stay contiguous: a strided block multiplies slower
+            out[..., order[active : cols.shape[-1]]] = cols[..., active:]
+            cols = cols[..., :active].copy()
+            gen = {offset: diag[..., :active].copy() for offset, diag in gen.items()}
+        term = cols
+        for j in range(1, TAYLOR_DEGREE + 1):
+            term = _band_matvec(taylor_term(j, active), term)
+            cols += term
+    out[..., order[: cols.shape[-1]]] = cols
+    return out.reshape(v.shape)
 
 
 def vacuum(cutoff: int) -> FockVec:
@@ -201,22 +269,35 @@ def _product(factors: list, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _guarded(factors: list, v: np.ndarray, what: str) -> np.ndarray:
+def _guarded(factors: list, v: np.ndarray, what: str, size) -> np.ndarray:
     """An operator's :func:`_product` with its guard: the vacuum acts as one
     more column of ``v``, and :class:`CutoffTooSmall` is raised if its image
-    has more than ``TAIL_THRESHOLD`` absolute tail mass."""
+    has more than ``TAIL_THRESHOLD`` absolute tail mass.
+
+    When the coefficients are 1-D arrays, one per column of the block ``v``,
+    each sample gets a vacuum column of its own, and the error names the
+    sample.  ``what`` and ``size`` (the parameter's size, one per sample for
+    a stack) describe the operator in the error.
+    """
     cutoff = len(v) - 1
-    out = _product(factors, np.column_stack([v, vacuum(cutoff).amps]))
-    tail = FockVec(cutoff, out[:, -1]).tail_mass
-    if tail > TAIL_THRESHOLD:
-        raise CutoffTooSmall(f"{what} tail mass {tail:.2e} at cutoff {cutoff}")
-    return out[:, :-1].reshape(v.shape)
+    stacked = any(np.ndim(c) for coeffs in factors for c in coeffs.values())
+    width = v.shape[1] if stacked else 1
+    vacua = np.zeros((cutoff + 1, width), dtype=complex)
+    vacua[0] = 1.0
+    out = _product(factors, np.column_stack([v, vacua]))
+    tails = FockVec(cutoff, out[:, -width:]).tail_mass
+    _sample_error(
+        lambda i: f"{what}={size[i] if stacked else size} tail mass {tails[i]:.2e} "
+                  f"at cutoff {cutoff}",
+        tails > TAIL_THRESHOLD, stacked)
+    return out[:, :-width].reshape(v.shape)
 
 
-def displacement(alpha: complex, v: np.ndarray) -> np.ndarray:
+def displacement(alpha, v: np.ndarray) -> np.ndarray:
     """Displacement operator ``exp(alpha a+ - conj(alpha) a)`` applied to
     ``v``, a vector or a block of columns over |0>..|N> (``np.eye(N + 1)``
-    gives the operator).
+    gives the operator); a 1-D array ``alpha`` holds one parameter per
+    column of ``v``.
 
     Raises
     ------
@@ -224,75 +305,97 @@ def displacement(alpha: complex, v: np.ndarray) -> np.ndarray:
         If the displaced vacuum leaks too much mass into the tail.
     """
     return _guarded([{"ad": alpha, "a": -np.conj(alpha)}], v,
-                    f"displacement by |alpha|={abs(alpha)}")
+                    "displacement by |alpha|", abs(alpha))
 
 
-def squeeze(w: complex, v: np.ndarray) -> np.ndarray:
+def squeeze(w, v: np.ndarray) -> np.ndarray:
     """Bogoliubov operator for a domain point ``|w| < 1`` applied to ``v``,
-    a vector or a block of columns over |0>..|N>.
+    a vector or a block of columns over |0>..|N>; a 1-D array ``w`` holds
+    one point per column of ``v``.
 
     Acts as ``exp(w Kp) exp(eta K0) exp(-conj(w) Km)`` with
     ``eta = log(1 - |w|^2)``; raises :class:`CutoffTooSmall` if the
     squeezed vacuum leaks too much mass into the tail.
     """
-    if abs(w) >= 1:
+    if np.any(abs(w) >= 1):
         raise ValueError("need |w| < 1")
     eta = np.log(1 - abs(w) ** 2)
     return _guarded([{"km": -np.conj(w)}, {"k0": eta}, {"kp": w}], v,
-                    f"squeeze by |w|={abs(w)}")
+                    "squeeze by |w|", abs(w))
 
 
 def squeezed_vacuum(w: complex, cutoff: int) -> FockVec:
     """``S(w)|0>``: :func:`squeeze` on the vacuum, whose factor
-    ``exp(-conj(w) Km)`` leaves it as it is (``Km|0> = 0``)."""
+    ``exp(-conj(w) Km)`` returns it as it is (``Km|0> = 0``)."""
     return FockVec(cutoff, squeeze(w, vacuum(cutoff).amps))
 
 
-def squeeze_from_generator(zeta: complex, v: np.ndarray) -> np.ndarray:
+def squeeze_from_generator(zeta, v: np.ndarray) -> np.ndarray:
     """One-parameter form ``exp(zeta Kp - conj(zeta) Km)`` applied to ``v``,
-    with :func:`squeeze`'s guard."""
-    return _guarded([{"kp": zeta, "km": -np.conj(zeta)}], v, f"squeeze by |zeta|={abs(zeta)}")
+    with :func:`squeeze`'s guard; a 1-D array ``zeta`` holds one parameter
+    per column of ``v``."""
+    return _guarded([{"kp": zeta, "km": -np.conj(zeta)}], v, "squeeze by |zeta|", abs(zeta))
 
 
-def cs_vector(z: complex, w: complex, cutoff: int) -> FockVec:
+def cs_vector(z, w, cutoff: int) -> FockVec:
     """Un-normalized orbit vector ``exp(z a+ + w Kp)|0>`` by series summation.
+
+    For 1-D arrays ``z`` and ``w`` of one length, the vectors of their pairs
+    are the columns of one stack, each column's series stopping at the term
+    where its own would stop.
 
     Raises
     ------
     CutoffTooSmall
-        If the tail mass fraction exceeds the module threshold.
+        If the tail mass fraction exceeds the module threshold; for a stack
+        the error names the sample.
     """
-    if abs(w) >= 1:
+    if np.any(abs(w) >= 1):
         raise ValueError("need |w| < 1")
-    x = _banded(cutoff, ad=z, kp=w)
-    vec = vacuum(cutoff).amps
-    out = vec.copy()
-    term = vec.copy()
+    z, w = np.broadcast_arrays(z, w)
+    gen = _banded(cutoff, ad=z, kp=w)
+    acc = np.zeros((cutoff + 1, z.size), dtype=complex)
+    acc[0] = 1.0
+    term = acc.copy()
+    out = acc.copy()  # each column once its series stops
+    live = np.arange(acc.shape[1])
     for kterm in range(1, SERIES_TERMS):
-        term = _band_matvec(x, term) / kterm
-        out += term
-        if np.linalg.norm(term) < 1e-18:
-            break
-    result = FockVec(cutoff, out)
-    if result.tail_mass > TAIL_THRESHOLD * result.norm**2:
-        raise CutoffTooSmall(
-            f"orbit vector tail mass {result.tail_mass:.2e} at cutoff {cutoff}"
-        )
-    return result
+        term = _band_matvec(gen, term) / kterm
+        acc += term
+        done = _per_column(term, lambda v: np.linalg.norm(v) < 1e-18)
+        if done.any():
+            out[:, live[done]] = acc[:, done]
+            keep = ~done
+            live, acc, term = live[keep], acc[:, keep], term[:, keep]
+            gen = {offset: diag[:, keep] for offset, diag in gen.items()}
+            if not live.size:
+                break
+    else:
+        out[:, live] = acc
+    stack = FockVec(cutoff, out)
+    tails, norms = stack.tail_mass.tolist(), stack.norm.tolist()
+    _sample_error(
+        lambda i: f"orbit vector tail mass {tails[i]:.2e} at cutoff {cutoff}",
+        [tail > TAIL_THRESHOLD * norm**2 for tail, norm in zip(tails, norms)], z.ndim > 0)
+    return stack if z.ndim > 0 else FockVec(cutoff, out[:, 0])
 
 
-def s_of_g(g: SpElement, v: np.ndarray) -> np.ndarray:
+def s_of_g(g, v: np.ndarray) -> np.ndarray:
     """Metaplectic-type lift of a 1x1 group element applied to ``v``, with
-    :func:`squeeze`'s guard.
+    :func:`squeeze`'s guard; a sequence of elements ``g`` holds one element
+    per column of ``v``.
 
     The Cartan factors ``(zeta, u)`` of ``g`` give
     ``S(g) = exp(zeta Kp - conj(zeta) Km) exp(2 log(u) K0)``; the principal
     logarithm fixes the lift, consistently with the closed-form multiplier
     for elements near the identity.
     """
-    zeta, u = _cartan_params(g)
+    if isinstance(g, SpElement):
+        zeta, u = _cartan_params(g)
+    else:
+        zeta, u = (np.array(p) for p in zip(*map(_cartan_params, g)))
     return _guarded([{"k0": 2 * np.log(u)}, {"kp": zeta, "km": -np.conj(zeta)}], v,
-                    f"lift by |zeta|={abs(zeta)}")
+                    "lift by |zeta|", abs(zeta))
 
 
 def _cartan_params(g: SpElement) -> tuple:
@@ -341,7 +444,7 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     beta = complex(alpha_action_inv(g, alpha_v)[0])
     deep = cutoff // 4  # conjugation products touch the corner above this
     cols = np.eye(cutoff + 1, deep, dtype=complex)
-    annihilate = {off: _column(diag, cols) for off, diag in _banded(cutoff, a=1.0).items()}
+    annihilate = _banded(cutoff, a=1.0)
 
     # with E = cols, each squeeze acts once on the blocks it shares: S on
     # [E, D(beta) E], then S^-1 on [a S E, E]
@@ -358,28 +461,49 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     return float(res)
 
 
-def oracle_kernel(x: CSPoint, y: CSPoint, cutoff: int) -> complex:
-    """Truncated inner product ``(e_x, e_y)``, conjugate-linear in ``x``."""
+def oracle_kernel(x: CSPoint, y: CSPoint, cutoff: int):
+    """Truncated inner product ``(e_x, e_y)``, conjugate-linear in ``x``.
+
+    For stacks of points (one leading axis of length ``c``) the array of the
+    ``c`` inner products ``(e_{x_i}, e_{y_i})``, from one stacked
+    :func:`cs_vector` call whose columns are the ``x_i`` and then the ``y_i``.
+    """
     if x.n != 1 or y.n != 1:
         raise ValueError("the oracle is single mode (n = 1)")
-    vx = cs_vector(complex(x.z[0]), complex(x.W[0, 0]), cutoff)
-    vy = cs_vector(complex(y.z[0]), complex(y.W[0, 0]), cutoff)
-    return complex(np.vdot(vx.amps, vy.amps))
+    if not x.z.shape[:-1] == x.W.shape[:-2] == y.z.shape[:-1] == y.W.shape[:-2]:
+        raise ValueError("x and y must be stacks of one shape")
+    z = np.concatenate([np.ravel(x.z[..., 0]), np.ravel(y.z[..., 0])])
+    w = np.concatenate([np.ravel(x.W[..., 0, 0]), np.ravel(y.W[..., 0, 0])])
+    vecs = np.ascontiguousarray(cs_vector(z, w, cutoff).amps.T)
+    half = len(z) // 2
+    vals = np.array([np.vdot(vx, vy) for vx, vy in zip(vecs[:half], vecs[half:])])
+    return complex(vals[0]) if x.z.ndim == 1 else vals
 
 
-def mm1_residual(g: SpElement, alpha: complex, z: complex, w: complex, cutoff: int):
+def mm1_residual(g, alpha, z, w, cutoff: int):
     """End-to-end orbit check ``S(g) D(alpha) e_{z,w} = lambda e_{z1,w1}``.
 
     The right-hand side uses the closed-form multiplier and image point at
     k = 1.  Returns ``(residual, data)`` with the cocycle data; this single
     check arbitrates every convention flag in the package.
+
+    For a stack of samples (``g`` a sequence of elements, ``alpha``, ``z``
+    and ``w`` 1-D arrays of its length) each operator acts once on all of
+    them, and the returns are the array of residuals and the list of data.
     """
-    x = CSPoint(z=np.array([z]), W=np.array([[w]]))
-    h = JacobiElement(g=g, alpha=np.array([alpha]), t=0.0)
-    data = lambda_cocycle(h, x, 1, unchecked_branch=True)
-    lhs = s_of_g(g, displacement(alpha, cs_vector(z, w, cutoff).amps))
-    rhs = data.lam * cs_vector(complex(data.z1[0]), complex(data.W1[0, 0]), cutoff).amps
-    return float(np.linalg.norm(lhs - rhs)), data
+    single = isinstance(g, SpElement)
+    gs = [g] if single else list(g)
+    alpha, z, w = (np.atleast_1d(np.asarray(p, dtype=complex)) for p in (alpha, z, w))
+    datas = [
+        lambda_cocycle(JacobiElement(g=gi, alpha=np.array([ai]), t=0.0),
+                       CSPoint(z=np.array([zi]), W=np.array([[wi]])), 1, unchecked_branch=True)
+        for gi, ai, zi, wi in zip(gs, alpha, z, w, strict=True)
+    ]
+    lhs = s_of_g(gs, displacement(alpha, cs_vector(z, w, cutoff).amps))
+    image = cs_vector(np.array([d.z1[0] for d in datas]),
+                      np.array([d.W1[0, 0] for d in datas]), cutoff).amps
+    res = FockVec(cutoff, lhs - np.array([d.lam for d in datas]) * image).norm
+    return (float(res[0]), datas[0]) if single else (res, datas)
 
 
 def squeezed_vacuum_convention(w: complex, cutoff: int):

@@ -629,9 +629,9 @@ def sample_arrays_n1(k: float, count: int, seed: int):
     return np.concatenate(ws), np.concatenate(zs), np.concatenate(wts)
 
 
-def _uniform_chunk(seed: int, count: int, streams: int, start: int):
+def _uniform_chunk(seed: int, count: int, streams: int, start: int) -> np.ndarray:
     """Draws ``start`` to ``start + _CHUNK`` (at most ``count``) of each of
-    ``streams`` uniform streams on [-1, 1].
+    ``streams`` uniform streams on [-1, 1], one stream per row.
 
     Stream ``j`` is the ``j``-th of ``streams`` successive
     ``default_rng(seed).uniform(-1, 1, count)`` calls: each double consumes
@@ -639,8 +639,14 @@ def _uniform_chunk(seed: int, count: int, streams: int, start: int):
     state advanced by ``j * count + start``.
     """
     mcount = min(_CHUNK, count - start)
-    bitgens = (np.random.PCG64(seed).advance(j * count + start) for j in range(streams))
-    return [np.random.Generator(b).uniform(-1.0, 1.0, mcount) for b in bitgens]
+    out = np.empty((streams, mcount))
+    for j, row in enumerate(out):
+        bitgen = np.random.PCG64(seed).advance(j * count + start)
+        np.random.Generator(bitgen).random(out=row)
+    # uniform(-1, 1) is -1 + 2 U: doubling is exact, so these are its bits
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def _real_form(w: np.ndarray) -> np.ndarray:
@@ -712,9 +718,19 @@ def _kernel_n1(z, w, z0: complex, w0: complex, k: float):
     ``u = 1 / (1 - w0 wbar)``."""
     zb = np.conj(z)
     wb = np.conj(w)
-    u = 1.0 / (1.0 - w0 * wb)
-    expo = zb * z0 + (0.5 * z0 * z0) * wb + (0.5 * w0) * (zb * zb)
-    return u ** (k / 2) * np.exp(u * expo)
+    # in place, in the order of the closed form
+    u = w0 * wb
+    np.subtract(1.0, u, out=u)
+    np.divide(1.0, u, out=u)
+    expo = zb * z0
+    tmp = (0.5 * z0 * z0) * wb
+    expo += tmp
+    expo += np.multiply(0.5 * w0, np.multiply(zb, zb, out=tmp), out=tmp)
+    np.multiply(u, expo, out=expo)
+    np.exp(expo, out=expo)
+    u **= k / 2
+    u *= expo
+    return u
 
 
 def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, targets):
@@ -727,8 +743,12 @@ def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, t
     # the samples inside it
     keep = np.flatnonzero(wt)
     w, z, wt = w[keep], z[keep], wt[keep]
-    sums = [np.sum(wt * _kernel_n1(z, w, z0, w0, consts.k) * f(z, w))
-            for f, z0, w0 in targets]
+    sums = []
+    for f, z0, w0 in targets:
+        term = _kernel_n1(z, w, z0, w0, consts.k)
+        np.multiply(wt, term, out=term)
+        term *= f(z, w)
+        sums.append(np.sum(term))
     return mass, len(keep), *sums
 
 

@@ -192,10 +192,32 @@ def mat_to_json(m: np.ndarray) -> dict:
 
 
 def mat_from_json(d: dict) -> np.ndarray:
-    """Inverse of :func:`mat_to_json`."""
-    rows, cols = int(d["rows"]), int(d["cols"])
-    re = np.asarray(d["re"], dtype=float).reshape(rows, cols)
-    im = np.asarray(d["im"], dtype=float).reshape(rows, cols)
+    """Inverse of :func:`mat_to_json`.
+
+    Raises
+    ------
+    ValueError
+        If ``d`` is not an object with integer ``rows`` and ``cols`` and
+        finite ``re`` and ``im`` lists of ``rows * cols`` numbers each.
+    """
+    keys = ("rows", "cols", "re", "im")
+    if not isinstance(d, dict) or set(d) != set(keys):
+        raise ValueError(f"a matrix must be an object with the keys {', '.join(keys)}")
+    rows, cols = d["rows"], d["cols"]
+    if not all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in (rows, cols)):
+        raise ValueError(f"matrix rows and cols must be non-negative integers, got {rows!r}, {cols!r}")
+    parts = []
+    for key in ("re", "im"):
+        try:
+            part = np.asarray(d[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matrix {key} must be a list of numbers: {exc}") from exc
+        if part.shape != (rows * cols,):
+            raise ValueError(f"matrix {key} must hold {rows * cols} numbers, got shape {part.shape}")
+        if not np.all(np.isfinite(part)):
+            raise ValueError(f"matrix {key} has non-finite entries")
+        parts.append(part.reshape(rows, cols))
+    re, im = parts
     return re + 1j * im
 
 

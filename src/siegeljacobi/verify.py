@@ -18,7 +18,10 @@ The primitives in ``symplectic`` and ``jacobi`` evaluate one closed form
 each, and the ``fockoracle`` operators one product of exponential actions
 each; the independent routes that cross-check them live here and run once
 per suite.  The oracle records apply each operator to the leading basis
-columns they read.
+columns they read; ``kernel-oracle`` and ``orbit-map-end-to-end`` draw all
+their samples first and make one stacked oracle call for them.  Each
+record's worst case is folded by :func:`_worst`, so a NaN on any sample
+fails the record.
 """
 
 from __future__ import annotations
@@ -67,6 +70,16 @@ def _rec(checks, check, anchor, residual, tolerance, n=None, k=None, samples=Non
     )
 
 
+def _worst(*residuals) -> float:
+    """The largest of ``residuals``, or NaN if any of them is NaN.
+
+    Every record's worst case over its samples is folded with this: Python's
+    ``max`` keeps its first argument over a later NaN (``max(0.0, nan)`` is
+    0.0), which would drop a failed sample before it reaches the bound.
+    """
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+
+
 def _random_point(n, rng, z_scale=0.4, w_scale=0.4) -> CSPoint:
     """Random point with hard modulus caps |z_i| <= z_scale, ||W|| <= w_scale."""
     phases = np.exp(2j * np.pi * rng.uniform(size=n))
@@ -75,6 +88,11 @@ def _random_point(n, rng, z_scale=0.4, w_scale=0.4) -> CSPoint:
     norm = np.linalg.norm(w, 2)
     w = w * (w_scale * math.sqrt(rng.uniform()) / max(norm, 1e-12))
     return CSPoint(z=z, W=w)
+
+
+def _point_stack(points) -> CSPoint:
+    """The points as one stack along a new leading axis."""
+    return CSPoint(z=np.stack([p.z for p in points]), W=np.stack([p.W for p in points]))
 
 
 def _random_element(n, rng, scale=0.4) -> JacobiElement:
@@ -205,7 +223,7 @@ def _roundtrip_residuals(g, zs):
     ``z_of_w(w_of_z(zs))`` for symmetric ``zs``."""
     f = symplectic.gauss_decompose(g)
     re = symplectic.gauss_reassemble(f)
-    gauss = max(
+    gauss = _worst(
         np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b),
         np.linalg.norm(f.y - f.y.T),
     )
@@ -376,9 +394,9 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
         g = symplectic.sp_random(n, 0.5, rng)
         zs = symplectic.random_symmetric(n, 0.5, rng)
         gauss, cartan, zw = _roundtrip_residuals(g, zs)
-        worst_gauss = max(worst_gauss, gauss)
-        worst_cartan = max(worst_cartan, cartan)
-        worst_zw = max(worst_zw, zw)
+        worst_gauss = _worst(worst_gauss, gauss)
+        worst_cartan = _worst(worst_cartan, cartan)
+        worst_zw = _worst(worst_zw, zw)
     _rec(checks, "gauss-roundtrip", "triangular-factorization", worst_gauss, 1e-9,
          n=n, samples=samples)
     _rec(checks, "cartan-roundtrip", "polar-factorization", worst_cartan, 1e-9,
@@ -395,8 +413,8 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
         g12 = symplectic.sp_compose(g1, g2)
         lhs = symplectic.moebius(g1, g2w)
         rhs = symplectic.moebius(g12, w)
-        worst_act = max(worst_act, np.linalg.norm(lhs - rhs))
-        worst_forms = max(
+        worst_act = _worst(worst_act, np.linalg.norm(lhs - rhs))
+        worst_forms = _worst(
             worst_forms,
             _moebius_residual(g2, w, g2w),
             _moebius_residual(g1, g2w, lhs),
@@ -405,9 +423,9 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
         w1 = symplectic.random_siegel_point(n, 0.35, rng)
         w2 = symplectic.random_siegel_point(n, 0.35, rng)
         ball, unimodular, det_forms, prod = _ball_composition_residuals(w1, w2)
-        worst_ball = max(worst_ball, ball)
-        worst_detv = max(worst_detv, unimodular, det_forms)
-        worst_closure = max(
+        worst_ball = _worst(worst_ball, ball)
+        worst_detv = _worst(worst_detv, unimodular, det_forms)
+        worst_closure = _worst(
             worst_closure,
             symplectic.membership_residual(g12.a, g12.b),
             symplectic.membership_residual(prod.a, prod.b),
@@ -429,7 +447,7 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
         g = symplectic.sp_random(n, 0.4, rng)
         x = symplectic.random_siegel_point(n, 0.4, rng)
         y = symplectic.random_siegel_point(n, 0.4, rng)
-        worst_tr = max(worst_tr, _kernel_transform_residual(g, x, y, k))
+        worst_tr = _worst(worst_tr, _kernel_transform_residual(g, x, y, k))
     _rec(checks, "kernel-transformation", "multiplier-placement", worst_tr, 1e-9,
          n=n, k=k, samples=samples)
 
@@ -477,14 +495,14 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
     pts = [_random_point(n, rng) for _ in range(20)]
     # one kernel call per ordered pair serves both records
     gram = np.array([[jacobi.kernel(x, y, k) for y in pts] for x in pts])
-    worst_sym = max(abs(gram[i, j] - np.conj(gram[j, i]))
-                    for i in range(len(pts)) for j in range(len(pts)))
+    worst_sym = _worst(*(abs(gram[i, j] - np.conj(gram[j, i]))
+                         for i in range(len(pts)) for j in range(len(pts))))
     _rec(checks, "kernel-hermitian", "overlap-symmetry", worst_sym, 1e-12,
          n=n, k=k, samples=len(pts) ** 2)
 
     evmin = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min()
     _rec(checks, "kernel-positive", "overlap-positivity",
-         max(0.0, -evmin / np.linalg.norm(gram)), 1e-9, n=n, k=k,
+         _worst(0.0, -evmin / np.linalg.norm(gram)), 1e-9, n=n, k=k,
          samples=len(pts))
 
     worst_uni = worst_mult = worst_order = worst_routes = worst_literal = 0.0
@@ -493,12 +511,12 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
         h2 = _bounded_element(n, rng, 0.35)
         x = _random_point(n, rng, 0.35, 0.35)
         uni, mult, lam = _cocycle_residuals(h, h2, x, k)
-        worst_uni = max(worst_uni, uni)
-        worst_mult = max(worst_mult, mult)
-        worst_order = max(worst_order, _left_action_residual(h, h2, x))
+        worst_uni = _worst(worst_uni, uni)
+        worst_mult = _worst(worst_mult, mult)
+        worst_order = _worst(worst_order, _left_action_residual(h, h2, x))
         ez = jacobi.lambda_cocycle_ez(h, x, k)
-        worst_routes = max(worst_routes, abs(ez - lam) / abs(lam))
-        worst_literal = max(worst_literal, _cocycle_literal_residual(h, x, k, ez))
+        worst_routes = _worst(worst_routes, abs(ez - lam) / abs(lam))
+        worst_literal = _worst(worst_literal, _cocycle_literal_residual(h, x, k, ez))
     _rec(checks, "cocycle-unitarity", "multiplier-norm-consistency", worst_uni,
          1e-9, n=n, k=k, samples=samples)
     _rec(checks, "cocycle-multiplicative", "multiplier-composition", worst_mult,
@@ -545,8 +563,8 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     _rec(checks, "displacement-composition", "translation-phase-law",
          np.abs((fockoracle.displacement(a2, d1) - phase * d12)[:half]).max(), 1e-9,
          samples=1)
-    worst_order = max(_normal_order_residual(al, cutoff, d)
-                      for al, d in ((a2, d2), (a1, d1), (a2 + a1, d12)))
+    worst_order = _worst(*(_normal_order_residual(al, cutoff, d)
+                           for al, d in ((a2, d2), (a1, d1), (a2 + a1, d12))))
     _rec(checks, "displacement-normal-order", "normal-ordered-displacement",
          worst_order, 1e-8, samples=3)
 
@@ -568,29 +586,25 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     _rec(checks, "vacuum-orbit-convention", "orbit-argument-convention",
          probe["plain"], 1e-8, samples=1)
 
-    worst_kernel = 0.0
-    for _ in range(samples):
-        x = _random_point(1, rng, 0.4, 0.4)
-        y = _random_point(1, rng, 0.4, 0.4)
-        worst_kernel = max(
-            worst_kernel,
-            abs(fockoracle.oracle_kernel(x, y, cutoff) - jacobi.kernel(x, y, 1.0)),
-        )
-    _rec(checks, "kernel-oracle", "overlap-vs-closed-form", worst_kernel, 1e-7,
-         n=1, k=1.0, samples=samples)
+    # each record draws all its samples first, then makes one stacked
+    # oracle call for them
+    pairs = [(_random_point(1, rng, 0.4, 0.4), _random_point(1, rng, 0.4, 0.4))
+             for _ in range(samples)]
+    oracle = fockoracle.oracle_kernel(*(_point_stack(p) for p in zip(*pairs)), cutoff)
+    _rec(checks, "kernel-oracle", "overlap-vs-closed-form",
+         _worst(*(abs(o - jacobi.kernel(x, y, 1.0)) for o, (x, y) in zip(oracle, pairs))),
+         1e-7, n=1, k=1.0, samples=samples)
 
-    worst_mm1 = 0.0
-    for _ in range(samples):
-        # weight one: keep the rotation angle off the half-turn branch cut
-        h = _bounded_element(1, rng, 0.35, phase_cap=math.pi / 2)
-        x = _random_point(1, rng, 0.35, 0.35)
-        res, _ = fockoracle.mm1_residual(
-            h.g, complex(h.alpha[0]), complex(x.z[0]), complex(x.W[0, 0]),
-            max(cutoff, 100),
-        )
-        worst_mm1 = max(worst_mm1, res)
+    # weight one: keep the rotation angle off the half-turn branch cut
+    draws = [(_bounded_element(1, rng, 0.35, phase_cap=math.pi / 2),
+              _random_point(1, rng, 0.35, 0.35)) for _ in range(samples)]
+    res, _ = fockoracle.mm1_residual(
+        [h.g for h, _ in draws], np.array([h.alpha[0] for h, _ in draws]),
+        np.array([x.z[0] for _, x in draws]), np.array([x.W[0, 0] for _, x in draws]),
+        max(cutoff, 100),
+    )
     _rec(checks, "orbit-map-end-to-end", "operator-orbit-vs-closed-form",
-         worst_mm1, 1e-6, n=1, k=1.0, samples=samples)
+         _worst(*res), 1e-6, n=1, k=1.0, samples=samples)
 
     w1, w2 = 0.25 + 0.1j, -0.15 + 0.3j
     big = max(cutoff, 120)
@@ -624,11 +638,11 @@ def suite_gj1(k=16.0, seed=1234, samples=100) -> list:
         u = complex(rng.normal(), rng.normal())
         w, z = gj1.cayley(v, u)
         v2, u2 = gj1.cayley_inverse(w, z)
-        worst_rt = max(worst_rt, abs(v - v2) + abs(u - u2))
-        worst_kb = max(worst_kb, gj1.kb_form_check(v, u, k))
+        worst_rt = _worst(worst_rt, abs(v - v2) + abs(u - u2))
+        worst_kb = _worst(worst_kb, gj1.kb_form_check(v, u, k))
         x, y = v.real, v.imag
         p, q = rng.normal(), rng.normal()
-        worst_ez = max(worst_ez, _real_metric_residual(x, y, p, q, k))
+        worst_ez = _worst(worst_ez, _real_metric_residual(x, y, p, q, k))
     _rec(checks, "cayley-roundtrip", "halfplane-disk-biholomorphism", worst_rt,
          1e-12, samples=samples)
     _rec(checks, "form-pullback", "two-presentations-of-the-form", worst_kb,
@@ -656,14 +670,14 @@ def suite_gj1(k=16.0, seed=1234, samples=100) -> list:
             jacobi.jacobi_compose(h1, h2),
             _cs_from_halfplane(v, u),
         )
-        worst_act = max(
+        worst_act = _worst(
             worst_act,
             abs(complex(image.W[0, 0]) - w) + abs(complex(image.z[0]) - z),
         )
         # single-element intertwining
         w1, z1 = gj1.cayley(*gj1.gj0_act(m1, l1, v, u))
         image1 = jacobi.act(h1, _cs_from_halfplane(v, u))
-        worst_int = max(
+        worst_int = _worst(
             worst_int,
             abs(complex(image1.W[0, 0]) - w1) + abs(complex(image1.z[0]) - z1),
         )
@@ -755,17 +769,40 @@ def _jn_mc_tasks(p: float, count: int, seed: int) -> list:
 
 def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
     # w11 = a + ib, w12 = c + id, w22 = e + if; 1 - W W* for symmetric
-    # 2x2 W is positive definite iff its trace and determinant are > 0
+    # 2x2 W is positive definite iff its trace and determinant are > 0.
+    # The arithmetic runs in place, each sum in the order of its formula.
     a, b, c, d, e, f = jacobi._uniform_chunk(seed, count, 6, start)
-    m12 = c * c + d * d
-    s11 = 1.0 - (a * a + b * b + m12)
-    s22 = 1.0 - (e * e + f * f + m12)
+    t = np.empty_like(a)
+    m12 = c * c
+    m12 += np.multiply(d, d, out=t)
+    s11 = a * a
+    s11 += np.multiply(b, b, out=t)
+    s11 += m12
+    np.subtract(1.0, s11, out=s11)
+    s22 = e * e
+    s22 += np.multiply(f, f, out=t)
+    s22 += m12
+    np.subtract(1.0, s22, out=s22)
     # s12 = -(w11 conj(w12) + w12 conj(w22))
-    s12_re = a * c + b * d + c * e + d * f
-    s12_im = b * c - a * d + d * e - c * f
-    det = s11 * s22 - (s12_re * s12_re + s12_im * s12_im)
-    inside = (det > 0) & (s11 + s22 > 0)
-    return np.where(inside, det**p, 0.0).sum(), np.count_nonzero(inside)
+    s12_re = a * c
+    s12_re += np.multiply(b, d, out=t)
+    s12_re += np.multiply(c, e, out=t)
+    s12_re += np.multiply(d, f, out=t)
+    s12_im = b * c
+    s12_im -= np.multiply(a, d, out=t)
+    s12_im += np.multiply(d, e, out=t)
+    s12_im -= np.multiply(c, f, out=t)
+    det = np.multiply(s11, s22, out=m12)
+    s12_re *= s12_re
+    s12_im *= s12_im
+    s12_re += s12_im
+    det -= s12_re
+    s11 += s22
+    inside = det > 0
+    inside &= s11 > 0
+    det **= p
+    det[~inside] = 0.0
+    return det.sum(), np.count_nonzero(inside)
 
 
 def _jn_mc_fold(results, count: int) -> float:

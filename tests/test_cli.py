@@ -408,3 +408,18 @@ def test_verify_all_passes_each_flag_to_the_suites_that_read_it(monkeypatch):
     assert calls.pop("oracle") == {"seed": 5, "cutoff": 70}
     assert calls.pop("algebra") == {}
     assert calls == {name: {"seed": 5} for name in ("symplectic", "jacobi", "gj1", "measure")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "density", "--point", '{"z": [[0.0, 0.0]], "W": [[0]]}'],
+    ["decompose", "--which", "gauss", "--g", json.dumps(
+        {"a": [[1]], "b": {"rows": 1, "cols": 1, "re": [0.0], "im": [0.0]}})],
+])
+def test_a_matrix_that_is_not_the_json_form_exits_two(capsys, argv):
+    # a bare nested list in place of {rows, cols, re, im}: one error line,
+    # no traceback
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: a matrix must be an object with the keys rows, cols, re, im"]

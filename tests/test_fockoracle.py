@@ -364,6 +364,20 @@ def test_operator_columns_equal_their_vector_actions():
             assert np.array_equal(out[:, j], op(arg, block[:, j]))
 
 
+def test_operators_take_one_parameter_per_column():
+    v = np.column_stack([fo.cs_vector(z, w, 80).amps
+                         for z, w in [(0.3 + 0.1j, 0.2 - 0.1j), (0.0, 0.0), (-0.2, 0.35j)]])
+    gs = [sp.cartan_synthesize(np.array([[z]]), np.array([[u]]))
+          for z, u in [(0.25 + 0.1j, 1j), (0.0, 1.0), (-0.3j, np.exp(0.7j))]]
+    for op, args in [(fo.displacement, np.array([0.3 + 0.2j, 0.0, -0.4j])),
+                     (fo.squeeze, np.array([0.3 - 0.1j, 0.0, 0.5j])),
+                     (fo.squeeze_from_generator, np.array([0.25 + 0.1j, -0.1, 0.0])),
+                     (fo.s_of_g, gs)]:
+        out = op(args, v)
+        for j in range(3):
+            assert out[:, j].tobytes() == op(args[j], v[:, j]).tobytes()
+
+
 def test_state_route_squeeze_matches_dense_operator():
     n = 120
     w1, w2 = 0.25 + 0.1j, -0.15 + 0.3j
@@ -401,3 +415,175 @@ def test_import_loads_no_sparse_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_generator_diagonals_have_the_bits_of_the_dense_products():
+    # the diagonals are built without the matrices; each keeps the bits of
+    # the dense product that defines it, the signs of zero parts included
+    for cutoff in range(2, 131):
+        dense = dict(zip(("a", "ad", "kp", "km", "k0"), _todays_generators(cutoff)))
+        for name, (offset, diag) in fo._generators(cutoff).items():
+            assert diag.tobytes() == np.diagonal(dense[name], offset).tobytes(), (name, cutoff)
+            assert not diag.flags.writeable
+
+
+def _todays_expm_apply(gen, v):
+    # the one-vector Taylor action before per-column steps and the exact
+    # early exit: ceil(||G||_1) steps, each term divided by steps * j
+    n = len(v)
+    colsum = np.zeros(n)
+    for offset, diag in gen.items():
+        if offset >= 0:
+            colsum[offset:] += np.abs(diag)
+        else:
+            colsum[: n + offset] += np.abs(diag)
+    steps = max(1, math.ceil(colsum.max()))
+    scaled = [{off: diag / (steps * j) for off, diag in gen.items()} for j in range(1, 19)]
+    for _ in range(steps):
+        term = v
+        for gen_j in scaled:
+            out = np.zeros(n, dtype=complex)
+            for off, diag in gen_j.items():
+                if off >= 0:
+                    out[: n - off] += diag * term[off:]
+                else:
+                    out[-off:] += diag * term[:off]
+            term = out
+            v = v + term
+    return v
+
+
+def _steps(gen, n):
+    colsum = np.zeros((n, max(d.shape[1] for d in gen.values())))
+    for offset, diag in gen.items():
+        if offset >= 0:
+            colsum[offset:] += np.abs(diag)
+        else:
+            colsum[: n + offset] += np.abs(diag)
+    return np.maximum(1, np.ceil(colsum.max(axis=0))).astype(int)
+
+
+def test_stacked_expm_apply_equals_one_action_per_column():
+    cutoff = 100
+    rng = np.random.default_rng(3)
+    # |alpha| from 0 to 1.7 gives 1 to 35 Taylor steps; alpha = 0 and the
+    # zero column have a zero first term
+    alpha = np.geomspace(0.02, 1.7, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
+    alpha = np.concatenate([rng.permutation(np.append(alpha, 0.0)), [0.3j]])
+    v = rng.normal(size=(cutoff + 1, len(alpha))) + 1j * rng.normal(size=(cutoff + 1, len(alpha)))
+    v[:, -1] = 0.0
+    gen = fo._banded(cutoff, ad=alpha, a=-np.conj(alpha))
+    steps = _steps(gen, cutoff + 1)
+    assert steps.min() == 1 and steps.max() >= 34 and len(set(steps)) >= 10
+    stacked = fo._expm_apply(gen, v)
+    for j, col in enumerate(v.T):
+        one = fo._expm_apply(fo._banded(cutoff, ad=alpha[j], a=-np.conj(alpha[j])), col)
+        assert stacked[:, j].tobytes() == one.tobytes()
+        assert np.array_equal(one, _todays_expm_apply({o: d[:, 0] for o, d in fo._banded(
+            cutoff, ad=alpha[j], a=-np.conj(alpha[j])).items()}, col))
+    zero = np.flatnonzero(alpha == 0)[0]
+    assert stacked[:, zero].tobytes() == v[:, zero].tobytes() and not stacked[:, -1].any()
+
+
+def test_a_zero_first_term_returns_the_columns_as_they_are(monkeypatch):
+    # Km annihilates |0> and |1>: exp(-conj(w) Km) makes one product, the
+    # first term, and returns those columns with their bits
+    products = []
+
+    def count(gen, v):
+        products.append(v.shape)
+        return band_matvec(gen, v)
+
+    band_matvec = fo._band_matvec
+    monkeypatch.setattr(fo, "_band_matvec", count)
+    cols = np.eye(121, 2, dtype=complex)
+    out = fo._expm_apply(fo._banded(120, km=-np.conj(0.25 + 0.1j)), cols)
+    assert out.tobytes() == cols.tobytes() and len(products) == 1
+    # a generator shared by a block exits early only for the whole block;
+    # columns annihilated alone run with the rest and keep their bits
+    block = np.eye(121, 4, dtype=complex)
+    out = fo._expm_apply(fo._banded(120, km=0.3), block)
+    assert out[:, :2].tobytes() == block[:, :2].tobytes()
+    for j in range(4):
+        assert out[:, j].tobytes() == fo._expm_apply(fo._banded(120, km=0.3), block[:, j]).tobytes()
+
+
+def test_stacked_cs_vector_equals_one_series_per_column(monkeypatch):
+    pairs = [(0.0, 0.0), (0.4 + 0.2j, 0.0), (0.1, 0.3), (0.35 - 0.1j, -0.3 + 0.2j),
+             (0.0, 0.5j), (0.02, 0.01j)]
+    terms = []
+
+    def count(gen, v):
+        terms.append(v.shape[1])
+        return band_matvec(gen, v)
+
+    band_matvec = fo._band_matvec
+    monkeypatch.setattr(fo, "_band_matvec", count)
+    singles = []
+    for z, w in pairs:
+        terms.clear()
+        singles.append((fo.cs_vector(z, w, 80).amps, len(terms)))
+    # each series stops at its own term
+    assert len({n for _, n in singles}) == len(pairs)
+    stack = fo.cs_vector(np.array([z for z, _ in pairs], dtype=complex),
+                         np.array([w for _, w in pairs], dtype=complex), 80)
+    assert stack.amps.shape == (81, len(pairs))
+    for j, (amps, _) in enumerate(singles):
+        assert stack.amps[:, j].tobytes() == amps.tobytes()
+    assert np.array_equal(stack.norm, [fo.FockVec(80, a).norm for a, _ in singles])
+
+
+def _suite_oracle_draws(seed, samples=20):
+    # the draws of verify.suite_oracle, in its order
+    rng = np.random.default_rng(seed)
+    pairs = [(verify._random_point(1, rng, 0.4, 0.4), verify._random_point(1, rng, 0.4, 0.4))
+             for _ in range(samples)]
+    draws = [(verify._bounded_element(1, rng, 0.35, phase_cap=math.pi / 2),
+              verify._random_point(1, rng, 0.35, 0.35)) for _ in range(samples)]
+    return pairs, draws
+
+
+@pytest.mark.parametrize("seed", [7, 1234])
+def test_stacked_oracle_records_equal_one_call_per_sample(seed):
+    pairs, draws = _suite_oracle_draws(seed)
+    xs, ys = (verify._point_stack(p) for p in zip(*pairs))
+    kernel = fo.oracle_kernel(xs, ys, 60)
+    assert kernel.shape == (len(pairs),)
+    for value, (x, y) in zip(kernel, pairs):
+        one = fo.oracle_kernel(x, y, 60)
+        assert isinstance(one, complex) and value == one
+    args = [(h.g, complex(h.alpha[0]), complex(x.z[0]), complex(x.W[0, 0])) for h, x in draws]
+    res, datas = fo.mm1_residual([a[0] for a in args], *(np.array([a[i] for a in args])
+                                                         for i in (1, 2, 3)), 100)
+    assert res.shape == (len(args),) and len(datas) == len(args)
+    for r, data, a in zip(res, datas, args):
+        one, one_data = fo.mm1_residual(*a, 100)
+        assert isinstance(one, float) and r.tobytes() == np.float64(one).tobytes()
+        assert data.lam == one_data.lam
+
+
+def test_oracle_kernel_needs_stacks_of_one_shape():
+    x = jacobi.CSPoint(z=np.array([0.1]), W=np.array([[0.2]]))
+    ys = jacobi.CSPoint(z=np.full((3, 1), 0.1 + 0j), W=np.full((3, 1, 1), 0.2 + 0j))
+    shared_w = jacobi.CSPoint(z=ys.z, W=x.W)  # one W broadcast over three z
+    for pair in ((x, ys), (ys, x), (shared_w, ys)):
+        with pytest.raises(ValueError, match="one shape"):
+            fo.oracle_kernel(*pair, 40)
+    assert fo.oracle_kernel(ys, ys, 40).shape == (3,)
+
+
+def test_stacked_cutoff_guard_names_the_sample():
+    lift = sp.cartan_synthesize(np.zeros((1, 1)), np.eye(1))
+    alpha = np.array([0.1, 0.2, 4.0, 0.1])
+    with pytest.raises(CutoffTooSmall, match=r"^sample 2: displacement by \|alpha\|=4\.0 "):
+        fo.displacement(alpha, np.eye(13, 4))
+    with pytest.raises(CutoffTooSmall, match=r"^sample 2: displacement"):
+        fo.mm1_residual([lift] * 4, alpha, np.zeros(4), np.zeros(4), 12)
+    with pytest.raises(CutoffTooSmall, match=r"^sample 1: orbit vector tail mass"):
+        fo.cs_vector(np.zeros(3), np.array([0.1, 0.9, 0.1]), 40)
+    with pytest.raises(CutoffTooSmall, match=r"^sample 0: lift by"):
+        fo.s_of_g([sp.cartan_synthesize(np.array([[math.atanh(0.9)]]), np.eye(1)), lift],
+                  np.eye(41, 2))
+    # a single sample keeps its message
+    with pytest.raises(CutoffTooSmall, match=r"^displacement by \|alpha\|=4\.0 tail mass"):
+        fo.displacement(4.0, fo.vacuum(12).amps)

@@ -601,3 +601,20 @@ def test_eye_is_a_shared_read_only_identity():
         assert eye is matfun.eye(n)
         assert not eye.flags.writeable
         assert eye.dtype == np.eye(n).dtype and np.array_equal(eye, np.eye(n))
+
+
+@pytest.mark.parametrize("d, message", [
+    ([[0.0]], "keys"),
+    ({"rows": 1, "cols": 1, "re": [0.0]}, "keys"),
+    ({"rows": 1, "cols": 1, "re": [0.0], "im": [0.0], "extra": 1}, "keys"),
+    ({"rows": 1.0, "cols": 1, "re": [0.0], "im": [0.0]}, "integers"),
+    ({"rows": True, "cols": 1, "re": [0.0], "im": [0.0]}, "integers"),
+    ({"rows": -1, "cols": 1, "re": [], "im": []}, "integers"),
+    ({"rows": 1, "cols": 2, "re": [0.0], "im": [0.0, 0.0]}, "2 numbers"),
+    ({"rows": 1, "cols": 1, "re": [[0.0]], "im": [0.0]}, "1 numbers"),
+    ({"rows": 1, "cols": 1, "re": ["x"], "im": [0.0]}, "list of numbers"),
+    ({"rows": 1, "cols": 1, "re": [0.0], "im": [float("nan")]}, "non-finite"),
+])
+def test_mat_from_json_rejects_malformed_input(d, message):
+    with pytest.raises(ValueError, match=message):
+        matfun.mat_from_json(d)

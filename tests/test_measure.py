@@ -294,3 +294,65 @@ def test_sampler_workers_call_no_public_function(monkeypatch):
     verify.suite_measure(seed=7, samples=3 * jacobi._CHUNK + 17)
     jacobi.sample_arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
     assert off_main == []
+
+
+# frozen copies of the chunk arithmetic before it ran in place: the in-place
+# chunks must keep their bytes
+def _uniform_chunk_frozen(seed, count, streams, start):
+    mcount = min(jacobi._CHUNK, count - start)
+    bitgens = (np.random.PCG64(seed).advance(j * count + start) for j in range(streams))
+    return [np.random.Generator(b).uniform(-1.0, 1.0, mcount) for b in bitgens]
+
+
+def _jn_mc_chunk_frozen(p, count, seed, start):
+    a, b, c, d, e, f = _uniform_chunk_frozen(seed, count, 6, start)
+    m12 = c * c + d * d
+    s11 = 1.0 - (a * a + b * b + m12)
+    s22 = 1.0 - (e * e + f * f + m12)
+    s12_re = a * c + b * d + c * e + d * f
+    s12_im = b * c - a * d + d * e - c * f
+    det = s11 * s22 - (s12_re * s12_re + s12_im * s12_im)
+    inside = (det > 0) & (s11 + s22 > 0)
+    return np.where(inside, det**p, 0.0).sum(), np.count_nonzero(inside)
+
+
+def _kernel_n1_frozen(z, w, z0, w0, k):
+    zb = np.conj(z)
+    wb = np.conj(w)
+    u = 1.0 / (1.0 - w0 * wb)
+    expo = zb * z0 + (0.5 * z0 * z0) * wb + (0.5 * w0) * (zb * zb)
+    return u ** (k / 2) * np.exp(u * expo)
+
+
+def _reproduce_chunk_frozen(consts, count, seed, ci, targets):
+    w, z, wt = jacobi._sample_chunk_n1(consts, count, seed, ci)
+    mass = wt.sum()
+    keep = np.flatnonzero(wt)
+    w, z, wt = w[keep], z[keep], wt[keep]
+    sums = [np.sum(wt * _kernel_n1_frozen(z, w, z0, w0, consts.k) * f(z, w))
+            for f, z0, w0 in targets]
+    return mass, len(keep), *sums
+
+
+def _same_bytes(got, want):
+    return len(got) == len(want) and all(
+        type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_in_place_chunks_keep_the_bytes_of_their_expressions(seed):
+    count = 2 * jacobi._CHUNK + 17  # the last chunk is short
+    targets = [(f, z0, w0) for _, f, z0, w0 in verify._REPRODUCING_TARGETS]
+    for start in range(0, count, jacobi._CHUNK):
+        chunk = jacobi._uniform_chunk(seed, count, 6, start)
+        assert chunk.tobytes() == np.array(_uniform_chunk_frozen(seed, count, 6, start)).tobytes()
+        for p in (1.0, 0.5):  # 0.5 takes numpy's square-root path for the power
+            with np.errstate(invalid="ignore"):
+                assert _same_bytes(verify._jn_mc_chunk(p, count, seed, start),
+                                   _jn_mc_chunk_frozen(p, count, seed, start))
+    for k in (6.0, 5.0):
+        consts = jacobi.measure_constants(1, k)
+        for ci in range(jacobi._chunk_count(count)):
+            assert _same_bytes(jacobi._reproduce_chunk(consts, count, seed, ci, targets),
+                               _reproduce_chunk_frozen(consts, count, seed, ci, targets))

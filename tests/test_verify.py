@@ -3,6 +3,7 @@ only here (not inside the primitives) must fail when their route is off."""
 
 import dataclasses
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -239,3 +240,27 @@ def test_resolved_conventions_are_pinned():
     }
     record = next(c for c in _clean_run(_symplectic) if c["check"] == "kernel-transformation")
     assert record["anchor"] == "multiplier-placement" and record["pass"]
+
+
+def test_worst_keeps_a_nan_from_any_sample():
+    assert verify._worst(0.0, 2.0, 1.0) == 2.0
+    for residuals in ((0.0, math.nan), (math.nan, 1.0), (0.0, 1.0, math.nan, 0.5)):
+        assert math.isnan(verify._worst(*residuals))
+
+
+def test_a_nan_sample_fails_its_record(monkeypatch):
+    # NaN on the 5th of 100 samples: both records it feeds read NaN and fail
+    calls = []
+    cocycle_residuals = verify._cocycle_residuals
+
+    def nan_on_fifth(*args):
+        calls.append(args)
+        uni, mult, lam = cocycle_residuals(*args)
+        return (math.nan, math.nan, lam) if len(calls) == 5 else (uni, mult, lam)
+
+    monkeypatch.setattr(verify, "_cocycle_residuals", nan_on_fifth)
+    checks = {c["check"]: c for c in verify.suite_jacobi(seed=7)}
+    assert len(calls) == 100
+    for name in ("cocycle-unitarity", "cocycle-multiplicative"):
+        assert checks[name]["pass"] is False and math.isnan(checks[name]["residual"])
+    assert checks["cocycle-route-agreement"]["pass"] is True
