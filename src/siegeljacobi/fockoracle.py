@@ -453,12 +453,13 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     sinv_a_s, sinv_cols = np.hsplit(
         squeeze_from_generator(-zeta, np.hstack([_band_matvec(annihilate, s_cols), cols])), 2)
 
-    res = np.abs(sinv_a_s[:deep] - (m * a + n * ad)[:deep, :deep]).max()
-    res = max(res, np.abs((displacement(alpha, s_cols) - s_d_beta)[:deep]).max())
+    res = [np.abs(sinv_a_s[:deep] - (m * a + n * ad)[:deep, :deep]).max(),
+           np.abs((displacement(alpha, s_cols) - s_d_beta)[:deep]).max()]
     lhs = squeeze_from_generator(zeta, displacement(alpha, sinv_cols))
     rhs = displacement(complex(alpha_action(g, alpha_v)[0]), cols)
-    res = max(res, np.abs((lhs - rhs)[:deep]).max())
-    return float(res)
+    res.append(np.abs((lhs - rhs)[:deep]).max())
+    # NaN in any of the three is the result: Python's max would drop it
+    return float(np.max(res))
 
 
 def oracle_kernel(x: CSPoint, y: CSPoint, cutoff: int):

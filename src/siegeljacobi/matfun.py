@@ -8,7 +8,13 @@ and a real one by Cholesky for the Hermitian positive-definite
 own LAPACK gufuncs (``numpy.linalg._umath_linalg``), the ones ``np.linalg``
 calls, on one matrix and on a stack alike: on the ``n <= 3`` matrices of the
 closed forms, ``np.linalg``'s wrappers cost several microseconds more than
-the factorization.  This module loads no scipy.  Matrices are plain
+the factorization.  The spectral calculus, the log-determinants, the
+solves and the domain and symmetry checks take one matrix ``(n, n)`` or a
+stack ``(..., n, n)``, and a stacked call equals the per-matrix calls bit
+for bit; a validation error on a stack names the index of the first matrix
+that failed.  The symmetry checks compare residuals of the matrices scaled
+to entries of at most 1, so that no finite input overflows them, and they
+are written so that NaN fails them.  This module loads no scipy.  Matrices are plain
 ``numpy`` arrays of ``complex``; the shared JSON wire format is
 ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with row-major entry
 order.
@@ -74,19 +80,21 @@ def _lapack(gufunc, fallback, *args):
     """``gufunc(*args)`` as ``np.linalg`` calls it, for float64 or complex128
     operands: a failed factorization sets the floating-point invalid flag
     (and fills its matrix with NaN), which raises ``LinAlgError`` here as it
-    does there, without a warning; a failed ``eigvals`` raises
-    :class:`NoConvergence` naming the first matrix that failed.  Operands the
-    gufunc refuses (a matrix that is not square, a mismatched right-hand
-    side) go to ``fallback``, the ``np.linalg`` function, which raises its
-    own error for them."""
+    does there, without a warning; a failed ``eigvals``, ``eigh`` or
+    ``eigvalsh`` raises :class:`NoConvergence` naming the first matrix that
+    failed.  Operands the gufunc refuses (a matrix that is not square, a
+    mismatched right-hand side) go to ``fallback``, the ``np.linalg``
+    function, which raises its own error for them."""
     try:
         return gufunc(*args)
     except FloatingPointError:
-        if gufunc is not _umath_linalg.eigvals:
+        if gufunc not in (_umath_linalg.eigvals, _umath_linalg.eigh_lo,
+                          _umath_linalg.eigvalsh_lo):
             raise np.linalg.LinAlgError("Singular matrix") from None
         # run it again to read which matrix it left as NaN
         with np.errstate(invalid="ignore"):
-            failed = np.isnan(gufunc(*args)).any(axis=-1)
+            out = gufunc(*args)
+        failed = np.isnan(out[0] if isinstance(out, tuple) else out).any(axis=-1)
         raise NoConvergence(f"{_first_failure(failed)[1]}eigenvalues did not converge") from None
     except ValueError:
         return fallback(*args)
@@ -221,16 +229,72 @@ def mat_from_json(d: dict) -> np.ndarray:
     return re + 1j * im
 
 
+def _as_square_stack(m, error) -> np.ndarray:
+    """``m`` as a complex array of one square matrix or a stack of them.
+
+    Raises
+    ------
+    ValueError
+        If ``m`` has fewer than two axes or a non-finite entry.
+    error
+        If the matrices are not square.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
+        raise error("matrix is not square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
+def _part_scale(m: np.ndarray) -> np.ndarray:
+    """``max(1, largest |real| or |imag| part)`` of each matrix of ``m``."""
+    return np.maximum(np.abs(m.real).max(axis=(-2, -1), initial=1.0),
+                      np.abs(m.imag).max(axis=(-2, -1), initial=1.0))
+
+
+def _asymmetry(m: np.ndarray, conjugate: bool):
+    """Which matrices of ``m`` differ from their transpose (their conjugate
+    transpose if ``conjugate``) by more than ``DEFAULT_TOL * max(||m||, 1)``,
+    Frobenius norms, and by how much relative to ``max(||m||, 1)``.
+
+    Each matrix is divided by ``s = max(1, largest |real| or |imag| part)``
+    and ``||m/s - (m/s)^T|| <= DEFAULT_TOL * max(||m/s||, 1/s)`` is tested:
+    the same inequality on entries of at most 1, so that no finite input
+    overflows it, written so that a NaN residual fails it.  Returns the
+    boolean failure array and the relative residuals, both of the leading
+    shape.
+    """
+    scale = _part_scale(m)
+    unit = m / scale[..., None, None]
+    flip = unit.swapaxes(-1, -2)
+    res = np.linalg.norm(unit - (flip.conj() if conjugate else flip), axis=(-2, -1))
+    size = np.maximum(np.linalg.norm(unit, axis=(-2, -1)), 1.0 / scale)
+    return ~(res <= DEFAULT_TOL * size), res / size
+
+
+def _symmetry_gate(m: np.ndarray, conjugate: bool, error) -> None:
+    """Raise ``error`` if a matrix of ``m`` fails :func:`_asymmetry`; for a
+    stack the message names the first one."""
+    bad, rel = _asymmetry(m, conjugate)
+    if bad.any():
+        idx, where = _first_failure(bad)
+        raise error(f"{where}symmetry residual {rel[idx]:.3e} of max(||m||, 1) exceeds "
+                    f"tol {DEFAULT_TOL:.1e}")
+
+
 @dataclass(frozen=True)
 class HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack.
 
     Attributes
     ----------
     evals : ndarray
-        Real eigenvalues in ascending order.
+        Real eigenvalues in ascending order, ``(..., n)``.
     evecs : ndarray
-        Unitary matrix whose columns are the eigenvectors.
+        Unitary matrices whose columns are the eigenvectors, ``(..., n, n)``.
     """
 
     evals: np.ndarray
@@ -241,51 +305,49 @@ class HermEig:
         eigenvalues (vectorized); several functions of one matrix share its
         decomposition."""
         fe = np.asarray(f(self.evals))
-        return (self.evecs * fe) @ self.evecs.conj().T
+        return (self.evecs * fe[..., None, :]) @ self.evecs.conj().swapaxes(-1, -2)
 
 
 def herm_eig(h: np.ndarray) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix with validation.
+    """Eigendecomposition of a Hermitian matrix, or of a stack, with
+    validation: one call of numpy's ``eigh`` gufunc (``zheevd`` per matrix,
+    lower triangle), the one ``np.linalg.eigh`` calls.
 
     Parameters
     ----------
     h : ndarray
-        Square matrix, Hermitian within ``DEFAULT_TOL * max(||h||, 1)``.
+        Square matrix ``(n, n)`` or stack ``(..., n, n)``, each Hermitian
+        within ``DEFAULT_TOL * max(||h||, 1)``.
 
     Raises
     ------
+    ValueError
+        If an entry is not finite.
     NonHermitian
-        If the symmetry check fails.
+        If the matrices are not square or the symmetry check fails.
     NoConvergence
         If the underlying QR iteration stalls.
     """
-    h = as_cmat(h)
-    if h.shape[0] != h.shape[1]:
-        raise NonHermitian("matrix is not square")
-    scale = max(np.linalg.norm(h), 1.0)
-    if np.linalg.norm(h - h.conj().T) > DEFAULT_TOL * scale:
-        raise NonHermitian(
-            f"symmetry residual {np.linalg.norm(h - h.conj().T):.3e} exceeds tol"
-        )
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise NoConvergence(str(exc)) from exc
+    h = _as_square_stack(h, NonHermitian)
+    _symmetry_gate(h, True, NonHermitian)
+    evals, evecs = _lapack(_umath_linalg.eigh_lo, np.linalg.eigh, h)
     return HermEig(evals=evals, evecs=evecs)
 
 
 def herm_func(h: np.ndarray, f, domain=None) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix by spectral calculus.
+    """Apply a scalar function to a Hermitian matrix, or to each of a stack,
+    by spectral calculus.
 
     Parameters
     ----------
     h : ndarray
-        Hermitian matrix, validated by :func:`herm_eig`.
+        Hermitian matrix or stack, validated by :func:`herm_eig`.
     f : callable
         Scalar function applied to the eigenvalues (vectorized).
     domain : callable, optional
         Predicate on the eigenvalue array; a ``False`` anywhere raises
-        :class:`DomainViolation` (e.g. ``arctanh`` needs eigenvalues < 1).
+        :class:`DomainViolation` (e.g. ``arctanh`` needs eigenvalues < 1),
+        naming the first matrix of a stack that leaves it.
 
     Returns
     -------
@@ -293,10 +355,12 @@ def herm_func(h: np.ndarray, f, domain=None) -> np.ndarray:
         ``V f(diag(evals)) V*``; Hermitian whenever ``f`` is real valued.
     """
     dec = herm_eig(h)
-    if domain is not None and not np.all(domain(dec.evals)):
-        raise DomainViolation(
-            f"eigenvalues {dec.evals} leave the domain of {getattr(f, '__name__', f)}"
-        )
+    if domain is not None:
+        bad = ~np.all(domain(dec.evals), axis=-1)
+        if bad.any():
+            idx, where = _first_failure(bad)
+            raise DomainViolation(f"{where}eigenvalues {dec.evals[idx]} leave the domain "
+                                  f"of {getattr(f, '__name__', f)}")
     return dec.apply(f)
 
 
@@ -348,21 +412,30 @@ def arctanhc_of_sqrt(t):
 
 
 def check_symmetric(z: np.ndarray) -> np.ndarray:
-    """Validate complex symmetry ``z == z^T``, within
-    ``DEFAULT_TOL * max(||z||, 1)``, and return ``z``."""
-    z = as_cmat(z)
-    scale = max(np.linalg.norm(z), 1.0)
-    if np.linalg.norm(z - z.T) > DEFAULT_TOL * scale:
-        raise NotSymmetric(f"symmetry residual {np.linalg.norm(z - z.T):.3e}")
+    """Validate complex symmetry ``z == z^T`` of a matrix or of each of a
+    stack, within ``DEFAULT_TOL * max(||z||, 1)``, and return ``z`` as a
+    complex array.
+
+    Raises
+    ------
+    ValueError
+        If ``z`` is not a matrix or an entry is not finite.
+    NotSymmetric
+        If a matrix is not square or not symmetric; for a stack the message
+        names the first such matrix.
+    """
+    z = _as_square_stack(z, NotSymmetric)
+    _symmetry_gate(z, False, NotSymmetric)
     return z
 
 
 def cartan_blocks(z: np.ndarray):
     """Hyperbolic blocks of the exponential of an off-diagonal generator.
 
-    For symmetric ``z`` returns ``(m, n)`` with ``m = cosh(sqrt(z zbar))`` and
-    ``n = sinhc(sqrt(z zbar)) z``; the product ``z zbar`` equals ``z z*`` so
-    the spectral calculus applies.  The pair satisfies ``m m* - n n* = 1``.
+    For symmetric ``z`` (one matrix or a stack) returns ``(m, n)`` with
+    ``m = cosh(sqrt(z zbar))`` and ``n = sinhc(sqrt(z zbar)) z``; the product
+    ``z zbar`` equals ``z z*`` so the spectral calculus applies.  The pair
+    satisfies ``m m* - n n* = 1``.
 
     Raises
     ------
@@ -370,7 +443,7 @@ def cartan_blocks(z: np.ndarray):
         If ``z`` is not complex-symmetric.
     """
     z = check_symmetric(z)
-    dec = herm_eig(z @ z.conj().T)
+    dec = herm_eig(z @ z.conj().swapaxes(-1, -2))
     return dec.apply(cosh_of_sqrt), dec.apply(sinhc_of_sqrt) @ z
 
 
@@ -492,22 +565,58 @@ def _raise_hpd_failure(m: np.ndarray, diag: np.ndarray):
         )
 
 
-def detpow(m: np.ndarray, s: float) -> complex:
-    """``det(m)**s`` on the principal branch: ``exp(s * principal_logdet(m))``."""
-    return complex(np.exp(s * principal_logdet(m)))
+def detpow(m: np.ndarray, s: float):
+    """``det(m)**s`` on the principal branch: ``exp(s * principal_logdet(m))``,
+    a ``complex`` for one matrix and a complex array for a stack."""
+    out = np.exp(s * principal_logdet(m))
+    return out if isinstance(out, np.ndarray) else complex(out)
 
 
-def is_siegel(w: np.ndarray) -> bool:
+def _cmul(a, b):
+    """``a * b`` with the rounding of one complex scalar product.
+
+    Python and numpy scalars multiply complex numbers by the textbook
+    formula; numpy's SIMD loop for complex arrays fuses multiply and add and
+    rounds some products differently.  For arrays the formula is applied
+    here on the real and imaginary parts, so an element of a stacked result
+    has the bits of the scalar product of its operands.
+    """
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return a * b
+    a, b = np.asarray(a), np.asarray(b)
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def is_siegel(w: np.ndarray):
     """Predicate for membership in the bounded symmetric domain.
 
     True iff ``w`` is complex-symmetric within :data:`DEFAULT_TOL` and the
-    smallest eigenvalue of ``1 - w w*`` exceeds it.
+    smallest eigenvalue of ``1 - w w*`` exceeds it.  ``w`` is one matrix,
+    giving a ``bool``, or a stack, giving a boolean array of its leading
+    shape.  A matrix with an entry whose real or imaginary part has size at
+    least 1 is outside (a diagonal entry of ``1 - w w*`` is at most 0) and
+    is not multiplied out, so no finite input overflows.
+
+    Raises
+    ------
+    ValueError
+        If ``w`` is not a matrix or an entry is not finite.
     """
-    w = as_cmat(w)
-    if w.shape[0] != w.shape[1]:
-        return False
-    scale = max(np.linalg.norm(w), 1.0)
-    if np.linalg.norm(w - w.T) > DEFAULT_TOL * scale:
-        return False
-    g = eye(w.shape[0]) - w @ w.conj().T
-    return bool(np.linalg.eigvalsh(g).min() > DEFAULT_TOL)
+    w = np.asarray(w, dtype=complex)
+    if w.ndim < 2:
+        raise ValueError(f"expected a matrix, got ndim={w.ndim}")
+    if not np.isfinite(w).all():
+        raise ValueError("matrix has non-finite entries")
+    if w.shape[-1] != w.shape[-2]:
+        return False if w.ndim == 2 else np.zeros(w.shape[:-2], dtype=bool)
+    # zeroing the matrices that are outside keeps every product finite
+    small = np.maximum(np.abs(w.real), np.abs(w.imag)).max(axis=(-2, -1), initial=0.0) < 1.0
+    w = np.where(small[..., None, None], w, 0.0)
+    g = eye(w.shape[-1]) - w @ w.conj().swapaxes(-1, -2)
+    inside = small & ~_asymmetry(w, False)[0]
+    inside &= _lapack(_umath_linalg.eigvalsh_lo, np.linalg.eigvalsh, g).min(axis=-1) > DEFAULT_TOL
+    return bool(inside) if w.ndim == 2 else inside

@@ -15,6 +15,15 @@ is the ``W`` block of :func:`siegeljacobi.jacobi.kahler_form` there.
 Each formula is evaluated by one closed form; the independent routes that
 cross-check them (second closed forms, group closure) run in
 :mod:`siegeljacobi.verify`, not on every call.
+
+An :class:`SpElement` holds one element, blocks ``(n, n)``, or a stack of
+them, blocks ``(..., n, n)``.  :func:`sp_compose`, :func:`sp_inverse`,
+:func:`cartan_synthesize`, :func:`w_of_z`, :func:`z_of_w` and
+:func:`moebius` take stacks, and each element or matrix of a stack has the
+bits of its own call.  The random draws :func:`random_symmetric`,
+:func:`sp_random` and :func:`random_siegel_point` give one sample each; the
+private builders under them make a stack of samples from one normal draw
+of :data:`SYM_BLOCKS` or :data:`SP_BLOCKS` blocks per sample.
 """
 
 from __future__ import annotations
@@ -63,14 +72,19 @@ _INT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpElement:
-    """Group element stored as the complex block pair ``(a, b)``."""
+    """Group element stored as the complex block pair ``(a, b)``, or a stack
+    of elements along the blocks' leading axes; indexing a stack gives its
+    elements.  The JSON form is that of a single element."""
 
     a: np.ndarray
     b: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
+
+    def __getitem__(self, index) -> "SpElement":
+        return SpElement(a=self.a[index], b=self.b[index])
 
     def to_json(self) -> dict:
         return {"a": matfun.mat_to_json(self.a), "b": matfun.mat_to_json(self.b)}
@@ -102,15 +116,30 @@ class CartanFactors:
     v: np.ndarray
 
 
+#: Blocks with a real or imaginary part beyond this size have membership
+#: residual inf: their products would overflow, and no such pair meets the
+#: identities to a working tolerance (rounding alone leaves about
+#: ``1e-16 * 1e200``).
+_MEMBERSHIP_PART_CAP = 1e100
+
+
 def membership_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst residual of the four block identities defining the group."""
+    """Worst residual of the four block identities defining the group.
+
+    It is inf, not computed, for blocks with a part beyond
+    :data:`_MEMBERSHIP_PART_CAP`, and NaN for non-finite blocks, so that no
+    input overflows to a residual that passes a bound.
+    """
+    scale = np.maximum(matfun._part_scale(a), matfun._part_scale(b))
+    if not scale <= _MEMBERSHIP_PART_CAP:
+        return math.nan if np.isnan(scale) else math.inf
     eye = matfun.eye(a.shape[0])
-    return max(
+    return float(np.max([
         np.linalg.norm(a @ a.conj().T - b @ b.conj().T - eye),
         np.linalg.norm(a @ b.T - b @ a.T),
         np.linalg.norm(a.conj().T @ a - b.T @ b.conj() - eye),
         np.linalg.norm(a.T @ b.conj() - b.conj().T @ a),
-    )
+    ]))
 
 
 def sp_new(a, b, tol: float = DEFAULT_TOL) -> SpElement:
@@ -121,7 +150,8 @@ def sp_new(a, b, tol: float = DEFAULT_TOL) -> SpElement:
     ValueError
         If ``tol`` is not a finite positive number.
     NotSymplectic
-        With the worst residual if any of the four block identities fails.
+        With the worst residual if any of the four block identities fails
+        (a NaN residual fails).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -130,7 +160,7 @@ def sp_new(a, b, tol: float = DEFAULT_TOL) -> SpElement:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise NotSymplectic("blocks must be square and of equal size")
     res = membership_residual(a, b)
-    if res > tol:
+    if not res <= tol:
         raise NotSymplectic(f"membership residual {res:.3e} exceeds tol {tol:.1e}")
     return SpElement(a=a, b=b)
 
@@ -141,11 +171,12 @@ def sp_identity(n: int) -> SpElement:
 
 def sp_inverse(g: SpElement) -> SpElement:
     """Inverse element; blocks are ``(a*, -b^T)``."""
-    return SpElement(a=g.a.conj().T, b=-g.b.T)
+    return SpElement(a=g.a.conj().swapaxes(-1, -2), b=-g.b.swapaxes(-1, -2))
 
 
 def sp_compose(g1: SpElement, g2: SpElement) -> SpElement:
-    """Block product of two elements."""
+    """Block product of two elements, or of stacks whose leading shapes
+    broadcast."""
     if g1.n != g2.n:
         raise NotSymplectic("dimension mismatch")
     a = g1.a @ g2.a + g1.b @ g2.b.conj()
@@ -204,7 +235,8 @@ def cartan_decompose(g: SpElement) -> CartanFactors:
 
 
 def cartan_synthesize(z: np.ndarray, v: np.ndarray) -> SpElement:
-    """Assemble an element from Cartan data: ``a = m v``, ``b = n conj(v)``."""
+    """Assemble an element from Cartan data: ``a = m v``, ``b = n conj(v)``
+    (:func:`matfun.cartan_blocks`); stacks of ``z`` and ``v`` give a stack."""
     m, n = matfun.cartan_blocks(z)
     return SpElement(a=m @ v, b=n @ v.conj())
 
@@ -215,15 +247,17 @@ def sp_of(w: np.ndarray) -> SpElement:
 
 
 def w_of_z(z: np.ndarray) -> np.ndarray:
-    """Map a symmetric generator to its domain point: ``tanhc(sqrt(z z*)) z``."""
+    """Map a symmetric generator, or a stack, to its domain point:
+    ``tanhc(sqrt(z z*)) z``."""
     z = matfun.check_symmetric(z)
-    h = z @ z.conj().T
+    h = z @ z.conj().swapaxes(-1, -2)
     w = matfun.herm_func(h, matfun.tanhc_of_sqrt) @ z
-    return 0.5 * (w + w.T)
+    return 0.5 * (w + w.swapaxes(-1, -2))
 
 
 def z_of_w(w: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`w_of_z`: ``arctanhc(sqrt(w w*)) w``.
+    """Inverse of :func:`w_of_z`: ``arctanhc(sqrt(w w*)) w``, of one matrix
+    or a stack.
 
     Raises
     ------
@@ -231,16 +265,17 @@ def z_of_w(w: np.ndarray) -> np.ndarray:
         For boundary or exterior points (spectral radius of ``w w*`` >= 1).
     """
     w = matfun.check_symmetric(w)
-    h = w @ w.conj().T
+    h = w @ w.conj().swapaxes(-1, -2)
     z = matfun.herm_func(h, matfun.arctanhc_of_sqrt, domain=lambda t: t < 1.0) @ w
-    return 0.5 * (z + z.T)
+    return 0.5 * (z + z.swapaxes(-1, -2))
 
 
 def moebius(g: SpElement, w: np.ndarray) -> np.ndarray:
     """Linear-fractional action ``g . w = (a w + b)(conj(b) w + conj(a))^-1``.
 
-    ``w`` is one matrix ``(n, n)`` or a stack ``(..., n, n)``; each matrix of
-    a stack maps to the same bits as on its own.  The result is symmetrized;
+    ``w`` is one matrix ``(n, n)`` or a stack ``(..., n, n)``, and ``g`` one
+    element or a stack whose leading shape broadcasts with ``w``'s; each
+    matrix of a stack maps to the same bits as on its own.  The result is symmetrized;
     the ``moebius-closed-forms`` check of
     :func:`siegeljacobi.verify.suite_symplectic` bounds the asymmetry.
     """
@@ -405,18 +440,45 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: Standard normal ``n x n`` blocks in one draw of :func:`random_symmetric`
+#: (the real and imaginary parts of one complex Gaussian matrix) and of
+#: :func:`sp_random` (a generator, then the Gaussian matrix of a Haar
+#: unitary).  A draw of ``(samples, blocks, n, n)`` normals equals
+#: ``samples`` successive draws, which the stacked samplers of
+#: :mod:`siegeljacobi.verify` build on.
+SYM_BLOCKS = 2
+SP_BLOCKS = 2 * SYM_BLOCKS
+
+
+def _symmetric_of(normals: np.ndarray, scale: float) -> np.ndarray:
+    """The symmetric matrices ``scale (m + m^T) / 2``, ``m = g0 + i g1``, of
+    normal draws ``(..., SYM_BLOCKS, n, n)``: the draw of
+    :func:`random_symmetric`."""
+    m = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return scale * 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _haar_of(normals: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from normal draws ``(..., SYM_BLOCKS, n, n)``:
+    the Q factors of the complex Gaussian matrices ``g0 + i g1``, their
+    columns rephased by the phases of R's diagonal."""
+    v, r = np.linalg.qr(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+    d = r.diagonal(axis1=-2, axis2=-1)
+    return v * (d / np.abs(d))[..., None, :]
+
+
+def _sp_of_normals(normals: np.ndarray, scale: float) -> SpElement:
+    """The element of :func:`sp_random` from its normal draws ``(...,
+    SP_BLOCKS, n, n)``: a generator of scale ``scale``, then a Haar
+    unitary."""
+    return cartan_synthesize(_symmetric_of(normals[..., :SYM_BLOCKS, :, :], scale),
+                             _haar_of(normals[..., SYM_BLOCKS:, :, :]))
+
+
 def random_symmetric(n: int, scale: float, rng) -> np.ndarray:
-    rng = _as_rng(rng)
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * 0.5 * (m + m.T)
-
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random ``n x n`` unitary: the Q factor of a complex Gaussian
-    matrix, its columns rephased by the phases of R's diagonal."""
-    q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    v, r = np.linalg.qr(q)
-    return v * (np.diag(r) / np.abs(np.diag(r)))
+    """Random symmetric ``n x n`` matrix with Gaussian entries of size
+    ``scale``."""
+    return _symmetric_of(_as_rng(rng).normal(size=(SYM_BLOCKS, n, n)), scale)
 
 
 def random_siegel_point(n: int, scale: float, rng) -> np.ndarray:
@@ -431,6 +493,4 @@ def sp_random(n: int, scale: float, rng) -> SpElement:
     unitary from QR orthonormalization are assembled via
     :func:`cartan_synthesize`.  Deterministic for a seeded generator.
     """
-    rng = _as_rng(rng)
-    z = random_symmetric(n, scale, rng)
-    return cartan_synthesize(z, _haar_unitary(n, rng))
+    return _sp_of_normals(_as_rng(rng).normal(size=(SP_BLOCKS, n, n)), scale)

@@ -18,10 +18,12 @@ The primitives in ``symplectic`` and ``jacobi`` evaluate one closed form
 each, and the ``fockoracle`` operators one product of exponential actions
 each; the independent routes that cross-check them live here and run once
 per suite.  The oracle records apply each operator to the leading basis
-columns they read; ``kernel-oracle`` and ``orbit-map-end-to-end`` draw all
-their samples first and make one stacked oracle call for them.  Each
-record's worst case is folded by :func:`_worst`, so a NaN on any sample
-fails the record.
+columns they read.  The sampled records draw all their samples first, in
+the order of one draw after another (:func:`_point_draws`,
+:func:`_element_draws`), and build them on stacks; ``kernel-oracle`` and
+``orbit-map-end-to-end`` make one stacked oracle call, and the Jacobi suite
+one stacked closed-form call per identity.  Each record's worst case is
+folded by :func:`_worst`, so a NaN on any sample fails the record.
 """
 
 from __future__ import annotations
@@ -71,28 +73,66 @@ def _rec(checks, check, anchor, residual, tolerance, n=None, k=None, samples=Non
 
 
 def _worst(*residuals) -> float:
-    """The largest of ``residuals``, or NaN if any of them is NaN.
+    """The largest of ``residuals`` (numbers or arrays of them), or NaN if
+    any of them is NaN.
 
     Every record's worst case over its samples is folded with this: Python's
     ``max`` keeps its first argument over a later NaN (``max(0.0, nan)`` is
     0.0), which would drop a failed sample before it reaches the bound.
     """
-    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
+
+
+def _abs(c):
+    """``|c|`` of a complex number or of each entry of an array, as Python's
+    ``abs`` computes it (``hypot``); numpy's SIMD absolute of complex arrays
+    rounds some entries differently, and the records keep their bits."""
+    return np.hypot(np.real(c), np.imag(c))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each vector of a stack ``(..., m)``, with its
+    bits: the sums of squares are the BLAS dot products it forms."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _normal_blocks(rng, samples, n, *blocks) -> list:
+    """``samples`` successive draws of consecutive pieces of standard normal
+    ``n x n`` blocks, ``blocks[i]`` of them in piece ``i``: one normal draw,
+    split into the pieces ``(samples, blocks[i], n, n)``."""
+    normals = rng.normal(size=(samples, sum(blocks), n, n))
+    return np.split(normals, np.cumsum(blocks)[:-1], axis=1)
+
+
+def _siegel_points(normals, scale) -> np.ndarray:
+    """The domain points of :func:`symplectic.random_siegel_point` from its
+    normal draws ``(..., SYM_BLOCKS, n, n)``."""
+    return symplectic.w_of_z(symplectic._symmetric_of(normals, scale))
+
+
+def _point_draws(n, rng) -> tuple:
+    """The raw draws of one random point, in the order :func:`_points` reads
+    them: phases and radii of ``z``, the normals of the generator of ``W``,
+    the uniform that sets its norm."""
+    return (rng.uniform(size=n), rng.uniform(size=n),
+            rng.normal(size=(symplectic.SYM_BLOCKS, n, n)), rng.uniform())
+
+
+def _points(draws, z_scale=0.4, w_scale=0.4) -> CSPoint:
+    """The stack of random points of a list of :func:`_point_draws`, with
+    hard modulus caps |z_i| <= z_scale, ||W|| <= w_scale."""
+    phase, radius, normals, u = (np.array(d) for d in zip(*draws))
+    z = z_scale * np.sqrt(radius) * np.exp(2j * np.pi * phase)
+    w = _siegel_points(normals, 0.5)
+    norm = np.linalg.norm(w, 2, axis=(-2, -1))
+    w = w * (w_scale * np.sqrt(u) / np.maximum(norm, 1e-12))[:, None, None]
+    return CSPoint(z=z, W=w)
 
 
 def _random_point(n, rng, z_scale=0.4, w_scale=0.4) -> CSPoint:
     """Random point with hard modulus caps |z_i| <= z_scale, ||W|| <= w_scale."""
-    phases = np.exp(2j * np.pi * rng.uniform(size=n))
-    z = z_scale * np.sqrt(rng.uniform(size=n)) * phases
-    w = symplectic.random_siegel_point(n, 0.5, rng)
-    norm = np.linalg.norm(w, 2)
-    w = w * (w_scale * math.sqrt(rng.uniform()) / max(norm, 1e-12))
-    return CSPoint(z=z, W=w)
-
-
-def _point_stack(points) -> CSPoint:
-    """The points as one stack along a new leading axis."""
-    return CSPoint(z=np.stack([p.z for p in points]), W=np.stack([p.W for p in points]))
+    return _points([_point_draws(n, rng)], z_scale, w_scale)[0]
 
 
 def _random_element(n, rng, scale=0.4) -> JacobiElement:
@@ -102,24 +142,43 @@ def _random_element(n, rng, scale=0.4) -> JacobiElement:
     )
 
 
-def _bounded_element(n, rng, cap, phase_cap=None) -> JacobiElement:
-    """Element with hard caps on |alpha_i| and the generator norm.
+def _element_draws(n, rng, phase_cap=None) -> tuple:
+    """The raw draws of one bounded element, in the order
+    :func:`_bounded_elements` reads them: phases and radii of ``alpha``, the
+    normals of the generator, the uniform that sets its norm, the draws of
+    the unitary factor (normals, or ``n`` angles under ``phase_cap``), ``t``."""
+    blocks = (symplectic.SYM_BLOCKS, n, n)
+    head = (rng.uniform(size=n), rng.uniform(size=n), rng.normal(size=blocks), rng.uniform())
+    unitary = (rng.normal(size=blocks) if phase_cap is None
+               else rng.uniform(-phase_cap, phase_cap, size=n))
+    return (*head, unitary, rng.normal())
+
+
+def _bounded_elements(draws, cap, phase_cap=None) -> JacobiElement:
+    """The stack of elements of a list of :func:`_element_draws`, with hard
+    caps on |alpha_i| and the generator norm.
 
     ``phase_cap`` bounds the rotation angles of the unitary factor; odd-index
     multiplier checks need it to keep the principal determinant branch away
     from its cut (half-turn rotations live on the double cover).
     """
-    phases = np.exp(2j * np.pi * rng.uniform(size=n))
-    alpha = cap * np.sqrt(rng.uniform(size=n)) * phases
-    zgen = symplectic.random_symmetric(n, 0.5, rng)
-    zgen = zgen * (cap * math.sqrt(rng.uniform()) / max(np.linalg.norm(zgen, 2), 1e-12))
+    phase, radius, normals, u, unitary, t = (np.array(d) for d in zip(*draws))
+    alpha = cap * np.sqrt(radius) * np.exp(2j * np.pi * phase)
+    zgen = symplectic._symmetric_of(normals, 0.5)
+    norm = np.linalg.norm(zgen, 2, axis=(-2, -1))
+    zgen = zgen * (cap * np.sqrt(u) / np.maximum(norm, 1e-12))[:, None, None]
     if phase_cap is None:
-        v = symplectic._haar_unitary(n, rng)
+        v = symplectic._haar_of(unitary)
     else:
-        v = np.diag(np.exp(1j * rng.uniform(-phase_cap, phase_cap, size=n)))
-    return JacobiElement(
-        g=symplectic.cartan_synthesize(zgen, v), alpha=alpha, t=float(rng.normal())
-    )
+        v = np.zeros(zgen.shape, dtype=complex)
+        diag = np.arange(zgen.shape[-1])
+        v[:, diag, diag] = np.exp(1j * unitary)
+    return JacobiElement(g=symplectic.cartan_synthesize(zgen, v), alpha=alpha, t=t)
+
+
+def _bounded_element(n, rng, cap, phase_cap=None) -> JacobiElement:
+    """One element of :func:`_bounded_elements`, drawn from ``rng``."""
+    return _bounded_elements([_element_draws(n, rng, phase_cap)], cap, phase_cap)[0]
 
 
 # ----------------------------------------------------------------------
@@ -186,17 +245,23 @@ def _lambda_product_form(n: int, k: float) -> float:
 def _cocycle_literal_residual(h, x, k, lam):
     """Distance of ``lam = jacobi.lambda_cocycle_ez(h, x, k)`` from the
     literal ``T = conj(b)^-1 conj(a)`` form in its docstring, relative to
-    ``max(1, |lam|)``.  The form is undefined where ``|det conj(b)| <=
-    1e-12``; there nothing is compared and the residual is 0."""
+    ``max(1, |lam|)``, for one sample or a stack.  The form is undefined
+    where ``|det conj(b)| <= 1e-12``; there nothing is compared and the
+    residual is 0 (such a sample is evaluated at ``b = 1``, ``W = 0``, where
+    the form is defined, and its value is dropped)."""
     bb = h.g.b.conj()
-    if abs(np.linalg.det(bb)) <= 1e-12:
-        return 0.0
+    defined = ~(_abs(np.linalg.det(bb)) <= 1e-12)
+    bb = np.where(defined[..., None, None], bb, matfun.eye(x.n))
+    w = np.where(defined[..., None, None], x.W, 0.0)
     t = np.linalg.solve(bb, h.g.a.conj())
-    inv_wt = np.linalg.inv(x.W + t)
-    rhs = 2 * x.z + h.alpha - x.W @ h.alpha.conj()
-    two_alt = x.z @ inv_wt @ x.z + (h.alpha + t.T @ h.alpha.conj()) @ inv_wt @ rhs
-    alt = matfun.detpow(x.W @ h.g.b.conj().T + h.g.a.conj().T, -k / 2) * np.exp(-0.5 * two_alt)
-    return abs(alt - lam) / max(1.0, abs(lam))
+    inv_wt = np.linalg.inv(w + t)
+    rhs = 2 * x.z + h.alpha - jacobi._matvec(w, h.alpha.conj())
+    two_alt = (jacobi._bilinear(x.z, inv_wt, x.z)
+               + jacobi._bilinear(h.alpha + jacobi._matvec(t.swapaxes(-1, -2), h.alpha.conj()),
+                                  inv_wt, rhs))
+    den = w @ h.g.b.conj().swapaxes(-1, -2) + h.g.a.conj().swapaxes(-1, -2)
+    alt = matfun._cmul(matfun.detpow(den, -k / 2), np.exp(-0.5 * two_alt))
+    return np.where(defined, _abs(alt - lam) / np.maximum(1.0, _abs(lam)), 0.0)[()]
 
 
 # ----------------------------------------------------------------------
@@ -246,28 +311,37 @@ def _ball_composition_residuals(w1, w2):
             abs(np.linalg.det(v) - detv), prod)
 
 
+def _squares(v):
+    """``v ** 2`` of a float or of each entry of an array, by Python's
+    ``**`` (libm ``pow``), which rounds a few squares one ulp away from
+    numpy's: the records keep their bits."""
+    return np.reshape([r ** 2 for r in np.ravel(v).tolist()], np.shape(v))
+
+
 def _cocycle_residuals(h, h2, x, k):
     """Relative residuals of the norm law ``|lambda(h, x)|^2 K(hx, hx) =
     K(x, x)`` and of the multiplicativity ``lambda(h, h2 x) lambda(h2, x) =
     lambda(h h2, x)`` of the full cocycle, at an even integer ``k``; then
-    ``lambda(h, x)``, which the Jacobi suite's route checks also compare."""
+    ``lambda(h, x)``, which the Jacobi suite's route checks also compare.
+    One sample, or stacks of samples with one stacked call per closed form."""
     data = jacobi.lambda_cocycle(h, x, k)
     hx = CSPoint(z=data.z1, W=data.W1)
     kxx = jacobi.kernel(x, x, k).real
-    uni = abs(abs(data.lam) ** 2 * jacobi.kernel(hx, hx, k).real - kxx) / kxx
+    uni = abs(_squares(_abs(data.lam)) * jacobi.kernel(hx, hx, k).real - kxx) / kxx
     lam1 = jacobi.lambda_full(h, jacobi.act(h2, x), k)
     lam2 = jacobi.lambda_full(h2, x, k)
     lam12 = jacobi.lambda_full(jacobi.jacobi_compose(h, h2), x, k)
-    return uni, abs(lam1 * lam2 - lam12) / abs(lam12), data.lam
+    return uni, _abs(matfun._cmul(lam1, lam2) - lam12) / _abs(lam12), data.lam
 
 
-def _left_action_residual(h1, h2, x) -> float:
+def _left_action_residual(h1, h2, x):
     """Distance of ``act(h1, act(h2, x))`` from ``act(h1 h2, x)`` in the
     coordinates of :func:`jacobi.cs_coords`, relative to ``max(1, |act(h1 h2,
-    x)|)``: zero for a left action of the composition law as implemented."""
+    x)|)``: zero for a left action of the composition law as implemented.
+    One sample, or stacks of samples."""
     two_step = jacobi.cs_coords(jacobi.act(h1, jacobi.act(h2, x)))
     one_step = jacobi.cs_coords(jacobi.act(jacobi.jacobi_compose(h1, h2), x))
-    return np.linalg.norm(two_step - one_step) / max(1.0, np.linalg.norm(one_step))
+    return (_norms(two_step - one_step) / np.maximum(1.0, _norms(one_step)))[()]
 
 
 def _form_fd_residuals(x, k):
@@ -389,11 +463,16 @@ def suite_algebra(n=2) -> list:
 def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
     rng = np.random.default_rng(seed)
     checks = []
+    # each loop's draws are normals only: one draw holds all its samples in
+    # the order of one draw after another, and the stacked helpers build
+    # them; the identities are evaluated per sample
+    sp_blocks, sym_blocks = symplectic.SP_BLOCKS, symplectic.SYM_BLOCKS
+    g_draws, z_draws = _normal_blocks(rng, samples, n, sp_blocks, sym_blocks)
+    gs = symplectic._sp_of_normals(g_draws, 0.5)
+    zss = symplectic._symmetric_of(z_draws, 0.5)
     worst_gauss = worst_cartan = worst_zw = 0.0
-    for _ in range(samples):
-        g = symplectic.sp_random(n, 0.5, rng)
-        zs = symplectic.random_symmetric(n, 0.5, rng)
-        gauss, cartan, zw = _roundtrip_residuals(g, zs)
+    for i in range(samples):
+        gauss, cartan, zw = _roundtrip_residuals(gs[i], zss[i])
         worst_gauss = _worst(worst_gauss, gauss)
         worst_cartan = _worst(worst_cartan, cartan)
         worst_zw = _worst(worst_zw, zw)
@@ -404,11 +483,14 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
     _rec(checks, "generator-domain-roundtrip", "tanh-coordinate-map", worst_zw, 1e-11,
          n=n, samples=samples)
 
+    g1_draws, g2_draws, w_draws, w1_draws, w2_draws = _normal_blocks(
+        rng, samples, n, sp_blocks, sp_blocks, sym_blocks, sym_blocks, sym_blocks)
+    g1s, g2s = (symplectic._sp_of_normals(d, 0.4) for d in (g1_draws, g2_draws))
+    ws = _siegel_points(w_draws, 0.4)
+    w1s, w2s = (_siegel_points(d, 0.35) for d in (w1_draws, w2_draws))
     worst_act = worst_ball = worst_detv = worst_forms = worst_closure = 0.0
-    for _ in range(samples):
-        g1 = symplectic.sp_random(n, 0.4, rng)
-        g2 = symplectic.sp_random(n, 0.4, rng)
-        w = symplectic.random_siegel_point(n, 0.4, rng)
+    for i in range(samples):
+        g1, g2, w = g1s[i], g2s[i], ws[i]
         g2w = symplectic.moebius(g2, w)
         g12 = symplectic.sp_compose(g1, g2)
         lhs = symplectic.moebius(g1, g2w)
@@ -420,9 +502,7 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
             _moebius_residual(g1, g2w, lhs),
             _moebius_residual(g12, w, rhs),
         )
-        w1 = symplectic.random_siegel_point(n, 0.35, rng)
-        w2 = symplectic.random_siegel_point(n, 0.35, rng)
-        ball, unimodular, det_forms, prod = _ball_composition_residuals(w1, w2)
+        ball, unimodular, det_forms, prod = _ball_composition_residuals(w1s[i], w2s[i])
         worst_ball = _worst(worst_ball, ball)
         worst_detv = _worst(worst_detv, unimodular, det_forms)
         worst_closure = _worst(
@@ -442,12 +522,13 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
     _rec(checks, "compose-closure", "product-membership", worst_closure,
          10 * matfun.DEFAULT_TOL, n=n, samples=samples)
 
+    g_draws, x_draws, y_draws = _normal_blocks(rng, samples, n, sp_blocks, sym_blocks,
+                                               sym_blocks)
+    gs = symplectic._sp_of_normals(g_draws, 0.4)
+    xs, ys = (_siegel_points(d, 0.4) for d in (x_draws, y_draws))
     worst_tr = 0.0
-    for _ in range(samples):
-        g = symplectic.sp_random(n, 0.4, rng)
-        x = symplectic.random_siegel_point(n, 0.4, rng)
-        y = symplectic.random_siegel_point(n, 0.4, rng)
-        worst_tr = _worst(worst_tr, _kernel_transform_residual(g, x, y, k))
+    for i in range(samples):
+        worst_tr = _worst(worst_tr, _kernel_transform_residual(gs[i], xs[i], ys[i], k))
     _rec(checks, "kernel-transformation", "multiplier-placement", worst_tr, 1e-9,
          n=n, k=k, samples=samples)
 
@@ -492,39 +573,35 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
     rng = np.random.default_rng(seed)
     checks = []
 
-    pts = [_random_point(n, rng) for _ in range(20)]
-    # one kernel call per ordered pair serves both records
-    gram = np.array([[jacobi.kernel(x, y, k) for y in pts] for x in pts])
-    worst_sym = _worst(*(abs(gram[i, j] - np.conj(gram[j, i]))
-                         for i in range(len(pts)) for j in range(len(pts))))
-    _rec(checks, "kernel-hermitian", "overlap-symmetry", worst_sym, 1e-12,
-         n=n, k=k, samples=len(pts) ** 2)
+    # every sample is drawn first, in the order of one draw after another;
+    # then each identity is one stacked call on all of them
+    pts = _points([_point_draws(n, rng) for _ in range(20)])
+    draws = [(_element_draws(n, rng), _element_draws(n, rng), _point_draws(n, rng))
+             for _ in range(samples)]
+    hs, h2s = (_bounded_elements(d, 0.35) for d in list(zip(*draws))[:2])
+    xs = _points([d[2] for d in draws], 0.35, 0.35)
+
+    # one kernel stack over all ordered pairs serves both records
+    gram = jacobi.kernel(pts[:, None], pts[None, :], k)
+    _rec(checks, "kernel-hermitian", "overlap-symmetry", _worst(_abs(gram - gram.T.conj())),
+         1e-12, n=n, k=k, samples=gram.size)
 
     evmin = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min()
     _rec(checks, "kernel-positive", "overlap-positivity",
          _worst(0.0, -evmin / np.linalg.norm(gram)), 1e-9, n=n, k=k,
-         samples=len(pts))
+         samples=len(gram))
 
-    worst_uni = worst_mult = worst_order = worst_routes = worst_literal = 0.0
-    for _ in range(samples):
-        h = _bounded_element(n, rng, 0.35)
-        h2 = _bounded_element(n, rng, 0.35)
-        x = _random_point(n, rng, 0.35, 0.35)
-        uni, mult, lam = _cocycle_residuals(h, h2, x, k)
-        worst_uni = _worst(worst_uni, uni)
-        worst_mult = _worst(worst_mult, mult)
-        worst_order = _worst(worst_order, _left_action_residual(h, h2, x))
-        ez = jacobi.lambda_cocycle_ez(h, x, k)
-        worst_routes = _worst(worst_routes, abs(ez - lam) / abs(lam))
-        worst_literal = _worst(worst_literal, _cocycle_literal_residual(h, x, k, ez))
-    _rec(checks, "cocycle-unitarity", "multiplier-norm-consistency", worst_uni,
+    uni, mult, lam = _cocycle_residuals(hs, h2s, xs, k)
+    ez = jacobi.lambda_cocycle_ez(hs, xs, k)
+    order = _left_action_residual(hs, h2s, xs)
+    _rec(checks, "cocycle-unitarity", "multiplier-norm-consistency", _worst(uni),
          1e-9, n=n, k=k, samples=samples)
-    _rec(checks, "cocycle-multiplicative", "multiplier-composition", worst_mult,
+    _rec(checks, "cocycle-multiplicative", "multiplier-composition", _worst(mult),
          1e-9, n=n, k=k, samples=samples)
     _rec(checks, "cocycle-route-agreement", "multiplier-closed-forms",
-         worst_routes, 1e-9, n=n, k=k, samples=samples)
+         _worst(_abs(ez - lam) / _abs(lam)), 1e-9, n=n, k=k, samples=samples)
     _rec(checks, "cocycle-literal-route", "multiplier-literal-route",
-         worst_literal, 1e-9, n=n, k=k, samples=samples)
+         _worst(_cocycle_literal_residual(hs, xs, k, ez)), 1e-9, n=n, k=k, samples=samples)
 
     x = _random_point(n, rng)
     pot = jacobi.kahler_potential(x, k)
@@ -543,8 +620,8 @@ def suite_jacobi(n=2, k=4.0, seed=1234, samples=100) -> list:
 
     # the bound of moebius-left-action; with the composition reversed the
     # record reads 1.2-1.7 at n = 1-3, seed 1234
-    _rec(checks, "action-order", "left-action-convention", worst_order, 1e-10,
-         n=n, samples=samples)
+    _rec(checks, "action-order", "left-action-convention",
+         _worst(order), 1e-10, n=n, samples=samples)
     return checks
 
 
@@ -587,22 +664,19 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
          probe["plain"], 1e-8, samples=1)
 
     # each record draws all its samples first, then makes one stacked
-    # oracle call for them
-    pairs = [(_random_point(1, rng, 0.4, 0.4), _random_point(1, rng, 0.4, 0.4))
-             for _ in range(samples)]
-    oracle = fockoracle.oracle_kernel(*(_point_stack(p) for p in zip(*pairs)), cutoff)
+    # oracle call and one stacked closed-form call for them
+    pairs = [(_point_draws(1, rng), _point_draws(1, rng)) for _ in range(samples)]
+    xs, ys = (_points(d, 0.4, 0.4) for d in zip(*pairs))
     _rec(checks, "kernel-oracle", "overlap-vs-closed-form",
-         _worst(*(abs(o - jacobi.kernel(x, y, 1.0)) for o, (x, y) in zip(oracle, pairs))),
+         _worst(_abs(fockoracle.oracle_kernel(xs, ys, cutoff) - jacobi.kernel(xs, ys, 1.0))),
          1e-7, n=1, k=1.0, samples=samples)
 
     # weight one: keep the rotation angle off the half-turn branch cut
-    draws = [(_bounded_element(1, rng, 0.35, phase_cap=math.pi / 2),
-              _random_point(1, rng, 0.35, 0.35)) for _ in range(samples)]
-    res, _ = fockoracle.mm1_residual(
-        [h.g for h, _ in draws], np.array([h.alpha[0] for h, _ in draws]),
-        np.array([x.z[0] for _, x in draws]), np.array([x.W[0, 0] for _, x in draws]),
-        max(cutoff, 100),
-    )
+    draws = [(_element_draws(1, rng, math.pi / 2), _point_draws(1, rng)) for _ in range(samples)]
+    hs = _bounded_elements([d[0] for d in draws], 0.35, phase_cap=math.pi / 2)
+    xs = _points([d[1] for d in draws], 0.35, 0.35)
+    res, _ = fockoracle.mm1_residual([hs.g[i] for i in range(samples)], hs.alpha[:, 0],
+                                     xs.z[:, 0], xs.W[:, 0, 0], max(cutoff, 100))
     _rec(checks, "orbit-map-end-to-end", "operator-orbit-vs-closed-form",
          _worst(*res), 1e-6, n=1, k=1.0, samples=samples)
 

@@ -33,12 +33,14 @@ def test_verify_reports_are_reproducible(capsys):
     assert out1 == out2
 
 
-def test_verify_report_does_not_depend_on_the_blas_thread_count():
-    # the oracle records apply banded exponentials elementwise, so no BLAS
-    # kernel with a thread-dependent summation order enters a residual
+@pytest.mark.parametrize("suite", ["oracle", "jacobi", "symplectic"])
+def test_verify_report_does_not_depend_on_the_blas_thread_count(suite):
+    # the oracle records apply banded exponentials elementwise; the jacobi
+    # and symplectic suites hand stacks to matmul and LAPACK, where a
+    # threaded BLAS kernel could change a summation order
     src = Path(__file__).resolve().parents[1] / "src"
     outs = [
-        subprocess.run([sys.executable, "-m", "siegeljacobi", "verify", "oracle", "--seed", "7"],
+        subprocess.run([sys.executable, "-m", "siegeljacobi", "verify", suite, "--seed", "7"],
                        capture_output=True, check=True, timeout=300,
                        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}).stdout
         for threads in ("1", "2")
@@ -189,6 +191,19 @@ def test_malformed_input_exits_two(capsys):
          "--which", "gauss"]
     )
     assert code == 2  # not a group element
+
+
+def test_decompose_rejects_blocks_whose_membership_residual_overflows(capsys):
+    # a = b = 1e300 is no group element (a a* - b b* = 0); the residual read
+    # inf - inf = NaN, which passed the gate: "residual": 0.0 and exit 0
+    g = json.dumps({"a": {"rows": 1, "cols": 1, "re": [1e300], "im": [0.0]},
+                    "b": {"rows": 1, "cols": 1, "re": [1e300], "im": [0.0]}})
+    for which in ("gauss", "cartan"):
+        code = cli.main(["decompose", "--g", g, "--which", which])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error: membership residual inf exceeds tol 1.0e-09"]
 
 
 def test_verify_oracle_with_cutoff_flag(capsys):

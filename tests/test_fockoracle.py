@@ -546,7 +546,8 @@ def _suite_oracle_draws(seed, samples=20):
 @pytest.mark.parametrize("seed", [7, 1234])
 def test_stacked_oracle_records_equal_one_call_per_sample(seed):
     pairs, draws = _suite_oracle_draws(seed)
-    xs, ys = (verify._point_stack(p) for p in zip(*pairs))
+    xs, ys = (jacobi.CSPoint(z=np.stack([p.z for p in side]), W=np.stack([p.W for p in side]))
+              for side in zip(*pairs))
     kernel = fo.oracle_kernel(xs, ys, 60)
     assert kernel.shape == (len(pairs),)
     for value, (x, y) in zip(kernel, pairs):
@@ -587,3 +588,27 @@ def test_stacked_cutoff_guard_names_the_sample():
     # a single sample keeps its message
     with pytest.raises(CutoffTooSmall, match=r"^displacement by \|alpha\|=4\.0 tail mass"):
         fo.displacement(4.0, fo.vacuum(12).amps)
+
+
+def test_check_hpb_keeps_a_nan_residual(monkeypatch):
+    # the three residuals were folded by Python's max, which drops a NaN
+    # after the first; with the second displacement of check_hpb NaN, the
+    # result and the conjugation-equations record read NaN
+    calls = []
+    displacement, check_hpb = fo.displacement, fo.check_hpb
+
+    def nan_on_second(alpha, v):
+        calls.append(alpha)
+        out = displacement(alpha, v)
+        return np.full_like(out, np.nan) if len(calls) == 2 else out
+
+    def hpb(*args):
+        calls.clear()
+        return check_hpb(*args)
+
+    monkeypatch.setattr(fo, "displacement", nan_on_second)
+    monkeypatch.setattr(fo, "check_hpb", hpb)
+    assert math.isnan(fo.check_hpb(0.3, 0.2, 80))
+    record = next(c for c in verify.suite_oracle(seed=7, samples=1)
+                  if c["check"] == "conjugation-equations")
+    assert record["pass"] is False and math.isnan(record["residual"])

@@ -131,8 +131,9 @@ def test_cartan_blocks_share_one_eigendecomposition(monkeypatch, n):
         ref = (matfun.herm_func(h, matfun.cosh_of_sqrt),
                matfun.herm_func(h, matfun.sinhc_of_sqrt) @ z)
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        eigh = matfun._umath_linalg.eigh_lo
+        monkeypatch.setattr(matfun._umath_linalg, "eigh_lo",
+                            lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
         m, nb = matfun.cartan_blocks(z)
         monkeypatch.undo()
         assert len(calls) == 1
@@ -413,6 +414,27 @@ def test_is_siegel():
     assert not matfun.is_siegel(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_the_symmetry_gates_do_not_overflow_or_pass_nan(sign):
+    # ||m - m^T|| of these finite matrices overflowed to inf, and inf > inf
+    # is False: both gates passed them, and herm_eig returned [0, inf]
+    m = sign * np.array([[1e308, 1e308], [-1e308, 1e308]], dtype=complex)
+    kind, message = _raised(lambda: matfun.check_symmetric(m))
+    assert kind is NotSymmetric and message == (
+        "symmetry residual 1.414e+00 of max(||m||, 1) exceeds tol 1.0e-10")
+    assert _raised(lambda: matfun.herm_eig(m))[0] is NonHermitian
+    # a huge symmetric matrix passes the gate unchanged, and is outside the domain
+    big = np.array([[1e308, -1e308], [-1e308, 1e308j]])
+    assert matfun.check_symmetric(big).tobytes() == big.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matfun.is_siegel(big) is False
+        assert matfun.is_siegel(np.stack([big, np.zeros((2, 2))])).tolist() == [False, True]
+    for fn in (matfun.check_symmetric, matfun.herm_eig, matfun.is_siegel):
+        assert _raised(lambda: fn(np.array([[np.nan, 0], [0, 0]]))) == (
+            ValueError, "matrix has non-finite entries")
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
@@ -491,6 +513,8 @@ def test_numpy_lapack_gufuncs_equal_np_linalg_bit_for_bit(n, lead, complex_):
         (_umath_linalg.inv(a), np.linalg.inv(a)),
         (_umath_linalg.cholesky_lo(hpd), np.linalg.cholesky(hpd)),
         (_umath_linalg.eigvals(a + 0j), np.linalg.eigvals(a + 0j)),
+        *zip(_umath_linalg.eigh_lo(hpd + 0j), np.linalg.eigh(hpd + 0j)),
+        (_umath_linalg.eigvalsh_lo(hpd + 0j), np.linalg.eigvalsh(hpd + 0j)),
     ]
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape

@@ -1,0 +1,190 @@
+"""The closed forms on stacks: each entry of a stacked call has the bits of
+its own single call, the stacked draws are the successive single draws, a
+stacked validation error names the index that failed, and the Jacobi suite
+evaluates each identity once per stack."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from siegeljacobi import jacobi, matfun, symplectic, verify
+from siegeljacobi.errors import DomainViolation, NonHermitian, NotSymmetric
+
+COUNT = 7
+
+
+def _same(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _symmetric(n, scale, rng, count=COUNT):
+    """A stack of ``count`` random symmetric matrices, built from one normal
+    draw by the builder of :func:`symplectic.random_symmetric`."""
+    return symplectic._symmetric_of(rng.normal(size=(count, symplectic.SYM_BLOCKS, n, n)),
+                                    scale)
+
+
+def _siegel(n, scale, rng, count=COUNT):
+    """A stack of random domain points, as :func:`_symmetric` builds them."""
+    return verify._siegel_points(rng.normal(size=(count, symplectic.SYM_BLOCKS, n, n)), scale)
+
+
+def _elements(n, scale, rng):
+    """A stack of random group elements, as :func:`_symmetric` builds them."""
+    return symplectic._sp_of_normals(rng.normal(size=(COUNT, symplectic.SP_BLOCKS, n, n)),
+                                     scale)
+
+
+def _stack_draws(n, seed):
+    """``COUNT`` elements, second elements and points, as
+    :func:`verify.suite_jacobi` draws them."""
+    rng = np.random.default_rng(seed)
+    draws = [(verify._element_draws(n, rng), verify._element_draws(n, rng),
+              verify._point_draws(n, rng)) for _ in range(COUNT)]
+    h, h2 = (verify._bounded_elements(d, 0.35) for d in list(zip(*draws))[:2])
+    return h, h2, verify._points([d[2] for d in draws], 0.35, 0.35)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_layer_stacks_equal_single_calls(n):
+    rng = np.random.default_rng(300 + n)
+    z = _symmetric(n, 0.6, rng)
+    h = z @ z.conj().swapaxes(-1, -2)
+    dec = matfun.herm_eig(h)
+    blocks = matfun.cartan_blocks(z)
+    roots = matfun.herm_func(h, np.sqrt)
+    w = _siegel(n, 0.5, rng)
+    inside = matfun.is_siegel(w)
+    assert inside.shape == (COUNT,) and inside.all()
+    for i in range(COUNT):
+        one = matfun.herm_eig(h[i])
+        assert _same(dec.evals[i], one.evals) and _same(dec.evecs[i], one.evecs)
+        assert _same(dec.apply(np.cosh)[i], one.apply(np.cosh))
+        assert all(_same(b[i], c) for b, c in zip(blocks, matfun.cartan_blocks(z[i])))
+        assert _same(roots[i], matfun.herm_func(h[i], np.sqrt))
+        assert _same(matfun.check_symmetric(z)[i], matfun.check_symmetric(z[i]))
+        assert matfun.is_siegel(w[i]) is True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symplectic_stacks_equal_single_calls(n):
+    rng = np.random.default_rng(310 + n)
+    g1, g2 = (_elements(n, 0.5, rng) for _ in range(2))
+    z = _symmetric(n, 0.5, rng)
+    v = _elements(n, 0.0, rng).a
+    w = _siegel(n, 0.4, rng)
+    prod, inv = symplectic.sp_compose(g1, g2), symplectic.sp_inverse(g1)
+    synth = symplectic.cartan_synthesize(z, v)
+    wz, moved = symplectic.w_of_z(z), symplectic.moebius(g1, w)
+    for i in range(COUNT):
+        for stacked, one in ((prod, symplectic.sp_compose(g1[i], g2[i])),
+                             (inv, symplectic.sp_inverse(g1[i])),
+                             (synth, symplectic.cartan_synthesize(z[i], v[i]))):
+            assert _same(stacked.a[i], one.a) and _same(stacked.b[i], one.b)
+        assert _same(wz[i], symplectic.w_of_z(z[i]))
+        assert _same(moved[i], symplectic.moebius(g1[i], w[i]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobi_stacks_equal_single_calls(n):
+    h, h2, x = _stack_draws(n, 320 + n)
+    comp = jacobi.jacobi_compose(h, h2)
+    image = jacobi.act(h, x)
+    data = jacobi.lambda_cocycle(h, x, 4)
+    full = jacobi.lambda_full(h, x, 4)
+    ez = jacobi.lambda_cocycle_ez(h, x, 4)
+    gram = jacobi.kernel(x[:, None], x[None, :], 3.0)
+    assert gram.shape == (COUNT, COUNT)
+    for i in range(COUNT):
+        one = jacobi.jacobi_compose(h[i], h2[i])
+        assert _same(comp.g.a[i], one.g.a) and _same(comp.g.b[i], one.g.b)
+        assert _same(comp.alpha[i], one.alpha) and comp.t[i] == one.t
+        one = jacobi.act(h[i], x[i])
+        assert _same(image.z[i], one.z) and _same(image.W[i], one.W)
+        one = jacobi.lambda_cocycle(h[i], x[i], 4)
+        assert isinstance(one.lam, complex) and data.lam[i] == one.lam
+        assert all(_same(getattr(data, f)[i], getattr(one, f)) for f in ("z1", "W1", "x", "y"))
+        assert isinstance(jacobi.lambda_full(h[i], x[i], 4), complex)
+        assert full[i] == jacobi.lambda_full(h[i], x[i], 4)
+        assert ez[i] == jacobi.lambda_cocycle_ez(h[i], x[i], 4)
+        for j in range(COUNT):
+            assert gram[i, j] == jacobi.kernel(x[i], x[j], 3.0)
+    # one element acting on a stack of points, and the residuals of the suite
+    assert all(jacobi.lambda_cocycle_ez(h[0], x, 4)[i] == jacobi.lambda_cocycle_ez(h[0], x[i], 4)
+               for i in range(COUNT))
+    uni, mult, _ = verify._cocycle_residuals(h, h2, x, 4)
+    order = verify._left_action_residual(h, h2, x)
+    literal = verify._cocycle_literal_residual(h, x, 4, ez)
+    for i in range(COUNT):
+        assert (uni[i], mult[i]) == verify._cocycle_residuals(h[i], h2[i], x[i], 4)[:2]
+        assert order[i] == verify._left_action_residual(h[i], h2[i], x[i])
+        assert literal[i] == verify._cocycle_literal_residual(h[i], x[i], 4, ez[i])
+
+
+@pytest.mark.parametrize("seed", [7, 1234])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_draws_equal_successive_single_draws(seed, n):
+    for stack, fn in ((_symmetric, symplectic.random_symmetric),
+                      (_siegel, symplectic.random_siegel_point)):
+        stacked = stack(n, 0.5, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        assert all(_same(stacked[i], fn(n, 0.5, rng)) for i in range(COUNT))
+    stacked = _elements(n, 0.5, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for i in range(COUNT):
+        one = symplectic.sp_random(n, 0.5, rng)
+        assert _same(stacked.a[i], one.a) and _same(stacked.b[i], one.b)
+    # the verify draws: a stack built from raw draws is the single draws
+    rng = np.random.default_rng(seed)
+    points = verify._points([verify._point_draws(n, rng) for _ in range(COUNT)])
+    elements = verify._bounded_elements([verify._element_draws(n, rng) for _ in range(COUNT)], 0.35)
+    rng = np.random.default_rng(seed)
+    for i in range(COUNT):
+        one = verify._random_point(n, rng)
+        assert _same(points.z[i], one.z) and _same(points.W[i], one.W)
+    for i in range(COUNT):
+        one = verify._bounded_element(n, rng, 0.35)
+        assert _same(elements.g.a[i], one.g.a) and _same(elements.alpha[i], one.alpha)
+        assert elements.t[i] == one.t
+
+
+def _raised(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Exception) as err:
+            fn()
+    assert caught == []
+    return type(err.value), str(err.value)
+
+
+def test_a_stacked_validation_error_names_the_failing_index():
+    rng = np.random.default_rng(330)
+    z = _symmetric(2, 0.5, rng, 6).reshape(2, 3, 2, 2)
+    z[1, 2, 0, 1] += 0.25
+    kind, message = _raised(lambda: matfun.check_symmetric(z))
+    assert kind is NotSymmetric and message.startswith("stack index (1, 2): symmetry residual")
+    h = z @ z.conj().swapaxes(-1, -2)
+    h[0, 1, 1, 0] += 0.5
+    kind, message = _raised(lambda: matfun.herm_eig(h))
+    assert kind is NonHermitian and message.startswith("stack index (0, 1): symmetry residual")
+    t = np.stack([0.5 * np.eye(2), np.diag([0.5, 1.5])]).astype(complex)
+    kind, message = _raised(lambda: matfun.herm_func(t, np.arctanh, domain=lambda e: e < 1.0))
+    assert kind is DomainViolation and message.startswith("stack index (1,): eigenvalues")
+    w = _siegel(2, 0.5, rng, 3)
+    w[2] *= 2.0 / np.linalg.norm(w[2], 2)
+    kind, message = _raised(lambda: symplectic.z_of_w(w))
+    assert kind is DomainViolation and message.startswith("stack index (2,): eigenvalues")
+
+
+def test_suite_jacobi_makes_one_cocycle_call_per_stack(monkeypatch):
+    counts = {}
+    for samples in (3, 30):
+        calls = []
+        lambda_cocycle = jacobi.lambda_cocycle
+        monkeypatch.setattr(jacobi, "lambda_cocycle",
+                            lambda *args, **kw: calls.append(args) or lambda_cocycle(*args, **kw))
+        verify.suite_jacobi(n=2, seed=7, samples=samples)
+        monkeypatch.undo()
+        counts[samples] = len(calls)
+    assert counts[3] == counts[30]

@@ -249,18 +249,21 @@ def test_worst_keeps_a_nan_from_any_sample():
 
 
 def test_a_nan_sample_fails_its_record(monkeypatch):
-    # NaN on the 5th of 100 samples: both records it feeds read NaN and fail
+    # NaN on the 5th of 100 samples of the one stacked call: both records it
+    # feeds read NaN and fail
     calls = []
     cocycle_residuals = verify._cocycle_residuals
 
     def nan_on_fifth(*args):
         calls.append(args)
         uni, mult, lam = cocycle_residuals(*args)
-        return (math.nan, math.nan, lam) if len(calls) == 5 else (uni, mult, lam)
+        uni, mult = uni.copy(), mult.copy()
+        uni[4] = mult[4] = math.nan
+        return uni, mult, lam
 
     monkeypatch.setattr(verify, "_cocycle_residuals", nan_on_fifth)
     checks = {c["check"]: c for c in verify.suite_jacobi(seed=7)}
-    assert len(calls) == 100
+    assert len(calls) == 1 and calls[0][2].z.shape == (100, 2)
     for name in ("cocycle-unitarity", "cocycle-multiplicative"):
         assert checks[name]["pass"] is False and math.isnan(checks[name]["residual"])
     assert checks["cocycle-route-agreement"]["pass"] is True
