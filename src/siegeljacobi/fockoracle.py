@@ -203,7 +203,17 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
     are returned as they are.  The generators are ordered by step count, so
     that each step acts on those still running; each column has the bits of
     its own one-column action.
+
+    Raises
+    ------
+    ValueError
+        If a generator has a non-finite entry (a NaN or infinite
+        parameter), which has no step count.
     """
+    finite = functools.reduce(np.logical_and, (np.isfinite(diag).all(axis=0) for diag in gen.values()))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise ValueError(f"generator {bad[0]} of the exponential is not finite")
     width = max(diag.shape[1] for diag in gen.values())
     block = v.reshape(len(v), -1, width)
     gen = {offset: diag[:, None, :] for offset, diag in gen.items()}
@@ -272,7 +282,8 @@ def _product(factors: list, v: np.ndarray) -> np.ndarray:
 def _guarded(factors: list, v: np.ndarray, what: str, size) -> np.ndarray:
     """An operator's :func:`_product` with its guard: the vacuum acts as one
     more column of ``v``, and :class:`CutoffTooSmall` is raised if its image
-    has more than ``TAIL_THRESHOLD`` absolute tail mass.
+    has more than ``TAIL_THRESHOLD`` absolute tail mass, or a tail mass
+    that is NaN.
 
     When the coefficients are 1-D arrays, one per column of the block ``v``,
     each sample gets a vacuum column of its own, and the error names the
@@ -289,7 +300,7 @@ def _guarded(factors: list, v: np.ndarray, what: str, size) -> np.ndarray:
     _sample_error(
         lambda i: f"{what}={size[i] if stacked else size} tail mass {tails[i]:.2e} "
                   f"at cutoff {cutoff}",
-        tails > TAIL_THRESHOLD, stacked)
+        ~(tails <= TAIL_THRESHOLD), stacked)
     return out[:, :-width].reshape(v.shape)
 
 
@@ -347,8 +358,8 @@ def cs_vector(z, w, cutoff: int) -> FockVec:
     Raises
     ------
     CutoffTooSmall
-        If the tail mass fraction exceeds the module threshold; for a stack
-        the error names the sample.
+        If the tail mass fraction exceeds the module threshold or is NaN
+        (a NaN parameter); for a stack the error names the sample.
     """
     if np.any(abs(w) >= 1):
         raise ValueError("need |w| < 1")
@@ -376,7 +387,7 @@ def cs_vector(z, w, cutoff: int) -> FockVec:
     tails, norms = stack.tail_mass.tolist(), stack.norm.tolist()
     _sample_error(
         lambda i: f"orbit vector tail mass {tails[i]:.2e} at cutoff {cutoff}",
-        [tail > TAIL_THRESHOLD * norm**2 for tail, norm in zip(tails, norms)], z.ndim > 0)
+        [not (tail <= TAIL_THRESHOLD * norm**2) for tail, norm in zip(tails, norms)], z.ndim > 0)
     return stack if z.ndim > 0 else FockVec(cutoff, out[:, 0])
 
 
@@ -495,15 +506,16 @@ def mm1_residual(g, alpha, z, w, cutoff: int):
     single = isinstance(g, SpElement)
     gs = [g] if single else list(g)
     alpha, z, w = (np.atleast_1d(np.asarray(p, dtype=complex)) for p in (alpha, z, w))
-    datas = [
-        lambda_cocycle(JacobiElement(g=gi, alpha=np.array([ai]), t=0.0),
-                       CSPoint(z=np.array([zi]), W=np.array([[wi]])), 1, unchecked_branch=True)
-        for gi, ai, zi, wi in zip(gs, alpha, z, w, strict=True)
-    ]
+    if not len(gs) == len(alpha) == len(z) == len(w):
+        raise ValueError("g, alpha, z and w must hold one sample each")
+    # one stacked cocycle call: each entry has the bits of its single call
+    h = JacobiElement(g=SpElement(a=np.stack([gi.a for gi in gs]), b=np.stack([gi.b for gi in gs])),
+                      alpha=alpha[:, None], t=0.0)
+    data = lambda_cocycle(h, CSPoint(z=z[:, None], W=w[:, None, None]), 1, unchecked_branch=True)
     lhs = s_of_g(gs, displacement(alpha, cs_vector(z, w, cutoff).amps))
-    image = cs_vector(np.array([d.z1[0] for d in datas]),
-                      np.array([d.W1[0, 0] for d in datas]), cutoff).amps
-    res = FockVec(cutoff, lhs - np.array([d.lam for d in datas]) * image).norm
+    image = cs_vector(*map(np.ascontiguousarray, (data.z1[:, 0], data.W1[:, 0, 0])), cutoff).amps
+    res = FockVec(cutoff, lhs - data.lam * image).norm
+    datas = [data[i] for i in range(len(gs))]
     return (float(res[0]), datas[0]) if single else (res, datas)
 
 

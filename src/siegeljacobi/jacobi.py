@@ -182,13 +182,20 @@ class JacobiElement:
 
 @dataclass(frozen=True)
 class CocycleData:
-    """Image point, auxiliary vectors and multiplier of one group action."""
+    """Image point, auxiliary vectors and multiplier of one group action, or
+    of a stack of them (``lam`` an array); indexing a stack gives its
+    elements."""
 
     z1: np.ndarray
     W1: np.ndarray
     x: np.ndarray
     y: np.ndarray
     lam: complex
+
+    def __getitem__(self, index) -> "CocycleData":
+        lam = self.lam[index]
+        return CocycleData(z1=self.z1[index], W1=self.W1[index], x=self.x[index],
+                           y=self.y[index], lam=lam if np.ndim(lam) else complex(lam))
 
 
 @dataclass(frozen=True)
@@ -641,19 +648,52 @@ def _chunk_count(count: int) -> int:
     return (count + _CHUNK - 1) // _CHUNK
 
 
-def _sample_chunk_n1(consts: MeasureConstants, count: int, seed: int, ci: int):
-    """The ``(w, z, weight)`` arrays of chunk ``ci`` of
-    :func:`sample_arrays_n1` (at most ``_CHUNK`` of its ``count`` samples)."""
-    p = consts.p
-    mcount = min(_CHUNK, count - ci * _CHUNK)
+def _chunk_size(count: int, start: int) -> int:
+    """Number of samples in the chunk of ``count`` that begins at ``start``."""
+    return min(_CHUNK, count - start)
+
+
+def _padded_sum(values: np.ndarray, keep: np.ndarray, size: int):
+    """Sum of ``values`` placed at the indices ``keep`` of ``size`` zeros: the
+    bytes of the full-length array's sum, whose pairwise order depends on
+    its length."""
+    padded = np.zeros(size)
+    padded[keep] = values
+    return padded.sum()
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``re + 1j * im``, written into the parts of one new array."""
+    out = np.empty(len(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _draw_chunk_n1(count: int, seed: int, ci: int):
+    """The raw draws ``(wre, wim, xi)`` of chunk ``ci`` of
+    :func:`sample_arrays_n1` (at most ``_CHUNK`` of its ``count`` samples):
+    the box coordinates of ``w`` and the ``(2, mcount)`` normals of ``z``."""
+    mcount = _chunk_size(count, ci * _CHUNK)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
     # always draw full chunks so shorter runs are prefixes of longer ones
     wre = rng.uniform(-1.0, 1.0, _CHUNK)[:mcount]
     wim = rng.uniform(-1.0, 1.0, _CHUNK)[:mcount]
-    r2 = wre**2 + wim**2
-    inside = r2 < 1.0
-    det = np.where(inside, 1.0 - r2, 1.0)
-    weight = np.where(inside, 4.0 * consts.Lambda * math.pi * det**p, 0.0)
+    return wre, wim, rng.standard_normal((2, _CHUNK))[:, :mcount]
+
+
+def _sample_chunk_n1(consts: MeasureConstants, wre, wim, xi):
+    """The samples inside the disk of one chunk's draws
+    (:func:`_draw_chunk_n1`): ``(keep, w, z, weight)``, the chunk indices of
+    the samples with ``|w| < 1`` and their compact arrays, in draw order.
+    Outside the disk the weight is 0, so no sum over the chunk needs those
+    samples; nothing is computed for them."""
+    p = consts.p
+    # index arrays: numpy gathers and scatters by a boolean mask far slower
+    keep = np.flatnonzero(wre**2 + wim**2 < 1.0)
+    wre, wim, xi = wre.take(keep), wim.take(keep), xi.take(keep, axis=1)
+    det = 1.0 - (wre**2 + wim**2)
+    weight = 4.0 * consts.Lambda * math.pi * det**p
     # z | w: exponent F = m[(1+u) x1^2 + (1-u) x2^2 + 2 v x1 x2], m = 1/det;
     # the entries 2m(1+u), 2m v, 2m(1-u) of its matrix are used once each,
     # so they are not kept beside the chunk's other arrays
@@ -661,30 +701,44 @@ def _sample_chunk_n1(consts: MeasureConstants, count: int, seed: int, ci: int):
     l11 = np.sqrt(two_m * (1 + wre))
     l21 = two_m * wim / l11
     l22 = np.sqrt(np.maximum(two_m * (1 - wre) - l21**2, 1e-300))
-    xi = rng.standard_normal((2, _CHUNK))[:, :mcount]
     x2 = xi[1] / l22
     x1 = (xi[0] - l21 * x2) / l11
-    z = np.where(inside, x1 + 1j * x2, 0.0)
-    return wre + 1j * wim, z, weight
+    return keep, _complex(wre, wim), _complex(x1, x2), weight
+
+
+def _arrays_chunk_n1(consts: MeasureConstants, count: int, seed: int, ci: int):
+    """The full-length ``(w, z, weight)`` arrays of chunk ``ci`` of
+    :func:`sample_arrays_n1`: the in-disk samples scattered back, with
+    ``z = 0`` and weight 0 outside the disk."""
+    wre, wim, xi = _draw_chunk_n1(count, seed, ci)
+    keep, _, zin, wtin = _sample_chunk_n1(consts, wre, wim, xi)
+    z = np.zeros(len(wre), dtype=complex)
+    z[keep] = zin
+    weight = np.zeros(len(wre))
+    weight[keep] = wtin
+    return _complex(wre, wim), z, weight
 
 
 def sample_arrays_n1(k: float, count: int, seed: int):
     """Vectorized weighted sampler for the n = 1 base measure.
 
     Returns ``(w, z, weight)`` arrays of length ``count``.  ``w`` is uniform
-    on the box [-1, 1]^2 (weight 0 outside the disk), ``z | w`` is drawn from
-    the exact Gaussian with the diagonal-kernel exponent, and the weight
-    carries the closed-form Gaussian normalizer ``pi sqrt(1 - |w|^2)`` so that
-    ``mean(weight * f)`` estimates ``Lambda * integral(f Q K^-1)``.
+    on the box [-1, 1]^2 (weight 0 and ``z = 0`` outside the disk), ``z | w``
+    is drawn from the exact Gaussian with the diagonal-kernel exponent, and
+    the weight carries the closed-form Gaussian normalizer
+    ``pi sqrt(1 - |w|^2)`` so that ``mean(weight * f)`` estimates
+    ``Lambda * integral(f Q K^-1)``.
 
     The samples come from counter-based substreams of a fixed size, drawn
     on a pool of one worker thread per CPU and concatenated in chunk order,
     so the result is deterministic in ``(seed, count)`` and independent of
-    the number of workers.
+    the number of workers.  Each chunk computes ``z`` and the weight for its
+    samples inside the disk only (:func:`_sample_chunk_n1`) and scatters
+    them back.
     """
     nchunks = _chunk_count(count)
     consts = measure_constants(1, k)
-    tasks = [functools.partial(_sample_chunk_n1, consts, count, seed, ci) for ci in range(nchunks)]
+    tasks = [functools.partial(_arrays_chunk_n1, consts, count, seed, ci) for ci in range(nchunks)]
     ws, zs, wts = zip(*_ordered_map(tasks))
     return np.concatenate(ws), np.concatenate(zs), np.concatenate(wts)
 
@@ -696,13 +750,16 @@ def _uniform_chunk(seed: int, count: int, streams: int, start: int) -> np.ndarra
     Stream ``j`` is the ``j``-th of ``streams`` successive
     ``default_rng(seed).uniform(-1, 1, count)`` calls: each double consumes
     exactly one 64-bit PCG64 output, so the chunk starts from the seeded
-    state advanced by ``j * count + start``.
+    state advanced by ``start``, and each next stream ``count - mcount``
+    outputs after the end of the one before.
     """
-    mcount = min(_CHUNK, count - start)
+    mcount = _chunk_size(count, start)
     out = np.empty((streams, mcount))
-    for j, row in enumerate(out):
-        bitgen = np.random.PCG64(seed).advance(j * count + start)
-        np.random.Generator(bitgen).random(out=row)
+    bitgen = np.random.PCG64(seed).advance(start)
+    gen = np.random.Generator(bitgen)
+    for row in out:
+        gen.random(out=row)
+        bitgen.advance(count - mcount)
     # uniform(-1, 1) is -1 + 2 U: doubling is exact, so these are its bits
     out *= 2.0
     out -= 1.0
@@ -772,12 +829,11 @@ def mc_inner_product_n1(f, g, k: float, count: int, seed: int):
     return est, se
 
 
-def _kernel_n1(z, w, z0: complex, w0: complex, k: float):
-    """:func:`kernel` ``K(y, x0)`` at n = 1 for arrays of points ``y = (z, w)``:
+def _kernel_n1(zb, wb, z0: complex, w0: complex, k: float):
+    """:func:`kernel` ``K(y, x0)`` at n = 1 for arrays of points ``y = (z, w)``
+    given by their conjugates ``zb``, ``wb``:
     ``u^{k/2} exp(u (zbar z0 + z0^2 wbar / 2 + w0 zbar^2 / 2))`` with
     ``u = 1 / (1 - w0 wbar)``."""
-    zb = np.conj(z)
-    wb = np.conj(w)
     # in place, in the order of the closed form
     u = w0 * wb
     np.subtract(1.0, u, out=u)
@@ -796,18 +852,24 @@ def _kernel_n1(z, w, z0: complex, w0: complex, k: float):
 def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, targets):
     """The flat tuple of total weight, inside-disk count and, for each
     ``(f, z0, w0)`` of ``targets``, the sum of ``weight * K(y, x0) * f(y)``
-    over chunk ``ci`` of :func:`sample_arrays_n1`."""
-    w, z, wt = _sample_chunk_n1(consts, count, seed, ci)
-    mass = wt.sum()
-    # the weight is 0 exactly outside the disk, so the kernel sums need only
-    # the samples inside it
-    keep = np.flatnonzero(wt)
-    w, z, wt = w[keep], z[keep], wt[keep]
+    over chunk ``ci`` of :func:`sample_arrays_n1`.
+
+    The weight is 0 outside the disk, so the kernel sums run on the compact
+    in-disk samples of :func:`_sample_chunk_n1`; the total weight is summed
+    over the chunk's full length (:func:`_padded_sum`).  At ``x0 = 0`` the
+    kernel is 1 exactly, and the term is ``weight * f``.
+    """
+    keep, w, z, wt = _sample_chunk_n1(consts, *_draw_chunk_n1(count, seed, ci))
+    mass = _padded_sum(wt, keep, _chunk_size(count, ci * _CHUNK))
+    zb, wb = np.conj(z), np.conj(w)
     sums = []
     for f, z0, w0 in targets:
-        term = _kernel_n1(z, w, z0, w0, consts.k)
-        np.multiply(wt, term, out=term)
-        term *= f(z, w)
+        if z0 == 0 and w0 == 0:
+            term = wt * f(z, w)
+        else:
+            term = _kernel_n1(zb, wb, z0, w0, consts.k)
+            np.multiply(wt, term, out=term)
+            term *= f(z, w)
         sums.append(np.sum(term))
     return mass, len(keep), *sums
 

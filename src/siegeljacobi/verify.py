@@ -795,7 +795,11 @@ def suite_measure(n=1, k=6.0, seed=7, samples=2_500_000) -> list:
     worker threads (:func:`jacobi._ordered_map`), each task returning only
     its partial sums, which are added here in chunk order as a serial loop
     would: the records do not depend on the number of workers, and memory
-    stays at one chunk per worker however large ``samples`` is.
+    stays at one chunk per worker however large ``samples`` is.  Each chunk
+    evaluates its weights, kernels and determinants only on the samples
+    that can lie inside the domain (about 78 % of an n = 1 chunk, 31 % of a
+    ``jn-mc`` chunk), and sums over the chunk's full length, zeros padded,
+    so every record keeps the bytes of the full-chunk arithmetic.
     """
     checks = []
     consts = jacobi.measure_constants(n, k)
@@ -845,7 +849,8 @@ def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
     # w11 = a + ib, w12 = c + id, w22 = e + if; 1 - W W* for symmetric
     # 2x2 W is positive definite iff its trace and determinant are > 0.
     # The arithmetic runs in place, each sum in the order of its formula.
-    a, b, c, d, e, f = jacobi._uniform_chunk(seed, count, 6, start)
+    chunk = jacobi._uniform_chunk(seed, count, 6, start)
+    a, b, c, d = chunk[:4]
     t = np.empty_like(a)
     m12 = c * c
     m12 += np.multiply(d, d, out=t)
@@ -853,6 +858,12 @@ def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
     s11 += np.multiply(b, b, out=t)
     s11 += m12
     np.subtract(1.0, s11, out=s11)
+    # s11 <= 0 gives det = s11 s22 - |s12|^2 <= 0 (s22 > 0) or a trace
+    # <= 0 (s22 <= 0), also in floating point: the rest runs on s11 > 0
+    keep = np.flatnonzero(s11 > 0)
+    a, b, c, d, e, f = chunk.take(keep, axis=1)
+    del chunk
+    m12, s11, t = m12.take(keep), s11.take(keep), t[: len(keep)]
     s22 = e * e
     s22 += np.multiply(f, f, out=t)
     s22 += m12
@@ -875,8 +886,8 @@ def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
     inside = det > 0
     inside &= s11 > 0
     det **= p
-    det[~inside] = 0.0
-    return det.sum(), np.count_nonzero(inside)
+    total = jacobi._padded_sum(np.where(inside, det, 0.0), keep, jacobi._chunk_size(count, start))
+    return total, np.count_nonzero(inside)
 
 
 def _jn_mc_fold(results, count: int) -> float:

@@ -612,3 +612,67 @@ def test_check_hpb_keeps_a_nan_residual(monkeypatch):
     record = next(c for c in verify.suite_oracle(seed=7, samples=1)
                   if c["check"] == "conjugation-equations")
     assert record["pass"] is False and math.isnan(record["residual"])
+
+
+def test_a_nan_orbit_vector_parameter_raises():
+    # NaN amplitudes have a NaN tail mass, which the tail gate turned away
+    # only by `tail > threshold`: the NaN vector was returned
+    with pytest.raises(CutoffTooSmall, match=r"^orbit vector tail mass nan at cutoff 20"):
+        fo.cs_vector(math.nan, 0.1, 20)
+    with pytest.raises(CutoffTooSmall, match=r"^sample 1: orbit vector tail mass nan"):
+        fo.cs_vector(np.array([0.1, math.nan]), np.array([0.1, 0.2]), 20)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_generator_raises_before_its_step_count():
+    # the step count ceil(nan) was cast to an integer with a warning, and
+    # the result held no NaN
+    with pytest.raises(ValueError, match="generator 0 of the exponential is not finite"):
+        fo.displacement(complex(math.nan, 0), np.eye(20))
+    with pytest.raises(ValueError, match="generator 1 of the exponential is not finite"):
+        fo.displacement(np.array([0.1, math.nan]), np.eye(20, 2))
+    with pytest.raises(ValueError, match="not finite"):
+        fo._expm_apply(fo._banded(20, k0=math.nan), np.eye(21))
+
+
+def test_a_nan_tail_mass_fails_the_operator_guard(monkeypatch):
+    # the operators' guard reads the vacuum column's tail: NaN fails it
+    product = fo._product
+
+    def nan_vacuum(factors, v):
+        out = product(factors, v)
+        out[:, -1] = math.nan
+        return out
+
+    monkeypatch.setattr(fo, "_product", nan_vacuum)
+    with pytest.raises(CutoffTooSmall, match=r"^displacement by \|alpha\|=0\.1 tail mass nan"):
+        fo.displacement(0.1, np.eye(21))
+    with pytest.raises(CutoffTooSmall, match=r"^sample 1: squeeze by"):
+        fo.squeeze_from_generator(np.array([0.1, 0.2]), np.eye(21, 2))
+
+
+def test_mm1_residual_makes_one_stacked_cocycle_call(monkeypatch):
+    # the data of each sample are those of its own single cocycle call
+    _, draws = _suite_oracle_draws(7)
+    args = [(h.g, complex(h.alpha[0]), complex(x.z[0]), complex(x.W[0, 0])) for h, x in draws]
+    singles = [jacobi.lambda_cocycle(jacobi.JacobiElement(g=g, alpha=np.array([a]), t=0.0),
+                                     CSPoint(z=np.array([z]), W=np.array([[w]])), 1,
+                                     unchecked_branch=True) for g, a, z, w in args]
+    calls = []
+    cocycle = fo.lambda_cocycle
+
+    def record(h, x, k, **kwargs):
+        calls.append(x.z.shape)
+        return cocycle(h, x, k, **kwargs)
+
+    monkeypatch.setattr(fo, "lambda_cocycle", record)
+    _, datas = fo.mm1_residual([a[0] for a in args], *(np.array([a[i] for a in args])
+                                                       for i in (1, 2, 3)), 100)
+    assert calls == [(len(args), 1)]
+    for data, one in zip(datas, singles):
+        assert isinstance(data.lam, complex) and data.lam == one.lam
+        for field in ("z1", "W1", "x", "y"):
+            got, want = getattr(data, field), getattr(one, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="one sample each"):
+        fo.mm1_residual([args[0][0]] * 2, np.zeros(3), np.zeros(3), np.zeros(3), 40)

@@ -225,7 +225,9 @@ def test_array_kernel_n1_matches_kernel(k):
         y = CSPoint(z=np.array([zy]), W=np.array([[wy]]))
         x0 = CSPoint(z=np.array([z0]), W=np.array([[w0]]))
         closed = jacobi.kernel(y, x0, k)
-        arr = jacobi._kernel_n1(np.array([zy]), np.array([wy]), complex(z0), complex(w0), k)
+        # the array kernel takes the conjugates of the points y
+        arr = jacobi._kernel_n1(np.array([zy]).conj(), np.array([wy]).conj(),
+                                complex(z0), complex(w0), k)
         assert abs(arr[0] - closed) <= 1e-13 * abs(closed)
 
 

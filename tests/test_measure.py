@@ -149,7 +149,7 @@ def test_reproduce_check_domain_errors():
 def test_sampler_chunks_concatenate_to_arrays():
     count = 2 * jacobi._CHUNK + 5
     consts = jacobi.measure_constants(1, 6.0)
-    chunks = [jacobi._sample_chunk_n1(consts, count, 23, ci) for ci in range(3)]
+    chunks = [jacobi._arrays_chunk_n1(consts, count, 23, ci) for ci in range(3)]
     assert [len(w) for w, _, _ in chunks] == [jacobi._CHUNK, jacobi._CHUNK, 5]
     for part, whole in zip(zip(*chunks), jacobi.sample_arrays_n1(6.0, count, seed=23)):
         assert np.array_equal(np.concatenate(part), whole)
@@ -324,8 +324,30 @@ def _kernel_n1_frozen(z, w, z0, w0, k):
     return u ** (k / 2) * np.exp(u * expo)
 
 
+def _sample_chunk_n1_frozen(consts, count, seed, ci):
+    # the full-chunk sampler: every sample computed, then masked
+    p = consts.p
+    mcount = min(jacobi._CHUNK, count - ci * jacobi._CHUNK)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+    wre = rng.uniform(-1.0, 1.0, jacobi._CHUNK)[:mcount]
+    wim = rng.uniform(-1.0, 1.0, jacobi._CHUNK)[:mcount]
+    r2 = wre**2 + wim**2
+    inside = r2 < 1.0
+    det = np.where(inside, 1.0 - r2, 1.0)
+    weight = np.where(inside, 4.0 * consts.Lambda * math.pi * det**p, 0.0)
+    two_m = 2 * (1.0 / det)
+    l11 = np.sqrt(two_m * (1 + wre))
+    l21 = two_m * wim / l11
+    l22 = np.sqrt(np.maximum(two_m * (1 - wre) - l21**2, 1e-300))
+    xi = rng.standard_normal((2, jacobi._CHUNK))[:, :mcount]
+    x2 = xi[1] / l22
+    x1 = (xi[0] - l21 * x2) / l11
+    z = np.where(inside, x1 + 1j * x2, 0.0)
+    return wre + 1j * wim, z, weight
+
+
 def _reproduce_chunk_frozen(consts, count, seed, ci, targets):
-    w, z, wt = jacobi._sample_chunk_n1(consts, count, seed, ci)
+    w, z, wt = _sample_chunk_n1_frozen(consts, count, seed, ci)
     mass = wt.sum()
     keep = np.flatnonzero(wt)
     w, z, wt = w[keep], z[keep], wt[keep]
@@ -356,3 +378,19 @@ def test_in_place_chunks_keep_the_bytes_of_their_expressions(seed):
         for ci in range(jacobi._chunk_count(count)):
             assert _same_bytes(jacobi._reproduce_chunk(consts, count, seed, ci, targets),
                                _reproduce_chunk_frozen(consts, count, seed, ci, targets))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_sampler_arrays_keep_the_bytes_of_the_full_chunk_sampler(seed):
+    # the last chunk is short, and about 22 % of each chunk lies outside the
+    # disk (z = 0 and weight 0 there, w the box draw)
+    count = 2 * jacobi._CHUNK + 17
+    for k in (6.0, 5.0):
+        consts = jacobi.measure_constants(1, k)
+        frozen = [_sample_chunk_n1_frozen(consts, count, seed, ci)
+                  for ci in range(jacobi._chunk_count(count))]
+        arrays = jacobi.sample_arrays_n1(k, count, seed)
+        assert 0 < np.count_nonzero(arrays[2] == 0) < count
+        for got, parts in zip(arrays, zip(*frozen)):
+            assert got.dtype == parts[0].dtype
+            assert got.tobytes() == np.concatenate(parts).tobytes()

@@ -118,14 +118,14 @@ def _scaled_index(fn):
     return lambda x, y, k: fn(x, y, k * (1 + 1e-6))
 
 
-def _scaled_part(key):
+def _scaled_part(key, factor=1 + 1e-6):
     # scale one field (a name) or one item (an index) of the result
     def perturb(fn):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
             if isinstance(key, int):
-                return tuple(v * (1 + 1e-6) if i == key else v for i, v in enumerate(out))
-            return dataclasses.replace(out, **{key: getattr(out, key) * (1 + 1e-6)})
+                return tuple(v * factor if i == key else v for i, v in enumerate(out))
+            return dataclasses.replace(out, **{key: getattr(out, key) * factor})
 
         return wrapped
 
@@ -166,6 +166,14 @@ BITES = {
     "cocycle-literal-route": (jacobi, "lambda_cocycle_ez", _scaled, _jacobi_n1),
     "cocycle-route-agreement": (jacobi, "lambda_cocycle_ez", _scaled, _jacobi),
     "normalization-routes": (symplectic, "jn", _scaled, _measure),
+    # the Monte-Carlo records at the suite's default seed and sample count,
+    # against their 1e-2 (mass, volume) and 3e-2 (reproducing) bounds; the
+    # x0 = 0 target reads the weight only, its kernel being 1
+    "normalization-mc": (jacobi, "_sample_chunk_n1", _scaled_part(3, 1.05), verify.suite_measure),
+    "reproducing-one": (jacobi, "_sample_chunk_n1", _scaled_part(3, 1.05), verify.suite_measure),
+    "reproducing-z": (jacobi, "_kernel_n1", lambda fn: _scaled(fn, 1.05), verify.suite_measure),
+    "reproducing-w": (jacobi, "_kernel_n1", lambda fn: _scaled(fn, 1.05), verify.suite_measure),
+    "jn-mc": (verify, "_jn_mc_chunk", _scaled_part(0, 1.05), verify.suite_measure),
     "displacement-normal-order": (fockoracle, "displacement", _scaled, _oracle),
     "squeeze-reverse-order": (fockoracle, "squeeze", _scaled, _oracle),
     # the orbit record applies S(g) D(alpha) to a vector, one action each
