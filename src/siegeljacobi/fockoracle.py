@@ -18,20 +18,19 @@ operators (:func:`displacement`, :func:`squeeze`,
 takes a vector or a block of columns over |0>..|N>, reads the cutoff from
 its length, and applies its ordered product of exponentials, with the
 vacuum as one more column for its tail guard; ``np.eye(N + 1)`` gives the
-operator.  Each also takes one parameter per column of a block (a 1-D
-array; for :func:`s_of_g` a sequence of elements), with one guard column
-per sample.  The orbit vectors of :func:`cs_vector` sum their series on
-one column, or on a stack of columns that each stop at their own last term.
-:func:`mm1_residual` and :func:`oracle_kernel` take a stack of samples and
-make one stacked call of each operator for all of them; a single sample is a
-stack of one with scalar returns.  Every column of a stack has the bits of
-its own one-sample call.
+operator.  The operators and the sampled routes (:func:`cs_vector`,
+:func:`oracle_kernel`, :func:`mm1_residual`) take one sample or a stack of
+samples along one leading axis (1-D parameter arrays, a stacked
+:class:`SpElement`, stacked points) and make one stacked call of each
+operator for all of them, with one guard column per sample: every column of
+a stack has the bits of its own one-sample call, and a single sample keeps
+its scalar returns.  The orbit vectors of :func:`cs_vector` sum their
+series on a stack of columns that each stop at their own last term.
 
 The diagonals of the ladder and quadratic generators are built once per
-cutoff and kept read-only; :func:`ladder` and :func:`number_ops` place
-them in dense matrices once per cutoff, on first call.  Operators have one
-route each here; their second routes are records of
-:func:`siegeljacobi.verify.suite_oracle`.
+cutoff and kept read-only; no operator is formed as a dense matrix.
+Operators have one route each here, their actions; their second routes are
+records of :func:`siegeljacobi.verify.suite_oracle`.
 
 Accuracy is certified by cutoff doubling rather than a priori bounds: all
 checks report a residual that must shrink when N grows.
@@ -50,8 +49,6 @@ from .symplectic import SpElement, cartan_decompose, cartan_synthesize
 
 __all__ = [
     "FockVec",
-    "ladder",
-    "number_ops",
     "displacement",
     "squeeze",
     "squeeze_from_generator",
@@ -137,40 +134,17 @@ def _generators(cutoff: int) -> dict:
     return out
 
 
-def _matrices(cutoff: int, *names) -> tuple:
-    """The named generators at one cutoff as read-only dense matrices."""
-    mats = tuple(np.diag(diag, offset) for offset, diag in
-                 (_generators(cutoff)[name] for name in names))
-    for mat in mats:
-        mat.setflags(write=False)
-    return mats
-
-
-@functools.cache
-def ladder(cutoff: int):
-    """Annihilation and creation matrices: ``a |m> = sqrt(m) |m-1>``.
-
-    Built once per cutoff; the arrays are read-only.
-    """
-    return _matrices(cutoff, "a", "ad")
-
-
-@functools.cache
-def number_ops(cutoff: int):
-    """The quadratic generators ``(Kp, Km, K0)`` in the truncated basis.
-
-    Built once per cutoff; the arrays are read-only.
-    """
-    return _matrices(cutoff, "kp", "km", "k0")
-
-
+@np.errstate(invalid="ignore", over="ignore")
 def _banded(cutoff: int, **coeffs) -> dict:
     """``sum coeff * op`` over named generators as ``{offset: diagonal}``;
     no two generators share an offset.
 
     Each diagonal is a column ``(len, 1)`` for a number ``coeff``, or
     ``(len, c)`` for a 1-D array of ``c`` coefficients: ``c`` generators,
-    column ``i`` of a block taking generator ``i mod c``.
+    column ``i`` of a block taking generator ``i mod c``.  An infinite or
+    overflowing coefficient gives a non-finite diagonal without a warning
+    (``inf * (sqrt(m) + 0j)`` has a NaN part), which the one finiteness
+    check, :func:`_expm_apply`'s, turns away.
     """
     ops = _generators(cutoff)
     return {ops[name][0]: coeff * ops[name][1][:, None] for name, coeff in coeffs.items()}
@@ -207,8 +181,8 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If a generator has a non-finite entry (a NaN or infinite
-        parameter), which has no step count.
+        If a generator has a non-finite entry (a NaN, infinite or
+        overflowing parameter), which has no step count.
     """
     finite = functools.reduce(np.logical_and, (np.isfinite(diag).all(axis=0) for diag in gen.values()))
     bad = np.flatnonzero(~finite)
@@ -391,30 +365,28 @@ def cs_vector(z, w, cutoff: int) -> FockVec:
     return stack if z.ndim > 0 else FockVec(cutoff, out[:, 0])
 
 
-def s_of_g(g, v: np.ndarray) -> np.ndarray:
+def s_of_g(g: SpElement, v: np.ndarray) -> np.ndarray:
     """Metaplectic-type lift of a 1x1 group element applied to ``v``, with
-    :func:`squeeze`'s guard; a sequence of elements ``g`` holds one element
-    per column of ``v``.
+    :func:`squeeze`'s guard; a stack of elements ``g`` (one leading axis)
+    holds one element per column of ``v``.
 
     The Cartan factors ``(zeta, u)`` of ``g`` give
     ``S(g) = exp(zeta Kp - conj(zeta) Km) exp(2 log(u) K0)``; the principal
     logarithm fixes the lift, consistently with the closed-form multiplier
     for elements near the identity.
     """
-    if isinstance(g, SpElement):
-        zeta, u = _cartan_params(g)
-    else:
-        zeta, u = (np.array(p) for p in zip(*map(_cartan_params, g)))
+    zeta, u = _cartan_params(g)
     return _guarded([{"k0": 2 * np.log(u)}, {"kp": zeta, "km": -np.conj(zeta)}], v,
                     "lift by |zeta|", abs(zeta))
 
 
 def _cartan_params(g: SpElement) -> tuple:
-    """The Cartan factors ``(zeta, v)`` of a 1x1 group element."""
+    """The Cartan factors ``(zeta, v)`` of a 1x1 group element, or the
+    arrays of them of a stack, from one :func:`cartan_decompose` call."""
     if g.n != 1:
         raise ValueError("the oracle is single mode (n = 1)")
     fac = cartan_decompose(g)
-    return complex(fac.z[0, 0]), complex(fac.v[0, 0])
+    return fac.z[..., 0, 0][()], fac.v[..., 0, 0][()]
 
 
 def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
@@ -448,7 +420,6 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     * ``S D(alpha) S^-1 = D(g . alpha)``
       (:func:`siegeljacobi.jacobi.alpha_action`).
     """
-    a, ad = ladder(cutoff)
     g = cartan_synthesize(np.array([[zeta]]), np.eye(1))
     m, n = complex(g.a[0, 0]), complex(g.b[0, 0])
     alpha_v = np.array([alpha], dtype=complex)
@@ -464,7 +435,8 @@ def check_hpb(zeta: complex, alpha: complex, cutoff: int) -> float:
     sinv_a_s, sinv_cols = np.hsplit(
         squeeze_from_generator(-zeta, np.hstack([_band_matvec(annihilate, s_cols), cols])), 2)
 
-    res = [np.abs(sinv_a_s[:deep] - (m * a + n * ad)[:deep, :deep]).max(),
+    m_a_n_ad = _band_matvec(_banded(cutoff, a=m, ad=n), cols)  # (m a + n a+) E
+    res = [np.abs((sinv_a_s - m_a_n_ad)[:deep]).max(),
            np.abs((displacement(alpha, s_cols) - s_d_beta)[:deep]).max()]
     lhs = squeeze_from_generator(zeta, displacement(alpha, sinv_cols))
     rhs = displacement(complex(alpha_action(g, alpha_v)[0]), cols)
@@ -499,24 +471,24 @@ def mm1_residual(g, alpha, z, w, cutoff: int):
     k = 1.  Returns ``(residual, data)`` with the cocycle data; this single
     check arbitrates every convention flag in the package.
 
-    For a stack of samples (``g`` a sequence of elements, ``alpha``, ``z``
-    and ``w`` 1-D arrays of its length) each operator acts once on all of
-    them, and the returns are the array of residuals and the list of data.
+    For a stack of samples (``g`` a stack of elements with one leading axis,
+    ``alpha``, ``z`` and ``w`` 1-D arrays of its length) each operator acts
+    once on all of them, and the returns are the array of residuals and the
+    stacked data, whose indexing gives each sample's.
     """
-    single = isinstance(g, SpElement)
-    gs = [g] if single else list(g)
+    single = g.a.ndim == 2
+    if single:
+        g = g[None]
     alpha, z, w = (np.atleast_1d(np.asarray(p, dtype=complex)) for p in (alpha, z, w))
-    if not len(gs) == len(alpha) == len(z) == len(w):
+    if not len(g.a) == len(alpha) == len(z) == len(w):
         raise ValueError("g, alpha, z and w must hold one sample each")
     # one stacked cocycle call: each entry has the bits of its single call
-    h = JacobiElement(g=SpElement(a=np.stack([gi.a for gi in gs]), b=np.stack([gi.b for gi in gs])),
-                      alpha=alpha[:, None], t=0.0)
-    data = lambda_cocycle(h, CSPoint(z=z[:, None], W=w[:, None, None]), 1, unchecked_branch=True)
-    lhs = s_of_g(gs, displacement(alpha, cs_vector(z, w, cutoff).amps))
+    data = lambda_cocycle(JacobiElement(g=g, alpha=alpha[:, None], t=0.0),
+                          CSPoint(z=z[:, None], W=w[:, None, None]), 1, unchecked_branch=True)
+    lhs = s_of_g(g, displacement(alpha, cs_vector(z, w, cutoff).amps))
     image = cs_vector(*map(np.ascontiguousarray, (data.z1[:, 0], data.W1[:, 0, 0])), cutoff).amps
     res = FockVec(cutoff, lhs - data.lam * image).norm
-    datas = [data[i] for i in range(len(gs))]
-    return (float(res[0]), datas[0]) if single else (res, datas)
+    return (float(res[0]), data[0]) if single else (res, data)
 
 
 def squeezed_vacuum_convention(w: complex, cutoff: int):

@@ -255,6 +255,16 @@ def _part_scale(m: np.ndarray) -> np.ndarray:
                       np.abs(m.imag).max(axis=(-2, -1), initial=1.0))
 
 
+def _norms(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` (Frobenius) of each matrix of a stack ``(..., r, c)``,
+    with its bits: the sums of squares of the row-major entries are the BLAS
+    dot products it forms.  A ``float64`` for one matrix; a stack of vectors
+    ``v`` is ``v[..., None, :]``."""
+    flat = m.reshape(m.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
 def _asymmetry(m: np.ndarray, conjugate: bool):
     """Which matrices of ``m`` differ from their transpose (their conjugate
     transpose if ``conjugate``) by more than ``DEFAULT_TOL * max(||m||, 1)``,

@@ -17,13 +17,14 @@ cross-check them (second closed forms, group closure) run in
 :mod:`siegeljacobi.verify`, not on every call.
 
 An :class:`SpElement` holds one element, blocks ``(n, n)``, or a stack of
-them, blocks ``(..., n, n)``.  :func:`sp_compose`, :func:`sp_inverse`,
-:func:`cartan_synthesize`, :func:`w_of_z`, :func:`z_of_w` and
-:func:`moebius` take stacks, and each element or matrix of a stack has the
-bits of its own call.  The random draws :func:`random_symmetric`,
-:func:`sp_random` and :func:`random_siegel_point` give one sample each; the
-private builders under them make a stack of samples from one normal draw
-of :data:`SYM_BLOCKS` or :data:`SP_BLOCKS` blocks per sample.
+them, blocks ``(..., n, n)``; a domain point is one matrix or a stack.
+Every function of elements or points takes one of them or a stack: each
+entry of a stacked result has the bits of its own single call, and a single
+call returns matrices and Python numbers.  The random draws
+:func:`random_symmetric`, :func:`sp_random` and :func:`random_siegel_point`
+give one sample each; the private builders under them make a stack of
+samples from one normal draw of :data:`SYM_BLOCKS` or :data:`SP_BLOCKS`
+blocks per sample.
 """
 
 from __future__ import annotations
@@ -123,23 +124,32 @@ class CartanFactors:
 _MEMBERSHIP_PART_CAP = 1e100
 
 
-def membership_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst residual of the four block identities defining the group.
+def membership_residual(a: np.ndarray, b: np.ndarray):
+    """Worst Frobenius residual of the four block identities defining the
+    group: a ``float`` for one block pair, an array for stacks.
 
     It is inf, not computed, for blocks with a part beyond
     :data:`_MEMBERSHIP_PART_CAP`, and NaN for non-finite blocks, so that no
     input overflows to a residual that passes a bound.
     """
     scale = np.maximum(matfun._part_scale(a), matfun._part_scale(b))
-    if not scale <= _MEMBERSHIP_PART_CAP:
-        return math.nan if np.isnan(scale) else math.inf
-    eye = matfun.eye(a.shape[0])
-    return float(np.max([
-        np.linalg.norm(a @ a.conj().T - b @ b.conj().T - eye),
-        np.linalg.norm(a @ b.T - b @ a.T),
-        np.linalg.norm(a.conj().T @ a - b.T @ b.conj() - eye),
-        np.linalg.norm(a.T @ b.conj() - b.conj().T @ a),
-    ]))
+    capped = ~(scale <= _MEMBERSHIP_PART_CAP)
+    any_capped = capped.any()
+    if any_capped:
+        # zeroed, the capped pairs multiply out finite; their residual is set below
+        a, b = (np.where(capped[..., None, None], 0.0, m) for m in (a, b))
+    at, bt = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+    ah, bh = at.conj(), bt.conj()
+    eye = matfun.eye(a.shape[-1])
+    res = matfun._norms(np.stack([
+        a @ ah - b @ bh - eye,
+        a @ bt - b @ at,
+        ah @ a - bt @ b.conj() - eye,
+        at @ b.conj() - bh @ a,
+    ])).max(axis=0)
+    if any_capped:
+        res = np.where(capped, np.where(np.isnan(scale), math.nan, math.inf), res)
+    return float(res) if a.ndim == 2 else res
 
 
 def sp_new(a, b, tol: float = DEFAULT_TOL) -> SpElement:
@@ -200,7 +210,7 @@ def gauss_decompose(g: SpElement) -> GaussFactors:
     abar_inv = _inv(g.a.conj(), "conj(a)")
     y = g.b @ abar_inv
     yp = abar_inv @ g.b.conj()
-    gamma = _inv(g.a.conj().T, "a*")
+    gamma = _inv(g.a.conj().swapaxes(-1, -2), "a*")
     delta = g.a.conj()
     return GaussFactors(y=y, yp=yp, gamma=gamma, delta=delta)
 
@@ -226,12 +236,12 @@ def cartan_decompose(g: SpElement) -> CartanFactors:
     """
     abar_inv = _inv(g.a.conj(), "conj(a)")
     y = g.b @ abar_inv
-    dec = matfun.herm_eig(y @ y.conj().T)
+    dec = matfun.herm_eig(y @ y.conj().swapaxes(-1, -2))
     if dec.evals.max() >= 1.0:
         raise DomainViolation("Gauss coordinate has norm >= 1")
     z = dec.apply(matfun.arctanhc_of_sqrt) @ y
     v = dec.apply(lambda t: np.sqrt(np.maximum(1.0 - t, 0.0))) @ g.a
-    return CartanFactors(z=0.5 * (z + z.T), v=v)
+    return CartanFactors(z=0.5 * (z + z.swapaxes(-1, -2)), v=v)
 
 
 def cartan_synthesize(z: np.ndarray, v: np.ndarray) -> SpElement:
@@ -243,7 +253,7 @@ def cartan_synthesize(z: np.ndarray, v: np.ndarray) -> SpElement:
 
 def sp_of(w: np.ndarray) -> SpElement:
     """The unitary-free element whose Cartan coordinate is the domain point ``w``."""
-    return cartan_synthesize(z_of_w(w), np.eye(w.shape[0], dtype=complex))
+    return cartan_synthesize(z_of_w(w), np.eye(w.shape[-1], dtype=complex))
 
 
 def w_of_z(z: np.ndarray) -> np.ndarray:
@@ -310,37 +320,31 @@ def ball_compose(w1: np.ndarray, w2: np.ndarray):
     Singular
         If ``1 + w1* w2`` is not invertible (never for interior points).
     """
-    w1 = as_cmat(w1)
-    w2 = as_cmat(w2)
-    eye = matfun.eye(w1.shape[0])
-    s1 = eye - w1 @ w1.conj().T
-    s1p = eye - w1.conj().T @ w1
-    s1_inv_sqrt = _psd_power(s1, -0.5)
+    w1, w2 = (matfun._as_square_stack(w, ValueError) for w in (w1, w2))
+    eye = matfun.eye(w1.shape[-1])
+    h1, h2 = (w.conj().swapaxes(-1, -2) for w in (w1, w2))
+    s1_inv_sqrt = _psd_power(eye - w1 @ h1, -0.5)
     w3 = (
         s1_inv_sqrt
         @ (w1 + w2)
-        @ _inv(eye + w1.conj().T @ w2, "1 + w1* w2")
-        @ _psd_power(s1p, 0.5)
+        @ _inv(eye + h1 @ w2, "1 + w1* w2")
+        @ _psd_power(eye - h1 @ w1, 0.5)
     )
-    w3 = 0.5 * (w3 + w3.T)
-    m = (
-        s1_inv_sqrt
-        @ (eye + w1 @ w2.conj().T)
-        @ _psd_power(eye - w2 @ w2.conj().T, -0.5)
-    )
-    v = _psd_power(m @ m.conj().T, -0.5) @ m
-    ld = matfun.principal_logdet(eye + w1 @ w2.conj().T)
-    detv = complex(np.exp(1j * ld.imag))
-    return w3, v, detv
+    w3 = 0.5 * (w3 + w3.swapaxes(-1, -2))
+    m = s1_inv_sqrt @ (eye + w1 @ h2) @ _psd_power(eye - w2 @ h2, -0.5)
+    v = _psd_power(m @ m.conj().swapaxes(-1, -2), -0.5) @ m
+    detv = np.exp(1j * matfun.principal_logdet(eye + w1 @ h2).imag)
+    return w3, v, detv if isinstance(detv, np.ndarray) else complex(detv)
 
 
-def multiplier(g: SpElement, w: np.ndarray, k: float) -> complex:
+def multiplier(g: SpElement, w: np.ndarray, k: float):
     """Automorphy factor ``det(a* + w b*)^{k/2}`` of the kernel.
 
     It equals ``1 / jacobi.lambda_cocycle`` at ``alpha = 0`` and ``z = 0``:
     the determinant alone, without the cocycle's image point and exponent.
     """
-    return detpow(g.a.conj().T + as_cmat(w) @ g.b.conj().T, k / 2)
+    w = matfun._as_square_stack(w, ValueError)
+    return detpow(g.a.conj().swapaxes(-1, -2) + w @ g.b.conj().swapaxes(-1, -2), k / 2)
 
 
 def sym_index_pairs(n: int):
@@ -348,15 +352,16 @@ def sym_index_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def sp_density(w: np.ndarray) -> float:
+def sp_density(w: np.ndarray):
     """Density ``det(1 - w wbar)^{-(n+1)}`` of the invariant volume.
 
     The determinant is :func:`matfun.logdet_hpd`'s, so a ``w`` outside the
     domain raises :class:`DomainViolation` rather than giving a value.
     """
     w = matfun.check_symmetric(w)
-    n = w.shape[0]
-    return float(np.exp(-(n + 1) * matfun.logdet_hpd(matfun.eye(n) - w @ w.conj().T)))
+    n = w.shape[-1]
+    out = np.exp(-(n + 1) * matfun.logdet_hpd(matfun.eye(n) - w @ w.conj().swapaxes(-1, -2)))
+    return float(out) if w.ndim == 2 else out
 
 
 def jn(p: float, n: int) -> float:

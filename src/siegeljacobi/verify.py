@@ -20,10 +20,11 @@ each; the independent routes that cross-check them live here and run once
 per suite.  The oracle records apply each operator to the leading basis
 columns they read.  The sampled records draw all their samples first, in
 the order of one draw after another (:func:`_point_draws`,
-:func:`_element_draws`), and build them on stacks; ``kernel-oracle`` and
-``orbit-map-end-to-end`` make one stacked oracle call, and the Jacobi suite
-one stacked closed-form call per identity.  Each record's worst case is
-folded by :func:`_worst`, so a NaN on any sample fails the record.
+:func:`_element_draws`, :func:`_normal_blocks`), and build them on stacks;
+each identity is then one stacked call, of the closed forms or of the
+oracle, and the residual helpers take one sample or a stack alike.  Each
+record's worst case is folded by :func:`_worst`, so a NaN on any sample
+fails the record.
 """
 
 from __future__ import annotations
@@ -88,13 +89,6 @@ def _abs(c):
     ``abs`` computes it (``hypot``); numpy's SIMD absolute of complex arrays
     rounds some entries differently, and the records keep their bits."""
     return np.hypot(np.real(c), np.imag(c))
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each vector of a stack ``(..., m)``, with its
-    bits: the sums of squares are the BLAS dot products it forms."""
-    re, im = v.real[..., None, :], v.imag[..., None, :]
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def _normal_blocks(rng, samples, n, *blocks) -> list:
@@ -185,14 +179,15 @@ def _bounded_element(n, rng, cap, phase_cap=None) -> JacobiElement:
 # independent routes
 # ----------------------------------------------------------------------
 
-def _moebius_residual(g, w, out) -> float:
+def _moebius_residual(g, w, out):
     """Distance of ``out = symplectic.moebius(g, w)`` from the transposed
     closed form ``(w b* + a*)^-1 (b^T + w a^T)``, relative to
     ``max(1, |out|)``.  For symmetric ``w`` that form is the transpose of
     the unsymmetrized action, so this is half its asymmetry: a symmetry
     residual, not an independent second route."""
-    alt = np.linalg.inv(w @ g.b.conj().T + g.a.conj().T) @ (g.b.T + w @ g.a.T)
-    return np.linalg.norm(out - alt) / max(1.0, np.linalg.norm(out))
+    at, bt = g.a.swapaxes(-1, -2), g.b.swapaxes(-1, -2)
+    alt = np.linalg.inv(w @ bt.conj() + at.conj()) @ (bt + w @ at)
+    return matfun._norms(out - alt) / np.maximum(1.0, matfun._norms(out))
 
 
 def _normal_order_residual(alpha, cutoff, d) -> float:
@@ -286,16 +281,15 @@ def _roundtrip_residuals(g, zs):
     """Frobenius residuals of the Gauss round trip of ``g`` (or the asymmetry
     of its ``y`` factor, if larger), of its Cartan round trip, and of
     ``z_of_w(w_of_z(zs))`` for symmetric ``zs``."""
+    norms = matfun._norms
     f = symplectic.gauss_decompose(g)
     re = symplectic.gauss_reassemble(f)
-    gauss = _worst(
-        np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b),
-        np.linalg.norm(f.y - f.y.T),
-    )
+    gauss = np.maximum(norms(re.a - g.a) + norms(re.b - g.b),
+                       norms(f.y - f.y.swapaxes(-1, -2)))
     c = symplectic.cartan_decompose(g)
     re = symplectic.cartan_synthesize(c.z, c.v)
-    cartan = np.linalg.norm(re.a - g.a) + np.linalg.norm(re.b - g.b)
-    zw = np.linalg.norm(symplectic.z_of_w(symplectic.w_of_z(zs)) - zs)
+    cartan = norms(re.a - g.a) + norms(re.b - g.b)
+    zw = norms(symplectic.z_of_w(symplectic.w_of_z(zs)) - zs)
     return gauss, cartan, zw
 
 
@@ -307,8 +301,8 @@ def _ball_composition_residuals(w1, w2):
     w3, v, detv = symplectic.ball_compose(w1, w2)
     prod = symplectic.sp_compose(symplectic.sp_of(w1), symplectic.sp_of(w2))
     y = symplectic.gauss_decompose(prod).y
-    return (np.linalg.norm(w3 - y), abs(abs(detv) - 1.0),
-            abs(np.linalg.det(v) - detv), prod)
+    return (matfun._norms(w3 - y), _abs(_abs(detv) - 1.0),
+            _abs(np.linalg.det(v) - detv), prod)
 
 
 def _squares(v):
@@ -341,7 +335,8 @@ def _left_action_residual(h1, h2, x):
     One sample, or stacks of samples."""
     two_step = jacobi.cs_coords(jacobi.act(h1, jacobi.act(h2, x)))
     one_step = jacobi.cs_coords(jacobi.act(jacobi.jacobi_compose(h1, h2), x))
-    return (_norms(two_step - one_step) / np.maximum(1.0, _norms(one_step)))[()]
+    return (matfun._norms((two_step - one_step)[..., None, :])
+            / np.maximum(1.0, matfun._norms(one_step[..., None, :])))[()]
 
 
 def _form_fd_residuals(x, k):
@@ -405,22 +400,21 @@ def _one_variable_residuals():
     return bad_pn, bad_h, abs(sk - ck) / abs(ck)
 
 
-def _domain_kernel(x, y, k) -> complex:
+def _domain_kernel(x, y, k):
     """:func:`jacobi.kernel` at ``z = 0``: ``det(1 - y x*)^{-k/2}`` on D_n."""
-    zero = np.zeros(x.shape[0])
-    return jacobi.kernel(CSPoint(z=zero, W=x), CSPoint(z=zero, W=y), k)
+    return jacobi.kernel(CSPoint(z=np.zeros(x.shape[:-1]), W=x),
+                         CSPoint(z=np.zeros(y.shape[:-1]), W=y), k)
 
 
-def _kernel_transform_residual(g, x, y, k) -> float:
+def _kernel_transform_residual(g, x, y, k):
     """Residual of the kernel transformation law ``K(gX, gY) = J(g, Y)
     K(X, Y) conj(J(g, X))`` on the domain, relative to ``max(1, |K(gX, gY)|)``."""
     kg = _domain_kernel(symplectic.moebius(g, x), symplectic.moebius(g, y), k)
-    pred = (
-        symplectic.multiplier(g, y, k)
-        * _domain_kernel(x, y, k)
-        * np.conj(symplectic.multiplier(g, x, k))
+    pred = matfun._cmul(
+        matfun._cmul(symplectic.multiplier(g, y, k), _domain_kernel(x, y, k)),
+        np.conj(symplectic.multiplier(g, x, k)),
     )
-    return abs(kg - pred) / max(abs(kg), 1.0)
+    return _abs(kg - pred) / np.maximum(_abs(kg), 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -463,74 +457,51 @@ def suite_algebra(n=2) -> list:
 def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
     rng = np.random.default_rng(seed)
     checks = []
-    # each loop's draws are normals only: one draw holds all its samples in
-    # the order of one draw after another, and the stacked helpers build
-    # them; the identities are evaluated per sample
+    # each group's draws are normals only: one draw holds all its samples in
+    # the order of one draw after another, the stacked helpers build them,
+    # and each identity is one stacked call
     sp_blocks, sym_blocks = symplectic.SP_BLOCKS, symplectic.SYM_BLOCKS
     g_draws, z_draws = _normal_blocks(rng, samples, n, sp_blocks, sym_blocks)
-    gs = symplectic._sp_of_normals(g_draws, 0.5)
-    zss = symplectic._symmetric_of(z_draws, 0.5)
-    worst_gauss = worst_cartan = worst_zw = 0.0
-    for i in range(samples):
-        gauss, cartan, zw = _roundtrip_residuals(gs[i], zss[i])
-        worst_gauss = _worst(worst_gauss, gauss)
-        worst_cartan = _worst(worst_cartan, cartan)
-        worst_zw = _worst(worst_zw, zw)
-    _rec(checks, "gauss-roundtrip", "triangular-factorization", worst_gauss, 1e-9,
+    gauss, cartan, zw = _roundtrip_residuals(symplectic._sp_of_normals(g_draws, 0.5),
+                                             symplectic._symmetric_of(z_draws, 0.5))
+    _rec(checks, "gauss-roundtrip", "triangular-factorization", _worst(gauss), 1e-9,
          n=n, samples=samples)
-    _rec(checks, "cartan-roundtrip", "polar-factorization", worst_cartan, 1e-9,
+    _rec(checks, "cartan-roundtrip", "polar-factorization", _worst(cartan), 1e-9,
          n=n, samples=samples)
-    _rec(checks, "generator-domain-roundtrip", "tanh-coordinate-map", worst_zw, 1e-11,
+    _rec(checks, "generator-domain-roundtrip", "tanh-coordinate-map", _worst(zw), 1e-11,
          n=n, samples=samples)
 
     g1_draws, g2_draws, w_draws, w1_draws, w2_draws = _normal_blocks(
         rng, samples, n, sp_blocks, sp_blocks, sym_blocks, sym_blocks, sym_blocks)
-    g1s, g2s = (symplectic._sp_of_normals(d, 0.4) for d in (g1_draws, g2_draws))
-    ws = _siegel_points(w_draws, 0.4)
-    w1s, w2s = (_siegel_points(d, 0.35) for d in (w1_draws, w2_draws))
-    worst_act = worst_ball = worst_detv = worst_forms = worst_closure = 0.0
-    for i in range(samples):
-        g1, g2, w = g1s[i], g2s[i], ws[i]
-        g2w = symplectic.moebius(g2, w)
-        g12 = symplectic.sp_compose(g1, g2)
-        lhs = symplectic.moebius(g1, g2w)
-        rhs = symplectic.moebius(g12, w)
-        worst_act = _worst(worst_act, np.linalg.norm(lhs - rhs))
-        worst_forms = _worst(
-            worst_forms,
-            _moebius_residual(g2, w, g2w),
-            _moebius_residual(g1, g2w, lhs),
-            _moebius_residual(g12, w, rhs),
-        )
-        ball, unimodular, det_forms, prod = _ball_composition_residuals(w1s[i], w2s[i])
-        worst_ball = _worst(worst_ball, ball)
-        worst_detv = _worst(worst_detv, unimodular, det_forms)
-        worst_closure = _worst(
-            worst_closure,
-            symplectic.membership_residual(g12.a, g12.b),
-            symplectic.membership_residual(prod.a, prod.b),
-        )
-    _rec(checks, "moebius-left-action", "linear-fractional-action", worst_act, 1e-10,
+    g1, g2 = (symplectic._sp_of_normals(d, 0.4) for d in (g1_draws, g2_draws))
+    w = _siegel_points(w_draws, 0.4)
+    w1, w2 = (_siegel_points(d, 0.35) for d in (w1_draws, w2_draws))
+    g2w = symplectic.moebius(g2, w)
+    g12 = symplectic.sp_compose(g1, g2)
+    lhs = symplectic.moebius(g1, g2w)
+    rhs = symplectic.moebius(g12, w)
+    ball, unimodular, det_forms, prod = _ball_composition_residuals(w1, w2)
+    _rec(checks, "moebius-left-action", "linear-fractional-action",
+         _worst(matfun._norms(lhs - rhs)), 1e-10, n=n, samples=samples)
+    _rec(checks, "ball-composition", "two-point-composition-law", _worst(ball), 1e-9,
          n=n, samples=samples)
-    _rec(checks, "ball-composition", "two-point-composition-law", worst_ball, 1e-9,
-         n=n, samples=samples)
-    _rec(checks, "ball-composition-unitary", "unimodular-correction", worst_detv, 1e-9,
-         n=n, samples=samples)
+    _rec(checks, "ball-composition-unitary", "unimodular-correction",
+         _worst(unimodular, det_forms), 1e-9, n=n, samples=samples)
     # half the in-call bound of 1e-8 on the unsymmetrized action
-    _rec(checks, "moebius-closed-forms", "action-closed-forms", worst_forms, 5e-9,
-         n=n, samples=samples)
-    _rec(checks, "compose-closure", "product-membership", worst_closure,
+    _rec(checks, "moebius-closed-forms", "action-closed-forms",
+         _worst(_moebius_residual(g2, w, g2w), _moebius_residual(g1, g2w, lhs),
+                _moebius_residual(g12, w, rhs)), 5e-9, n=n, samples=samples)
+    _rec(checks, "compose-closure", "product-membership",
+         _worst(symplectic.membership_residual(g12.a, g12.b),
+                symplectic.membership_residual(prod.a, prod.b)),
          10 * matfun.DEFAULT_TOL, n=n, samples=samples)
 
     g_draws, x_draws, y_draws = _normal_blocks(rng, samples, n, sp_blocks, sym_blocks,
                                                sym_blocks)
-    gs = symplectic._sp_of_normals(g_draws, 0.4)
-    xs, ys = (_siegel_points(d, 0.4) for d in (x_draws, y_draws))
-    worst_tr = 0.0
-    for i in range(samples):
-        worst_tr = _worst(worst_tr, _kernel_transform_residual(gs[i], xs[i], ys[i], k))
-    _rec(checks, "kernel-transformation", "multiplier-placement", worst_tr, 1e-9,
-         n=n, k=k, samples=samples)
+    g = symplectic._sp_of_normals(g_draws, 0.4)
+    x, y = (_siegel_points(d, 0.4) for d in (x_draws, y_draws))
+    _rec(checks, "kernel-transformation", "multiplier-placement",
+         _worst(_kernel_transform_residual(g, x, y, k)), 1e-9, n=n, k=k, samples=samples)
 
     jn_failures = 0
     for nn in (1, 2, 3, 4):
@@ -675,8 +646,8 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     draws = [(_element_draws(1, rng, math.pi / 2), _point_draws(1, rng)) for _ in range(samples)]
     hs = _bounded_elements([d[0] for d in draws], 0.35, phase_cap=math.pi / 2)
     xs = _points([d[1] for d in draws], 0.35, 0.35)
-    res, _ = fockoracle.mm1_residual([hs.g[i] for i in range(samples)], hs.alpha[:, 0],
-                                     xs.z[:, 0], xs.W[:, 0, 0], max(cutoff, 100))
+    res, _ = fockoracle.mm1_residual(hs.g, hs.alpha[:, 0], xs.z[:, 0], xs.W[:, 0, 0],
+                                     max(cutoff, 100))
     _rec(checks, "orbit-map-end-to-end", "operator-orbit-vs-closed-form",
          _worst(*res), 1e-6, n=1, k=1.0, samples=samples)
 

@@ -13,8 +13,14 @@ from siegeljacobi.errors import CutoffTooSmall
 from siegeljacobi.jacobi import CSPoint
 
 
+def _matrices(cutoff, *names):
+    """The named generators as dense matrices, from their diagonals."""
+    return tuple(np.diag(diag, offset) for offset, diag in
+                 (fo._generators(cutoff)[name] for name in names))
+
+
 def test_ladder_basics():
-    a, ad = fo.ladder(10)
+    a, ad = _matrices(10, "a", "ad")
     vac = fo.vacuum(10).amps
     assert np.linalg.norm(a @ vac) == 0.0
     assert abs((ad @ vac)[1] - 1.0) < 1e-15
@@ -25,14 +31,14 @@ def test_ladder_basics():
 
 
 def test_vacuum_weight_fixes_index():
-    _, _, k0 = fo.number_ops(8)
+    (k0,) = _matrices(8, "k0")
     vac = fo.vacuum(8).amps
     assert np.allclose(k0 @ vac, 0.25 * vac)  # k/4 with k = 1
 
 
 def test_quadratic_brackets_hold_away_from_corner():
     n = 30
-    kp, km, k0 = fo.number_ops(n)
+    kp, km, k0 = _matrices(n, "kp", "km", "k0")
     pairs = [
         (km @ kp - kp @ km, 2 * k0),
         (k0 @ kp - kp @ k0, kp),
@@ -202,13 +208,11 @@ def _todays_generators(cutoff):
 
 def test_generators_are_built_once_per_cutoff_and_read_only():
     for n in (10, 100):
-        ops = (*fo.ladder(n), *fo.number_ops(n))
-        again = (*fo.ladder(n), *fo.number_ops(n))
-        assert all(x is y for x, y in zip(ops, again))
-        for op, fresh in zip(ops, _todays_generators(n)):
-            assert np.array_equal(op, fresh)
+        assert fo._generators(n) is fo._generators(n)
+        for (offset, diag), fresh in zip(fo._generators(n).values(), _todays_generators(n)):
+            assert np.array_equal(np.diag(diag, offset), fresh)
             with pytest.raises(ValueError):
-                op[0, 0] = 1.0
+                diag[0] = 1.0
 
 
 def _dense(cutoff, **coeffs):
@@ -367,8 +371,8 @@ def test_operator_columns_equal_their_vector_actions():
 def test_operators_take_one_parameter_per_column():
     v = np.column_stack([fo.cs_vector(z, w, 80).amps
                          for z, w in [(0.3 + 0.1j, 0.2 - 0.1j), (0.0, 0.0), (-0.2, 0.35j)]])
-    gs = [sp.cartan_synthesize(np.array([[z]]), np.array([[u]]))
-          for z, u in [(0.25 + 0.1j, 1j), (0.0, 1.0), (-0.3j, np.exp(0.7j))]]
+    gs = sp.cartan_synthesize(np.array([0.25 + 0.1j, 0.0, -0.3j]).reshape(3, 1, 1),
+                              np.array([1j, 1.0, np.exp(0.7j)]).reshape(3, 1, 1))
     for op, args in [(fo.displacement, np.array([0.3 + 0.2j, 0.0, -0.4j])),
                      (fo.squeeze, np.array([0.3 - 0.1j, 0.0, 0.5j])),
                      (fo.squeeze_from_generator, np.array([0.25 + 0.1j, -0.1, 0.0])),
@@ -533,6 +537,11 @@ def test_stacked_cs_vector_equals_one_series_per_column(monkeypatch):
     assert np.array_equal(stack.norm, [fo.FockVec(80, a).norm for a, _ in singles])
 
 
+def _stack(elements):
+    """One stacked element of a list of elements."""
+    return sp.SpElement(a=np.stack([g.a for g in elements]), b=np.stack([g.b for g in elements]))
+
+
 def _suite_oracle_draws(seed, samples=20):
     # the draws of verify.suite_oracle, in its order
     rng = np.random.default_rng(seed)
@@ -554,13 +563,13 @@ def test_stacked_oracle_records_equal_one_call_per_sample(seed):
         one = fo.oracle_kernel(x, y, 60)
         assert isinstance(one, complex) and value == one
     args = [(h.g, complex(h.alpha[0]), complex(x.z[0]), complex(x.W[0, 0])) for h, x in draws]
-    res, datas = fo.mm1_residual([a[0] for a in args], *(np.array([a[i] for a in args])
-                                                         for i in (1, 2, 3)), 100)
-    assert res.shape == (len(args),) and len(datas) == len(args)
-    for r, data, a in zip(res, datas, args):
+    res, data = fo.mm1_residual(_stack([a[0] for a in args]),
+                                *(np.array([a[i] for a in args]) for i in (1, 2, 3)), 100)
+    assert res.shape == data.lam.shape == (len(args),)
+    for i, (r, a) in enumerate(zip(res, args)):
         one, one_data = fo.mm1_residual(*a, 100)
         assert isinstance(one, float) and r.tobytes() == np.float64(one).tobytes()
-        assert data.lam == one_data.lam
+        assert data[i].lam == one_data.lam
 
 
 def test_oracle_kernel_needs_stacks_of_one_shape():
@@ -579,11 +588,11 @@ def test_stacked_cutoff_guard_names_the_sample():
     with pytest.raises(CutoffTooSmall, match=r"^sample 2: displacement by \|alpha\|=4\.0 "):
         fo.displacement(alpha, np.eye(13, 4))
     with pytest.raises(CutoffTooSmall, match=r"^sample 2: displacement"):
-        fo.mm1_residual([lift] * 4, alpha, np.zeros(4), np.zeros(4), 12)
+        fo.mm1_residual(_stack([lift] * 4), alpha, np.zeros(4), np.zeros(4), 12)
     with pytest.raises(CutoffTooSmall, match=r"^sample 1: orbit vector tail mass"):
         fo.cs_vector(np.zeros(3), np.array([0.1, 0.9, 0.1]), 40)
     with pytest.raises(CutoffTooSmall, match=r"^sample 0: lift by"):
-        fo.s_of_g([sp.cartan_synthesize(np.array([[math.atanh(0.9)]]), np.eye(1)), lift],
+        fo.s_of_g(_stack([sp.cartan_synthesize(np.array([[math.atanh(0.9)]]), np.eye(1)), lift]),
                   np.eye(41, 2))
     # a single sample keeps its message
     with pytest.raises(CutoffTooSmall, match=r"^displacement by \|alpha\|=4\.0 tail mass"):
@@ -631,6 +640,14 @@ def test_a_non_finite_generator_raises_before_its_step_count():
         fo.displacement(complex(math.nan, 0), np.eye(20))
     with pytest.raises(ValueError, match="generator 1 of the exponential is not finite"):
         fo.displacement(np.array([0.1, math.nan]), np.eye(20, 2))
+    # an infinite or overflowing parameter: its generator's diagonals hold
+    # NaN or inf, and building them warned before the check
+    with pytest.raises(ValueError, match="generator 0 of the exponential is not finite"):
+        fo.displacement(complex(math.inf, 0), np.eye(20))
+    with pytest.raises(ValueError, match="generator 1 of the exponential is not finite"):
+        fo.displacement(np.array([0.1, math.inf]), np.eye(20, 2))
+    with pytest.raises(ValueError, match="generator 0 of the exponential is not finite"):
+        fo.displacement(1e308, np.eye(20))
     with pytest.raises(ValueError, match="not finite"):
         fo._expm_apply(fo._banded(20, k0=math.nan), np.eye(21))
 
@@ -666,13 +683,13 @@ def test_mm1_residual_makes_one_stacked_cocycle_call(monkeypatch):
         return cocycle(h, x, k, **kwargs)
 
     monkeypatch.setattr(fo, "lambda_cocycle", record)
-    _, datas = fo.mm1_residual([a[0] for a in args], *(np.array([a[i] for a in args])
-                                                       for i in (1, 2, 3)), 100)
+    _, data = fo.mm1_residual(_stack([a[0] for a in args]),
+                              *(np.array([a[i] for a in args]) for i in (1, 2, 3)), 100)
     assert calls == [(len(args), 1)]
-    for data, one in zip(datas, singles):
-        assert isinstance(data.lam, complex) and data.lam == one.lam
+    for i, one in enumerate(singles):
+        assert isinstance(data[i].lam, complex) and data[i].lam == one.lam
         for field in ("z1", "W1", "x", "y"):
-            got, want = getattr(data, field), getattr(one, field)
+            got, want = getattr(data[i], field), getattr(one, field)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="one sample each"):
-        fo.mm1_residual([args[0][0]] * 2, np.zeros(3), np.zeros(3), np.zeros(3), 40)
+        fo.mm1_residual(_stack([args[0][0]] * 2), np.zeros(3), np.zeros(3), np.zeros(3), 40)

@@ -1,8 +1,11 @@
 """The closed forms on stacks: each entry of a stacked call has the bits of
 its own single call, the stacked draws are the successive single draws, a
-stacked validation error names the index that failed, and the Jacobi suite
-evaluates each identity once per stack."""
+stacked validation error names the index that failed, and the Jacobi and
+symplectic suites evaluate each identity once per stack."""
 
+import dataclasses
+import inspect
+import types
 import warnings
 
 import numpy as np
@@ -30,9 +33,9 @@ def _siegel(n, scale, rng, count=COUNT):
     return verify._siegel_points(rng.normal(size=(count, symplectic.SYM_BLOCKS, n, n)), scale)
 
 
-def _elements(n, scale, rng):
+def _elements(n, scale, rng, count=COUNT):
     """A stack of random group elements, as :func:`_symmetric` builds them."""
-    return symplectic._sp_of_normals(rng.normal(size=(COUNT, symplectic.SP_BLOCKS, n, n)),
+    return symplectic._sp_of_normals(rng.normal(size=(count, symplectic.SP_BLOCKS, n, n)),
                                      scale)
 
 
@@ -67,23 +70,65 @@ def test_spectral_layer_stacks_equal_single_calls(n):
         assert matfun.is_siegel(w[i]) is True
 
 
+#: Every public symplectic function of group elements or domain points (and
+#: the two of Cartan data), as a call on the inputs ``s``: elements ``g`` and
+#: ``h``, domain points ``w`` and ``y``, symmetric ``z`` and unitary ``v``
+SYMPLECTIC_CALLS = {
+    "sp_inverse": lambda s: symplectic.sp_inverse(s.g),
+    "sp_compose": lambda s: symplectic.sp_compose(s.g, s.h),
+    "gauss_decompose": lambda s: symplectic.gauss_decompose(s.g),
+    "cartan_decompose": lambda s: symplectic.cartan_decompose(s.g),
+    "cartan_synthesize": lambda s: symplectic.cartan_synthesize(s.z, s.v),
+    "sp_of": lambda s: symplectic.sp_of(s.w),
+    "w_of_z": lambda s: symplectic.w_of_z(s.z),
+    "z_of_w": lambda s: symplectic.z_of_w(s.w),
+    "moebius": lambda s: symplectic.moebius(s.g, s.w),
+    "ball_compose": lambda s: symplectic.ball_compose(s.w, s.y),
+    "multiplier": lambda s: symplectic.multiplier(s.g, s.w, 3.0),
+    "sp_density": lambda s: symplectic.sp_density(s.w),
+    "membership_residual": lambda s: symplectic.membership_residual(s.g.a, s.g.b),
+}
+
+
+def _parts(out) -> list:
+    """The arrays and numbers of a result: the blocks of an element, the
+    fields of factors, the items of a tuple."""
+    if isinstance(out, tuple):
+        return [part for item in out for part in _parts(item)]
+    if dataclasses.is_dataclass(out):
+        return [getattr(out, f.name) for f in dataclasses.fields(out)]
+    return [out]
+
+
+def test_the_stack_table_holds_every_function_of_elements_or_points():
+    takes = {name for name in symplectic.__all__
+             if inspect.isfunction(fn := getattr(symplectic, name))
+             and {"g", "g1", "g2", "w", "w1", "w2"} & set(inspect.signature(fn).parameters)}
+    assert takes and takes <= set(SYMPLECTIC_CALLS)
+
+
+# a stack of length n is where ``.T``, which reverses all three axes, keeps
+# the shape of a swap of the last two: it gave a wrong gamma without an error
+@pytest.mark.parametrize("count", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_symplectic_stacks_equal_single_calls(n):
-    rng = np.random.default_rng(310 + n)
-    g1, g2 = (_elements(n, 0.5, rng) for _ in range(2))
-    z = _symmetric(n, 0.5, rng)
-    v = _elements(n, 0.0, rng).a
-    w = _siegel(n, 0.4, rng)
-    prod, inv = symplectic.sp_compose(g1, g2), symplectic.sp_inverse(g1)
-    synth = symplectic.cartan_synthesize(z, v)
-    wz, moved = symplectic.w_of_z(z), symplectic.moebius(g1, w)
-    for i in range(COUNT):
-        for stacked, one in ((prod, symplectic.sp_compose(g1[i], g2[i])),
-                             (inv, symplectic.sp_inverse(g1[i])),
-                             (synth, symplectic.cartan_synthesize(z[i], v[i]))):
-            assert _same(stacked.a[i], one.a) and _same(stacked.b[i], one.b)
-        assert _same(wz[i], symplectic.w_of_z(z[i]))
-        assert _same(moved[i], symplectic.moebius(g1[i], w[i]))
+def test_symplectic_stacks_equal_single_calls(n, count):
+    rng = np.random.default_rng(310 + 10 * count + n)
+    stacks = types.SimpleNamespace(
+        g=_elements(n, 0.5, rng, count), h=_elements(n, 0.5, rng, count),
+        w=_siegel(n, 0.4, rng, count), y=_siegel(n, 0.4, rng, count),
+        z=_symmetric(n, 0.5, rng, count), v=_elements(n, 0.0, rng, count).a)
+    for name, call in SYMPLECTIC_CALLS.items():
+        stacked = _parts(call(stacks))
+        for i in range(count):
+            single = _parts(call(types.SimpleNamespace(
+                **{key: value[i] for key, value in vars(stacks).items()})))
+            assert len(single) == len(stacked)
+            for part, one in zip(stacked, single):
+                # a single call returns matrices, and Python numbers in
+                # place of the stack's 1-D arrays
+                assert (type(one) in (float, complex) if part.ndim == 1
+                        else isinstance(one, np.ndarray) and one.shape == part.shape[1:]), name
+                assert part[i].dtype == np.asarray(one).dtype and _same(part[i], one), name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -177,14 +222,21 @@ def test_a_stacked_validation_error_names_the_failing_index():
     assert kind is DomainViolation and message.startswith("stack index (2,): eigenvalues")
 
 
-def test_suite_jacobi_makes_one_cocycle_call_per_stack(monkeypatch):
+@pytest.mark.parametrize("suite, module, names", [
+    (verify.suite_jacobi, jacobi, ("lambda_cocycle",)),
+    (verify.suite_symplectic, symplectic,
+     ("gauss_decompose", "cartan_decompose", "moebius", "ball_compose", "multiplier",
+      "membership_residual")),
+])
+def test_suites_make_one_call_per_stack(monkeypatch, suite, module, names):
     counts = {}
     for samples in (3, 30):
         calls = []
-        lambda_cocycle = jacobi.lambda_cocycle
-        monkeypatch.setattr(jacobi, "lambda_cocycle",
-                            lambda *args, **kw: calls.append(args) or lambda_cocycle(*args, **kw))
-        verify.suite_jacobi(n=2, seed=7, samples=samples)
+        for name in names:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _fn=fn, **kw: calls.append(args) or _fn(*args, **kw))
+        suite(n=2, seed=7, samples=samples)
         monkeypatch.undo()
         counts[samples] = len(calls)
-    assert counts[3] == counts[30]
+    assert counts[3] == counts[30] > 0

@@ -201,6 +201,11 @@ BITES = {
     "ball-composition": (symplectic, "ball_compose", _scaled_part(0), _symplectic),
     "ball-composition-unitary": (symplectic, "ball_compose", _scaled_part(2), _symplectic),
     "lambda1-routes": (symplectic, "lambda1", _scaled, _symplectic),
+    "moebius-left-action": (symplectic, "sp_compose", _scaled_part("a"), _symplectic),
+    # the form is about 4 in size, against the 1e-5 bound of the Hessian
+    "two-form-hessian": (jacobi, "kahler_form", lambda fn: _scaled(fn, 1 + 1e-4), _symplectic),
+    "two-form-positive": (jacobi, "kahler_form", lambda fn: _scaled(fn, -1.0), _symplectic),
+    "volume-invariance": (numdiff, "w_jacobian", lambda fn: _scaled(fn, 1 + 1e-4), _symplectic),
     "cocycle-unitarity": (jacobi, "lambda_cocycle", _scaled_part("lam"), _jacobi),
     "cocycle-multiplicative": (jacobi, "jacobi_compose", _scaled_part("alpha"), _jacobi),
     # lambda_full carries exp(i c t): the constant of the conventions block
@@ -275,3 +280,24 @@ def test_a_nan_sample_fails_its_record(monkeypatch):
     for name in ("cocycle-unitarity", "cocycle-multiplicative"):
         assert checks[name]["pass"] is False and math.isnan(checks[name]["residual"])
     assert checks["cocycle-route-agreement"]["pass"] is True
+
+
+def test_a_nan_roundtrip_sample_fails_its_record(monkeypatch):
+    # NaN on the 5th of 50 samples of the one stacked round-trip call: the
+    # Gauss record reads NaN and fails, and the Cartan record is untouched
+    calls = []
+    roundtrip_residuals = verify._roundtrip_residuals
+
+    def nan_on_fifth(g, zs):
+        calls.append(zs.shape)
+        gauss, cartan, zw = roundtrip_residuals(g, zs)
+        gauss = gauss.copy()
+        gauss[4] = math.nan
+        return gauss, cartan, zw
+
+    monkeypatch.setattr(verify, "_roundtrip_residuals", nan_on_fifth)
+    checks = {c["check"]: c for c in verify.suite_symplectic(seed=7)}
+    assert calls == [(50, 2, 2)]
+    record = checks["gauss-roundtrip"]
+    assert record["pass"] is False and math.isnan(record["residual"])
+    assert checks["cartan-roundtrip"]["pass"] is True
