@@ -68,6 +68,14 @@ TAIL_THRESHOLD = 1e-8
 SERIES_TERMS = 400  # cap on the orbit-vector series; it converges far sooner
 TAYLOR_DEGREE = 18  # 1/19! < 1e-17: one step's truncation at unit norm
 
+#: The most Taylor steps per level of the cutoff ``N`` :func:`_expm_apply` runs.
+#: Steps are about ``2 |alpha| sqrt(N)`` for a displacement, ``|zeta| N`` for a
+#: squeeze: past ``16 N``, the vacuum's image (mean photon number above ``64 N``,
+#: or amplitudes decaying like ``tanh(16)^(m/2)``, ``tanh(16) = 1 - 2.5e-14``)
+#: leaves the cutoff, which the tail guard refuses only after the steps.  The
+#: tests and suites run at most 2.33 steps per level.
+_STEPS_PER_LEVEL = 16
+
 
 @dataclass(frozen=True)
 class FockVec:
@@ -183,6 +191,8 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
     ValueError
         If a generator has a non-finite entry (a NaN, infinite or
         overflowing parameter), which has no step count.
+    CutoffTooSmall
+        Before any step, past :data:`_STEPS_PER_LEVEL` steps per level.
     """
     finite = functools.reduce(np.logical_and, (np.isfinite(diag).all(axis=0) for diag in gen.values()))
     bad = np.flatnonzero(~finite)
@@ -200,7 +210,13 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
             colsum[offset:] += np.abs(diag)
         else:
             colsum[: n + offset] += np.abs(diag)
-    steps = np.maximum(1, np.ceil(colsum.max(axis=(0, 1)))).astype(int)
+    steps = np.maximum(1.0, np.ceil(colsum.max(axis=(0, 1))))
+    over = np.flatnonzero(~(steps <= _STEPS_PER_LEVEL * (n - 1)))
+    if over.size:
+        raise CutoffTooSmall(
+            f"generator {over[0]} of the exponential needs {steps[over[0]]:.3g} Taylor "
+            f"steps, more than {_STEPS_PER_LEVEL} per level of cutoff {n - 1}")
+    steps = steps.astype(int)
     # the factor 1 / (steps * j) of Taylor term j, one row per generator; it
     # multiplies the diagonals as numpy's division of a complex by a real
     # does (by the reciprocal), so the bits are those of the quotient

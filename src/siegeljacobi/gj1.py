@@ -11,7 +11,11 @@ The closed kernel and the disk-picture two-form are the n = 1 cases of
 
 Every function takes the library's representation index ``k``: the n = 1
 kernel is ``(1 - w conj(w'))^{-k/2} exp(...)``, and the half-plane
-literature's ``kappa`` is ``k/4``.
+literature's ``kappa`` is ``k/4``.  The functions of half-plane points and
+affine elements take one point or element, or stacks along leading axes:
+each entry of a stacked result has the bits of its own single call, which
+runs numpy's arithmetic on a batch of one and returns matrices and numpy
+scalars.  :func:`kb_form_check` takes one point, as the disk form does.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import jacobi
+from . import jacobi, symplectic
 from .diffops import MPoly
-from .errors import DomainViolation, Singular
+from .errors import DomainViolation
 
 __all__ = [
     "pn_poly",
@@ -156,42 +160,44 @@ def kernel_series(z, w, zp, wp, k: float, order: int) -> complex:
     return total
 
 
-def cayley(v: complex, u: complex):
+def cayley(v, u):
     """Half-plane to disk: ``w = (v - i)/(v + i)``, ``z = 2 i u/(v + i)``.
 
     Raises
     ------
     DomainViolation
-        If ``v`` is not in the open upper half plane.
+        If a ``v`` is not in the open upper half plane.
     """
-    if v.imag <= 0:
+    v, u = np.asarray(v, dtype=complex), np.asarray(u, dtype=complex)
+    if not np.all(v.imag > 0):
         raise DomainViolation("need Im v > 0")
     return (v - 1j) / (v + 1j), 2j * u / (v + 1j)
 
 
-def cayley_inverse(w: complex, z: complex):
+def cayley_inverse(w, z):
     """Disk to half-plane: ``v = i (1 + w)/(1 - w)``, ``u = z/(1 - w)``."""
-    if abs(w) >= 1:
+    w, z = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
+    if not np.all(np.abs(w) < 1):
         raise DomainViolation("need |w| < 1")
     return 1j * (1 + w) / (1 - w), z / (1 - w)
 
 
-def halfplane_form(v: complex, u: complex, k: float) -> np.ndarray:
-    """Hermitian coefficient matrix in coordinates (v, u).
+def halfplane_form(v, u, k: float) -> np.ndarray:
+    """Hermitian coefficient matrix in coordinates (v, u), shape ``(..., 2, 2)``.
 
     ``-(k/2)/(vbar - v)^2 dv ^ dvbar + (2/(i(vbar - v))) B ^ Bbar`` with
     ``B = du - ((u - ubar)/(v - vbar)) dv``.
     """
-    hv = -(k / 2) / (np.conj(v) - v) ** 2
-    hb = 2.0 / (1j * (np.conj(v) - v))
+    v, u = np.broadcast_arrays(np.asarray(v, dtype=complex), np.asarray(u, dtype=complex))
+    # products, not powers: ``**`` on a numpy scalar is libm's ``pow``, which
+    # rounds some squares differently from a stack's entries
+    dv = np.conj(v) - v
+    hv = -(k / 2) / (dv * dv)
+    hb = 2.0 / (1j * dv)
     c = (u - np.conj(u)) / (v - np.conj(v))
-    return np.array(
-        [
-            [hv + hb * abs(c) ** 2, -hb * np.conj(c)],
-            [-hb * c, hb],
-        ],
-        dtype=complex,
-    )
+    size = np.hypot(c.real, c.imag)
+    out = np.stack([hv + hb * (size * size), -hb * np.conj(c), -hb * c, hb], axis=-1)
+    return out.reshape(np.shape(c) + (2, 2))
 
 
 def kb_form_check(v: complex, u: complex, k: float) -> float:
@@ -213,9 +219,9 @@ def kb_form_check(v: complex, u: complex, k: float) -> float:
     return float(np.abs(pulled - halfplane_form(v, u, k)).max())
 
 
-def ez_metric(x: float, y: float, p: float, q: float, k: float) -> np.ndarray:
+def ez_metric(x, y, p, q, k: float) -> np.ndarray:
     """Real metric in the coordinates (x, y, p, q) with ``v = x + iy``,
-    ``u = p v + q``.
+    ``u = p v + q``, shape ``(..., 4, 4)``.
 
     ``ds^2 = k/(8 y^2) (dx^2 + dy^2)
              + (1/y)[(x^2 + y^2) dp^2 + dq^2 + 2 x dp dq]``;
@@ -224,49 +230,45 @@ def ez_metric(x: float, y: float, p: float, q: float, k: float) -> np.ndarray:
     Raises
     ------
     DomainViolation
-        For ``y <= 0``.
+        For a ``y <= 0``.
     """
-    if y <= 0:
+    x, y, p, q = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (x, y, p, q)))
+    if not np.all(y > 0):
         raise DomainViolation("need y > 0")
-    g = np.zeros((4, 4))
-    g[0, 0] = g[1, 1] = k / (8 * y**2)
-    g[2, 2] = (x**2 + y**2) / y
-    g[3, 3] = 1.0 / y
-    g[2, 3] = g[3, 2] = x / y
+    g = np.zeros(y.shape + (4, 4))
+    g[..., 0, 0] = g[..., 1, 1] = k / (8 * y**2)
+    g[..., 2, 2] = (x**2 + y**2) / y
+    g[..., 3, 3] = 1.0 / y
+    g[..., 2, 3] = g[..., 3, 2] = x / y
     return g
 
 
-def halfplane_metric_real(x: float, y: float, p: float, q: float, k: float) -> np.ndarray:
+def halfplane_metric_real(x, y, p, q, k: float) -> np.ndarray:
     """Real form of :func:`halfplane_form` under the embedding ``u = p v + q``.
 
     ``G_ab = Re sum_ij H_ij J_ia conj(J_jb)`` for the complex Jacobian ``J``
     of ``(v, u)`` with respect to ``(x, y, p, q)``.
     """
+    x, y, p, q = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (x, y, p, q)))
     v = x + 1j * y
     u = p * v + q
     h = halfplane_form(v, u, k)
-    jac = np.array(
-        [
-            [1.0, 1j, 0.0, 0.0],
-            [p, 1j * p, v, 1.0],
-        ],
-        dtype=complex,
-    )
-    return np.real(np.einsum("ij,ia,jb->ab", h, jac, jac.conj()))
+    du = np.stack(np.broadcast_arrays(p, 1j * p, v, 1.0), axis=-1)
+    jac = np.stack(np.broadcast_arrays([1.0, 1j, 0.0, 0.0], du), axis=-2)
+    return np.real(np.einsum("...ij,...ia,...jb->...ab", h, jac, jac.conj()))
 
 
-def gj0_compose(m1: np.ndarray, l1, m2: np.ndarray, l2):
+def gj0_compose(m1, l1, m2, l2):
     """Composition law of the affine half-plane group.
 
     ``(m1, l1) o (m2, l2) = (m1 m2, l1 m2 + l2)`` with ``l`` acting as a row
     vector; :func:`gj0_act` is a left action for this law.
     """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    return m1 @ m2, np.asarray(l1, dtype=float) @ m2 + np.asarray(l2, dtype=float)
+    m1, l1, m2, l2 = (np.asarray(t, dtype=float) for t in (m1, l1, m2, l2))
+    return m1 @ m2, (l1[..., None, :] @ m2)[..., 0, :] + l2
 
 
-def gj0_act(m: np.ndarray, l, v: complex, u: complex):
+def gj0_act(m, l, v, u):
     """Affine action on the half-plane picture.
 
     ``v1 = (a v + b)/(c v + d)`` and ``u1 = (u + l1 v + l2)/(c v + d)`` for a
@@ -275,25 +277,20 @@ def gj0_act(m: np.ndarray, l, v: complex, u: complex):
     Raises
     ------
     ValueError
-        If ``det m != 1`` or the inputs leave the domain.
-    Singular
-        If ``c v + d = 0`` (impossible for ``Im v > 0`` with real ``m``).
+        If a ``det m != 1`` or the inputs leave the domain.
     """
-    m = np.asarray(m, dtype=float)
-    if abs(np.linalg.det(m) - 1.0) > 1e-10:
+    m, l = (np.asarray(t, dtype=float) for t in (m, l))
+    v, u = np.asarray(v, dtype=complex), np.asarray(u, dtype=complex)
+    if not np.all(np.abs(np.linalg.det(m) - 1.0) <= 1e-10):
         raise ValueError("need det m = 1")
-    if v.imag <= 0:
+    if not np.all(v.imag > 0):
         raise DomainViolation("need Im v > 0")
-    a, b = m[0]
-    c, d = m[1]
-    den = c * v + d
-    if den == 0:
-        raise Singular("c v + d = 0")
-    l1, l2 = float(l[0]), float(l[1])
-    return (a * v + b) / den, (u + l1 * v + l2) / den
+    # c v + d is not 0: Im(c v) = 0 only for c = 0, and then d = 1/a
+    den = m[..., 1, 0] * v + m[..., 1, 1]
+    return (m[..., 0, 0] * v + m[..., 0, 1]) / den, (u + l[..., 0] * v + l[..., 1]) / den
 
 
-def match_jacobi_parameters(m: np.ndarray, l):
+def match_jacobi_parameters(m, l):
     """Transport an affine half-plane element to the disk picture.
 
     Returns ``(g, alpha)`` where ``g`` is the disk-automorphism block pair
@@ -302,13 +299,10 @@ def match_jacobi_parameters(m: np.ndarray, l):
     first, i.e. it corresponds to composing the pure rotation-boost after the
     pure translation.
     """
-    from .symplectic import sp_new
-
-    m = np.asarray(m, dtype=float)
-    a, b = m[0]
-    c, d = m[1]
+    m, l = (np.asarray(t, dtype=float) for t in (m, l))
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
     ga = (a + d) / 2 + 1j * (b - c) / 2
     gb = (a - d) / 2 - 1j * (b + c) / 2
-    g = sp_new(np.array([[ga]]), np.array([[gb]]))
-    alpha = np.array([l[1] + 1j * l[0]], dtype=complex)
-    return g, alpha
+    g = symplectic.sp_new(ga[..., None, None], gb[..., None, None])
+    return g, (l[..., 1] + 1j * l[..., 0])[..., None]

@@ -325,7 +325,7 @@ def _act_with_den(h: JacobiElement, x: CSPoint):
         # a column right-hand side, so a stack of points solves as one
         z1 = matfun.solve(den, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise Singular("W b* + a* is singular") from exc
+        raise Singular(f"{getattr(exc, 'where', '')}W b* + a* is singular") from exc
     return CSPoint(z=z1, W=symplectic.moebius(g, x.W)), den
 
 

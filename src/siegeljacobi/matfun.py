@@ -81,21 +81,27 @@ def _lapack(gufunc, fallback, *args):
     operands: a failed factorization sets the floating-point invalid flag
     (and fills its matrix with NaN), which raises ``LinAlgError`` here as it
     does there, without a warning; a failed ``eigvals``, ``eigh`` or
-    ``eigvalsh`` raises :class:`NoConvergence` naming the first matrix that
-    failed.  Operands the gufunc refuses (a matrix that is not square, a
-    mismatched right-hand side) go to ``fallback``, the ``np.linalg``
-    function, which raises its own error for them."""
+    ``eigvalsh`` raises :class:`NoConvergence`.  Both name the first matrix
+    of a stack that failed; the ``LinAlgError`` also carries that prefix as
+    its ``where``, for callers that raise their own error.  Operands the
+    gufunc refuses (a matrix that is not square, a mismatched right-hand
+    side) go to ``fallback``, the ``np.linalg`` function, which raises its
+    own error for them."""
     try:
         return gufunc(*args)
     except FloatingPointError:
-        if gufunc not in (_umath_linalg.eigvals, _umath_linalg.eigh_lo,
-                          _umath_linalg.eigvalsh_lo):
-            raise np.linalg.LinAlgError("Singular matrix") from None
-        # run it again to read which matrix it left as NaN
+        # run it again to read which matrix it left as NaN: the last two axes
+        # of an inverse or a solve, the last axis of a vector or eigenvalues
         with np.errstate(invalid="ignore"):
             out = gufunc(*args)
-        failed = np.isnan(out[0] if isinstance(out, tuple) else out).any(axis=-1)
-        raise NoConvergence(f"{_first_failure(failed)[1]}eigenvalues did not converge") from None
+        out = out[0] if isinstance(out, tuple) else out
+        core = (-2, -1) if gufunc in (_umath_linalg.inv, _umath_linalg.solve) else -1
+        where = _first_failure(np.isnan(out).any(axis=core))[1]
+        if gufunc in (_umath_linalg.eigvals, _umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo):
+            raise NoConvergence(f"{where}eigenvalues did not converge") from None
+        err = np.linalg.LinAlgError(f"{where}Singular matrix")
+        err.where = where
+        raise err from None
     except ValueError:
         return fallback(*args)
 
@@ -260,7 +266,7 @@ def _norms(m: np.ndarray) -> np.ndarray:
     with its bits: the sums of squares of the row-major entries are the BLAS
     dot products it forms.  A ``float64`` for one matrix; a stack of vectors
     ``v`` is ``v[..., None, :]``."""
-    flat = m.reshape(m.shape[:-2] + (1, -1))
+    flat = m.reshape(m.shape[:-2] + (1, m.shape[-2] * m.shape[-1]))
     re, im = flat.real, flat.imag
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 

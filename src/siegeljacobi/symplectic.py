@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matfun
 from .errors import DomainViolation, NotSymplectic, OutOfDomain, Singular
-from .matfun import DEFAULT_TOL, as_cmat, detpow
+from .matfun import DEFAULT_TOL, detpow
 
 __all__ = [
     "SpElement",
@@ -153,7 +153,8 @@ def membership_residual(a: np.ndarray, b: np.ndarray):
 
 
 def sp_new(a, b, tol: float = DEFAULT_TOL) -> SpElement:
-    """Validate the block pair and build an :class:`SpElement`.
+    """Validate the block pair, or a stack of pairs, and build an
+    :class:`SpElement`.
 
     Raises
     ------
@@ -161,17 +162,17 @@ def sp_new(a, b, tol: float = DEFAULT_TOL) -> SpElement:
         If ``tol`` is not a finite positive number.
     NotSymplectic
         With the worst residual if any of the four block identities fails
-        (a NaN residual fails).
+        (a NaN residual fails), naming the first failing pair of a stack.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    a = as_cmat(a)
-    b = as_cmat(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+    a, b = (matfun._as_square_stack(m, NotSymplectic) for m in (a, b))
+    if a.shape != b.shape:
         raise NotSymplectic("blocks must be square and of equal size")
-    res = membership_residual(a, b)
-    if not res <= tol:
-        raise NotSymplectic(f"membership residual {res:.3e} exceeds tol {tol:.1e}")
+    res = np.asarray(membership_residual(a, b))
+    if not np.all(res <= tol):
+        idx, where = matfun._first_failure(~(res <= tol))
+        raise NotSymplectic(f"{where}membership residual {res[idx]:.3e} exceeds tol {tol:.1e}")
     return SpElement(a=a, b=b)
 
 
@@ -198,7 +199,7 @@ def _inv(m: np.ndarray, what: str) -> np.ndarray:
     try:
         return matfun.inv(m)
     except np.linalg.LinAlgError as exc:
-        raise Singular(f"{what} is singular") from exc
+        raise Singular(f"{getattr(exc, 'where', '')}{what} is singular") from exc
 
 
 def gauss_decompose(g: SpElement) -> GaussFactors:

@@ -20,11 +20,12 @@ each; the independent routes that cross-check them live here and run once
 per suite.  The oracle records apply each operator to the leading basis
 columns they read.  The sampled records draw all their samples first, in
 the order of one draw after another (:func:`_point_draws`,
-:func:`_element_draws`, :func:`_normal_blocks`), and build them on stacks;
-each identity is then one stacked call, of the closed forms or of the
-oracle, and the residual helpers take one sample or a stack alike.  Each
-record's worst case is folded by :func:`_worst`, so a NaN on any sample
-fails the record.
+:func:`_element_draws`, :func:`_normal_blocks`, the rows of one normal array
+in :func:`suite_gj1`), and build them on stacks; each identity is then one
+stacked call, of the closed forms or of the oracle (``form-pullback`` calls
+its single-point check per sample), and the residual helpers take one
+sample or a stack alike.  Each record's worst case is folded by
+:func:`_worst`, so a NaN on any sample fails the record.
 """
 
 from __future__ import annotations
@@ -74,14 +75,14 @@ def _rec(checks, check, anchor, residual, tolerance, n=None, k=None, samples=Non
 
 
 def _worst(*residuals) -> float:
-    """The largest of ``residuals`` (numbers or arrays of them), or NaN if
-    any of them is NaN.
+    """The largest of ``residuals`` (numbers or arrays of them, all
+    non-negative), 0.0 if there are none, or NaN if any of them is NaN.
 
     Every record's worst case over its samples is folded with this: Python's
     ``max`` keeps its first argument over a later NaN (``max(0.0, nan)`` is
     0.0), which would drop a failed sample before it reaches the bound.
     """
-    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
 
 
 def _abs(c):
@@ -368,12 +369,13 @@ def _lambda1_residual(k: float, n: int) -> float:
     return abs(val - 1.0 / symplectic.jn(k / 2 - n - 1, n)) / val
 
 
-def _real_metric_residual(x, y, p, q, k) -> float:
+def _real_metric_residual(x, y, p, q, k):
     """Max-abs distance of :func:`gj1.ez_metric` from the real form of the
-    half-plane form, :func:`gj1.halfplane_metric_real`."""
+    half-plane form, :func:`gj1.halfplane_metric_real`, at one point or at
+    each of a stack."""
     return np.abs(
         gj1.ez_metric(x, y, p, q, k) - gj1.halfplane_metric_real(x, y, p, q, k)
-    ).max()
+    ).max(axis=(-2, -1))
 
 
 #: ``gj1.pn_poly(i).text()`` for i = 0..5, typed out.
@@ -677,73 +679,52 @@ def suite_gj1(k=16.0, seed=1234, samples=100) -> list:
     _rec(checks, "kernel-series", "basis-resummation", series, 1e-6, n=1,
          k=4.0, samples=41)
 
-    worst_rt = worst_kb = worst_ez = 0.0
-    for _ in range(samples):
-        v = complex(rng.normal(), abs(rng.normal()) + 0.2)
-        u = complex(rng.normal(), rng.normal())
-        w, z = gj1.cayley(v, u)
-        v2, u2 = gj1.cayley_inverse(w, z)
-        worst_rt = _worst(worst_rt, abs(v - v2) + abs(u - u2))
-        worst_kb = _worst(worst_kb, gj1.kb_form_check(v, u, k))
-        x, y = v.real, v.imag
-        p, q = rng.normal(), rng.normal()
-        worst_ez = _worst(worst_ez, _real_metric_residual(x, y, p, q, k))
-    _rec(checks, "cayley-roundtrip", "halfplane-disk-biholomorphism", worst_rt,
-         1e-12, samples=samples)
-    _rec(checks, "form-pullback", "two-presentations-of-the-form", worst_kb,
+    # each sample's six draws: Re v, Im v, Re u, Im u, p, q
+    draws = rng.normal(size=(samples, 6))
+    v = draws[:, 0] + 1j * (np.abs(draws[:, 1]) + 0.2)
+    u = draws[:, 2] + 1j * draws[:, 3]
+    v2, u2 = gj1.cayley_inverse(*gj1.cayley(v, u))
+    _rec(checks, "cayley-roundtrip", "halfplane-disk-biholomorphism",
+         _worst(_abs(v - v2) + _abs(u - u2)), 1e-12, samples=samples)
+    # the disk form is a single-point closed form: one check per sample
+    _rec(checks, "form-pullback", "two-presentations-of-the-form",
+         _worst([gj1.kb_form_check(vi, ui, k) for vi, ui in zip(v.tolist(), u.tolist())]),
          1e-8, k=k, samples=samples)
-    _rec(checks, "real-metric", "metric-vs-complex-form", worst_ez, 1e-8, k=k,
-         samples=samples)
+    _rec(checks, "real-metric", "metric-vs-complex-form",
+         _worst(_real_metric_residual(v.real, v.imag, draws[:, 4], draws[:, 5], k)),
+         1e-8, k=k, samples=samples)
 
-    worst_act = worst_int = 0.0
-    for _ in range(samples // 4):
-        m1 = _random_sl2(rng)
-        m2 = _random_sl2(rng)
-        l1 = rng.normal(size=2)
-        l2v = rng.normal(size=2)
-        v = complex(rng.normal(), abs(rng.normal()) + 0.3)
-        u = complex(rng.normal(), rng.normal())
-        # action property through the matched group elements
-        g1, alpha1 = gj1.match_jacobi_parameters(m1, l1)
-        g2, alpha2 = gj1.match_jacobi_parameters(m2, l2v)
-        h1 = JacobiElement(g=g1, alpha=alpha1)
-        h2 = JacobiElement(g=g2, alpha=alpha2)
-        va, ua = gj1.gj0_act(m2, l2v, v, u)
-        va, ua = gj1.gj0_act(m1, l1, va, ua)
-        w, z = gj1.cayley(va, ua)
-        image = jacobi.act(
-            jacobi.jacobi_compose(h1, h2),
-            _cs_from_halfplane(v, u),
-        )
-        worst_act = _worst(
-            worst_act,
-            abs(complex(image.W[0, 0]) - w) + abs(complex(image.z[0]) - z),
-        )
-        # single-element intertwining
-        w1, z1 = gj1.cayley(*gj1.gj0_act(m1, l1, v, u))
-        image1 = jacobi.act(h1, _cs_from_halfplane(v, u))
-        worst_int = _worst(
-            worst_int,
-            abs(complex(image1.W[0, 0]) - w1) + abs(complex(image1.z[0]) - z1),
-        )
+    # each sample's sixteen draws: m1, m2, l1, l2, then v and u as above
+    draws = rng.normal(size=(samples // 4, 16))
+    m1, m2 = _unimodular(draws[:, :4]), _unimodular(draws[:, 4:8])
+    l1, l2 = draws[:, 8:10], draws[:, 10:12]
+    v = draws[:, 12] + 1j * (np.abs(draws[:, 13]) + 0.3)
+    u = draws[:, 14] + 1j * draws[:, 15]
+    # action property through the matched group elements
+    h1, h2 = (JacobiElement(*gj1.match_jacobi_parameters(m, l)) for m, l in ((m1, l1), (m2, l2)))
+    w0, z0 = gj1.cayley(v, u)
+    x = CSPoint(z=z0[:, None], W=w0[:, None, None])
+    w, z = gj1.cayley(*gj1.gj0_act(m1, l1, *gj1.gj0_act(m2, l2, v, u)))
+    image = jacobi.act(jacobi.jacobi_compose(h1, h2), x)
     _rec(checks, "halfplane-action-property", "affine-action-composition",
-         worst_act, 1e-8, samples=samples // 4)
+         _worst(_abs(image.W[:, 0, 0] - w) + _abs(image.z[:, 0] - z)), 1e-8,
+         samples=samples // 4)
+    # single-element intertwining
+    w, z = gj1.cayley(*gj1.gj0_act(m1, l1, v, u))
+    image = jacobi.act(h1, x)
     _rec(checks, "cayley-intertwines-action", "picture-change-equivariance",
-         worst_int, 1e-8, samples=samples // 4)
+         _worst(_abs(image.W[:, 0, 0] - w) + _abs(image.z[:, 0] - z)), 1e-8,
+         samples=samples // 4)
     return checks
 
 
-def _random_sl2(rng) -> np.ndarray:
-    m = np.eye(2) + 0.35 * rng.normal(size=(2, 2))
-    m /= math.sqrt(abs(np.linalg.det(m)))
-    if np.linalg.det(m) < 0:
-        m = m @ np.diag([1.0, -1.0])
+def _unimodular(normals) -> np.ndarray:
+    """Real unimodular matrices ``1 + 0.35 N`` scaled to determinant +-1, the
+    second column negated at -1, from the rows ``N`` of ``normals`` ``(samples, 4)``."""
+    m = np.eye(2) + 0.35 * normals.reshape(-1, 2, 2)
+    m /= np.sqrt(np.abs(np.linalg.det(m)))[:, None, None]
+    m[np.linalg.det(m) < 0, :, 1] *= -1
     return m
-
-
-def _cs_from_halfplane(v: complex, u: complex) -> CSPoint:
-    w, z = gj1.cayley(v, u)
-    return CSPoint(z=np.array([z]), W=np.array([[w]]))
 
 
 #: The n = 1 test functions of the reproducing checks, ``(name, f, z0, w0)``.

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -650,6 +651,21 @@ def test_a_non_finite_generator_raises_before_its_step_count():
         fo.displacement(1e308, np.eye(20))
     with pytest.raises(ValueError, match="not finite"):
         fo._expm_apply(fo._banded(20, k0=math.nan), np.eye(21))
+
+
+def test_a_huge_generator_raises_before_its_first_step(monkeypatch):
+    # 1e200 cast its step count to an integer with a warning and returned
+    # entries of at most 1; 1e6 ran millions of Taylor steps
+    monkeypatch.setattr(fo, "_band_matvec", lambda gen, v: pytest.fail("a step ran"))
+    for alpha, steps in ((1e200, "8.6e+200"), (1e6, "8.6e+06")):
+        with pytest.raises(CutoffTooSmall, match=re.escape(
+                f"generator 0 of the exponential needs {steps} Taylor steps, more than 16 "
+                "per level of cutoff 19")):
+            fo.displacement(alpha, np.eye(20, 2))
+        with pytest.raises(CutoffTooSmall, match="generator 1 of the exponential"):
+            fo.displacement(np.array([0.1, alpha]), np.eye(20, 2))
+    with pytest.raises(CutoffTooSmall, match="more than 16 per level of cutoff 40"):
+        fo.squeeze_from_generator(17.0, np.eye(41, 1))
 
 
 def test_a_nan_tail_mass_fails_the_operator_guard(monkeypatch):

@@ -1,7 +1,7 @@
 """The closed forms on stacks: each entry of a stacked call has the bits of
 its own single call, the stacked draws are the successive single draws, a
-stacked validation error names the index that failed, and the Jacobi and
-symplectic suites evaluate each identity once per stack."""
+stacked validation error names the index that failed, and the Jacobi,
+symplectic and half-plane suites evaluate each identity once per stack."""
 
 import dataclasses
 import inspect
@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from siegeljacobi import jacobi, matfun, symplectic, verify
-from siegeljacobi.errors import DomainViolation, NonHermitian, NotSymmetric
+from siegeljacobi import gj1, jacobi, matfun, symplectic, verify
+from siegeljacobi.errors import DomainViolation, NonHermitian, NotSymmetric, NotSymplectic, Singular
 
 COUNT = 7
 
@@ -131,6 +131,93 @@ def test_symplectic_stacks_equal_single_calls(n, count):
                 assert part[i].dtype == np.asarray(one).dtype and _same(part[i], one), name
 
 
+#: Every public half-plane function of points or affine elements, and the
+#: block-pair constructor it calls, as a call on the inputs ``s``: half-plane
+#: points ``(v, u)``, disk points ``(w, z)``, real coordinates ``(x, y, p,
+#: q)``, affine elements ``(m, l)`` and ``(m2, l2)``, and block pairs ``(a, b)``
+GJ1_CALLS = {
+    "cayley": lambda s: gj1.cayley(s.v, s.u),
+    "cayley_inverse": lambda s: gj1.cayley_inverse(s.w, s.z),
+    "halfplane_form": lambda s: gj1.halfplane_form(s.v, s.u, 16.0),
+    "ez_metric": lambda s: gj1.ez_metric(s.x, s.y, s.p, s.q, 16.0),
+    "halfplane_metric_real": lambda s: gj1.halfplane_metric_real(s.x, s.y, s.p, s.q, 16.0),
+    "gj0_act": lambda s: gj1.gj0_act(s.m, s.l, s.v, s.u),
+    "gj0_compose": lambda s: gj1.gj0_compose(s.m, s.l, s.m2, s.l2),
+    "match_jacobi_parameters": lambda s: gj1.match_jacobi_parameters(s.m, s.l),
+    "sp_new": lambda s: symplectic.sp_new(s.a, s.b),
+}
+
+#: The single-point Kahler-form check (the disk form takes one point) and the
+#: one-variable polynomial content, whose ``z, w`` are not half-plane points
+GJ1_SINGLE = {"kb_form_check", "pn_value", "basis_fn", "kernel_series"}
+
+
+def test_the_stack_table_holds_every_half_plane_function():
+    takes = {name for name in gj1.__all__
+             if inspect.isfunction(fn := getattr(gj1, name))
+             and {"v", "w", "m", "m1", "y"} & set(inspect.signature(fn).parameters)}
+    assert takes - GJ1_SINGLE and takes - GJ1_SINGLE <= set(GJ1_CALLS)
+    assert GJ1_SINGLE <= takes
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_half_plane_stacks_equal_single_calls(count):
+    rng = np.random.default_rng(340 + count)
+    d = rng.normal(size=(count, 18))
+    v, u = d[:, 0] + 1j * (np.abs(d[:, 1]) + 0.2), d[:, 2] + 1j * d[:, 3]
+    w, z = gj1.cayley(v, u)
+    g = _elements(2, 0.5, rng, count)
+    stacks = types.SimpleNamespace(
+        v=v, u=u, w=w, z=z, x=v.real, y=v.imag, p=d[:, 4], q=d[:, 5],
+        m=verify._unimodular(d[:, 6:10]), l=d[:, 10:12],
+        m2=verify._unimodular(d[:, 12:16]), l2=d[:, 16:18], a=g.a, b=g.b)
+    for name, call in GJ1_CALLS.items():
+        stacked = _parts(call(stacks))
+        for i in range(count):
+            single = _parts(call(types.SimpleNamespace(
+                **{key: value[i] for key, value in vars(stacks).items()})))
+            assert len(single) == len(stacked)
+            for part, one in zip(stacked, single):
+                # a single call returns numpy scalars, which are Python
+                # numbers, in place of the stack's 1-D arrays
+                assert (type(one) in (np.float64, np.complex128) if part.ndim == 1
+                        else isinstance(one, np.ndarray) and one.shape == part.shape[1:]), name
+                assert part[i].dtype == np.asarray(one).dtype and _same(part[i], one), name
+    assert isinstance(gj1.cayley(1j, 0.5)[0], complex)
+    # one point broadcast against a stack is that point in every entry
+    mixed = gj1.halfplane_form(v[0], u, 16.0)
+    for i in range(count):
+        assert _same(mixed[i], gj1.halfplane_form(v[0], u[i], 16.0))
+    # an empty stack of block pairs has an empty stack of residuals
+    assert symplectic.membership_residual(stacks.a[:0], stacks.b[:0]).shape == (0,)
+    assert isinstance(verify._real_metric_residual(0.3, 1.2, 0.5, -0.2, 16.0), float)
+
+
+def test_a_stacked_half_plane_gate_refuses_one_bad_entry():
+    v = np.array([1j, 2j, 0.5 - 1j])
+    with pytest.raises(DomainViolation, match="Im v > 0"):
+        gj1.cayley(v, np.zeros(3))
+    with pytest.raises(DomainViolation, match="Im v > 0"):
+        gj1.gj0_act(np.eye(2), (0.0, 0.0), v, np.zeros(3))
+    with pytest.raises(DomainViolation, match=r"\|w\| < 1"):
+        gj1.cayley_inverse(np.array([0.5, 1.0]), np.zeros(2))
+    with pytest.raises(DomainViolation, match="y > 0"):
+        gj1.ez_metric(0.0, np.array([1.0, 0.0]), 0.0, 0.0, 8.0)
+    with pytest.raises(ValueError, match="det m = 1"):
+        gj1.gj0_act(np.stack([np.eye(2), 2 * np.eye(2)]), np.zeros((2, 2)), v[:2], 0.0)
+    # NaN is outside every domain
+    with pytest.raises(DomainViolation, match="Im v > 0"):
+        gj1.cayley(np.array([1j, complex(0.0, np.nan)]), 0.0)
+    with pytest.raises(DomainViolation, match="Im v > 0"):
+        gj1.gj0_act(np.eye(2), (0.0, 0.0), complex(0.0, np.nan), 0.0)
+    with pytest.raises(DomainViolation, match=r"\|w\| < 1"):
+        gj1.cayley_inverse(np.array([0.5, np.nan]), 0.0)
+    with pytest.raises(DomainViolation, match="y > 0"):
+        gj1.ez_metric(0.0, np.array([1.0, np.nan]), 0.0, 0.0, 8.0)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="det m = 1"):
+        gj1.gj0_act(np.full((2, 2), np.nan), (0.0, 0.0), 1j, 0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jacobi_stacks_equal_single_calls(n):
     h, h2, x = _stack_draws(n, 320 + n)
@@ -220,6 +307,45 @@ def test_a_stacked_validation_error_names_the_failing_index():
     w[2] *= 2.0 / np.linalg.norm(w[2], 2)
     kind, message = _raised(lambda: symplectic.z_of_w(w))
     assert kind is DomainViolation and message.startswith("stack index (2,): eigenvalues")
+    g = _elements(2, 0.5, rng, 3)
+    b = g.b.copy()
+    b[1] *= 1.5
+    kind, message = _raised(lambda: symplectic.sp_new(g.a, b))
+    assert kind is NotSymplectic and message.startswith("stack index (1,): membership residual")
+    kind, message = _raised(lambda: symplectic.sp_new(g.a[1], b[1]))
+    assert kind is NotSymplectic and message.startswith("membership residual")
+
+
+def test_a_singular_stacked_solve_names_the_failing_index():
+    # a second element with a = 0: conj(a), conj(b) w + conj(a) and
+    # W b* + a* are singular there (at w = 0), and one matrix keeps its
+    # bare message
+    g = symplectic.SpElement(a=np.array([[[1.0 + 0j]], [[0j]]]), b=np.zeros((2, 1, 1), complex))
+    x = jacobi.CSPoint(z=np.zeros((2, 1), complex), W=np.zeros((2, 1, 1), complex))
+    calls = {
+        "conj(a)": lambda g, x: symplectic.gauss_decompose(g),
+        "conj(b) w + conj(a)": lambda g, x: symplectic.moebius(g, x.W),
+        "W b* + a*": lambda g, x: jacobi.act(jacobi.JacobiElement(g=g, alpha=x.z), x),
+    }
+    for what, call in calls.items():
+        assert _raised(lambda: call(g, x)) == (Singular, f"stack index (1,): {what} is singular")
+        assert _raised(lambda: call(g[1], x[1])) == (Singular, f"{what} is singular")
+
+
+def _call_counts(monkeypatch, run, calls, sizes) -> list:
+    """How many of ``calls``, ``(module, name)`` pairs, ``run(samples)``
+    makes at each of ``sizes``."""
+    counts = []
+    for samples in sizes:
+        made = []
+        for module, name in calls:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _fn=fn, **kw: made.append(args) or _fn(*args, **kw))
+        run(samples)
+        monkeypatch.undo()
+        counts.append(len(made))
+    return counts
 
 
 @pytest.mark.parametrize("suite, module, names", [
@@ -229,14 +355,14 @@ def test_a_stacked_validation_error_names_the_failing_index():
       "membership_residual")),
 ])
 def test_suites_make_one_call_per_stack(monkeypatch, suite, module, names):
-    counts = {}
-    for samples in (3, 30):
-        calls = []
-        for name in names:
-            fn = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *args, _fn=fn, **kw: calls.append(args) or _fn(*args, **kw))
-        suite(n=2, seed=7, samples=samples)
-        monkeypatch.undo()
-        counts[samples] = len(calls)
-    assert counts[3] == counts[30] > 0
+    counts = _call_counts(monkeypatch, lambda samples: suite(n=2, seed=7, samples=samples),
+                          [(module, name) for name in names], (3, 30))
+    assert counts[0] == counts[1] > 0
+
+
+def test_suite_gj1_makes_one_call_per_stack(monkeypatch):
+    calls = [(gj1, name) for name in ("cayley_inverse", "gj0_act", "match_jacobi_parameters",
+                                      "ez_metric")] + [(jacobi, "act")]
+    counts = _call_counts(monkeypatch, lambda samples: verify.suite_gj1(seed=7, samples=samples),
+                          calls, (4, 100))
+    assert counts[0] == counts[1] > 0

@@ -6,6 +6,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from siegeljacobi import diffops, fockoracle, gj1, jacobi, numdiff, symplectic, verify
@@ -132,6 +133,20 @@ def _scaled_part(key, factor=1 + 1e-6):
     return perturb
 
 
+def _scaled_items(fn, factor=1 + 1e-6):
+    # scale every item of a tuple result
+    return lambda *args: tuple(item * factor for item in fn(*args))
+
+
+def _conjugated_alpha(fn):
+    # the matched translation alpha = l2 + i l1 read as l2 - i l1
+    def wrapped(m, l):
+        g, alpha = fn(m, l)
+        return g, alpha.conj()
+
+    return wrapped
+
+
 def _doubled_commutator(fn):
     return lambda d1, d2: fn(d1, d2) + fn(d1, d2)
 
@@ -217,6 +232,10 @@ BITES = {
     "form-invariance": (numdiff, "holomorphic_jacobian", lambda fn: _scaled(fn, 1 + 1e-4), _jacobi),
     "density-invariance": (numdiff, "holomorphic_jacobian", lambda fn: _scaled(fn, 1 + 1e-4), _jacobi),
     "real-metric": (gj1, "ez_metric", _scaled, _gj1),
+    "cayley-roundtrip": (gj1, "cayley_inverse", _scaled_items, _gj1),
+    # the swapped composition leaves cayley-intertwines-action at 1.7e-16
+    "halfplane-action-property": (jacobi, "jacobi_compose", _swapped, _gj1),
+    "cayley-intertwines-action": (gj1, "match_jacobi_parameters", _conjugated_alpha, _gj1),
     "pn-golden-table": (gj1, "pn_poly", lambda fn: lambda i: fn(i + 1), _gj1),
     "hermite-closed-form": (gj1, "_hermite_coeffs", lambda fn: lambda i: [2 * c for c in fn(i)], _gj1),
 }
@@ -301,3 +320,33 @@ def test_a_nan_roundtrip_sample_fails_its_record(monkeypatch):
     record = checks["gauss-roundtrip"]
     assert record["pass"] is False and math.isnan(record["residual"])
     assert checks["cartan-roundtrip"]["pass"] is True
+
+
+def test_a_record_with_no_samples_reads_zero():
+    # three samples leave samples // 4 = 0 for the affine-action records,
+    # whose stacks are then empty
+    checks = {c["check"]: c for c in verify.suite_gj1(seed=7, samples=3)}
+    for name in ("halfplane-action-property", "cayley-intertwines-action"):
+        assert checks[name]["samples"] == 0 and checks[name]["residual"] == 0.0
+        assert checks[name]["pass"] is True
+
+
+def test_a_nan_cayley_sample_fails_its_record(monkeypatch):
+    # NaN on the 3rd of 4 samples of the one stacked inverse Cayley call:
+    # the round-trip record reads NaN and fails
+    calls = []
+    cayley_inverse = gj1.cayley_inverse
+
+    def nan_on_third(w, z):
+        calls.append(np.shape(w))
+        v, u = cayley_inverse(w, z)
+        v = v.copy()
+        v[2] = math.nan
+        return v, u
+
+    monkeypatch.setattr(gj1, "cayley_inverse", nan_on_third)
+    checks = {c["check"]: c for c in _gj1(seed=7)}
+    assert calls == [(4,)]
+    record = checks["cayley-roundtrip"]
+    assert record["pass"] is False and math.isnan(record["residual"])
+    assert checks["form-pullback"]["pass"] is True
