@@ -1,10 +1,12 @@
 """Monte-Carlo verification of the resolution of unity.
 
 The weighted inner product uses the density Q K^-1 against Lebesgue measure
-and a closed-form normalization constant.  The sampler draws the domain
-coordinate uniformly (with rejection weights) and the fiber coordinate from
-its exact Gaussian conditional, so the total mass estimate should be one and
-the kernel should reproduce point values of holomorphic functions.
+and a closed-form normalization constant.  The one sampler,
+`jacobi.sample_base_measure`, returns the whole weighted sample as a stack of
+points: it draws the domain coordinate uniformly (with rejection weights) and
+the fiber coordinate from its exact Gaussian conditional, so the total mass
+estimate should be one and the kernel should reproduce point values of
+holomorphic functions.
 """
 
 import numpy as np
@@ -20,8 +22,11 @@ consts = jacobi.measure_constants(1, k)
 print(f"n=1, k={k}: p = {consts.p}, Lambda = {consts.Lambda}")
 print("closed form (k-3)/(2 pi^2) =", (k - 3) / (2 * np.pi**2))
 
-w, z, wt = jacobi.sample_arrays_n1(k, count, seed)
-print(f"\n<1, 1> estimate from {count} samples:", wt.mean(),
+# one stack of weighted samples: z of shape (count, 1), W of shape (count, 1, 1)
+x, wt = jacobi.sample_base_measure(1, k, count, seed)
+print(f"\nsample stack: z {x.z.shape}, W {x.W.shape}; "
+      f"{np.count_nonzero(wt)} samples inside the disk")
+print(f"<1, 1> estimate from {count} samples:", wt.mean(),
       "+-", wt.std() / np.sqrt(count))
 
 print("\n== reproducing property: f(x0) = Lambda int K(., x0) f dmu ==")

@@ -6,14 +6,16 @@ group acts holomorphically on points ``(z, W)`` of C^n x D_n; the action,
 its multiplier cocycle (in two closed forms), the reproducing kernel, the
 Kahler potential and two-form, the invariant volume density, the
 normalization constant of the resolution of unity, and Monte-Carlo
-machinery for the weighted inner product all live here.  Each is evaluated
-by one route; the independent routes that cross-check them run in
-:mod:`siegeljacobi.verify`.
+machinery for the weighted inner product (one sampler of the base measure,
+:func:`sample_base_measure`, which returns its sample as one stack) all
+live here.  Each is evaluated by one route; the independent routes that
+cross-check them run in :mod:`siegeljacobi.verify`.
 
 The closed forms are batch-first: a :class:`CSPoint` or a
 :class:`JacobiElement` may hold a stack along leading axes, and
-:func:`act`, :func:`jacobi_compose`, the cocycles, :func:`kernel` and
-:func:`kahler_potential` broadcast the leading shapes of their arguments.
+:func:`act`, :func:`jacobi_compose`, the cocycles, :func:`kernel`,
+:func:`kahler_potential` and :func:`density` broadcast the leading shapes
+of their arguments.
 A single call returns what it always did (a Python scalar where the value
 is a number), and each entry of a stacked result has the bits of its own
 single call.
@@ -64,7 +66,6 @@ __all__ = [
     "density",
     "measure_constants",
     "sample_base_measure",
-    "sample_arrays_n1",
     "mc_inner_product_n1",
     "reproduce_check",
     "pik_apply",
@@ -82,15 +83,16 @@ class CSPoint:
 
     ``z`` has shape ``(..., n)`` and ``W`` shape ``(..., n, n)``: the leading
     axes, if any, index a stack of points, which :func:`kahler_potential`,
-    :func:`act`, the cocycles, :func:`kernel`, :func:`cs_coords` and
-    :func:`cs_from_coords` accept.  The leading shapes of ``z`` and ``W``
-    broadcast: a size-1 axis of one holds the same value for every index of
+    :func:`act`, the cocycles, :func:`kernel`, :func:`density`,
+    :func:`cs_coords` and :func:`cs_from_coords` accept.  The leading shapes
+    of ``z`` and ``W`` broadcast: a size-1 axis of one holds the same value for every index of
     the other, as in the stencil groups of :func:`numdiff.wirtinger_hessian`
     (there a ``W`` of leading shape ``(pairs, 8, 1)`` serves the ``z`` of
     shape ``(pairs, 8, 4)``: four points per ``W``).  Indexing a stack whose
-    ``z`` and ``W`` have one leading shape gives its points.
-    :func:`kahler_form`, :func:`density`, :func:`cs_point` and the JSON form
-    take a single point.
+    ``z`` and ``W`` have one leading shape gives its points, and
+    :func:`sample_base_measure` returns its sample as one stack.
+    :func:`kahler_form`, :func:`cs_point` and the JSON form take a single
+    point.
     """
 
     z: np.ndarray
@@ -565,13 +567,16 @@ def kahler_form(x: CSPoint, k: float) -> np.ndarray:
     return h
 
 
-def density(x: CSPoint) -> float:
+def density(x: CSPoint):
     """Volume density ``det(1 - W Wbar)^{-(n+2)}``; depends on ``W`` only.
 
-    The determinant is :func:`matfun.logdet_hpd`'s, so a ``W`` outside the
-    domain raises :class:`DomainViolation` rather than giving a value.
+    A ``float`` for one point and a float array of the leading shape of ``W``
+    for a stack.  The determinant is :func:`matfun.logdet_hpd`'s, so a ``W``
+    outside the domain raises :class:`DomainViolation` rather than giving a
+    value.
     """
-    return float(np.exp(-(x.n + 2) * matfun.logdet_hpd(matfun.eye(x.n) - x.W @ x.W.conj())))
+    out = np.exp(-(x.n + 2) * matfun.logdet_hpd(matfun.eye(x.n) - x.W @ x.W.conj()))
+    return float(out) if x.W.ndim == 2 else out
 
 
 def measure_constants(n: int, k: float) -> MeasureConstants:
@@ -671,8 +676,8 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _draw_chunk_n1(count: int, seed: int, ci: int):
-    """The raw draws ``(wre, wim, xi)`` of chunk ``ci`` of
-    :func:`sample_arrays_n1` (at most ``_CHUNK`` of its ``count`` samples):
+    """The raw draws ``(wre, wim, xi)`` of chunk ``ci`` of the n = 1
+    :func:`sample_base_measure` (at most ``_CHUNK`` of its ``count`` samples):
     the box coordinates of ``w`` and the ``(2, mcount)`` normals of ``z``."""
     mcount = _chunk_size(count, ci * _CHUNK)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
@@ -707,8 +712,8 @@ def _sample_chunk_n1(consts: MeasureConstants, wre, wim, xi):
 
 
 def _arrays_chunk_n1(consts: MeasureConstants, count: int, seed: int, ci: int):
-    """The full-length ``(w, z, weight)`` arrays of chunk ``ci`` of
-    :func:`sample_arrays_n1`: the in-disk samples scattered back, with
+    """The full-length ``(w, z, weight)`` arrays of chunk ``ci`` of the n = 1
+    :func:`sample_base_measure`: the in-disk samples scattered back, with
     ``z = 0`` and weight 0 outside the disk."""
     wre, wim, xi = _draw_chunk_n1(count, seed, ci)
     keep, _, zin, wtin = _sample_chunk_n1(consts, wre, wim, xi)
@@ -717,30 +722,6 @@ def _arrays_chunk_n1(consts: MeasureConstants, count: int, seed: int, ci: int):
     weight = np.zeros(len(wre))
     weight[keep] = wtin
     return _complex(wre, wim), z, weight
-
-
-def sample_arrays_n1(k: float, count: int, seed: int):
-    """Vectorized weighted sampler for the n = 1 base measure.
-
-    Returns ``(w, z, weight)`` arrays of length ``count``.  ``w`` is uniform
-    on the box [-1, 1]^2 (weight 0 and ``z = 0`` outside the disk), ``z | w``
-    is drawn from the exact Gaussian with the diagonal-kernel exponent, and
-    the weight carries the closed-form Gaussian normalizer
-    ``pi sqrt(1 - |w|^2)`` so that ``mean(weight * f)`` estimates
-    ``Lambda * integral(f Q K^-1)``.
-
-    The samples come from counter-based substreams of a fixed size, drawn
-    on a pool of one worker thread per CPU and concatenated in chunk order,
-    so the result is deterministic in ``(seed, count)`` and independent of
-    the number of workers.  Each chunk computes ``z`` and the weight for its
-    samples inside the disk only (:func:`_sample_chunk_n1`) and scatters
-    them back.
-    """
-    nchunks = _chunk_count(count)
-    consts = measure_constants(1, k)
-    tasks = [functools.partial(_arrays_chunk_n1, consts, count, seed, ci) for ci in range(nchunks)]
-    ws, zs, wts = zip(*_ordered_map(tasks))
-    return np.concatenate(ws), np.concatenate(zs), np.concatenate(wts)
 
 
 def _uniform_chunk(seed: int, count: int, streams: int, start: int) -> np.ndarray:
@@ -769,51 +750,58 @@ def _uniform_chunk(seed: int, count: int, streams: int, start: int) -> np.ndarra
 def _real_form(w: np.ndarray) -> np.ndarray:
     """Real 2n x 2n matrix ``A`` with ``[x; y]^T A [x; y] / 2`` equal to the
     sampler's exponent ``F(z) = Re(zbar^T M z + z^T Wbar M z)``,
-    ``M = (1 - W Wbar)^-1``, ``z = x + i y``, for symmetric ``W``."""
-    n = w.shape[0]
-    m = matfun.inv(matfun.eye(n) - w @ w.conj())
+    ``M = (1 - W Wbar)^-1``, ``z = x + i y``, for symmetric ``W`` or a stack."""
+    m = matfun.inv(matfun.eye(w.shape[-1]) - w @ w.conj())
     q = w.conj() @ m  # symmetric, so Re(z^T q z) needs no symmetrization
-    herm = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    bilin = np.block([[q.real, -q.imag], [-q.imag, -q.real]])
-    return 2.0 * (herm + bilin)
+    top = np.concatenate([m.real + q.real, -(m.imag + q.imag)], axis=-1)
+    bottom = np.concatenate([m.imag - q.imag, m.real - q.real], axis=-1)
+    return 2.0 * np.concatenate([top, bottom], axis=-2)
 
 
 def sample_base_measure(n: int, k: float, count: int, seed: int):
-    """Stream of ``(CSPoint, weight)`` samples of the base measure.
+    """The weighted sample ``(x, weight)`` of the base measure: ``x`` a
+    :class:`CSPoint` stack, ``z`` of shape ``(count, n)`` and ``W`` of shape
+    ``(count, n, n)``, and ``weight`` of shape ``(count,)``.
 
-    Weighted sums over the stream estimate ``Lambda * integral(. Q K^-1)``
-    with respect to Lebesgue measure on C^n x D_n.  Only n = 1 is vectorized;
-    the general-n path draws the ``z`` Gaussian through a per-sample real
-    covariance factorization.
+    ``mean(weight * f(x))`` estimates ``Lambda * integral(f Q K^-1)`` with
+    respect to Lebesgue measure on C^n x D_n.  Each upper-triangle entry of
+    ``W`` is uniform on the box [-1, 1]^2, ``z | W`` is drawn from the exact
+    Gaussian with the diagonal-kernel exponent (:func:`_real_form`), and the
+    weight ``vol_box Lambda pi^n det(1 - W Wbar)^p`` carries its normalizer.
+    A sample outside the domain has weight 0, ``z = 0`` and its box ``W``.
+
+    At n = 1 the chunks of :func:`_arrays_chunk_n1`, counter-based
+    substreams, run on a pool of one worker thread per CPU and are joined in
+    chunk order: the result depends on ``(seed, count)`` only, and a shorter
+    run is a prefix of a longer one.  At n >= 2 one stream draws all box
+    coordinates, then all normals; one stacked Cholesky of ``1 - W Wbar``
+    picks the samples inside the domain (a matrix that does not factor is
+    outside) and gives their determinants.
     """
-    if n == 1:
-        w, z, wt = sample_arrays_n1(k, count, seed)
-        for i in range(count):
-            yield CSPoint(z=z[i : i + 1], W=w[i : i + 1, None]), float(wt[i])
-        return
+    nchunks = _chunk_count(count)
     consts = measure_constants(n, k)
-    pairs = sym_index_pairs(n)
-    vol_box = 2.0 ** (2 * len(pairs))
+    if n == 1:
+        tasks = [functools.partial(_arrays_chunk_n1, consts, count, seed, ci)
+                 for ci in range(nchunks)]
+        w, z, weight = (np.concatenate(parts) for parts in zip(*_ordered_map(tasks)))
+        # trailing axes of size 1: views, each column contiguous
+        return CSPoint(z=z[:, None], W=w[:, None, None]), weight
+    entries = n * (n + 1) // 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    eye = matfun.eye(n)
-    for _ in range(count):
-        w = np.zeros((n, n), dtype=complex)
-        for (i, j) in pairs:
-            w[i, j] = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-            w[j, i] = w[i, j]
-        gram = eye - w @ w.conj().T
-        evmin = np.linalg.eigvalsh(gram).min()
-        if evmin <= 0:
-            yield CSPoint(z=np.zeros(n, complex), W=np.zeros((n, n), complex)), 0.0
-            continue
-        det = float(np.linalg.det(gram).real)
-        # the Gaussian normalizer's det^(1/2) is already folded into p
-        weight = vol_box * consts.Lambda * math.pi**n * det**consts.p
-        lmat = np.linalg.cholesky(_real_form(w))
-        xi = rng.standard_normal(2 * n)
-        zeta = matfun.solve(lmat.T, xi)
-        z = zeta[:n] + 1j * zeta[n:]
-        yield CSPoint(z=z, W=w), float(weight)
+    # each sample's (Re, Im) of each upper-triangle entry, read as complex
+    w = w_from_coords(rng.uniform(-1.0, 1.0, (count, entries, 2)).view(complex)[..., 0], n)
+    xi = rng.standard_normal((count, 2 * n))
+    diag = matfun._cholesky(matfun.eye(n) - w @ w.conj()).diagonal(axis1=-2, axis2=-1).real
+    inside = np.flatnonzero(~np.isnan(diag).any(axis=-1))
+    det = np.prod(diag[inside], axis=-1) ** 2
+    weight = np.zeros(count)
+    # the Gaussian normalizer's det^(1/2) is already folded into p
+    weight[inside] = 4.0**entries * consts.Lambda * math.pi**n * det**consts.p
+    lmat = np.linalg.cholesky(_real_form(w[inside]))
+    zeta = matfun.solve_vectors(lmat.swapaxes(-1, -2), xi[inside])
+    z = np.zeros((count, n), dtype=complex)
+    z[inside] = zeta[:, :n] + 1j * zeta[:, n:]
+    return CSPoint(z=z, W=w), weight
 
 
 def mc_inner_product_n1(f, g, k: float, count: int, seed: int):
@@ -822,7 +810,8 @@ def mc_inner_product_n1(f, g, k: float, count: int, seed: int):
     Returns ``(estimate, standard_error)``; the standard error is the RMS
     deviation of the weighted samples from the estimate over ``sqrt(count)``.
     """
-    w, z, wt = sample_arrays_n1(k, count, seed)
+    x, wt = sample_base_measure(1, k, count, seed)
+    z, w = x.z[:, 0], x.W[:, 0, 0]
     vals = wt * np.conj(f(z, w)) * g(z, w)
     est = complex(vals.mean())
     se = math.sqrt(float(np.mean(np.abs(vals - est) ** 2)) / len(vals))
@@ -852,7 +841,7 @@ def _kernel_n1(zb, wb, z0: complex, w0: complex, k: float):
 def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, targets):
     """The flat tuple of total weight, inside-disk count and, for each
     ``(f, z0, w0)`` of ``targets``, the sum of ``weight * K(y, x0) * f(y)``
-    over chunk ``ci`` of :func:`sample_arrays_n1`.
+    over chunk ``ci`` of the n = 1 :func:`sample_base_measure`.
 
     The weight is 0 outside the disk, so the kernel sums run on the compact
     in-disk samples of :func:`_sample_chunk_n1`; the total weight is summed

@@ -178,7 +178,7 @@ def test_criterion_08_measure_normalization():
     start = time.time()
     worst_norm = 0.0
     for k in (5.0, 6.0):
-        _, _, wt = jacobi.sample_arrays_n1(k, 1_000_000, seed=208)
+        _, wt = jacobi.sample_base_measure(1, k, 1_000_000, seed=208)
         worst_norm = max(worst_norm, abs(wt.mean() - 1.0))
     worst_rep = 0.0
     for f, (z0, w0) in (

@@ -387,6 +387,7 @@ def test_decompose_tol_sets_the_membership_tolerance(capsys, which):
         ["verify", "algebra", "--samples", "5", "--k", "3", "--cutoff", "7"],
         ["verify", "gj1", "--n", "2"],
         ["verify", "measure", "--cutoff", "60"],
+        ["verify", "measure", "--n", "2"],
     ],
 )
 def test_verify_flag_the_suite_does_not_read_exits_two(capsys, argv):

@@ -14,17 +14,23 @@ from siegeljacobi.errors import OutOfDomain
 from siegeljacobi.jacobi import CSPoint
 
 
+def _arrays_n1(k, count, seed):
+    """The ``(w, z, weight)`` columns of the n = 1 sample stack."""
+    x, weight = jacobi.sample_base_measure(1, k, count, seed)
+    return x.W[:, 0, 0], x.z[:, 0], weight
+
+
 def test_sampler_is_deterministic():
-    w1, z1, wt1 = jacobi.sample_arrays_n1(6.0, 50_000, seed=3)
-    w2, z2, wt2 = jacobi.sample_arrays_n1(6.0, 50_000, seed=3)
+    w1, z1, wt1 = _arrays_n1(6.0, 50_000, seed=3)
+    w2, z2, wt2 = _arrays_n1(6.0, 50_000, seed=3)
     assert np.array_equal(w1, w2) and np.array_equal(z1, z2) and np.array_equal(wt1, wt2)
 
 
 def test_sampler_prefix_property():
     # the chunk grid makes longer runs extend shorter ones, so a partition
     # into workers cannot change the estimate
-    w1, z1, wt1 = jacobi.sample_arrays_n1(6.0, 40_000, seed=5)
-    w2, z2, wt2 = jacobi.sample_arrays_n1(6.0, 80_000, seed=5)
+    w1, z1, wt1 = _arrays_n1(6.0, 40_000, seed=5)
+    w2, z2, wt2 = _arrays_n1(6.0, 80_000, seed=5)
     assert np.array_equal(w1, w2[:40_000])
     assert np.array_equal(z1, z2[:40_000])
     assert np.array_equal(wt1, wt2[:40_000])
@@ -32,7 +38,7 @@ def test_sampler_prefix_property():
 
 @pytest.mark.parametrize("k", [5.0, 6.0])
 def test_normalization(k):
-    _, _, wt = jacobi.sample_arrays_n1(k, 400_000, seed=7)
+    _, _, wt = _arrays_n1(k, 400_000, seed=7)
     assert abs(wt.mean() - 1.0) < 0.01
 
 
@@ -72,32 +78,57 @@ def test_mc_standard_error_is_the_rms_deviation():
     # standard error is their standard deviation over sqrt(N)
     one = lambda z, w: np.ones_like(z)  # noqa: E731
     est, se = jacobi.mc_inner_product_n1(one, one, 6.0, 100_000, seed=13)
-    _, _, wt = jacobi.sample_arrays_n1(6.0, 100_000, seed=13)
+    _, _, wt = _arrays_n1(6.0, 100_000, seed=13)
     assert abs(est - wt.mean()) <= 1e-14  # two summation orders of the same weights
     ref = wt.std() / math.sqrt(len(wt))
     assert abs(se - ref) <= 1e-12 * ref
 
 
-def test_stream_interface_matches_arrays():
-    pairs = list(jacobi.sample_base_measure(1, 6.0, 100, seed=17))
-    w, z, wt = jacobi.sample_arrays_n1(6.0, 100, seed=17)
-    assert len(pairs) == 100
-    for i in (0, 13, 99):
-        pt, weight = pairs[i]
-        assert complex(pt.W[0, 0]) == complex(w[i])
-        assert complex(pt.z[0]) == complex(z[i])
-        assert weight == wt[i]
+def test_the_n1_stack_is_the_chunk_arrays():
+    count = 100
+    x, weight = jacobi.sample_base_measure(1, 6.0, count, seed=17)
+    assert x.z.shape == (count, 1) and x.W.shape == (count, 1, 1) and weight.shape == (count,)
+    w, z, wt = jacobi._arrays_chunk_n1(jacobi.measure_constants(1, 6.0), count, 17, 0)
+    for got, want in ((x.W[:, 0, 0], w), (x.z[:, 0], z), (weight, wt)):
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    # a sample outside the disk: weight 0, z = 0 and w its box draw
+    out = weight == 0
+    assert out.any() and np.all(x.z[out] == 0) and np.all(np.abs(x.W[out]) >= 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_sampler_returns_one_stack_at_every_n(n):
+    count = 50
+    x, weight = jacobi.sample_base_measure(n, 2 * n + 3.5, count, seed=3)
+    assert x.z.shape == (count, n) and x.W.shape == (count, n, n) and weight.shape == (count,)
+    assert np.array_equal(x.W, x.W.swapaxes(-1, -2)) and np.all(np.isfinite(weight))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_general_dimension_weights_and_outside_rule(n):
+    # the weight is vol_box Lambda pi^n det^p inside the domain; outside it
+    # is 0 with z = 0, and W keeps its box draw, as at n = 1
+    k = 2 * n + 5.0
+    consts = jacobi.measure_constants(n, k)
+    x, weight = jacobi.sample_base_measure(n, k, 4000, seed=23)
+    gram = np.eye(n) - x.W @ x.W.conj()
+    inside = np.linalg.eigvalsh(gram).min(axis=-1) > 0
+    assert np.array_equal(weight > 0, inside) and 0 < np.count_nonzero(inside) < len(weight)
+    det = np.linalg.det(gram[inside]).real
+    vol_box = 4.0 ** (n * (n + 1) // 2)
+    closed = vol_box * consts.Lambda * math.pi**n * det**consts.p
+    assert np.abs(weight[inside] - closed).max() <= 1e-12 * closed.max()
+    assert np.all(x.z[~inside] == 0) and np.all(x.W[~inside].any(axis=(-2, -1)))
+    assert np.all(x.z[inside].any(axis=-1))
 
 
 def test_general_dimension_normalization():
     # E[weight] = 1 exactly; per-sample sigma is about 4.6, so 2000 samples
     # put the 0.5 tolerance at roughly five standard errors (seed is fixed)
-    total = 0.0
     count = 2000
-    for pt, weight in jacobi.sample_base_measure(2, 9.0, count, seed=19):
-        assert np.isfinite(weight)
-        total += weight
-    assert abs(total / count - 1.0) < 0.5
+    _, weight = jacobi.sample_base_measure(2, 9.0, count, seed=19)
+    assert np.all(np.isfinite(weight))
+    assert abs(weight.sum() / count - 1.0) < 0.5
 
 
 def _polarized_form(w):
@@ -123,6 +154,16 @@ def test_real_form_matches_polarization(n):
         w = symplectic.random_siegel_point(n, scale, rng)
         ref = _polarized_form(w)
         assert np.abs(jacobi._real_form(w) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_real_form_equals_single_calls(n):
+    w = verify._siegel_points(np.random.default_rng(60 + n).normal(
+        size=(7, symplectic.SYM_BLOCKS, n, n)), 0.6)
+    stacked = jacobi._real_form(w)
+    assert stacked.shape == (7, 2 * n, 2 * n)
+    for i in range(7):
+        assert stacked[i].tobytes() == jacobi._real_form(w[i]).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -151,7 +192,7 @@ def test_sampler_chunks_concatenate_to_arrays():
     consts = jacobi.measure_constants(1, 6.0)
     chunks = [jacobi._arrays_chunk_n1(consts, count, 23, ci) for ci in range(3)]
     assert [len(w) for w, _, _ in chunks] == [jacobi._CHUNK, jacobi._CHUNK, 5]
-    for part, whole in zip(zip(*chunks), jacobi.sample_arrays_n1(6.0, count, seed=23)):
+    for part, whole in zip(zip(*chunks), _arrays_n1(6.0, count, seed=23)):
         assert np.array_equal(np.concatenate(part), whole)
 
 
@@ -242,7 +283,7 @@ def test_measure_suite_logs_each_sampler(caplog):
 def _measure_outputs(pinned_suite):
     small = verify.suite_measure(seed=7, samples=3 * jacobi._CHUNK + 17)
     pinned = [pinned_suite(seed) for seed in sorted(_ONE_SHOT_MEASURE)]
-    return small, pinned, jacobi.sample_arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
+    return small, pinned, _arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
 
 
 def test_measure_outputs_do_not_depend_on_worker_count(monkeypatch):
@@ -292,7 +333,7 @@ def test_sampler_workers_call_no_public_function(monkeypatch):
                 monkeypatch.setattr(mod, attr, wrapped[id(obj)][1])
     assert len(wrapped) > 100
     verify.suite_measure(seed=7, samples=3 * jacobi._CHUNK + 17)
-    jacobi.sample_arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
+    _arrays_n1(6.0, 2 * jacobi._CHUNK + 5, 23)
     assert off_main == []
 
 
@@ -389,7 +430,7 @@ def test_sampler_arrays_keep_the_bytes_of_the_full_chunk_sampler(seed):
         consts = jacobi.measure_constants(1, k)
         frozen = [_sample_chunk_n1_frozen(consts, count, seed, ci)
                   for ci in range(jacobi._chunk_count(count))]
-        arrays = jacobi.sample_arrays_n1(k, count, seed)
+        arrays = _arrays_n1(k, count, seed)
         assert 0 < np.count_nonzero(arrays[2] == 0) < count
         for got, parts in zip(arrays, zip(*frozen)):
             assert got.dtype == parts[0].dtype

@@ -228,6 +228,8 @@ def test_jacobi_stacks_equal_single_calls(n):
     ez = jacobi.lambda_cocycle_ez(h, x, 4)
     gram = jacobi.kernel(x[:, None], x[None, :], 3.0)
     assert gram.shape == (COUNT, COUNT)
+    dens = jacobi.density(x)
+    assert dens.shape == (COUNT,)
     for i in range(COUNT):
         one = jacobi.jacobi_compose(h[i], h2[i])
         assert _same(comp.g.a[i], one.g.a) and _same(comp.g.b[i], one.g.b)
@@ -240,6 +242,7 @@ def test_jacobi_stacks_equal_single_calls(n):
         assert isinstance(jacobi.lambda_full(h[i], x[i], 4), complex)
         assert full[i] == jacobi.lambda_full(h[i], x[i], 4)
         assert ez[i] == jacobi.lambda_cocycle_ez(h[i], x[i], 4)
+        assert isinstance(jacobi.density(x[i]), float) and dens[i] == jacobi.density(x[i])
         for j in range(COUNT):
             assert gram[i, j] == jacobi.kernel(x[i], x[j], 3.0)
     # one element acting on a stack of points, and the residuals of the suite
@@ -307,6 +310,9 @@ def test_a_stacked_validation_error_names_the_failing_index():
     w[2] *= 2.0 / np.linalg.norm(w[2], 2)
     kind, message = _raised(lambda: symplectic.z_of_w(w))
     assert kind is DomainViolation and message.startswith("stack index (2,): eigenvalues")
+    x = jacobi.CSPoint(z=np.zeros((3, 2), dtype=complex), W=w)
+    kind, message = _raised(lambda: jacobi.density(x))
+    assert kind is DomainViolation and message.startswith("stack index (2,): matrix is not")
     g = _elements(2, 0.5, rng, 3)
     b = g.b.copy()
     b[1] *= 1.5

@@ -157,6 +157,20 @@ def _swapped(fn):
     return lambda a, b: fn(b, a)
 
 
+def _doubled_km_kp(fn):
+    # the Km-Kp brackets at twice their coefficients
+    def wrapped(k1, a, b, k2, c, d):
+        out = fn(k1, a, b, k2, c, d)
+        return [(2 * coeff, label) for coeff, label in out] if (k1, k2) == ("Km", "Kp") else out
+
+    return wrapped
+
+
+def _rotated_w(fn):
+    # the orbit vector at the rotated convention, w read as w / i
+    return lambda z, w, cutoff: fn(z, w / 1j, cutoff)
+
+
 def _bare_partial(fn):
     # d/dw_ij as the bare independent partial off the diagonal too, in place
     # of the symmetric projector's half: the tables close at n = 1 only
@@ -238,7 +252,36 @@ BITES = {
     "cayley-intertwines-action": (gj1, "match_jacobi_parameters", _conjugated_alpha, _gj1),
     "pn-golden-table": (gj1, "pn_poly", lambda fn: lambda i: fn(i + 1), _gj1),
     "hermite-closed-form": (gj1, "_hermite_coeffs", lambda fn: lambda i: [2 * c for c in fn(i)], _gj1),
+    # the records whose routes are all primitives: one of them perturbed
+    "table-jacobi-identity-n2": (diffops, "_k_bracket", _doubled_km_kp, verify.suite_algebra),
+    "kernel-hermitian": (jacobi, "kernel", lambda fn: _scaled(fn, 1 + 1e-6j), _jacobi),
+    "kernel-positive": (jacobi, "kernel", lambda fn: _scaled(fn, -1.0), _jacobi),
+    "potential-log-kernel": (jacobi, "kahler_potential", _scaled, _jacobi),
+    "displacement-composition": (fockoracle, "displacement", _scaled, _oracle),
+    "squeeze-disentangling": (fockoracle, "squeeze_from_generator", _scaled, _oracle),
+    "squeezed-vector-relation": (fockoracle, "cs_vector", _scaled_part("amps"), _oracle),
+    "conjugation-equations": (fockoracle, "alpha_action", _scaled, _oracle),
+    "vacuum-orbit-convention": (fockoracle, "cs_vector", _rotated_w, _oracle),
+    "kernel-oracle": (jacobi, "kernel", _scaled, _oracle),
+    "composition-operator-order": (symplectic, "ball_compose", _swapped, _oracle),
 }
+
+
+@functools.cache
+def _report_checks(n=None):
+    """The check names of ``verify all`` at seed 7, in report order."""
+    return tuple(c["check"] for c in verify.run_suite("all", seed=7, n=n)["checks"])
+
+
+def test_every_record_of_the_report_has_a_bite():
+    bitten = {bite.partition(":")[0] for bite in BITES}
+    assert len(_report_checks()) == 55
+    assert [name for name in _report_checks() if name not in bitten] == []
+
+
+def test_verify_n_leaves_the_fixed_dimension_records_in_the_report():
+    # the Monte-Carlo records exist at n = 1 (jn-mc at n = 2) whatever --n is
+    assert _report_checks(2) == _report_checks()
 
 
 @functools.cache
@@ -322,13 +365,13 @@ def test_a_nan_roundtrip_sample_fails_its_record(monkeypatch):
     assert checks["cartan-roundtrip"]["pass"] is True
 
 
-def test_a_record_with_no_samples_reads_zero():
-    # three samples leave samples // 4 = 0 for the affine-action records,
-    # whose stacks are then empty
+def test_a_small_run_checks_one_affine_sample():
+    # three samples would leave samples // 4 = 0 for the affine-action
+    # records; each checks at least one
     checks = {c["check"]: c for c in verify.suite_gj1(seed=7, samples=3)}
     for name in ("halfplane-action-property", "cayley-intertwines-action"):
-        assert checks[name]["samples"] == 0 and checks[name]["residual"] == 0.0
-        assert checks[name]["pass"] is True
+        assert checks[name]["samples"] == 1 and checks[name]["pass"] is True
+        assert 0.0 < checks[name]["residual"] <= 1e-8
 
 
 def test_a_nan_cayley_sample_fails_its_record(monkeypatch):
