@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags it reads
     for p in (pv, pe):
         p.add_argument("--n", type=_positive_int, default=None, help="matrix dimension")
-        p.add_argument("--k", type=_finite_float, default=None, help="representation index")
+        p.add_argument("--k", type=_positive_float, default=None, help="representation index")
     return parser
 
 

@@ -7,6 +7,10 @@ span of the number states |0>..|N>.  The single-mode realization
 ``Kp = a+ a+ / 2``, ``Km = a a / 2``, ``K0 = (a+ a + a a+) / 4`` has vacuum
 weight 1/4, so the oracle pins the representation index to k = 1.
 
+A state is a complex array of amplitudes over |0>..|N>: one vector, or a
+block whose columns are a stack of states (:func:`vacuum` and
+:func:`cs_vector` return them).
+
 Every exponential is one routine, ``_expm_apply``: the action of
 ``exp(G)`` on a vector or a block of columns through the generator's few
 nonzero diagonals, so no ``(N+1)^2`` matrix is formed to exponentiate.  A
@@ -39,7 +43,6 @@ checks report a residual that must shrink when N grows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +51,11 @@ from .jacobi import CSPoint, JacobiElement, alpha_action, alpha_action_inv, lamb
 from .symplectic import SpElement, cartan_decompose, cartan_synthesize
 
 __all__ = [
-    "FockVec",
     "displacement",
     "squeeze",
     "squeeze_from_generator",
     "cs_vector",
     "vacuum",
-    "squeezed_vacuum",
     "s_of_g",
     "check_lemma6",
     "check_hpb",
@@ -77,25 +78,6 @@ TAYLOR_DEGREE = 18  # 1/19! < 1e-17: one step's truncation at unit norm
 _STEPS_PER_LEVEL = 16
 
 
-@dataclass(frozen=True)
-class FockVec:
-    """State vector over |0>..|N>, or a stack of them as the columns of
-    ``amps``, with truncation-tail accounting (one value per column)."""
-
-    cutoff: int
-    amps: np.ndarray
-
-    @property
-    def norm(self):
-        return _per_column(self.amps, lambda v: float(np.linalg.norm(v)))
-
-    @property
-    def tail_mass(self):
-        """Probability mass above ``TAIL_FRACTION * cutoff``."""
-        start = int(TAIL_FRACTION * self.cutoff)
-        return _per_column(self.amps, lambda v: float(np.sum(np.abs(v[start:]) ** 2)))
-
-
 def _per_column(amps: np.ndarray, fn):
     """``fn`` of a vector, or the array of ``fn`` of each column of a stack.
 
@@ -105,6 +87,18 @@ def _per_column(amps: np.ndarray, fn):
     if amps.ndim == 1:
         return fn(amps)
     return np.array([fn(col) for col in np.ascontiguousarray(amps.T)])
+
+
+def _norm(amps: np.ndarray):
+    """Norm of a state, or the array of the norms of a stack's columns."""
+    return _per_column(amps, lambda v: float(np.linalg.norm(v)))
+
+
+def _tail_mass(amps: np.ndarray):
+    """Probability mass above ``TAIL_FRACTION * N`` of a state over
+    |0>..|N>, or the array of it of each column of a stack."""
+    start = int(TAIL_FRACTION * (len(amps) - 1))
+    return _per_column(amps, lambda v: float(np.sum(np.abs(v[start:]) ** 2)))
 
 
 def _sample_error(message, bad, stacked: bool):
@@ -254,10 +248,11 @@ def _expm_apply(gen: dict, v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def vacuum(cutoff: int) -> FockVec:
+def vacuum(cutoff: int) -> np.ndarray:
+    """The vacuum ``e_0`` over |0>..|N>, ``N = cutoff``."""
     v = np.zeros(cutoff + 1, dtype=complex)
     v[0] = 1.0
-    return FockVec(cutoff, v)
+    return v
 
 
 def _product(factors: list, v: np.ndarray) -> np.ndarray:
@@ -286,7 +281,7 @@ def _guarded(factors: list, v: np.ndarray, what: str, size) -> np.ndarray:
     vacua = np.zeros((cutoff + 1, width), dtype=complex)
     vacua[0] = 1.0
     out = _product(factors, np.column_stack([v, vacua]))
-    tails = FockVec(cutoff, out[:, -width:]).tail_mass
+    tails = _tail_mass(out[:, -width:])
     _sample_error(
         lambda i: f"{what}={size[i] if stacked else size} tail mass {tails[i]:.2e} "
                   f"at cutoff {cutoff}",
@@ -325,12 +320,6 @@ def squeeze(w, v: np.ndarray) -> np.ndarray:
                     "squeeze by |w|", abs(w))
 
 
-def squeezed_vacuum(w: complex, cutoff: int) -> FockVec:
-    """``S(w)|0>``: :func:`squeeze` on the vacuum, whose factor
-    ``exp(-conj(w) Km)`` returns it as it is (``Km|0> = 0``)."""
-    return FockVec(cutoff, squeeze(w, vacuum(cutoff).amps))
-
-
 def squeeze_from_generator(zeta, v: np.ndarray) -> np.ndarray:
     """One-parameter form ``exp(zeta Kp - conj(zeta) Km)`` applied to ``v``,
     with :func:`squeeze`'s guard; a 1-D array ``zeta`` holds one parameter
@@ -338,12 +327,13 @@ def squeeze_from_generator(zeta, v: np.ndarray) -> np.ndarray:
     return _guarded([{"kp": zeta, "km": -np.conj(zeta)}], v, "squeeze by |zeta|", abs(zeta))
 
 
-def cs_vector(z, w, cutoff: int) -> FockVec:
-    """Un-normalized orbit vector ``exp(z a+ + w Kp)|0>`` by series summation.
+def cs_vector(z, w, cutoff: int) -> np.ndarray:
+    """Un-normalized orbit vector ``exp(z a+ + w Kp)|0>`` by series
+    summation: its amplitudes over |0>..|N>, shape ``(N + 1,)``.
 
-    For 1-D arrays ``z`` and ``w`` of one length, the vectors of their pairs
-    are the columns of one stack, each column's series stopping at the term
-    where its own would stop.
+    For 1-D arrays ``z`` and ``w`` of ``c`` entries, the vectors of their
+    pairs are the columns of one stack ``(N + 1, c)``, each column's series
+    stopping at the term where its own would stop.
 
     Raises
     ------
@@ -373,12 +363,11 @@ def cs_vector(z, w, cutoff: int) -> FockVec:
                 break
     else:
         out[:, live] = acc
-    stack = FockVec(cutoff, out)
-    tails, norms = stack.tail_mass.tolist(), stack.norm.tolist()
+    tails, norms = _tail_mass(out).tolist(), _norm(out).tolist()
     _sample_error(
         lambda i: f"orbit vector tail mass {tails[i]:.2e} at cutoff {cutoff}",
         [not (tail <= TAIL_THRESHOLD * norm**2) for tail, norm in zip(tails, norms)], z.ndim > 0)
-    return stack if z.ndim > 0 else FockVec(cutoff, out[:, 0])
+    return out if z.ndim > 0 else out[:, 0]
 
 
 def s_of_g(g: SpElement, v: np.ndarray) -> np.ndarray:
@@ -412,12 +401,12 @@ def check_lemma6(alpha: complex, w: complex, cutoff: int) -> float:
     ``(1 - w wbar)^{1/4} exp(-conj(alpha) z / 2) e_{z,w}`` with
     ``z = alpha - w conj(alpha)`` (single mode, k = 1).
     """
-    lhs = displacement(alpha, squeezed_vacuum(w, cutoff).amps)
+    lhs = displacement(alpha, squeeze(w, vacuum(cutoff)))
     z = alpha - w * np.conj(alpha)
     rhs = (
         (1 - w * np.conj(w)) ** 0.25
         * np.exp(-0.5 * np.conj(alpha) * z)
-        * cs_vector(z, w, cutoff).amps
+        * cs_vector(z, w, cutoff)
     )
     return float(np.linalg.norm(lhs - rhs))
 
@@ -474,7 +463,7 @@ def oracle_kernel(x: CSPoint, y: CSPoint, cutoff: int):
         raise ValueError("x and y must be stacks of one shape")
     z = np.concatenate([np.ravel(x.z[..., 0]), np.ravel(y.z[..., 0])])
     w = np.concatenate([np.ravel(x.W[..., 0, 0]), np.ravel(y.W[..., 0, 0])])
-    vecs = np.ascontiguousarray(cs_vector(z, w, cutoff).amps.T)
+    vecs = np.ascontiguousarray(cs_vector(z, w, cutoff).T)
     half = len(z) // 2
     vals = np.array([np.vdot(vx, vy) for vx, vy in zip(vecs[:half], vecs[half:])])
     return complex(vals[0]) if x.z.ndim == 1 else vals
@@ -501,24 +490,17 @@ def mm1_residual(g, alpha, z, w, cutoff: int):
     # one stacked cocycle call: each entry has the bits of its single call
     data = lambda_cocycle(JacobiElement(g=g, alpha=alpha[:, None], t=0.0),
                           CSPoint(z=z[:, None], W=w[:, None, None]), 1, unchecked_branch=True)
-    lhs = s_of_g(g, displacement(alpha, cs_vector(z, w, cutoff).amps))
-    image = cs_vector(*map(np.ascontiguousarray, (data.z1[:, 0], data.W1[:, 0, 0])), cutoff).amps
-    res = FockVec(cutoff, lhs - data.lam * image).norm
+    lhs = s_of_g(g, displacement(alpha, cs_vector(z, w, cutoff)))
+    image = cs_vector(*map(np.ascontiguousarray, (data.z1[:, 0], data.W1[:, 0, 0])), cutoff)
+    res = _norm(lhs - data.lam * image)
     return (float(res[0]), data[0]) if single else (res, data)
 
 
-def squeezed_vacuum_convention(w: complex, cutoff: int):
-    """Probe which reading of the orbit-vector argument matches ``S(w)|0>``.
-
-    Returns residuals ``{"plain": r0, "rotated": r1}`` for
-    ``(1-|w|^2)^{1/4} exp(w Kp)|0>`` versus the same with ``w/i`` in the
-    exponent.  The plain reading is the one used throughout the package.
-    """
-    lhs = squeezed_vacuum(w, cutoff).amps
-    pref = (1 - abs(w) ** 2) ** 0.25
-    plain = pref * cs_vector(0.0, w, cutoff).amps
-    rotated = pref * cs_vector(0.0, w / 1j, cutoff).amps
-    return {
-        "plain": float(np.linalg.norm(lhs - plain)),
-        "rotated": float(np.linalg.norm(lhs - rotated)),
-    }
+def squeezed_vacuum_convention(w: complex, cutoff: int) -> float:
+    """Residual of the orbit-vector reading of ``S(w)|0>``: the distance of
+    :func:`squeeze` on the vacuum (whose factor ``exp(-conj(w) Km)`` returns
+    it as it is, ``Km|0> = 0``) from ``(1-|w|^2)^{1/4} exp(w Kp)|0>``, the
+    reading of the orbit vector's argument used throughout the package."""
+    lhs = squeeze(w, vacuum(cutoff))
+    plain = (1 - abs(w) ** 2) ** 0.25 * cs_vector(0.0, w, cutoff)
+    return float(np.linalg.norm(lhs - plain))

@@ -39,7 +39,7 @@ import numpy as np
 from . import matfun, symplectic
 from .errors import OutOfDomain, Singular
 from .matfun import as_cmat, detpow
-from .symplectic import SpElement, sp_compose, sp_identity, sp_inverse, sym_index_pairs
+from .symplectic import SpElement, sp_compose, sp_inverse, sym_index_pairs
 
 __all__ = [
     "CSPoint",
@@ -53,7 +53,6 @@ __all__ = [
     "w_from_coords",
     "alpha_action",
     "alpha_action_inv",
-    "jacobi_identity_element",
     "jacobi_compose",
     "jacobi_inverse",
     "act",
@@ -208,10 +207,6 @@ class MeasureConstants:
     k: float
     p: float
     Lambda: float
-
-
-def jacobi_identity_element(n: int) -> JacobiElement:
-    return JacobiElement(g=sp_identity(n), alpha=np.zeros(n, dtype=complex), t=0.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -863,6 +858,14 @@ def _reproduce_chunk(consts: MeasureConstants, count: int, seed: int, ci: int, t
     return mass, len(keep), *sums
 
 
+def _reproduce_sums(consts: MeasureConstants, count: int, seed: int, targets) -> tuple:
+    """:func:`_reproduce_chunk` of every chunk of ``count`` samples, run on
+    :func:`_ordered_map` and added in chunk order: the total weight, the
+    inside-disk count and one sum per target."""
+    return _fold(_ordered_map(functools.partial(_reproduce_chunk, consts, count, seed, ci, targets)
+                              for ci in range(_chunk_count(count))))
+
+
 def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     """Monte-Carlo test of the reproducing property at n = 1.
 
@@ -883,9 +886,7 @@ def reproduce_check(f, x0: CSPoint, k: float, samples: int, seed: int = 2024):
     consts = measure_constants(1, k)
     z0 = complex(x0.z[0])
     w0 = complex(x0.W[0, 0])
-    tasks = [functools.partial(_reproduce_chunk, consts, samples, seed, ci, [(f, z0, w0)])
-             for ci in range(_chunk_count(samples))]
-    _, _, total = _fold(_ordered_map(tasks))
+    _, _, total = _reproduce_sums(consts, samples, seed, [(f, z0, w0)])
     # the sum is over the samples inside the disk, the mean over all of them
     rhs = complex(total / samples)
     lhs = complex(f(np.array([z0]), np.array([w0]))[0])

@@ -16,8 +16,8 @@ with ``z`` and ``W`` stacks of leading shape ``(pairs, 8, 4)`` that keep
 only the stencil axes they move along: a z–z pair never moves ``W`` and a
 z–w pair moves it along the eight steps of its ``w`` coordinate only, so
 the 96 / 480 / 1440 points hold only 41 / 241 / 817 distinct ``W``.  A
-Jacobian's stack holds four points per stepped coordinate (20 at n = 2; 12
-for :func:`w_jacobian`, which steps the ``w_ij`` only), in one call.
+Jacobian's stack holds four points per coordinate (20 at n = 2), in one
+call.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .jacobi import CSPoint, cs_coords, cs_from_coords, w_from_coords
 
-__all__ = ["wirtinger_hessian", "holomorphic_jacobian", "w_jacobian"]
+__all__ = ["wirtinger_hessian", "holomorphic_jacobian"]
 
 
 #: Step of the Hessian's stencil: the truncation error is O(h^4)
@@ -206,25 +206,6 @@ def wirtinger_hessian(fun, x: CSPoint) -> np.ndarray:
     return out
 
 
-def _stencil_jacobian(mapping, x: CSPoint, first: int) -> np.ndarray:
-    """Columns ``first, first + 1, ...`` of :func:`holomorphic_jacobian`.
-
-    Only coordinates from ``first`` on are stepped, so ``mapping`` is called
-    once on a stack of leading shape ``(dim - first, 4)``.
-    """
-    base = cs_coords(x)
-    coord = np.arange(first, len(base))
-    lead = (len(coord), len(_JACOBIAN_STEPS))
-    stack = np.broadcast_to(base, lead + base.shape).copy()
-    stack[coord - first, :, coord] += _JACOBIAN_STEPS
-    cols = cs_coords(mapping(cs_from_coords(stack, x.n)))
-    if cols.shape[:-1] != lead:
-        raise ValueError(f"mapping returned leading shape {cols.shape[:-1]}, expected {lead}")
-    d_re = (cols[:, 0] - cols[:, 1]) / (2 * _JACOBIAN_STEP)
-    d_im = (cols[:, 2] - cols[:, 3]) / (2 * _JACOBIAN_STEP)
-    return (0.5 * (d_re - 1j * d_im)).T
-
-
 def holomorphic_jacobian(mapping, x: CSPoint) -> np.ndarray:
     """Jacobian ``J_ab = d (mapping coords)_a / d xi_b`` by complex stencils
     with the fixed step ``h = 1e-6``.
@@ -237,27 +218,17 @@ def holomorphic_jacobian(mapping, x: CSPoint) -> np.ndarray:
     ``b``, then the steps ``h, -h, ih, -ih`` in it), and returns the stacked
     image points, a :class:`CSPoint` of the same leading shape.  Each entry
     is computed from the same values in the same arithmetic as with a call
-    of ``mapping`` per point.
+    of ``mapping`` per point.  The Jacobian of a domain self-map is the
+    ``w`` block ``[n:, n:]`` of the map lifted with ``z = 0``.
     """
-    return _stencil_jacobian(mapping, x, first=0)
-
-
-def w_jacobian(mapping, w: np.ndarray) -> np.ndarray:
-    """Holomorphic Jacobian of a domain self-map in the ``w_ij`` coordinates.
-
-    Only the ``n(n+1)/2`` coordinates ``w_ij`` are stepped: ``mapping`` is
-    called once, on the stack of the stencil's ``W`` matrices (shape
-    ``(n(n+1)/2, 4, n, n)``, steps as in :func:`holomorphic_jacobian`), and
-    returns their images as a stack of the same shape, as
-    :func:`symplectic.moebius` does.  The result is the ``w`` block of
-    :func:`holomorphic_jacobian` of the map lifted with ``z = 0``, bit for
-    bit.
-    """
-    n = w.shape[0]
-    x = CSPoint(z=np.zeros(n, dtype=complex), W=w)
-
-    def lifted(pt: CSPoint) -> CSPoint:
-        image = np.asarray(mapping(pt.W))
-        return CSPoint(z=np.zeros(image.shape[:-1], dtype=complex), W=image)
-
-    return _stencil_jacobian(lifted, x, first=n)[n:]
+    base = cs_coords(x)
+    coord = np.arange(len(base))
+    lead = (len(coord), len(_JACOBIAN_STEPS))
+    stack = np.broadcast_to(base, lead + base.shape).copy()
+    stack[coord, :, coord] += _JACOBIAN_STEPS
+    cols = cs_coords(mapping(cs_from_coords(stack, x.n)))
+    if cols.shape[:-1] != lead:
+        raise ValueError(f"mapping returned leading shape {cols.shape[:-1]}, expected {lead}")
+    d_re = (cols[:, 0] - cols[:, 1]) / (2 * _JACOBIAN_STEP)
+    d_im = (cols[:, 2] - cols[:, 3]) / (2 * _JACOBIAN_STEP)
+    return (0.5 * (d_re - 1j * d_im)).T

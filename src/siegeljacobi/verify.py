@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import logging
 import math
 
@@ -529,7 +528,11 @@ def suite_symplectic(n=2, k=4.0, seed=1234, samples=50) -> list:
          0.0 if evmin > 0 else 1.0, 0.5, n=n, k=k)
 
     g = symplectic.sp_random(n, 0.3, rng)
-    jac = numdiff.w_jacobian(lambda ww: symplectic.moebius(g, ww), w)
+    # the domain map's Jacobian: the w block of the map lifted with z = 0
+    jac = numdiff.holomorphic_jacobian(
+        lambda pt: CSPoint(z=np.zeros(pt.z.shape, dtype=complex), W=symplectic.moebius(g, pt.W)),
+        x0,
+    )[n:, n:]
     q_inv = symplectic.sp_density(symplectic.moebius(g, w)) * abs(
         np.linalg.det(jac)
     ) ** 2
@@ -632,9 +635,8 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     _rec(checks, "conjugation-equations", "ladder-conjugation",
          fockoracle.check_hpb(0.3, 0.2, max(cutoff, 80)), 1e-7, samples=1)
 
-    probe = fockoracle.squeezed_vacuum_convention(0.3, cutoff)
     _rec(checks, "vacuum-orbit-convention", "orbit-argument-convention",
-         probe["plain"], 1e-8, samples=1)
+         fockoracle.squeezed_vacuum_convention(0.3, cutoff), 1e-8, samples=1)
 
     # each record draws all its samples first, then makes one stacked
     # oracle call and one stacked closed-form call for them
@@ -658,8 +660,9 @@ def suite_oracle(seed=1234, samples=20, cutoff=60) -> list:
     w3, v, detv = symplectic.ball_compose(
         np.array([[w2]]), np.array([[w1]])
     )
-    lhs = fockoracle.squeeze(w2, fockoracle.squeezed_vacuum(w1, big).amps)
-    rhs = detv**0.5 * fockoracle.squeezed_vacuum(complex(w3[0, 0]), big).amps
+    vac = fockoracle.vacuum(big)
+    lhs = fockoracle.squeeze(w2, fockoracle.squeeze(w1, vac))
+    rhs = detv**0.5 * fockoracle.squeeze(complex(w3[0, 0]), vac)
     _rec(checks, "composition-operator-order", "two-point-law-operator-check",
          float(np.linalg.norm(lhs - rhs)), 1e-8, n=1, k=1.0, samples=1)
     return checks
@@ -745,9 +748,9 @@ def suite_measure(k=6.0, seed=7, samples=2_500_000) -> list:
 
     At n = 1 each chunk of the sampler is drawn once and feeds the total
     mass and all three reproducing estimates; the ``jn-mc`` volume estimate
-    streams its own box draws.  Both sets of chunks run on one pool of
+    streams its own box draws.  Each estimator runs its chunks on a pool of
     worker threads (:func:`jacobi._ordered_map`), each task returning only
-    its partial sums, which are added here in chunk order as a serial loop
+    its partial sums, which are added in chunk order as a serial loop
     would: the records do not depend on the number of workers, and memory
     stays at one chunk per worker however large ``samples`` is.  Each chunk
     evaluates its weights, kernels and determinants only on the samples
@@ -761,19 +764,10 @@ def suite_measure(k=6.0, seed=7, samples=2_500_000) -> list:
     _rec(checks, "normalization-routes", "resolution-of-unity-constant",
          abs(consts.Lambda - alt) / consts.Lambda, 1e-12, n=1, k=k)
 
-    # cross-check the closed-form volume constant by direct Monte Carlo at
-    # n = 2; the per-sample relative sigma is about 4.6, so the fixed count
-    # below puts the 1% tolerance at six standard errors
-    count = 8_000_000
-    p = 1.0
     targets = [(f, z0, w0) for _, f, z0, w0 in _REPRODUCING_TARGETS]
-    n1_tasks = [functools.partial(jacobi._reproduce_chunk, consts, samples, seed, ci, targets)
-                for ci in range(jacobi._chunk_count(samples))]
-    results = jacobi._ordered_map(n1_tasks + _jn_mc_tasks(p, count, seed))
-
-    mass, inside, *sums = jacobi._fold(itertools.islice(results, len(n1_tasks)))
+    mass, inside, *sums = jacobi._reproduce_sums(consts, samples, seed, targets)
     log.debug("measure sampler n=1: %d samples in %d chunks, inside-domain "
-              "fraction %.6f", samples, len(n1_tasks), inside / samples)
+              "fraction %.6f", samples, jacobi._chunk_count(samples), inside / samples)
     _rec(checks, "normalization-mc", "unit-total-mass",
          abs(mass / samples - 1.0), 0.01, n=1, k=k, samples=samples)
     for (name, f, z0, w0), total in zip(_REPRODUCING_TARGETS, sums):
@@ -782,18 +776,16 @@ def suite_measure(k=6.0, seed=7, samples=2_500_000) -> list:
              abs(lhs - total / samples) / max(abs(lhs), 1e-300), 0.03, n=1,
              k=k, samples=samples)
 
-    est = _jn_mc_fold(results, count)
+    # cross-check the closed-form volume constant by direct Monte Carlo at
+    # n = 2; the per-sample relative sigma is about 4.6, so the fixed count
+    # below puts the 1% tolerance at six standard errors
+    count = 8_000_000
+    p = 1.0
+    est = _jn_mc_n2(p, count, seed)
     _rec(checks, "jn-mc", "weighted-volume-vs-direct-mc",
          abs(est - symplectic.jn(p, 2)) / symplectic.jn(p, 2), 0.01, n=2,
          samples=count)
     return checks
-
-
-def _jn_mc_tasks(p: float, count: int, seed: int) -> list:
-    """One task per chunk of :func:`_jn_mc_n2`, each returning the chunk's
-    sum of ``det(1 - W Wbar)^p`` over the domain and its inside count."""
-    return [functools.partial(_jn_mc_chunk, p, count, seed, start)
-            for start in range(0, count, jacobi._CHUNK)]
 
 
 def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
@@ -841,15 +833,6 @@ def _jn_mc_chunk(p: float, count: int, seed: int, start: int):
     return total, np.count_nonzero(inside)
 
 
-def _jn_mc_fold(results, count: int) -> float:
-    """The ``J_2`` estimate from the chunk results of :func:`_jn_mc_tasks`,
-    added in chunk order."""
-    total, inside_count = jacobi._fold(results)
-    log.debug("measure sampler jn-mc n=2: %d samples in %d chunks, inside-domain "
-              "fraction %.6f", count, jacobi._chunk_count(count), inside_count / count)
-    return 64.0 * total / count
-
-
 def _jn_mc_n2(p: float, count: int, seed: int) -> float:
     """Box Monte-Carlo estimate of ``J_2(p)``, the integral of
     ``det(1 - W Wbar)^p`` over the symmetric 2x2 domain.
@@ -857,9 +840,15 @@ def _jn_mc_n2(p: float, count: int, seed: int) -> float:
     The box [-1, 1]^6 holds the real and imaginary parts of ``w11, w12,
     w22``; they are the six streams of :func:`jacobi._uniform_chunk`, so the
     draws equal six successive ``default_rng(seed).uniform(-1, 1, count)``
-    calls while each worker holds only one chunk of them at a time.
+    calls while each worker holds only one chunk of them at a time.  The
+    chunks' sums of :func:`_jn_mc_chunk` are added in chunk order.
     """
-    return _jn_mc_fold(jacobi._ordered_map(_jn_mc_tasks(p, count, seed)), count)
+    total, inside = jacobi._fold(jacobi._ordered_map(
+        functools.partial(_jn_mc_chunk, p, count, seed, start)
+        for start in range(0, count, jacobi._CHUNK)))
+    log.debug("measure sampler jn-mc n=2: %d samples in %d chunks, inside-domain "
+              "fraction %.6f", count, jacobi._chunk_count(count), inside / count)
+    return 64.0 * total / count
 
 
 _SUITE_FNS = {

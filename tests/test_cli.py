@@ -331,6 +331,11 @@ def test_eval_flag_the_quantity_does_not_read_exits_two(capsys, argv):
         ["eval", "lambda", "--n", "1", "--k", "nan"],
         ["eval", "lambda", "--n", "1", "--k", "inf"],
         ["verify", "gj1", "--k", "inf"],
+        # a representation index is positive: -3 gave a form with a negative
+        # diagonal entry, and verify jacobi --k 0 failed two of its records
+        ["eval", "form", "--point", _point_json(0.0, 0.5), "--k", "-3"],
+        ["eval", "kernel", "--x", _point_json(0.0, 0.5), "--y", _point_json(0.0, 0.5), "--k", "0"],
+        ["verify", "jacobi", "--k", "0"],
     ],
 )
 def test_out_of_range_numeric_flag_exits_two(capsys, argv):

@@ -73,7 +73,6 @@ def test_finite_difference_oracles_take_no_step():
     assert params == {
         "wirtinger_hessian": ["fun", "x"],
         "holomorphic_jacobian": ["mapping", "x"],
-        "w_jacobian": ["mapping", "w"],
     }
 
 

@@ -15,7 +15,7 @@ from siegeljacobi.verify import _random_point as random_point
 def test_compose_with_identity():
     rng = np.random.default_rng(0)
     h = random_element(2, rng)
-    e = jacobi.jacobi_identity_element(2)
+    e = JacobiElement(g=sp.sp_identity(2), alpha=np.zeros(2, dtype=complex))
     out = jacobi.jacobi_compose(h, e)
     assert np.allclose(out.alpha, h.alpha) and abs(out.t - h.t) < 1e-14
     assert np.allclose(out.g.a, h.g.a)
@@ -46,7 +46,7 @@ def test_compose_associativity():
 
 
 def test_inverse():
-    e = jacobi.jacobi_identity_element(2)
+    e = JacobiElement(g=sp.sp_identity(2), alpha=np.zeros(2, dtype=complex))
     einv = jacobi.jacobi_inverse(e)
     assert np.allclose(einv.alpha, 0) and einv.t == 0
     # pure translation inverts to the opposite translation
@@ -64,7 +64,7 @@ def test_inverse():
 def test_act_identity_and_pure_translation():
     rng = np.random.default_rng(4)
     x = random_point(2, rng)
-    e = jacobi.jacobi_identity_element(2)
+    e = JacobiElement(g=sp.sp_identity(2), alpha=np.zeros(2, dtype=complex))
     out = jacobi.act(e, x)
     assert np.allclose(out.z, x.z) and np.allclose(out.W, x.W)
     alpha = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -114,7 +114,7 @@ def test_act_and_moebius_stack_match_single_calls(n, where):
 def test_lambda_cocycle_identity_and_collapse():
     rng = np.random.default_rng(6)
     x = random_point(2, rng)
-    e = jacobi.jacobi_identity_element(2)
+    e = JacobiElement(g=sp.sp_identity(2), alpha=np.zeros(2, dtype=complex))
     data = jacobi.lambda_cocycle(e, x, 2)
     assert abs(data.lam - 1.0) < 1e-14
     assert np.allclose(data.z1, x.z) and np.allclose(data.W1, x.W)
@@ -171,7 +171,7 @@ def test_lambda_cocycle_shares_the_action():
 
 def test_lambda_cocycle_ez_routes():
     rng = np.random.default_rng(9)
-    e = jacobi.jacobi_identity_element(1)
+    e = JacobiElement(g=sp.sp_identity(1), alpha=np.zeros(1, dtype=complex))
     x = random_point(1, rng)
     assert abs(jacobi.lambda_cocycle_ez(e, x, 2) - 1.0) < 1e-14
     for _ in range(50):
@@ -551,7 +551,7 @@ def test_measure_constants():
 def test_pik_apply():
     rng = np.random.default_rng(17)
     x = random_point(1, rng, 0.3, 0.3)
-    e = jacobi.jacobi_identity_element(1)
+    e = JacobiElement(g=sp.sp_identity(1), alpha=np.zeros(1, dtype=complex))
 
     def f(pt):
         return 1.0 + complex(pt.z[0]) + complex(pt.W[0, 0])

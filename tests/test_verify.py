@@ -4,6 +4,7 @@ only here (not inside the primitives) must fail when their route is off."""
 import dataclasses
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +179,7 @@ def _bare_partial(fn):
 
 
 _algebra_n1 = functools.partial(verify.suite_algebra, n=1)
+_algebra_n3 = functools.partial(verify.suite_algebra, n=3)
 _symplectic = functools.partial(verify.suite_symplectic, samples=3)
 _jacobi = functools.partial(verify.suite_jacobi, samples=3)
 _jacobi_n1 = functools.partial(verify.suite_jacobi, n=1, samples=3)
@@ -220,6 +222,10 @@ BITES = {
                                            verify.suite_algebra),
     "sp-algebra-closure-n1": (diffops, "op_commutator", _doubled_commutator, _algebra_n1),
     "sp-algebra-closure-n2": (diffops, "op_commutator", _doubled_commutator, verify.suite_algebra),
+    # the records that verify all --n 3 adds
+    "jacobi-algebra-closure-n3": (diffops, "op_commutator", _doubled_commutator, _algebra_n3),
+    "sp-algebra-closure-n3": (diffops, "op_commutator", _doubled_commutator, _algebra_n3),
+    "table-jacobi-identity-n3": (diffops, "_k_bracket", _doubled_km_kp, _algebra_n3),
     "jacobi-algebra-closure-n2:bare-partial": (diffops, "_dw_terms", _bare_partial,
                                                verify.suite_algebra),
     "sp-algebra-closure-n2:bare-partial": (diffops, "_dw_terms", _bare_partial,
@@ -234,7 +240,8 @@ BITES = {
     # the form is about 4 in size, against the 1e-5 bound of the Hessian
     "two-form-hessian": (jacobi, "kahler_form", lambda fn: _scaled(fn, 1 + 1e-4), _symplectic),
     "two-form-positive": (jacobi, "kahler_form", lambda fn: _scaled(fn, -1.0), _symplectic),
-    "volume-invariance": (numdiff, "w_jacobian", lambda fn: _scaled(fn, 1 + 1e-4), _symplectic),
+    "volume-invariance": (numdiff, "holomorphic_jacobian", lambda fn: _scaled(fn, 1 + 1e-4),
+                          _symplectic),
     "cocycle-unitarity": (jacobi, "lambda_cocycle", _scaled_part("lam"), _jacobi),
     "cocycle-multiplicative": (jacobi, "jacobi_compose", _scaled_part("alpha"), _jacobi),
     # lambda_full carries exp(i c t): the constant of the conventions block
@@ -259,7 +266,7 @@ BITES = {
     "potential-log-kernel": (jacobi, "kahler_potential", _scaled, _jacobi),
     "displacement-composition": (fockoracle, "displacement", _scaled, _oracle),
     "squeeze-disentangling": (fockoracle, "squeeze_from_generator", _scaled, _oracle),
-    "squeezed-vector-relation": (fockoracle, "cs_vector", _scaled_part("amps"), _oracle),
+    "squeezed-vector-relation": (fockoracle, "cs_vector", _scaled, _oracle),
     "conjugation-equations": (fockoracle, "alpha_action", _scaled, _oracle),
     "vacuum-orbit-convention": (fockoracle, "cs_vector", _rotated_w, _oracle),
     "kernel-oracle": (jacobi, "kernel", _scaled, _oracle),
@@ -274,9 +281,12 @@ def _report_checks(n=None):
 
 
 def test_every_record_of_the_report_has_a_bite():
+    # the default report, and the one of verify all --n 3, whose algebra
+    # suite names its records by n
     bitten = {bite.partition(":")[0] for bite in BITES}
-    assert len(_report_checks()) == 55
-    assert [name for name in _report_checks() if name not in bitten] == []
+    for n, records in ((None, 55), (3, 57)):
+        assert len(_report_checks(n)) == records
+        assert [name for name in _report_checks(n) if name not in bitten] == []
 
 
 def test_verify_n_leaves_the_fixed_dimension_records_in_the_report():
@@ -393,3 +403,47 @@ def test_a_nan_cayley_sample_fails_its_record(monkeypatch):
     record = checks["cayley-roundtrip"]
     assert record["pass"] is False and math.isnan(record["residual"])
     assert checks["form-pullback"]["pass"] is True
+
+
+def test_a_nan_orbit_sample_fails_its_record(monkeypatch):
+    # NaN in the 5th of 20 residual norms of the one stacked mm1_residual
+    # call (the norms of the orbit vectors' tail gates are left as they are):
+    # the orbit record reads NaN and fails, the kernel record is untouched
+    calls = []
+    norm = fockoracle._norm
+
+    def nan_on_fifth(amps):
+        out = norm(amps)
+        if sys._getframe(1).f_code is fockoracle.mm1_residual.__code__ and np.ndim(out):
+            calls.append(amps.shape)
+            out = out.copy()
+            out[4] = math.nan
+        return out
+
+    monkeypatch.setattr(fockoracle, "_norm", nan_on_fifth)
+    checks = {c["check"]: c for c in verify.suite_oracle(seed=7)}
+    assert calls == [(101, 20)]
+    record = checks["orbit-map-end-to-end"]
+    assert record["pass"] is False and math.isnan(record["residual"])
+    assert checks["kernel-oracle"]["pass"] is True
+
+
+def test_a_nan_volume_chunk_fails_its_record(monkeypatch):
+    # a NaN total in the 3rd of the 245 jn-mc chunks: the estimate and the
+    # record read NaN and fail, and the n = 1 records are untouched
+    starts = []
+    chunk = verify._jn_mc_chunk
+
+    def nan_in_third(p, count, seed, start):
+        starts.append(start)
+        total, inside = chunk(p, count, seed, start)
+        return (math.nan if start == 2 * jacobi._CHUNK else total), inside
+
+    monkeypatch.setattr(verify, "_jn_mc_chunk", nan_in_third)
+    checks = {c["check"]: c for c in _measure(seed=7)}
+    assert sorted(starts) == list(range(0, 8_000_000, jacobi._CHUNK))
+    record = checks["jn-mc"]
+    assert record["pass"] is False and math.isnan(record["residual"])
+    clean = {c["check"]: c for c in _clean_run(_measure)}
+    for name in ("normalization-mc", "reproducing-one", "reproducing-z", "reproducing-w"):
+        assert checks[name] == clean[name]
