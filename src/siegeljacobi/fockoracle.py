@@ -353,7 +353,9 @@ def cs_vector(z, w, cutoff: int) -> np.ndarray:
     for kterm in range(1, SERIES_TERMS):
         term = _band_matvec(gen, term) / kterm
         acc += term
-        done = _per_column(term, lambda v: np.linalg.norm(v) < 1e-18)
+        # each column's norm as one row of the transposed copy, so its bits
+        # do not depend on the other columns
+        done = np.linalg.norm(np.ascontiguousarray(term.T), axis=1) < 1e-18
         if done.any():
             out[:, live[done]] = acc[:, done]
             keep = ~done

@@ -8,15 +8,18 @@ parts of each coordinate.
 Each oracle evaluates its stencil on stacks: the function it differentiates
 receives a stacked :class:`CSPoint` and returns results of the stack's
 leading shape, as :func:`jacobi.kahler_potential`, :func:`jacobi.act` and
-:func:`matfun.logdet_hpd` do.  The Hessian's stencil holds 32 points for
-each coordinate pair ``a <= b`` (96 / 480 / 1440 points at n = 1 / 2 / 3),
-and entry ``(b, a)`` is the conjugate of ``(a, b)``.  Its pairs go to the
-function in three groups by coordinate kind (z–z, z–w, w–w), one call each,
-with ``z`` and ``W`` stacks of leading shape ``(pairs, 8, 4)`` that keep
-only the stencil axes they move along: a z–z pair never moves ``W`` and a
-z–w pair moves it along the eight steps of its ``w`` coordinate only, so
-the 96 / 480 / 1440 points hold only 41 / 241 / 817 distinct ``W``.  A
-Jacobian's stack holds four points per coordinate (20 at n = 2), in one
+:func:`matfun.logdet_hpd` do.  The Hessian is the polarization of the Levi
+form ``L(u) = u^T H conj(u)``: its diagonal is ``L(e_a)`` and the real and
+imaginary parts of ``H_ab`` come from ``L(e_a + e_b)`` and ``L(e_a + i
+e_b)``.  Each ``L(u)`` is a quarter of the Laplacian of ``f(xi + s u)`` in
+``s``, eight points around one centre that all directions share (33 / 201 /
+649 points at n = 1 / 2 / 3).  The directions go to the function in three
+groups, one call each, with ``z`` and ``W`` stacks that keep only the
+stencil axes they move along: (A) the centre and the directions in ``z``
+only, all at the centre's ``W``; (B) the directions that touch one ``w_b``,
+which all step ``w_b`` through the same eight values; (C) the ``w``–``w``
+pairs.  So the 33 / 201 / 649 points hold only 9 / 73 / 289 distinct ``W``.
+A Jacobian's stack holds four points per coordinate (20 at n = 2), in one
 call.
 """
 
@@ -36,106 +39,26 @@ _HESSIAN_STEP = 5e-4
 #: Step of the Jacobians' stencils
 _JACOBIAN_STEP = 1e-6
 
+#: The eight steps ``s`` of one direction of the Hessian's stencil, ``i^q c h``
+#: for ``q = 0..3`` and ``c = 1, 2``
+_STEPS = _HESSIAN_STEP * np.array([1, 2, 1j, 2j, -1, -2, -1j, -2j])
+#: ``_STEPS[_TURN[j]] = i _STEPS[j]``: multiplying by ``i`` is exact, so a
+#: direction ``e_a + i e_b`` steps ``xi_b`` through the same eight values
+_TURN = (np.arange(8) + 2) % 8
+#: Weights of ``f(xi + s u) - f(xi)`` in ``48 h^2 L(u)``: the five-point
+#: second difference ``(-1, 16, -30, 16, -1) / 12 h^2`` along ``Re s`` and
+#: along ``Im s`` (B. Fornberg, Math. Comp. 51 (1988) 699-706), whose sum is
+#: the Laplacian ``4 d^2 / ds dsbar``
+_WEIGHTS = np.array([16.0, -1.0] * 4)
+_SCALE = 48 * _HESSIAN_STEP * _HESSIAN_STEP
+#: Offset of a coordinate that does not move: adding -0.0 leaves every
+#: value as it is, -0.0 included
+_STILL = complex(-0.0, -0.0)
 
-def _hessian_stencil(h: float):
-    """The Hessian's stencil at step ``h`` as ``(steps, partners, weights)``.
-
-    ``steps`` are the eight steps of one coordinate ``xi_b``: ``-2h, -h, h,
-    2h``, then ``i`` times them.  For step ``i``, ``partners[kind, i]`` holds
-    the four steps of ``xi_a`` it is paired with and ``weights[kind, i]``
-    their weights in ``H_ab``; kind 0 is an entry off the diagonal, kind 1 a
-    diagonal one.  Both kinds are fourth order:
-
-    * off the diagonal, the four steps of the same size in either direction.
-      Each real mixed derivative is then the Richardson form
-      ``(16 S(h) - S(2h)) / (48 h^2)`` with ``S(t) = f(t, t) - f(t, -t) -
-      f(-t, t) + f(-t, -t)`` (B. Fornberg, Math. Comp. 51 (1988) 699-706),
-      and ``H_ab = 1/4 [f_xx + f_yy + i (f_xy - f_yx)]``, ``x`` and ``y``
-      the real and imaginary parts of ``xi_a`` (first) and ``xi_b``;
-    * on the diagonal, the four steps in the same direction, weighted by the
-      products of the fourth-order first-derivative stencils,
-      ``1/4 (D_x D_x + D_y D_y) f``: the cross terms only estimate
-      ``d_x d_y - d_y d_x = 0``.
-    """
-    units = np.array([-2.0, -1.0, 1.0, 2.0])
-    unit = np.concatenate([units, 1j * units])
-    steps = h * unit
-    size = np.abs(unit)
-    same_size = [[j for j in range(8) if size[j] == size[i]] for i in range(8)]
-    same_dir = [[i - i % 4 + j for j in range(4)] for i in range(8)]
-    # the sign and phase of a point of S(t): +-1 for two steps in one
-    # direction, +-i for xi_a real and xi_b imaginary, -+i for the reverse
-    phase = unit[same_size].conj() * unit[:, None] / (size * size)[:, None]
-    richardson = np.where(size == 1.0, 16.0, -1.0) / (4 * 48 * h * h)
-    first = np.array([1 / 12, -8 / 12, 8 / 12, -1 / 12]) / (2 * h)
-    product = first[np.arange(8) % 4][:, None] * first
-    return (
-        steps,
-        np.stack([steps[same_size], steps[same_dir]]),
-        np.stack([phase * richardson[:, None], product]),
-    )
-
-
-_HESSIAN_STEPS, _HESSIAN_PARTNERS, _HESSIAN_WEIGHTS = _hessian_stencil(_HESSIAN_STEP)
 #: The Jacobian stencil's steps ``h, -h, ih, -ih`` in one coordinate
 _JACOBIAN_STEPS = np.array(
     [_JACOBIAN_STEP, -_JACOBIAN_STEP, 1j * _JACOBIAN_STEP, -1j * _JACOBIAN_STEP]
 )
-
-
-def _contract(weights, blocks):
-    """Real and imaginary parts, shape ``(2, len(blocks))``, of
-    ``sum_i sum_j weights[p, i, j] * f[i, j]`` for each real block ``f =
-    blocks[p]``, accumulated in that order.
-
-    As ``f`` is real, both parts are sums of real products, and ``np.cumsum``
-    adds them one at a time: each gets the bits of the complex accumulation
-    ``acc += w * f``.
-    """
-    flat = blocks.reshape(len(blocks), -1)
-    w = weights.reshape(len(blocks), -1)
-    return np.cumsum(np.stack([flat * w.real, flat * w.imag]), axis=-1)[..., -1]
-
-
-@functools.lru_cache(maxsize=8)
-def _pair_groups(n: int):
-    """The stencil of the pairs ``a <= b`` of the ``dim = n + n(n+1)/2``
-    coordinates, as ``(rows, cols, weights, groups)``, built once per ``n``
-    as read-only arrays.
-
-    ``rows, cols`` is ``np.triu_indices(dim)`` and ``weights`` has shape
-    ``(pairs, 8, 4)``.  ``groups`` holds the non-empty groups z–z, z–w and
-    w–w, each as ``(where, z_plan, w_plan)``: the group's positions in the
-    pair order, then for each kind of coordinates the :func:`_plan` of its
-    stack.
-    """
-    rows, cols = np.triu_indices(n + n * (n + 1) // 2)
-    kind = (rows == cols).astype(int)
-    partners = _HESSIAN_PARTNERS[kind]
-    steps = _HESSIAN_STEPS[None, :, None]
-    groups = []
-    for where in (cols < n, (rows < n) & (cols >= n), rows >= n):
-        if not where.any():
-            continue
-        z_moves, w_moves = [], []
-        # xi_a takes the partner steps, then xi_b the eight steps
-        for coords, offsets in ((rows[where], partners[where]), (cols[where], steps)):
-            if coords[0] < n:
-                z_moves.append((coords, offsets))
-            else:
-                w_moves.append((coords - n, offsets))
-        groups.append((_frozen(np.flatnonzero(where)), _plan(z_moves), _plan(w_moves)))
-    return _frozen(rows), _frozen(cols), _frozen(_HESSIAN_WEIGHTS[kind]), tuple(groups)
-
-
-def _plan(moves):
-    """``(lead, moves)`` of a :func:`_stack` from its moves ``(coords,
-    offsets)``: the move adds ``offsets[p]`` (shape ``(pairs, 8, 4)``, or
-    ``(1, 8, 1)`` for the eight steps of every pair) to coordinate
-    ``coords[p]``.  ``lead`` is ``(pairs, 8, 4)`` with a size-1 axis where no
-    move varies, and ``(1, 1, 1)`` if there is no move."""
-    lead = np.broadcast_shapes((1, 1, 1), *((len(c),) + off.shape[1:] for c, off in moves))
-    return lead, tuple(tuple(map(_frozen, (np.arange(len(c)), c, off))) for c, off in moves)
 
 
 def _frozen(arr):
@@ -144,65 +67,139 @@ def _frozen(arr):
     return arr
 
 
-def _stack(base, plan):
-    """Stencil stack of one kind of coordinates (the ``z`` or the ``w_ij``)
-    for a group of pairs: ``base`` stepped by the moves of ``plan``, in
-    their order."""
-    lead, moves = plan
-    stack = np.empty(lead + base.shape, dtype=complex)
-    stack[...] = base
-    for pair, coords, offsets in moves:
-        stack[pair, :, :, coords] += offsets
-    return stack
+def _group(dz, dw, dirs, take):
+    """A group of :func:`_polar_groups`: its leading shape, then its arrays,
+    made read-only."""
+    lead = np.broadcast_shapes(dz.shape[:-1], dw.shape[:-1])
+    return (lead,) + tuple(map(_frozen, (dz, dw, dirs, take)))
+
+
+@functools.lru_cache(maxsize=8)
+def _polar_groups(n: int):
+    """The Hessian's stencil at ``n``, built once as read-only arrays:
+    ``(rows, cols, groups)``.
+
+    ``rows, cols`` is ``np.triu_indices(dim, 1)`` of the ``dim = n + m``
+    coordinates, ``m = n(n+1)/2``.  The ``dim^2`` directions are numbered
+    ``e_a`` (``a``), then ``e_a + e_b`` (``dim + p``) and ``e_a + i e_b``
+    (``dim + P + p``) for the ``P`` pairs ``p`` of ``rows, cols``.  Each of
+    the non-empty groups A, B, C is ``(lead, dz, dw, dirs, take)``: the
+    leading shape of its stack, the offsets of ``z`` and of the ``w_ij`` on
+    it (``-0.0`` where a coordinate does not move), the directions it holds,
+    and for each of them the flat indices of its eight points in the order
+    of ``_STEPS``.  The centre is point 0 of group A.
+    """
+    m = n * (n + 1) // 2
+    dim = n + m
+    rows, cols = np.triu_indices(dim, 1)
+    pairs = len(rows)
+    zz = np.flatnonzero(cols < n)
+    zw = np.flatnonzero((rows < n) & (cols >= n))
+    ww = np.flatnonzero(rows >= n)
+    groups = []
+
+    # (A) the centre, then e_a, e_a + e_b and e_a + i e_b in z, 8 points each
+    a = np.concatenate([np.arange(n), rows[zz], rows[zz]])
+    moves = np.full((len(a), 8, n), _STILL)
+    moves[np.arange(len(a)), :, a] = _STEPS
+    moves[n + np.arange(len(zz)), :, cols[zz]] = _STEPS
+    moves[n + len(zz) + np.arange(len(zz)), :, cols[zz]] = _STEPS[_TURN]
+    dz = np.concatenate([np.full((1, n), _STILL), moves.reshape(-1, n)])
+    dirs = np.concatenate([np.arange(n), dim + zz, dim + pairs + zz])
+    take = 1 + np.arange(8 * len(a)).reshape(-1, 8)
+    groups.append(_group(dz, np.full((1, m), _STILL), dirs, take))
+
+    # (B) for each w_b: e_b, then e_a + e_b and e_a + i e_b for each z_a; the
+    # last axis is the step of w_b, so the turned rows hold step j at _TURN[j]
+    dw = np.full((m, 1, 8, m), _STILL)
+    dw[np.arange(m), 0, :, np.arange(m)] = _STEPS
+    dz = np.full((m, 1 + 2 * n, 8, n), _STILL)
+    a = np.arange(n)[:, None]
+    dz[:, 1 + a, np.arange(8), a] = _STEPS
+    dz[:, n + 1 + a, _TURN, a] = _STEPS
+    pair = zw.reshape(n, m).T  # z_a with w_b: pair a * m + b of the z-w pairs
+    dirs = np.concatenate([(n + np.arange(m))[:, None], dim + pair, dim + pairs + pair], axis=1)
+    flat = np.arange(m * (1 + 2 * n) * 8).reshape(m, 1 + 2 * n, 8)
+    flat[:, n + 1 :] = flat[:, n + 1 :, _TURN]
+    groups.append(_group(dz, dw, dirs.ravel(), flat.reshape(-1, 8)))
+
+    # (C) e_a + e_b and e_a + i e_b for each w-w pair
+    if len(ww):
+        dw = np.full((len(ww), 2, 8, m), _STILL)
+        dw[np.arange(len(ww)), :, :, rows[ww] - n] = _STEPS
+        dw[np.arange(len(ww)), 0, :, cols[ww] - n] = _STEPS
+        dw[np.arange(len(ww)), 1, :, cols[ww] - n] = _STEPS[_TURN]
+        dirs = np.stack([dim + ww, dim + pairs + ww], axis=1)
+        take = np.arange(16 * len(ww)).reshape(-1, 8)
+        groups.append(_group(np.full((1, 1, 1, n), _STILL), dw, dirs.ravel(), take))
+
+    return _frozen(rows), _frozen(cols), tuple(groups)
 
 
 def wirtinger_hessian(fun, x: CSPoint) -> np.ndarray:
     """Mixed Hessian ``H_ab = d^2 f / dxi_a dxibar_b`` of a real function.
 
-    Fourth-order central differences in the real and imaginary parts of the
-    coordinates, with the fixed step ``h = 5e-4``, so the truncation error is
-    O(h^4) and stays far below the closed forms it validates.  Each entry
-    ``a <= b`` takes 32 points (see :func:`_hessian_stencil`): for each of
-    the eight steps of ``xi_b``, four steps of ``xi_a``.  Entry ``(b, a)`` is
-    the conjugate of ``(a, b)`` and the diagonal is real, so the Hessian is
-    Hermitian bit for bit.
+    The polarization of the Levi form ``L(u) = sum_ab u_a conj(u_b) H_ab``:
+    ``H_aa = L(e_a)``, ``Re H_ab = (L(e_a + e_b) - L(e_a) - L(e_b)) / 2``
+    and ``Im H_ab = (L(e_a + i e_b) - L(e_a) - L(e_b)) / 2``.  ``L(u)`` is
+    ``d^2 / ds dsbar f(xi + s u)`` at ``s = 0``, taken by the five-point
+    fourth-order second difference along ``Re s`` and ``Im s`` with the
+    fixed step ``h = 5e-4``: eight points ``s = i^q c h`` (``c = 1, 2``)
+    and the centre ``f(xi)`` that all ``dim^2`` directions share.  The
+    truncation error is O(h^4) and stays far below the closed forms it
+    validates.  Entry ``(b, a)`` is the conjugate of ``(a, b)`` and the
+    diagonal is real, so the Hessian is Hermitian bit for bit.
 
-    The stencil holds the pairs ``a <= b`` in the order of
-    ``np.triu_indices`` (96 / 480 / 1440 points at n = 1 / 2 / 3).  ``fun``
-    is called once per group of pairs by coordinate kind, in the order z–z,
-    z–w, w–w, on a :class:`CSPoint` whose ``z`` and ``W`` stacks have the
-    leading shape ``(pairs, 8, 4)``, with size-1 axes where they do not
-    move: at n = 3 the groups hold 6, 18 and 21 pairs; ``z`` has leading
-    shapes ``(6, 8, 4)``, ``(18, 8, 4)`` and ``(1, 1, 1)``, and ``W`` has
-    ``(1, 1, 1)``, ``(18, 8, 1)`` and ``(21, 8, 4)``.  ``fun`` returns real
-    values with three axes that broadcast to the group's leading shape
-    ``(pairs, 8, 4)``, as :func:`jacobi.kahler_potential` does; so work that
-    depends on ``W`` alone runs once per distinct ``W`` (41 / 241 / 817).
-    Every entry sums ``w_ij f_ij`` over the same values in the same order as
-    a call of ``fun`` per point would.
+    ``fun`` is called once per group of directions (33 / 201 / 649 points
+    at n = 1 / 2 / 3), in the order A, B, C, on a :class:`CSPoint` whose
+    ``z`` and ``W`` stacks keep only the stencil axes they move along:
+
+    * (A) the centre and the directions in ``z`` only: ``z`` of leading
+      shape ``(1 + 8 n^2,)``, one ``W`` of leading shape ``(1,)``;
+    * (B) for each of the ``m = n(n+1)/2`` coordinates ``w_b``, the
+      directions ``e_b``, ``e_a + e_b`` and ``e_a + i e_b`` (``a`` in ``z``):
+      ``z`` of leading shape ``(m, 1 + 2n, 8)`` and ``W`` of ``(m, 1, 8)``,
+      the last axis being the step of ``w_b``; as ``i`` times the eight
+      steps is the same eight steps, ``e_a + i e_b`` reuses those ``W``;
+    * (C) ``e_a + e_b`` and ``e_a + i e_b`` for each of the ``m(m-1)/2``
+      ``w``–``w`` pairs: one ``z`` of leading shape ``(1, 1, 1)`` and ``W``
+      of ``(pairs, 2, 8)``; absent at n = 1.
+
+    ``fun`` returns real values whose axes broadcast to the group's leading
+    shape, as :func:`jacobi.kahler_potential` does; so work that depends on
+    ``W`` alone runs once per distinct ``W`` (9 / 73 / 289).  Every entry
+    sums the same values in the same order as a call of ``fun`` per point
+    would: ``sum_j w_j (f_j - f(xi))`` over the eight steps in turn, divided
+    by ``48 h^2``, then the polarization in the order written above.
     """
     base = cs_coords(x)
     n, dim = x.n, len(base)
-    rows, cols, weights, groups = _pair_groups(n)
-    vals = np.empty(weights.shape)
-    for where, z_plan, w_plan in groups:
-        z = _stack(base[:n], z_plan)
-        w = _stack(base[n:], w_plan)
-        got = np.asarray(fun(CSPoint(z=z, W=w_from_coords(w, n))))
-        shape = (len(where),) + weights.shape[1:]
-        if got.ndim != 3 or any(g not in (1, s) for g, s in zip(got.shape, shape)):
+    rows, cols, groups = _polar_groups(n)
+    vals = np.empty((dim * dim, 8))
+    for i, (lead, dz, dw, dirs, take) in enumerate(groups):
+        got = np.asarray(fun(CSPoint(z=base[:n] + dz, W=w_from_coords(base[n:] + dw, n))))
+        if got.ndim != len(lead) or any(g not in (1, s) for g, s in zip(got.shape, lead)):
             raise ValueError(
-                f"fun returned shape {got.shape}, expected one broadcasting to {shape}"
+                f"fun returned shape {got.shape}, expected one broadcasting to {lead}"
             )
         if np.iscomplexobj(got):
             raise ValueError("fun returned complex values, expected real ones")
-        vals[where] = got
-    re, im = _contract(weights, vals)
+        flat = np.broadcast_to(got, lead).reshape(-1)
+        if i == 0:  # point 0 of group A is the centre
+            centre = flat[0]
+        vals[dirs] = flat[take]
+    terms = (vals - centre) * _WEIGHTS
+    acc = terms[:, 0]
+    for term in terms.T[1:]:
+        acc = acc + term
+    levi = acc / _SCALE
+    diag, re, im = levi[:dim], levi[dim : dim + len(rows)], levi[dim + len(rows) :]
+    re = (re - diag[rows] - diag[cols]) * 0.5
+    im = (im - diag[rows] - diag[cols]) * 0.5
     out = np.empty((dim, dim), dtype=complex)
     out.real[rows, cols] = out.real[cols, rows] = re
     out.imag[rows, cols], out.imag[cols, rows] = im, -im
-    # the diagonal's weights are real: its imaginary sums are +-0
-    np.fill_diagonal(out.imag, 0.0)
+    out[np.arange(dim), np.arange(dim)] = diag
     return out
 
 
@@ -226,9 +223,11 @@ def holomorphic_jacobian(mapping, x: CSPoint) -> np.ndarray:
     lead = (len(coord), len(_JACOBIAN_STEPS))
     stack = np.broadcast_to(base, lead + base.shape).copy()
     stack[coord, :, coord] += _JACOBIAN_STEPS
-    cols = cs_coords(mapping(cs_from_coords(stack, x.n)))
-    if cols.shape[:-1] != lead:
-        raise ValueError(f"mapping returned leading shape {cols.shape[:-1]}, expected {lead}")
+    image = mapping(cs_from_coords(stack, x.n))
+    for got in (image.z.shape[:-1], image.W.shape[:-2]):
+        if got != lead:
+            raise ValueError(f"mapping returned leading shape {got}, expected {lead}")
+    cols = cs_coords(image)
     d_re = (cols[:, 0] - cols[:, 1]) / (2 * _JACOBIAN_STEP)
     d_im = (cols[:, 2] - cols[:, 3]) / (2 * _JACOBIAN_STEP)
     return (0.5 * (d_re - 1j * d_im)).T

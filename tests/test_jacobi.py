@@ -287,9 +287,14 @@ def test_kahler_potential_stack_matches_single_calls(n, k):
 @pytest.mark.parametrize("where", ["interior", "near-boundary"])
 @pytest.mark.parametrize(
     "z_lead, w_lead",
-    # the three pair groups of numdiff.wirtinger_hessian: z-z, z-w, w-w
-    [((3, 8, 4), (1, 1, 1)), ((3, 8, 4), (3, 8, 1)), ((1, 1, 1), (3, 8, 4))],
-    ids=["z-z", "z-w", "w-w"],
+    # z moving under one W, both moving with each W serving the last axis of
+    # z, and W moving under one z; then the three groups of
+    # numdiff.wirtinger_hessian's stencil at n = 2: (A) the centre and the z
+    # directions, (B) the directions through one w_b, each W serving the
+    # second axis of z, (C) the w-w pairs
+    [((3, 8, 4), (1, 1, 1)), ((3, 8, 4), (3, 8, 1)), ((1, 1, 1), (3, 8, 4)),
+     ((33,), (1,)), ((3, 5, 8), (3, 1, 8)), ((1, 1, 1), (3, 2, 8))],
+    ids=["z-z", "z-w", "w-w", "A", "B", "C"],
 )
 def test_kahler_potential_of_broadcast_stacks_matches_the_full_stack(n, k, where, z_lead, w_lead):
     rng = np.random.default_rng(80 + n)

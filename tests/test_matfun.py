@@ -477,10 +477,17 @@ def test_solve_and_inv_equal_numpy_bit_for_bit(n, lead, cols, complex_):
         ((), (4, 3)),
         ((4,), ()),
         ((5,), (2, 1)),
-        # the three pair groups of numdiff.wirtinger_hessian: z-z, z-w, w-w
+        # one matrix for every vector, each matrix serving the last axis of
+        # the vectors, one vector for every matrix
         ((1, 1, 1), (3, 8, 4)),
         ((3, 8, 1), (3, 8, 4)),
         ((3, 8, 4), (1, 1, 1)),
+        # the three groups of numdiff.wirtinger_hessian's stencil at n = 2:
+        # (A) the centre and the z directions, (B) the directions through one
+        # w_b, each matrix serving the second axis, (C) the w-w pairs
+        ((1,), (33,)),
+        ((3, 1, 8), (3, 5, 8)),
+        ((3, 2, 8), (1, 1, 1)),
     ],
 )
 def test_solve_vectors_equals_per_point_solves_bit_for_bit(n, a_lead, b_lead):

@@ -8,25 +8,36 @@ from siegeljacobi.jacobi import CSPoint, cs_coords, cs_from_coords
 def per_point_hessian(fun, x, h=5e-4):
     """The stencil of :func:`numdiff.wirtinger_hessian` at step ``h``, one
     ``fun`` call per point: the reference the stacked evaluation must
-    reproduce bit for bit."""
+    reproduce bit for bit.
+
+    ``L(u)``, a quarter of the Laplacian in ``s`` of ``f(xi + s u)``, is the
+    five-point second difference along ``Re s`` and ``Im s``; the Hessian
+    is its polarization."""
     base = cs_coords(x)
     dim = len(base)
-    steps, partners, weights = numdiff._hessian_stencil(h)
+    steps = [h, 2 * h, 1j * h, 2j * h, -h, -2 * h, -1j * h, -2j * h]
+    weights = [16.0, -1.0] * 4
+    centre = fun(cs_from_coords(base, x.n))
+
+    def levi(a, b=None, turned=False):
+        acc = None
+        for s, wt in zip(steps, weights):
+            vec = base.copy()
+            vec[a] += s
+            if b is not None:
+                vec[b] += 1j * s if turned else s
+            term = (fun(cs_from_coords(vec, x.n)) - centre) * wt
+            acc = term if acc is None else acc + term
+        return acc / (48 * h * h)
+
+    diag = [levi(a) for a in range(dim)]
     out = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
-        for b in range(a, dim):
-            kind = int(a == b)
-            acc = 0j
-            for db, row_steps, row_weights in zip(steps, partners[kind], weights[kind]):
-                for da, w in zip(row_steps, row_weights):
-                    vec = base.copy()
-                    vec[a] += da
-                    vec[b] += db
-                    acc += w * fun(cs_from_coords(vec, x.n))
-            if a == b:
-                out[a, a] = acc.real
-            else:
-                out[a, b], out[b, a] = acc, np.conj(acc)
+        out[a, a] = diag[a]
+        for b in range(a + 1, dim):
+            re = (levi(a, b) - diag[a] - diag[b]) * 0.5
+            im = (levi(a, b, turned=True) - diag[a] - diag[b]) * 0.5
+            out[a, b], out[b, a] = complex(re, im), complex(re, -im)
     return out
 
 
@@ -167,19 +178,21 @@ def test_hessian_calls_fun_once_on_the_stencil_stack():
         return jacobi.kahler_potential(pt, 4.0)
 
     numdiff.wirtinger_hessian(fun, x)
-    # dim = 5 coordinates give 15 pairs a <= b of 32 points each: 3 z-z, 6 z-w
-    # and 6 w-w pairs, and z and W keep only the stencil axes they move along
+    # dim = 5 coordinates give 25 directions of 8 points and one centre: (A)
+    # the centre and the 4 directions in z; (B) for each of the 3 w_b its 5
+    # directions, all stepping w_b by the same 8 steps; (C) the 3 w-w pairs,
+    # two directions each.  z and W keep only the stencil axes they move along
     assert shapes == [
-        ((3, 8, 4, 2), (1, 1, 1, 2, 2)),
-        ((6, 8, 4, 2), (6, 8, 1, 2, 2)),
-        ((1, 1, 1, 2), (6, 8, 4, 2, 2)),
+        ((33, 2), (1, 2, 2)),
+        ((3, 5, 8, 2), (3, 1, 8, 2, 2)),
+        ((1, 1, 1, 2), (3, 2, 8, 2, 2)),
     ]
 
 
-@pytest.mark.parametrize("n, points, matrices", [(1, 96, 41), (2, 480, 241), (3, 1440, 817)])
+@pytest.mark.parametrize("n, points, matrices", [(1, 33, 9), (2, 201, 73), (3, 649, 289)])
 def test_hessian_of_the_potential_factors_each_distinct_w_once(monkeypatch, n, points, matrices):
-    # three calls on stacks of leading shape (pairs, 8, 4), whose points hold
-    # only these many distinct W, each factored once
+    # one call per group (no w-w group at n = 1), whose points hold only
+    # these many distinct W, each factored once
     leads, factored = [], []
     logdet_hpd = matfun.logdet_hpd
 
@@ -194,7 +207,7 @@ def test_hessian_of_the_potential_factors_each_distinct_w_once(monkeypatch, n, p
     monkeypatch.setattr(matfun, "logdet_hpd", spy)
     x = verify._random_point(n, np.random.default_rng(50 + n))
     numdiff.wirtinger_hessian(fun, x)
-    assert len(leads) == 3 and all(lead[1:] == (8, 4) for lead in leads)
+    assert len(leads) == (2 if n == 1 else 3)
     assert sum(np.prod(lead) for lead in leads) == points
     assert sum(factored) == matrices
 
@@ -203,12 +216,20 @@ def test_hessian_rejects_a_scalar_valued_fun():
     x = CSPoint(z=np.zeros(1, dtype=complex), W=np.zeros((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         numdiff.wirtinger_hessian(lambda pt: 1.0, x)
-    # three axes that do not broadcast to a group's (pairs, 8, 4), or a
-    # fourth axis, are rejected too
+    # axes that do not broadcast to a group's leading shape, or one axis too
+    # many, are rejected too: in group A (the centre and the z directions,
+    # leading shape (9,) at n = 1) or in group B ((1, 3, 8))
     with pytest.raises(ValueError, match="shape"):
         numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 8, 7)), x)
     with pytest.raises(ValueError, match="shape"):
-        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 1, 8, 4)), x)
+        numdiff.wirtinger_hessian(lambda pt: np.zeros((9, 1)), x)
+
+    def wrong_in_b(pt):
+        lead = np.broadcast_shapes(pt.z.shape[:-1], pt.W.shape[:-2])
+        return np.zeros(lead if len(lead) == 1 else lead[:-1] + (7,))
+
+    with pytest.raises(ValueError, match=r"\(1, 3, 8\)"):
+        numdiff.wirtinger_hessian(wrong_in_b, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -256,6 +277,10 @@ def test_jacobians_reject_a_mapping_of_the_wrong_shape():
     x = verify._random_point(2, np.random.default_rng(47))
     with pytest.raises(ValueError, match="shape"):
         numdiff.holomorphic_jacobian(lambda pt: x, x)
+    # a domain map lifted with z = 0 that returns one W for the whole stencil:
+    # its z and W leading shapes disagree
+    with pytest.raises(ValueError, match=r"mapping returned leading shape \(\), expected \(5, 4\)"):
+        numdiff.holomorphic_jacobian(lifted(lambda w: x.W), x)
 
 
 def test_hessian_rejects_a_complex_valued_fun():
