@@ -46,6 +46,7 @@ import functools
 
 import numpy as np
 
+from . import matfun
 from .errors import CutoffTooSmall
 from .jacobi import CSPoint, JacobiElement, alpha_action, alpha_action_inv, lambda_cocycle
 from .symplectic import SpElement, cartan_decompose, cartan_synthesize
@@ -78,27 +79,30 @@ TAYLOR_DEGREE = 18  # 1/19! < 1e-17: one step's truncation at unit norm
 _STEPS_PER_LEVEL = 16
 
 
-def _per_column(amps: np.ndarray, fn):
-    """``fn`` of a vector, or the array of ``fn`` of each column of a stack.
+def _norm(amps: np.ndarray):
+    """Norm of a state, or the array of the norms of a stack's columns.
 
-    Each column is read as a contiguous copy, as a vector would be: a 1-D
-    reduction of a strided column (``np.vdot``) may sum in another order.
+    The columns are the rows of one contiguous transposed copy, and
+    :func:`matfun._norms` forms the BLAS dots of ``np.linalg.norm``: each
+    norm has the bits of ``np.linalg.norm`` of its column as a vector.
     """
     if amps.ndim == 1:
-        return fn(amps)
-    return np.array([fn(col) for col in np.ascontiguousarray(amps.T)])
-
-
-def _norm(amps: np.ndarray):
-    """Norm of a state, or the array of the norms of a stack's columns."""
-    return _per_column(amps, lambda v: float(np.linalg.norm(v)))
+        return float(np.linalg.norm(amps))
+    return matfun._norms(np.ascontiguousarray(amps.T)[:, None, :])
 
 
 def _tail_mass(amps: np.ndarray):
     """Probability mass above ``TAIL_FRACTION * N`` of a state over
-    |0>..|N>, or the array of it of each column of a stack."""
+    |0>..|N>, or the array of it of each column of a stack.
+
+    A stack's columns are summed as the rows of one contiguous transposed
+    copy, each in the pairwise order of ``np.sum`` of its column as a
+    vector, so each mass has that sum's bits.
+    """
     start = int(TAIL_FRACTION * (len(amps) - 1))
-    return _per_column(amps, lambda v: float(np.sum(np.abs(v[start:]) ** 2)))
+    if amps.ndim == 1:
+        return float(np.sum(np.abs(amps[start:]) ** 2))
+    return (np.abs(np.ascontiguousarray(amps[start:].T)) ** 2).sum(axis=1)
 
 
 def _sample_error(message, bad, stacked: bool):
@@ -365,10 +369,10 @@ def cs_vector(z, w, cutoff: int) -> np.ndarray:
                 break
     else:
         out[:, live] = acc
-    tails, norms = _tail_mass(out).tolist(), _norm(out).tolist()
+    tails, norms = _tail_mass(out), _norm(out)
     _sample_error(
         lambda i: f"orbit vector tail mass {tails[i]:.2e} at cutoff {cutoff}",
-        [not (tail <= TAIL_THRESHOLD * norm**2) for tail, norm in zip(tails, norms)], z.ndim > 0)
+        ~(tails <= TAIL_THRESHOLD * norms**2), z.ndim > 0)
     return out if z.ndim > 0 else out[:, 0]
 
 

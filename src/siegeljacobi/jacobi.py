@@ -86,9 +86,9 @@ class CSPoint:
     :func:`cs_coords` and :func:`cs_from_coords` accept.  The leading shapes
     of ``z`` and ``W`` broadcast: a size-1 axis of one holds the same value
     for every index of the other, as in the stencil groups of
-    :func:`numdiff.wirtinger_hessian` (in its group B at n = 2, a ``W`` of
-    leading shape ``(3, 1, 8)`` serves the ``z`` of shape ``(3, 5, 8)``: five
-    points per ``W``).  Indexing a stack whose ``z`` and ``W`` have one
+    :func:`numdiff.wirtinger_hessian` (in its first call at n = 2, a ``W``
+    of leading shape ``(3, 1, 11)`` serves the ``z`` of shape ``(3, 5, 11)``:
+    five points per ``W``).  Indexing a stack whose ``z`` and ``W`` have one
     leading shape gives its points, and :func:`sample_base_measure` returns
     its sample as one stack.  :func:`kahler_form`, :func:`cs_point` and the
     JSON form take a single point.

@@ -706,3 +706,20 @@ def test_mm1_residual_makes_one_stacked_cocycle_call(monkeypatch):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="one sample each"):
         fo.mm1_residual(_stack([args[0][0]] * 2), np.zeros(3), np.zeros(3), np.zeros(3), 40)
+
+
+@pytest.mark.parametrize("cutoff", [20, 60, 101, 1500])
+def test_stacked_norms_and_tail_masses_equal_the_per_column_ones(cutoff):
+    # each column's norm and tail mass have the bits of the vector's own:
+    # np.linalg.norm's BLAS dots and np.sum's pairwise order
+    rng = np.random.default_rng(cutoff)
+    scales = np.exp(-np.arange(cutoff + 1) / 7.0)[:, None]
+    stack = scales * (rng.normal(size=(cutoff + 1, 40)) + 1j * rng.normal(size=(cutoff + 1, 40)))
+    columns = [np.ascontiguousarray(col) for col in stack.T]
+    start = int(fo.TAIL_FRACTION * cutoff)
+    norms, tails = fo._norm(stack), fo._tail_mass(stack)
+    assert norms.tobytes() == np.array([np.linalg.norm(col) for col in columns]).tobytes()
+    assert tails.tobytes() == np.array(
+        [np.sum(np.abs(col[start:]) ** 2) for col in columns]).tobytes()
+    assert [fo._norm(col) for col in columns] == norms.tolist()
+    assert [fo._tail_mass(col) for col in columns] == tails.tolist()

@@ -288,13 +288,13 @@ def test_kahler_potential_stack_matches_single_calls(n, k):
 @pytest.mark.parametrize(
     "z_lead, w_lead",
     # z moving under one W, both moving with each W serving the last axis of
-    # z, and W moving under one z; then the three groups of
-    # numdiff.wirtinger_hessian's stencil at n = 2: (A) the centre and the z
-    # directions, (B) the directions through one w_b, each W serving the
-    # second axis of z, (C) the w-w pairs
+    # z, W moving under one z, and a line of z under one W; then the two
+    # calls of numdiff.wirtinger_hessian's stencil at n = 2: (AB) the
+    # directions through one w_b, each W serving the second axis of z, and
+    # the centre and the z directions at the centre's W, (C) the w-w pairs
     [((3, 8, 4), (1, 1, 1)), ((3, 8, 4), (3, 8, 1)), ((1, 1, 1), (3, 8, 4)),
-     ((33,), (1,)), ((3, 5, 8), (3, 1, 8)), ((1, 1, 1), (3, 2, 8))],
-    ids=["z-z", "z-w", "w-w", "A", "B", "C"],
+     ((33,), (1,)), ((3, 5, 11), (3, 1, 11)), ((1, 1, 1), (3, 2, 8))],
+    ids=["z-z", "z-w", "w-w", "line", "AB", "C"],
 )
 def test_kahler_potential_of_broadcast_stacks_matches_the_full_stack(n, k, where, z_lead, w_lead):
     rng = np.random.default_rng(80 + n)

@@ -482,11 +482,12 @@ def test_solve_and_inv_equal_numpy_bit_for_bit(n, lead, cols, complex_):
         ((1, 1, 1), (3, 8, 4)),
         ((3, 8, 1), (3, 8, 4)),
         ((3, 8, 4), (1, 1, 1)),
-        # the three groups of numdiff.wirtinger_hessian's stencil at n = 2:
-        # (A) the centre and the z directions, (B) the directions through one
-        # w_b, each matrix serving the second axis, (C) the w-w pairs
+        # one matrix for a line of vectors; the two calls of
+        # numdiff.wirtinger_hessian's stencil at n = 2: (AB) the directions
+        # through one w_b, each matrix serving the second axis, and the
+        # centre and the z directions at the centre's matrix, (C) the w-w pairs
         ((1,), (33,)),
-        ((3, 1, 8), (3, 5, 8)),
+        ((3, 1, 11), (3, 5, 11)),
         ((3, 2, 8), (1, 1, 1)),
     ],
 )

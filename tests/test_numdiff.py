@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,18 @@ from siegeljacobi import jacobi, matfun, numdiff, symplectic, verify
 from siegeljacobi.jacobi import CSPoint, cs_coords, cs_from_coords
 
 
-def per_point_hessian(fun, x, h=5e-4):
-    """The stencil of :func:`numdiff.wirtinger_hessian` at step ``h``, one
-    ``fun`` call per point: the reference the stacked evaluation must
-    reproduce bit for bit.
+def per_point_hessian(fun, x, h=None):
+    """The stencil of :func:`numdiff.wirtinger_hessian` at step ``h`` (by
+    default the step it takes at ``x``), one ``fun`` call per point: the
+    reference the stacked evaluation must reproduce bit for bit.
 
     ``L(u)``, a quarter of the Laplacian in ``s`` of ``f(xi + s u)``, is the
     five-point second difference along ``Re s`` and ``Im s``; the Hessian
     is its polarization."""
     base = cs_coords(x)
     dim = len(base)
+    if h is None:
+        h = 5e-4 * 0.5 ** numdiff._step_halvings(cs_from_coords(base, x.n).W)
     steps = [h, 2 * h, 1j * h, 2j * h, -h, -2 * h, -1j * h, -2j * h]
     weights = [16.0, -1.0] * 4
     centre = fun(cs_from_coords(base, x.n))
@@ -178,21 +182,23 @@ def test_hessian_calls_fun_once_on_the_stencil_stack():
         return jacobi.kahler_potential(pt, 4.0)
 
     numdiff.wirtinger_hessian(fun, x)
-    # dim = 5 coordinates give 25 directions of 8 points and one centre: (A)
-    # the centre and the 4 directions in z; (B) for each of the 3 w_b its 5
-    # directions, all stepping w_b by the same 8 steps; (C) the 3 w-w pairs,
-    # two directions each.  z and W keep only the stencil axes they move along
+    # dim = 5 coordinates give 25 directions of 8 points and one centre: (AB)
+    # for each of the 3 w_b its 5 directions, all stepping w_b by the same 8
+    # steps, and 3 slots at the centre's W whose 15 z hold the centre and
+    # the 4 directions in z (33 points, then the centre again); (C) the 3 w-w
+    # pairs, two directions each.  z and W keep only the stencil axes they
+    # move along
     assert shapes == [
-        ((33, 2), (1, 2, 2)),
-        ((3, 5, 8, 2), (3, 1, 8, 2, 2)),
+        ((3, 5, 11, 2), (3, 1, 11, 2, 2)),
         ((1, 1, 1, 2), (3, 2, 8, 2, 2)),
     ]
 
 
-@pytest.mark.parametrize("n, points, matrices", [(1, 33, 9), (2, 201, 73), (3, 649, 289)])
+@pytest.mark.parametrize("n, points, matrices", [(1, 33, 11), (2, 213, 81), (3, 660, 300)])
 def test_hessian_of_the_potential_factors_each_distinct_w_once(monkeypatch, n, points, matrices):
-    # one call per group (no w-w group at n = 1), whose points hold only
-    # these many distinct W, each factored once
+    # one call for the centre and the directions through z and each w_b, one
+    # for the w-w pairs (none at n = 1); the points hold these many W, each
+    # factored once: the distinct ones, and the centre's in 3 / 9 / 12 slots
     leads, factored = [], []
     logdet_hpd = matfun.logdet_hpd
 
@@ -207,7 +213,7 @@ def test_hessian_of_the_potential_factors_each_distinct_w_once(monkeypatch, n, p
     monkeypatch.setattr(matfun, "logdet_hpd", spy)
     x = verify._random_point(n, np.random.default_rng(50 + n))
     numdiff.wirtinger_hessian(fun, x)
-    assert len(leads) == (2 if n == 1 else 3)
+    assert len(leads) == (1 if n == 1 else 2)
     assert sum(np.prod(lead) for lead in leads) == points
     assert sum(factored) == matrices
 
@@ -216,20 +222,82 @@ def test_hessian_rejects_a_scalar_valued_fun():
     x = CSPoint(z=np.zeros(1, dtype=complex), W=np.zeros((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         numdiff.wirtinger_hessian(lambda pt: 1.0, x)
-    # axes that do not broadcast to a group's leading shape, or one axis too
-    # many, are rejected too: in group A (the centre and the z directions,
-    # leading shape (9,) at n = 1) or in group B ((1, 3, 8))
+    # axes that do not broadcast to a call's leading shape ((1, 3, 11), the
+    # one call at n = 1), or one axis too many, are rejected too
+    with pytest.raises(ValueError, match=r"\(1, 3, 11\)"):
+        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 3, 8)), x)
     with pytest.raises(ValueError, match="shape"):
-        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 8, 7)), x)
-    with pytest.raises(ValueError, match="shape"):
-        numdiff.wirtinger_hessian(lambda pt: np.zeros((9, 1)), x)
+        numdiff.wirtinger_hessian(lambda pt: np.zeros((1, 3, 11, 1)), x)
 
-    def wrong_in_b(pt):
+    # at n = 2, a fun wrong only on the w-w pairs' call, of leading shape (3, 2, 8)
+    def wrong_in_c(pt):
         lead = np.broadcast_shapes(pt.z.shape[:-1], pt.W.shape[:-2])
-        return np.zeros(lead if len(lead) == 1 else lead[:-1] + (7,))
+        return np.zeros(lead[:-1] + (7,) if lead[-1] == 8 else lead)
 
-    with pytest.raises(ValueError, match=r"\(1, 3, 8\)"):
-        numdiff.wirtinger_hessian(wrong_in_b, x)
+    with pytest.raises(ValueError, match=r"\(3, 2, 8\)"):
+        numdiff.wirtinger_hessian(wrong_in_c, verify._random_point(2, np.random.default_rng(43)))
+
+
+@pytest.mark.parametrize("halvings", [0, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stencil_plan_gathers_eight_points_on_each_direction(n, halvings):
+    plan = numdiff._stencil_plan(n, halvings)
+    assert numdiff._stencil_plan(n, halvings) is plan  # built once
+    arrays = [plan.take, plan.rows, plan.cols, plan.place]
+    arrays += [a for _, dz, dw in plan.calls for a in (dz, dw)]
+    assert not any(a.flags.writeable for a in arrays)
+    # the offset of every point of the calls, one after the other, in the
+    # coordinates z_a, then w_ij (i <= j) of a symmetric W
+    dim = n + n * (n + 1) // 2
+    offsets = []
+    for lead, dz, dw in plan.calls:
+        dz, dw = np.broadcast_to(dz, lead + (n,)), np.broadcast_to(dw, lead + (n, n))
+        assert np.array_equal(dw, dw.swapaxes(-1, -2))
+        offsets.append(cs_coords(CSPoint(z=dz, W=dw)).reshape(-1, dim))
+    offsets = np.concatenate(offsets)
+    assert len(offsets) == plan.points == {1: 33, 2: 213, 3: 660}[n]
+    assert not offsets[plan.centre].any()
+    # direction e_a, e_a + e_b, e_a + i e_b (a < b): its eight points are the
+    # centre plus s u for the steps s in turn
+    h = 5e-4 / 2**halvings
+    assert plan.scale == 48 * h * h
+    steps = h * np.array([1, 2, 1j, 2j, -1, -2, -1j, -2j])
+    rows, cols = np.triu_indices(dim, 1)
+    eye = np.eye(dim)
+    dirs = np.concatenate([eye, eye[rows] + eye[cols], eye[rows] + 1j * eye[cols]])
+    assert plan.take.shape == (8, dim * dim)
+    for u, take in zip(dirs, plan.take.T):
+        assert np.array_equal(offsets[take], steps[:, None] * u)
+
+
+def test_hessian_step_shrinks_with_the_distance_to_the_boundary():
+    # the full step up to ||W||_2 = 0.86 (also where ||W||_F > 0.85), then the
+    # power of two nearest (1 - ||W||_2) / 0.2; W on or outside the boundary,
+    # or not finite, keeps the full step
+    def halvings(norms):
+        return numdiff._step_halvings(np.diag(np.array(norms, dtype=complex)))
+
+    assert [halvings([r, r, r]) for r in (0.0, 0.6, 0.85, 0.858)] == [0, 0, 0, 0]
+    assert [halvings([r, 0.5]) for r in (0.86, 0.9, 0.95, 0.97, 0.99, 0.995)] == [1, 1, 2, 3, 4, 5]
+    assert [halvings([r]) for r in (1.0, 1.5, math.nan)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hessian_stays_accurate_near_the_boundary(monkeypatch, n):
+    # the form's entries grow like (1 - ||W||_2)^-2 (hundreds at 0.97); the
+    # shrinking step keeps the Hessian within 5e-6 of the closed form (1.6e-6
+    # here), where the full step misses the 1e-5 bound at 0.97
+    rng = np.random.default_rng(60 + n)
+    errors = []
+    for r in (0.9, 0.95, 0.97):
+        x = verify._random_point(n, rng, 0.5, 0.6)
+        x = CSPoint(z=x.z, W=x.W * (r / np.linalg.norm(x.W, 2)))
+        closed = jacobi.kahler_form(x, 4.0)
+        errors.append(np.abs(numdiff.wirtinger_hessian(potential(4.0), x) - closed).max())
+    assert max(errors) < 5e-6
+    monkeypatch.setattr(numdiff, "_step_halvings", lambda w: 0)
+    full = np.abs(numdiff.wirtinger_hessian(potential(4.0), x) - closed).max()
+    assert full > 1e-5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
